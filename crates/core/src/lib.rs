@@ -43,7 +43,6 @@
 
 pub mod accuracy;
 pub mod classify;
-mod parallel;
 pub mod report;
 pub mod runner;
 pub mod scenario;
@@ -54,12 +53,12 @@ pub use accuracy::{Accuracy, ConfusionMatrix};
 pub use classify::{classify_all, ClassifierMode};
 pub use report::{FieldShares, GatewayReach, MetricsReport, ModalityShares, UsageReport};
 pub use runner::{aggregate_profiles, replicate, replicate_with, run_sweep, Replication};
-pub use scenario::{Governor, RecordStreaming, RunOptions, Scenario, ScenarioConfig, SimOutput};
+pub use scenario::{RecordStreaming, RunOptions, Scenario, ScenarioConfig, SimOutput};
 pub use sim::{GridSim, StatsReport};
 
 // Observability types surfaced from the DES substrate.
 pub use survey::{run_survey, SurveyDesign, SurveyResult};
-pub use tg_des::metrics::{EngineProfile, MetricsSnapshot, SyncProfile};
+pub use tg_des::metrics::{EngineProfile, MetricsSnapshot};
 
 // Fault injection rides the scenario config; re-export the spec/report
 // types so experiment binaries need only tg-core.

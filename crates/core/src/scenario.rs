@@ -4,7 +4,7 @@
 //! A [`Scenario`] is a pure function of `(ScenarioConfig, seed)`; every
 //! experiment binary is a sweep over configs and seeds.
 
-use crate::sim::{Event, GridSim};
+use crate::sim::{Event, FinishedSim, GridSim};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -162,20 +162,65 @@ impl ScenarioConfig {
         cfg
     }
 
-    /// Build the scenario. Panics with a descriptive message on an invalid
-    /// data-grid spec (dataset replicas at unknown sites, zero-size or
-    /// unnamed datasets, attach probabilities outside [0, 1]).
-    pub fn build(self) -> Scenario {
-        assert_eq!(
-            self.workload.sites,
-            self.sites.len(),
-            "workload and federation disagree on site count"
-        );
-        assert!(self.data_home < self.sites.len(), "data home out of range");
+    /// Check the cross-field invariants the simulator relies on. The error
+    /// names the offending field's path, e.g. `data_home` or
+    /// `data.datasets[1].replicas[0]`.
+    pub fn validate(&self) -> Result<(), String> {
+        let nsites = self.sites.len();
+        if self.workload.sites != nsites {
+            return Err(format!(
+                "workload.sites: workload and federation disagree on site count \
+                 (workload.sites is {}, `sites` lists {nsites})",
+                self.workload.sites
+            ));
+        }
+        if self.data_home >= nsites {
+            return Err(format!(
+                "data_home: site {} is out of range (federation has {nsites} sites)",
+                self.data_home
+            ));
+        }
         if let Some(spec) = &self.data {
-            if let Err(e) = spec.validate(self.sites.len()) {
-                panic!("invalid data-grid spec in scenario '{}': {e}", self.name);
+            spec.validate(nsites).map_err(|e| format!("data.{e}"))?;
+        }
+        if let Some(spec) = &self.faults {
+            let check = |list: &str, sites: &mut dyn Iterator<Item = usize>| match sites
+                .enumerate()
+                .find(|&(_, site)| site >= nsites)
+            {
+                Some((i, site)) => Err(format!(
+                    "faults.{list}[{i}].site: site {site} is out of range \
+                         (federation has {nsites} sites)"
+                )),
+                None => Ok(()),
+            };
+            check(
+                "site_outages",
+                &mut spec.site_outages.iter().map(|w| w.site),
+            )?;
+            check(
+                "wan_degradations",
+                &mut spec.wan_degradations.iter().map(|w| w.site),
+            )?;
+        }
+        if let Some(library) = &self.library {
+            if library.len() < self.workload.rc_config_count {
+                return Err(format!(
+                    "library: {} configurations, fewer than the {} ids \
+                     workload.rc_config_count draws",
+                    library.len(),
+                    self.workload.rc_config_count
+                ));
             }
+        }
+        Ok(())
+    }
+
+    /// Build the scenario. Panics with the [`ScenarioConfig::validate`]
+    /// message on an invalid config.
+    pub fn build(self) -> Scenario {
+        if let Err(e) = self.validate() {
+            panic!("invalid scenario '{}': {e}", self.name);
         }
         Scenario { config: self }
     }
@@ -229,63 +274,24 @@ pub struct RunOptions {
     /// instead of the optimized ones. The differential suite runs whole
     /// scenarios both ways and asserts identical outputs.
     pub reference_schedulers: bool,
-    /// Worker threads for the sharded engine (`0`/`1` = the serial path,
-    /// unchanged). With `N ≥ 2`, one coordinator plus up to `N - 1` per-site
-    /// shards run the simulation with conservative synchronization — results
-    /// are byte-identical to the serial path (the differential suite proves
-    /// it), so this too is an observer-only knob. Tracing is serial-only:
-    /// `trace_path` forces the serial path with a warning.
-    pub threads: usize,
     /// Generate the workload lazily ([`WorkloadGenerator::generate_streaming`])
     /// and feed jobs to the engine on demand, so pending workload is
     /// O(in-flight) instead of O(total jobs). Outputs are byte-identical to
     /// the materialized path at the same seed (the differential suite proves
-    /// it). Serial-only: `threads ≥ 2` is ignored with a warning.
+    /// it).
     pub stream_gen: bool,
     /// Where accounting records land (retained in `db` by default).
     pub record_streaming: RecordStreaming,
     /// Collect constant-memory online observability: span-latency sketches
     /// keyed by (kind, cause, site, modality) plus the windowed operational
     /// series ([`crate::sim::GridSim::with_live_stats`]). The final
-    /// [`crate::sim::StatsReport`] lands in [`SimOutput::stats`]. Works
-    /// sharded: per-shard books merge exactly at join, so the report is
-    /// byte-identical at any thread count.
+    /// [`crate::sim::StatsReport`] lands in [`SimOutput::stats`].
     pub live_stats: bool,
     /// Stream each closed series bucket as a JSONL row to this path while
-    /// the run progresses (implies `live_stats`). Serial-only: a live file
-    /// is written in event order, so this forces the serial path with a
-    /// warning, exactly like `trace_path`.
+    /// the run progresses (implies `live_stats`).
     pub live_stats_path: Option<PathBuf>,
     /// Bucket width for the windowed series (`None` = one hour).
     pub live_stats_bucket: Option<tg_des::SimDuration>,
-    /// The sharded engine's adaptive execution governor (see [`Governor`]).
-    /// Ignored on the serial path. Like every option here this is an
-    /// observer-only knob: a governed fold lands on the byte-identical
-    /// serial tail, so outputs never change — only wall time does.
-    pub governor: Governor,
-    /// PR 6 compatibility: run the sharded protocol with one sync round per
-    /// emission candidate instead of batched same-shard runs. Only useful
-    /// for differential tests and protocol-overhead measurements; slower.
-    pub per_event_sync: bool,
-}
-
-/// The sharded engine's adaptive execution governor: when conservative-sync
-/// overhead makes `--threads N` slower than serial (a 1-core host, a
-/// pathologically chatty scenario), the coordinator recalls every shard's
-/// state at a clean epoch boundary mid-run and finishes on the exact serial
-/// path — so `--threads` is never much worse than serial. Byte-identity is
-/// unaffected either way.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Governor {
-    /// Measure online (via the sync profiler) and fold when the tripwire
-    /// trips: fewer than two available cores, or sync rounds per event
-    /// above the built-in threshold. The default.
-    #[default]
-    Auto,
-    /// Never fold (bench/protocol measurement).
-    Off,
-    /// Fold unconditionally at the first epoch boundary (tests).
-    Force,
 }
 
 impl RunOptions {
@@ -293,14 +299,6 @@ impl RunOptions {
     pub fn with_metrics() -> Self {
         RunOptions {
             metrics: true,
-            ..Self::default()
-        }
-    }
-
-    /// Options running `threads`-way sharded.
-    pub fn with_threads(threads: usize) -> Self {
-        RunOptions {
-            threads,
             ..Self::default()
         }
     }
@@ -329,22 +327,14 @@ impl Scenario {
     pub fn run_with(&self, seed: u64, opts: &RunOptions) -> SimOutput {
         let cfg = &self.config;
         let alloc_before = tg_des::memory::alloc_snapshot();
+        // `build` validated that an explicit library covers every config id
+        // the workload draws; the synthetic one is sized to cover them.
         let library = cfg
             .library
             .clone()
             .unwrap_or_else(|| ConfigLibrary::synthetic(cfg.workload.rc_config_count.max(1)));
-        assert!(
-            library.len() >= cfg.workload.rc_config_count,
-            "library smaller than the config ids the workload draws"
-        );
         let federation = build_federation(cfg, &library);
         if opts.stream_gen {
-            if opts.threads >= 2 {
-                eprintln!(
-                    "warning: streaming generation is serial-only; ignoring --threads {}",
-                    opts.threads
-                );
-            }
             return self.run_streaming(seed, opts, federation);
         }
         let mut workload =
@@ -365,150 +355,20 @@ impl Scenario {
             job.cores = job.cores.min(cap);
         }
 
-        let mut sharded = opts.threads >= 2 && federation.len() >= 2;
-        if sharded && opts.trace_path.is_some() {
-            eprintln!(
-                "warning: structured tracing is serial-only; ignoring --threads {}",
-                opts.threads
-            );
-            sharded = false;
-        }
-        if sharded && opts.record_streaming != RecordStreaming::Retain {
-            eprintln!(
-                "warning: record streaming is serial-only; ignoring --threads {}",
-                opts.threads
-            );
-            sharded = false;
-        }
-        if sharded && opts.live_stats_path.is_some() {
-            eprintln!(
-                "warning: live-stats streaming is serial-only; ignoring --threads {}",
-                opts.threads
-            );
-            sharded = false;
-        }
-
+        let jobs = std::mem::take(&mut workload.jobs);
+        let sim = assemble(cfg, &library, jobs, RngFactory::new(seed), opts);
         // Wall-clock profiling wraps the event loop; it lives OUTSIDE the
         // deterministic outputs (never compared across runs).
-        let (finished, events_delivered, peak_queue_len, wall, sync) = if sharded {
-            // Every job that something else depends on: its completion
-            // must synchronize with the coordinator's dependency book.
-            let watched: std::sync::Arc<std::collections::HashSet<JobId>> = std::sync::Arc::new(
-                workload
-                    .jobs
-                    .iter()
-                    .flat_map(|j| j.deps.iter().copied())
-                    .collect(),
-            );
-            let jobs = std::mem::take(&mut workload.jobs);
-            let make_sim = move || {
-                // Each participant builds an identical replica: a fresh
-                // factory hands out the same named streams, so every copy
-                // compiles the same fault schedule and RNG state.
-                assemble(cfg, &library, jobs.clone(), RngFactory::new(seed), opts)
-            };
-            let wall_start = std::time::Instant::now();
-            let outcome = crate::parallel::run_sharded(
-                &make_sim,
-                opts.threads,
-                watched,
-                opts.governor,
-                opts.per_event_sync,
-            );
-            let wall = wall_start.elapsed().as_secs_f64();
-            debug_assert!(outcome.min_lookahead >= tg_des::SimDuration::ZERO);
-            (
-                outcome.finished,
-                outcome.delivered,
-                outcome.peak_queue_len,
-                wall,
-                Some(outcome.sync),
-            )
-        } else {
-            let jobs = std::mem::take(&mut workload.jobs);
-            let mut sim = assemble(cfg, &library, jobs, RngFactory::new(seed), opts);
-            if let Some(path) = &opts.trace_path {
-                let file = std::fs::File::create(path)
-                    .unwrap_or_else(|e| panic!("cannot create trace file {}: {e}", path.display()));
-                let mut tracer = Tracer::enabled(4096);
-                tracer.set_sink(Box::new(std::io::BufWriter::new(file)));
-                sim = sim.with_tracer(tracer);
-            }
-            if let Some(sink) = build_record_sink(&opts.record_streaming) {
-                sim = sim.with_record_sink(sink);
-            }
-            if let Some(sink) = build_live_sink(opts) {
-                sim = sim.with_live_sink(sink);
-            }
-            let mut engine: Engine<Event> = Engine::with_capacity(1024);
-            let wall_start = std::time::Instant::now();
-            let finished = sim.run(&mut engine);
-            let wall = wall_start.elapsed().as_secs_f64();
-            (
-                finished,
-                engine.delivered(),
-                engine.peak_queue_len(),
-                wall,
-                None,
-            )
-        };
-        let charge_policy = ChargePolicy::new(cfg.sites.iter().map(|s| s.charge_factor).collect());
-        // Memory is sampled HERE — after the engine (and, on the sharded
-        // path, after `run_sharded`'s scoped join, so every worker shard has
-        // dropped its buffers and its high-water is folded into the
-        // process-wide `VmHWM`). Sampling inside the coordinator would race
-        // the workers and under-report the parallel path.
-        let mut profile = EngineProfile::new(events_delivered, wall, peak_queue_len).with_memory(
-            tg_des::memory::peak_rss_bytes(),
-            tg_des::memory::AllocDelta::since(alloc_before),
-        );
-        profile.sync = sync;
-        let metrics = finished.metrics.map(|mut m| {
-            m.engine = Some(profile.clone());
-            m
-        });
-
-        let site_stats: Vec<SiteStats> = finished
-            .federation
-            .sites()
-            .map(|s| SiteStats {
-                name: s.name().to_string(),
-                utilization: s.cluster.utilization(finished.end),
-                core_seconds: s.cluster.core_seconds(finished.end),
-                jobs_finished: s.cluster.jobs_finished(),
-                rc_stats: s.rc.total_stats(),
-                rc_wasted_area_seconds: s.rc.wasted_area_integral(finished.end),
-                rc_busy_area_seconds: s.rc.busy_area_integral(finished.end),
-            })
-            .collect();
-
-        SimOutput {
-            scenario: cfg.name.clone(),
-            seed,
-            db: finished.db,
-            truth: finished.truth,
-            end: finished.end,
-            charge_policy,
-            site_stats,
-            samples: finished.samples,
-            population: workload.population,
-            events_delivered,
-            metrics,
-            profile,
-            trace_health: opts
-                .trace_path
-                .as_ref()
-                .map(|_| finished.tracer.health(finished.trace_flush_ok)),
-            fault_report: finished.fault_report,
-            ingest_tally: finished.ingest_tally,
-            stats: finished.stats,
-            data_report: finished.data_report,
-        }
+        let mut engine: Engine<Event> = Engine::with_capacity(1024);
+        let wall_start = std::time::Instant::now();
+        let finished = sim.run(&mut engine);
+        let profile = measure(&engine, wall_start, alloc_before);
+        self.output(seed, opts, finished, workload.population, profile)
     }
 
     /// The streaming run path: lazy generation, jobs pulled on demand, and
     /// (optionally) records streamed out. Byte-identical outputs to the
-    /// materialized serial path at the same seed.
+    /// materialized path at the same seed.
     fn run_streaming(&self, seed: u64, opts: &RunOptions, federation: Federation) -> SimOutput {
         let cfg = &self.config;
         let alloc_before = tg_des::memory::alloc_snapshot();
@@ -543,31 +403,24 @@ impl Scenario {
             RngFactory::new(seed),
         );
         sim = apply_sim_options(sim, cfg, opts);
-        if let Some(path) = &opts.trace_path {
-            let file = std::fs::File::create(path)
-                .unwrap_or_else(|e| panic!("cannot create trace file {}: {e}", path.display()));
-            let mut tracer = Tracer::enabled(4096);
-            tracer.set_sink(Box::new(std::io::BufWriter::new(file)));
-            sim = sim.with_tracer(tracer);
-        }
-        if let Some(sink) = build_record_sink(&opts.record_streaming) {
-            sim = sim.with_record_sink(sink);
-        }
-        if let Some(sink) = build_live_sink(opts) {
-            sim = sim.with_live_sink(sink);
-        }
         let mut engine: Engine<Event> = Engine::with_capacity(1024);
         let wall_start = std::time::Instant::now();
         let finished = sim.run_streaming(&mut engine, jobs);
-        let wall = wall_start.elapsed().as_secs_f64();
-        let events_delivered = engine.delivered();
-        let peak_queue_len = engine.peak_queue_len();
+        let profile = measure(&engine, wall_start, alloc_before);
+        self.output(seed, opts, finished, population, profile)
+    }
 
+    /// Fold a finished run and its engine profile into a [`SimOutput`].
+    fn output(
+        &self,
+        seed: u64,
+        opts: &RunOptions,
+        finished: FinishedSim,
+        population: tg_workload::user::Population,
+        profile: EngineProfile,
+    ) -> SimOutput {
+        let cfg = &self.config;
         let charge_policy = ChargePolicy::new(cfg.sites.iter().map(|s| s.charge_factor).collect());
-        let profile = EngineProfile::new(events_delivered, wall, peak_queue_len).with_memory(
-            tg_des::memory::peak_rss_bytes(),
-            tg_des::memory::AllocDelta::since(alloc_before),
-        );
         let metrics = finished.metrics.map(|mut m| {
             m.engine = Some(profile.clone());
             m
@@ -585,7 +438,6 @@ impl Scenario {
                 rc_busy_area_seconds: s.rc.busy_area_integral(finished.end),
             })
             .collect();
-
         SimOutput {
             scenario: cfg.name.clone(),
             seed,
@@ -596,7 +448,7 @@ impl Scenario {
             site_stats,
             samples: finished.samples,
             population,
-            events_delivered,
+            events_delivered: profile.events_delivered,
             metrics,
             profile,
             trace_health: opts
@@ -611,6 +463,20 @@ impl Scenario {
     }
 }
 
+/// The wall-clock profile of a run whose event loop started at
+/// `wall_start`, with the process's memory figures since `alloc_before`.
+fn measure(
+    engine: &Engine<Event>,
+    wall_start: std::time::Instant,
+    alloc_before: tg_des::memory::AllocSnapshot,
+) -> EngineProfile {
+    let wall = wall_start.elapsed().as_secs_f64();
+    EngineProfile::new(engine.delivered(), wall, engine.peak_queue_len()).with_memory(
+        tg_des::memory::peak_rss_bytes(),
+        tg_des::memory::AllocDelta::since(alloc_before),
+    )
+}
+
 fn build_federation(cfg: &ScenarioConfig, library: &ConfigLibrary) -> Federation {
     let mut builder = Federation::builder().library(library.clone());
     for s in &cfg.sites {
@@ -619,9 +485,7 @@ fn build_federation(cfg: &ScenarioConfig, library: &ConfigLibrary) -> Federation
     builder.repository_at(cfg.data_home).build()
 }
 
-/// Assemble one [`GridSim`] replica. Deterministic in `(cfg, jobs, seed)`:
-/// the sharded runner calls this once per participant and relies on every
-/// copy being identical (same fault schedule, same named RNG streams).
+/// Assemble the materialized-workload [`GridSim`] for one run.
 fn assemble(
     cfg: &ScenarioConfig,
     library: &ConfigLibrary,
@@ -661,8 +525,8 @@ fn build_schedulers(
         .collect()
 }
 
-/// The config/option knobs shared by every construction path (materialized,
-/// sharded replica, streaming).
+/// The config/option knobs shared by both construction paths (materialized
+/// and streaming), output sinks included.
 fn apply_sim_options(mut sim: GridSim, cfg: &ScenarioConfig, opts: &RunOptions) -> GridSim {
     if let Some(interval) = cfg.sample_interval {
         sim = sim.with_sampling(interval);
@@ -685,9 +549,20 @@ fn apply_sim_options(mut sim: GridSim, cfg: &ScenarioConfig, opts: &RunOptions) 
         let bucket = opts
             .live_stats_bucket
             .unwrap_or(tg_des::SimDuration::from_hours(1));
-        // Only the enablement is shared; the live sink (serial-only) is
-        // attached by the run paths, never to sharded replicas.
         sim = sim.with_live_stats(bucket);
+    }
+    if let Some(path) = &opts.trace_path {
+        let file = std::fs::File::create(path)
+            .unwrap_or_else(|e| panic!("cannot create trace file {}: {e}", path.display()));
+        let mut tracer = Tracer::enabled(4096);
+        tracer.set_sink(Box::new(std::io::BufWriter::new(file)));
+        sim = sim.with_tracer(tracer);
+    }
+    if let Some(sink) = build_record_sink(&opts.record_streaming) {
+        sim = sim.with_record_sink(sink);
+    }
+    if let Some(sink) = build_live_sink(opts) {
+        sim = sim.with_live_sink(sink);
     }
     sim
 }
@@ -776,12 +651,11 @@ pub struct SimOutput {
     /// Online observability report (`Some` only when
     /// [`RunOptions::live_stats`] or a live-stats path was set):
     /// analyzer-aligned span-latency sketch tables plus the windowed
-    /// operational series. Deterministic — byte-identical at any thread
-    /// count — unlike `profile`.
+    /// operational series. Deterministic, unlike `profile`.
     pub stats: Option<crate::sim::StatsReport>,
     /// Data-grid outcome (`Some` only when the config carried a non-trivial
     /// data spec): per-site cache hit rates, WAN bytes moved by dataset
-    /// fetches, eviction counts. Deterministic at any thread count.
+    /// fetches, eviction counts.
     pub data_report: Option<DataReport>,
 }
 
@@ -948,25 +822,6 @@ mod tests {
         let out = small().build().run(2);
         assert_eq!(out.profile.events_delivered, out.events_delivered);
         assert!(out.profile.peak_queue_len > 0);
-    }
-
-    /// The parallel path's RSS is sampled after the scoped worker join, so
-    /// it must cover at least the job arena every participant replicates
-    /// (each shard clones the full workload). A sample taken before the
-    /// join could legally miss the workers' footprint; this pins the fix.
-    #[test]
-    fn parallel_peak_rss_covers_the_job_arena() {
-        let scenario = small().build();
-        let out = scenario.run_with(3, &RunOptions::with_threads(3));
-        let Some(rss) = out.profile.peak_rss_bytes else {
-            return; // non-Linux: VmHWM unavailable, nothing to assert
-        };
-        let arena = out.truth.len() * std::mem::size_of::<Option<tg_workload::Job>>();
-        assert!(arena > 0, "scenario generated jobs");
-        assert!(
-            rss as usize >= arena,
-            "parallel peak RSS {rss} below the serial arena size {arena}"
-        );
     }
 
     #[test]

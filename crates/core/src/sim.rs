@@ -65,8 +65,7 @@ pub enum Event {
     /// A job arrives from the workload trace (index into the job list).
     Submit(usize),
     /// A job arrives from a *streamed* workload (the job rides in the event
-    /// itself — there is no materialized job list to index into). Serial
-    /// runs only; the sharded coordinator requires the materialized list.
+    /// itself — there is no materialized job list to index into).
     SubmitJob(Box<Job>),
     /// A job (input staged, deps met) reaches a site's batch queue.
     Enqueue {
@@ -75,10 +74,9 @@ pub enum Event {
         /// The job.
         job: Box<Job>,
         /// How the job's dataset was satisfied (`CacheHit`/`CacheMiss`),
-        /// carried from the coordinator's routing decision so the span
-        /// emitted at enqueue time — possibly on another shard — names the
-        /// cause. `None` for jobs without a dataset (the pre-data-grid
-        /// event, byte-identical behaviour).
+        /// carried from the routing decision so the stage-in span emitted
+        /// at enqueue time names the cause. `None` for jobs without a
+        /// dataset (the pre-data-grid event, byte-identical behaviour).
         cause: Option<WaitCause>,
     },
     /// A batch job completes. The job itself (plus its site and start time)
@@ -117,46 +115,15 @@ pub enum Event {
     Requeue {
         /// The job being resubmitted.
         job: Box<Job>,
-        /// When the fault killed it (the requeue span's start; carried in
-        /// the event so the coordinator of a sharded run — where the kill
-        /// happened on a shard — emits the same span the serial run does).
+        /// When the fault killed it (the requeue span's start).
         killed_at: SimTime,
     },
-    /// Sharded runs only: apply a link-kind fault event to this shard's
-    /// replica of the network state (no report/counter side effects — the
-    /// coordinator owns those). Never scheduled in serial runs.
-    NetUpdate(usize),
 }
 
-/// Which execution role a context is driving (see [`EvCtx`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ExecRole {
-    /// The classic single-threaded engine loop.
-    Serial,
-    /// A worker shard owning a subset of sites in a sharded run.
-    Shard,
-    /// The coordinator of a sharded run (owns routing and global state).
-    Coord,
-}
-
-/// A point-in-time observation of one site, carried across shard boundaries
-/// so the coordinator can build byte-identical metascheduler views and
-/// samples without owning the site state.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SiteProbe {
-    pub(crate) free_cores: usize,
-    pub(crate) busy_cores: usize,
-    pub(crate) total_cores: usize,
-    pub(crate) queue_len: usize,
-    pub(crate) core_speed: f64,
-}
-
-/// One accounting record awaiting (possibly lossy) ingest. In sharded runs
-/// records are buffered with their causal stamp and replayed through the
-/// ingest channel in global serial order at merge time, which keeps the
-/// per-record loss/duplication fate sequence byte-identical to a serial run.
+/// One accounting record on its way through the (possibly lossy) ingest
+/// channel to the database or the record sink.
 #[derive(Debug, Clone)]
-pub(crate) enum BufRecord {
+enum Record {
     Job(JobRecord),
     Transfer(TransferRecord),
     Session(SessionRecord),
@@ -164,148 +131,26 @@ pub(crate) enum BufRecord {
     Rc(RcPlacementRecord),
 }
 
-impl BufRecord {
-    pub(crate) fn apply(self, db: &mut AccountingDb) {
+impl Record {
+    fn apply(self, db: &mut AccountingDb) {
         match self {
-            BufRecord::Job(r) => db.add_job(r),
-            BufRecord::Transfer(r) => db.add_transfer(r),
-            BufRecord::Session(r) => db.add_session(r),
-            BufRecord::Gateway(r) => db.add_gateway_attr(r),
-            BufRecord::Rc(r) => db.add_rc_placement(r),
+            Record::Job(r) => db.add_job(r),
+            Record::Transfer(r) => db.add_transfer(r),
+            Record::Session(r) => db.add_session(r),
+            Record::Gateway(r) => db.add_gateway_attr(r),
+            Record::Rc(r) => db.add_rc_placement(r),
         }
     }
 
     /// Borrowed view for streaming sinks.
-    pub(crate) fn as_record_ref(&self) -> RecordRef<'_> {
+    fn as_record_ref(&self) -> RecordRef<'_> {
         match self {
-            BufRecord::Job(r) => RecordRef::Job(r),
-            BufRecord::Transfer(r) => RecordRef::Transfer(r),
-            BufRecord::Session(r) => RecordRef::Session(r),
-            BufRecord::Gateway(r) => RecordRef::Gateway(r),
-            BufRecord::Rc(r) => RecordRef::Rc(r),
+            Record::Job(r) => RecordRef::Job(r),
+            Record::Transfer(r) => RecordRef::Transfer(r),
+            Record::Session(r) => RecordRef::Session(r),
+            Record::Gateway(r) => RecordRef::Gateway(r),
+            Record::Rc(r) => RecordRef::Rc(r),
         }
-    }
-}
-
-/// The scheduling surface a [`GridSim`] handler runs against.
-///
-/// The serial engine's [`Ctx`] implements this 1:1 (the hooks keep their
-/// no-op defaults, so the monomorphized serial instantiation is the exact
-/// pre-sharding code path). The sharded contexts in [`crate::parallel`]
-/// additionally route cross-shard effects through the hooks: exports carry
-/// work that the serial run would have done inline to the participant that
-/// owns the state, and the `note_watched_*` family maintains the emission
-/// floor that bounds how far other shards may safely advance.
-pub(crate) trait EvCtx {
-    fn now(&self) -> SimTime;
-    fn pending(&self) -> usize;
-    fn schedule_at(&mut self, at: SimTime, ev: Event) -> EventKey;
-    fn schedule_after(&mut self, after: SimDuration, ev: Event) -> EventKey;
-    fn schedule_now(&mut self, ev: Event) -> EventKey;
-    fn cancel(&mut self, key: EventKey) -> bool;
-    fn exec_mode(&self) -> ExecRole {
-        ExecRole::Serial
-    }
-    /// Is this job a dependency of some other job (so its completion must
-    /// synchronize with the coordinator's dependency bookkeeping)?
-    fn is_watched(&self, _id: JobId) -> bool {
-        false
-    }
-    /// Whether accounting records should be buffered for merge-time replay
-    /// instead of ingested immediately.
-    fn buffers_records(&self) -> bool {
-        false
-    }
-    fn buffer_record(&mut self, _rec: BufRecord) {
-        unreachable!("serial contexts never buffer records")
-    }
-    /// Shard → coordinator: a watched job finished here; release dependents.
-    /// Non-blocking: the coordinator's acknowledgement is consumed later at
-    /// a safe point by [`GridSim::sync_exports`].
-    fn export_finish(&mut self, _id: JobId, _probes: Vec<SiteProbe>) {
-        unreachable!("serial contexts never export")
-    }
-    /// Shard → coordinator: schedule a requeue (checkpoint-restart path).
-    /// Fire-and-forget — the shard advances its own child cursor, so no
-    /// acknowledgement is owed.
-    #[allow(clippy::boxed_local)] // boxed to match the shard-side message payload
-    fn export_requeue(&mut self, _at: SimTime, _killed_at: SimTime, _job: Box<Job>) {
-        unreachable!("serial contexts never export")
-    }
-    /// Shard → coordinator: a kill needs the global retry book to decide
-    /// requeue-vs-abandon. Non-blocking, acknowledged via
-    /// [`GridSim::sync_exports`].
-    #[allow(clippy::boxed_local)] // boxed to match the shard-side message payload
-    fn export_kill_retry(&mut self, _job: Box<Job>, _probes: Vec<SiteProbe>) {
-        unreachable!("serial contexts never export")
-    }
-    /// Coordinator → shard: continue an RC routing decision on the shard
-    /// that owns the fabric, synchronously. Returns the owner's refreshed
-    /// probes for the sites it owns, which the caller folds back into the
-    /// coordinator's global view (the rest of the emitting handler may
-    /// read them).
-    #[allow(clippy::boxed_local)] // boxed to match the shard-side message payload
-    fn export_route_rc(&mut self, _site: SiteId, _job: Box<Job>) -> Vec<(usize, SiteProbe)> {
-        unreachable!("serial contexts never export")
-    }
-    /// Is an acknowledgement from the coordinator still owed for an earlier
-    /// export? Serial and coordinator contexts never owe one.
-    fn export_in_flight(&self) -> bool {
-        false
-    }
-    /// Block until the coordinator answers the in-flight export. The
-    /// acknowledgement's cursor/inject payload is absorbed internally; an
-    /// RC continuation request surfaces to the caller (see
-    /// [`GridSim::sync_exports`]).
-    fn recv_export_reply(&mut self) -> ExportReply {
-        unreachable!("serial contexts never await exports")
-    }
-    /// Report an RC continuation's completion (with refreshed owned-site
-    /// probes) back to the coordinator.
-    fn rc_cont_done(&mut self, _probes: Vec<SiteProbe>) {
-        unreachable!("serial contexts never run rc continuations")
-    }
-    fn note_watched_pending(&mut self, _id: JobId, _earliest_finish: SimTime) {}
-    fn note_watched_started(&mut self, _id: JobId, _end: SimTime) {}
-    fn note_watched_done(&mut self, _id: JobId) {}
-}
-
-/// What [`EvCtx::recv_export_reply`] surfaced while a shard waited out an
-/// export acknowledgement.
-pub(crate) enum ExportReply {
-    /// The coordinator finished processing the export; the shard's child
-    /// and record cursors were advanced and any events aimed back at this
-    /// shard were absorbed into its queue.
-    Acked,
-    /// Mid-acknowledgement, the coordinator needs an RC routing decision
-    /// continued on this shard (it owns the fabric). The caller runs
-    /// [`GridSim::route_rc`] and answers with [`EvCtx::rc_cont_done`].
-    RcCont {
-        /// Site owning the fabric.
-        site: SiteId,
-        /// The RC job.
-        job: Box<Job>,
-    },
-}
-
-impl EvCtx for Ctx<'_, Event> {
-    fn now(&self) -> SimTime {
-        Ctx::now(self)
-    }
-    fn pending(&self) -> usize {
-        Ctx::pending(self)
-    }
-    fn schedule_at(&mut self, at: SimTime, ev: Event) -> EventKey {
-        Ctx::schedule_at(self, at, ev)
-    }
-    fn schedule_after(&mut self, after: SimDuration, ev: Event) -> EventKey {
-        Ctx::schedule_after(self, after, ev)
-    }
-    fn schedule_now(&mut self, ev: Event) -> EventKey {
-        Ctx::schedule_now(self, ev)
-    }
-    fn cancel(&mut self, key: EventKey) -> bool {
-        Ctx::cancel(self, key)
     }
 }
 
@@ -327,11 +172,10 @@ struct SpanTrack {
 /// here is a pure observer — it never draws randomness, schedules events,
 /// or feeds back into a decision, so observed and unobserved runs stay
 /// byte-identical.
-pub(crate) struct Obs {
-    pub(crate) sketches: SpanSketchbook,
-    pub(crate) series: WindowedSeries,
-    /// Live JSONL sink for closed buckets (serial runs only; sharded runs
-    /// snapshot the merged series at join instead).
+struct Obs {
+    sketches: SpanSketchbook,
+    series: WindowedSeries,
+    /// Live JSONL sink for closed buckets.
     sink: Option<Box<dyn std::io::Write + Send>>,
     sink_errors: u64,
 }
@@ -346,7 +190,7 @@ impl Obs {
         }
     }
 
-    pub(crate) fn is_enabled(&self) -> bool {
+    fn is_enabled(&self) -> bool {
         self.sketches.is_enabled()
     }
 
@@ -371,7 +215,7 @@ impl Obs {
 
     /// Close out the layer at run end: flush remaining buckets to the sink
     /// and snapshot the final report. `None` when the layer was disabled.
-    pub(crate) fn finish(&mut self, end: SimTime) -> Option<StatsReport> {
+    fn finish(&mut self, end: SimTime) -> Option<StatsReport> {
         if !self.is_enabled() {
             return None;
         }
@@ -531,8 +375,8 @@ enum IngestFate {
 /// Everything fault injection needs at run time, attached by
 /// [`GridSim::with_faults`]. `None` (the default) means the fault path is
 /// completely inert: no events, no RNG draws, no job clones.
-pub(crate) struct FaultLayer {
-    pub(crate) schedule: FaultSchedule,
+struct FaultLayer {
+    schedule: FaultSchedule,
     outage_policy: OutagePolicy,
     retry: RetryPolicy,
     book: RetryBook,
@@ -545,25 +389,23 @@ pub(crate) struct FaultLayer {
     down_since: Vec<Option<SimTime>>,
     /// Degradation-window start per site (`Some` while the uplink is slow).
     degraded_since: Vec<Option<SimTime>>,
-    pub(crate) report: FaultReport,
+    report: FaultReport,
 }
 
 /// The assembled simulation.
 pub struct GridSim {
     /// The resource model (mutated as jobs run).
     pub federation: Federation,
-    pub(crate) schedulers: Vec<Box<dyn BatchScheduler>>,
+    schedulers: Vec<Box<dyn BatchScheduler>>,
     meta_policy: MetaPolicy,
     rc_policy: RcPolicy,
     data_home: SiteId,
     /// The data grid: replica catalog plus per-site caches (`None` — the
     /// default — is the pre-data-grid simulator, byte-identical behaviour).
-    /// Touched only by the routing path, which runs on the coordinator in
-    /// sharded runs, so shard replicas never mutate theirs.
-    pub(crate) data: Option<DataLayer>,
-    pub(crate) jobs: Vec<Option<Job>>,
+    data: Option<DataLayer>,
+    jobs: Vec<Option<Job>>,
     /// Ground-truth labels by job id (kept OUT of the record stream).
-    pub(crate) truth: HashMap<JobId, Modality>,
+    truth: HashMap<JobId, Modality>,
     /// Jobs waiting on workflow dependencies. Each held job is registered
     /// under exactly *one* of its unmet deps; when that dep completes the
     /// job is re-examined and either routed or re-registered under another
@@ -582,34 +424,30 @@ pub struct GridSim {
     rng: RngFactory,
     /// The accounting database being populated.
     pub db: AccountingDb,
-    pub(crate) jobs_done: usize,
-    pub(crate) jobs_total: usize,
-    pub(crate) sample_interval: Option<tg_des::SimDuration>,
-    pub(crate) samples: Vec<SampleRow>,
+    jobs_done: usize,
+    jobs_total: usize,
+    sample_interval: Option<tg_des::SimDuration>,
+    samples: Vec<SampleRow>,
     /// Run-level metrics (disabled by default; see [`GridSim::with_metrics`]).
-    pub(crate) metrics: MetricsRegistry,
+    metrics: MetricsRegistry,
     ins: Instruments,
     /// Structured event trace (disabled by default; see
     /// [`GridSim::with_tracer`]).
-    pub(crate) tracer: Tracer,
+    tracer: Tracer,
     /// Per-job lifecycle phase state for span emission (populated only while
     /// the tracer or the online-stats layer is enabled).
     span_track: HashMap<JobId, SpanTrack>,
     /// Online observability (disabled by default; see
     /// [`GridSim::with_live_stats`]).
-    pub(crate) obs: Obs,
+    obs: Obs,
     /// Fault injection (disabled by default; see [`GridSim::with_faults`]).
-    pub(crate) faults: Option<FaultLayer>,
+    faults: Option<FaultLayer>,
     /// Streaming mode: jobs arrive via [`Event::SubmitJob`] and ground
     /// truth is recorded at admission instead of up front.
     streaming: bool,
     /// Record sink (None = retain in `db`, the default). See
     /// [`GridSim::with_record_sink`].
-    pub(crate) record_sink: Option<Box<dyn RecordSink>>,
-    /// Sharded-coordinator mode only: the freshest per-site observations
-    /// gathered from the owning shards, substituted wherever a serial run
-    /// would read site state directly (metascheduler views, samples).
-    pub(crate) probes: Option<Vec<SiteProbe>>,
+    record_sink: Option<Box<dyn RecordSink>>,
 }
 
 impl GridSim {
@@ -666,7 +504,6 @@ impl GridSim {
             faults: None,
             streaming: false,
             record_sink: None,
-            probes: None,
         }
     }
 
@@ -763,40 +600,6 @@ impl GridSim {
         });
     }
 
-    /// Sharded runs only: bring this participant's span-phase entry for
-    /// `job` up to date before a span-emitting handler runs. On the serial
-    /// path `admit` seeds the entry and `route` keeps it current, but
-    /// `admit`/`route` run on the *coordinator*, so a shard first meets a
-    /// job here with no entry (fresh arrival) or a stale one (a previous
-    /// attempt's phase, older than the requeued `submit_time`).
-    ///
-    /// The rule is a no-op on the serial path by construction: `route`
-    /// bumps `job.submit_time` to the routing instant and resets
-    /// `phase_start` to that same instant, so at every `enqueue` /
-    /// `route_rc` entry the serial invariant `phase_start >= submit_time`
-    /// already holds and neither arm fires.
-    fn sync_span_phase(&mut self, job: &Job) {
-        if !self.obs.is_enabled() {
-            return;
-        }
-        match self.span_track.get_mut(&job.id) {
-            Some(track) if track.phase_start < job.submit_time => {
-                track.phase_start = job.submit_time;
-                track.deferred = false;
-            }
-            Some(_) => {}
-            None => {
-                self.span_track.insert(
-                    job.id,
-                    SpanTrack {
-                        phase_start: job.submit_time,
-                        deferred: false,
-                    },
-                );
-            }
-        }
-    }
-
     /// Enable run-level metrics collection. Metrics are pure observers —
     /// they never draw randomness or schedule events — so enabling them
     /// cannot change any simulation result.
@@ -826,8 +629,7 @@ impl GridSim {
     /// the windowed operational series at `bucket` granularity. Pure
     /// observers — nothing here draws randomness, schedules events, or
     /// feeds a decision — so enabling it cannot change any simulation
-    /// result, and the per-shard state merges byte-deterministically at a
-    /// sharded join.
+    /// result.
     pub fn with_live_stats(mut self, bucket: tg_des::SimDuration) -> Self {
         let modalities = Modality::ALL.iter().map(|m| m.name().to_string()).collect();
         self.obs.sketches = SpanSketchbook::enabled(self.federation.len(), modalities);
@@ -885,22 +687,13 @@ impl GridSim {
         self
     }
 
-    fn take_sample(&mut self, ctx: &mut impl EvCtx) {
-        // Sharded coordinator: sample the shard-reported probes (gathered at
-        // exactly this event's coordinate), not the stale local replicas.
-        let (busy_fraction, queue_len): (Vec<f64>, Vec<usize>) = match &self.probes {
-            Some(probes) => probes
-                .iter()
-                .map(|p| (p.busy_cores as f64 / p.total_cores as f64, p.queue_len))
-                .unzip(),
-            None => (
-                self.federation
-                    .sites()
-                    .map(|s| s.cluster.busy_cores() as f64 / s.cluster.total_cores() as f64)
-                    .collect(),
-                self.schedulers.iter().map(|s| s.queue_len()).collect(),
-            ),
-        };
+    fn take_sample(&mut self, ctx: &mut Ctx<Event>) {
+        let busy_fraction: Vec<f64> = self
+            .federation
+            .sites()
+            .map(|s| s.cluster.busy_cores() as f64 / s.cluster.total_cores() as f64)
+            .collect();
+        let queue_len: Vec<usize> = self.schedulers.iter().map(|s| s.queue_len()).collect();
         for (i, (&bf, &ql)) in busy_fraction.iter().zip(&queue_len).enumerate() {
             self.metrics
                 .push(self.ins.busy_fraction_series[i], ctx.now(), bf);
@@ -985,7 +778,10 @@ impl GridSim {
             self.jobs_total
         );
         // Harvest scheduler-side observability counters, then freeze.
-        self.harvest_scheduler_counters();
+        for (i, s) in self.schedulers.iter().enumerate() {
+            self.metrics.add(self.ins.site_backfills[i], s.backfills());
+            self.metrics.add(self.ins.site_drains[i], s.drains());
+        }
         let metrics = self.metrics.snapshot(engine.now());
         let trace_flush_ok = self.tracer.close_sink();
         debug_assert!(self.running.is_empty(), "registry drained with the jobs");
@@ -1023,7 +819,7 @@ impl GridSim {
     // Routing
     // ------------------------------------------------------------------
 
-    fn route(&mut self, ctx: &mut impl EvCtx, mut job: Job) {
+    fn route(&mut self, ctx: &mut Ctx<Event>, mut job: Job) {
         // Workflow release semantics: the queue sees the task now.
         job.submit_time = job.submit_time.max(ctx.now());
         // Span: time between original submission and routing was spent held
@@ -1050,21 +846,7 @@ impl GridSim {
         }
         if job.rc.is_some() {
             let site = self.rc_site_for(&job);
-            if ctx.exec_mode() == ExecRole::Coord {
-                // The fabric lives on a shard: ship the decision there. The
-                // continuation executes under this event's own rank, exactly
-                // where the serial run inlines it, and its effects on the
-                // owner's occupancy come back as refreshed probes so the
-                // rest of the emitting handler sees them.
-                let refreshed = ctx.export_route_rc(site, Box::new(job));
-                if let Some(probes) = self.probes.as_mut() {
-                    for (i, p) in refreshed {
-                        probes[i] = p;
-                    }
-                }
-            } else {
-                self.route_rc(ctx, site, job);
-            }
+            self.route_rc(ctx, site, job);
             return;
         }
         let site = match job.site_hint {
@@ -1076,7 +858,7 @@ impl GridSim {
         // chosen site enqueues immediately; a miss pays the WAN from the
         // nearest replica holder and admits the dataset into the site's
         // cache. Either way the resolution cause rides the event so the
-        // stage-in span (possibly emitted on another shard) names it.
+        // stage-in span names it.
         if let (Some(ds), true) = (job.dataset, self.data.is_some()) {
             match self.data.as_mut().expect("checked above").access(
                 ds,
@@ -1113,7 +895,7 @@ impl GridSim {
                         start: ctx.now(),
                         end: ctx.now() + dur,
                     };
-                    self.ingest(ctx, BufRecord::Transfer(rec));
+                    self.ingest(Record::Transfer(rec));
                     ctx.schedule_after(
                         dur,
                         Event::Enqueue {
@@ -1152,7 +934,7 @@ impl GridSim {
                 start: ctx.now(),
                 end: ctx.now() + dur,
             };
-            self.ingest(ctx, BufRecord::Transfer(rec));
+            self.ingest(Record::Transfer(rec));
             ctx.schedule_after(
                 dur,
                 Event::Enqueue {
@@ -1172,37 +954,21 @@ impl GridSim {
 
     fn select_site(&mut self, job: &Job) -> SiteId {
         // Queue depth by scheduler queue length × job-average shape is a
-        // coarse stand-in; use queue length × estimate of this job. In a
-        // sharded run the coordinator reads the shard-reported probes
-        // (synchronized to exactly this event) instead of its stale local
-        // replicas — the view vectors are byte-identical either way.
-        let queued =
-            |queue_len: usize| queue_len as f64 * job.cores as f64 * job.estimate.as_secs_f64();
-        let views: Vec<SiteView> = match &self.probes {
-            Some(probes) => probes
-                .iter()
-                .enumerate()
-                .map(|(i, p)| SiteView {
-                    site: SiteId(i),
-                    total_cores: p.total_cores,
-                    free_cores: p.free_cores,
-                    queued_core_seconds: queued(p.queue_len),
-                    core_speed: p.core_speed,
-                })
-                .collect(),
-            None => self
-                .federation
-                .sites()
-                .enumerate()
-                .map(|(i, s)| SiteView {
-                    site: s.id(),
-                    total_cores: s.cluster.total_cores(),
-                    free_cores: s.cluster.free_cores(),
-                    queued_core_seconds: queued(self.schedulers[i].queue_len()),
-                    core_speed: s.core_speed(),
-                })
-                .collect(),
-        };
+        // coarse stand-in; use queue length × estimate of this job.
+        let views: Vec<SiteView> = self
+            .federation
+            .sites()
+            .enumerate()
+            .map(|(i, s)| SiteView {
+                site: s.id(),
+                total_cores: s.cluster.total_cores(),
+                free_cores: s.cluster.free_cores(),
+                queued_core_seconds: self.schedulers[i].queue_len() as f64
+                    * job.cores as f64
+                    * job.estimate.as_secs_f64(),
+                core_speed: s.core_speed(),
+            })
+            .collect();
         // Under an active whole-site outage the metascheduler routes around
         // the dark site(s) — unless no surviving site could fit this job
         // (or everything is dark), in which case it routes to its normal
@@ -1266,11 +1032,8 @@ impl GridSim {
     // Batch path
     // ------------------------------------------------------------------
 
-    fn enqueue(&mut self, ctx: &mut impl EvCtx, site: SiteId, job: Job, cause: Option<WaitCause>) {
+    fn enqueue(&mut self, ctx: &mut Ctx<Event>, site: SiteId, job: Job, cause: Option<WaitCause>) {
         self.metrics.inc(self.ins.enqueues);
-        if ctx.exec_mode() == ExecRole::Shard {
-            self.sync_span_phase(&job);
-        }
         // Span: any gap since routing was input staging over the WAN.
         // Dataset jobs always close a stage-in span — a cache hit closes a
         // zero-length one — so the hit/miss cause is observable; jobs
@@ -1302,17 +1065,11 @@ impl GridSim {
                 ("cores", job.cores.into()),
             ]
         });
-        if ctx.exec_mode() == ExecRole::Shard {
-            // Emission floor: a watched job can finish no earlier than its
-            // arrival plus its minimum runtime at this site.
-            let speed = self.federation.site(site).core_speed();
-            ctx.note_watched_pending(job.id, ctx.now() + job.runtime_on(speed, false));
-        }
         self.schedulers[site.index()].submit(ctx.now(), job);
         self.dispatch(ctx, site);
     }
 
-    fn dispatch(&mut self, ctx: &mut impl EvCtx, site: SiteId) {
+    fn dispatch(&mut self, ctx: &mut Ctx<Event>, site: SiteId) {
         // A site in a whole-site outage is frozen: its queue keeps accepting
         // work but nothing starts until recovery (which dispatches again).
         if self.site_is_down(site) {
@@ -1324,11 +1081,6 @@ impl GridSim {
         for s in started {
             let actual = s.job.runtime_on(speed, false);
             self.obs.series.on_start(ctx.now());
-            if ctx.exec_mode() == ExecRole::Shard {
-                // The start pins the exact completion instant; tighten this
-                // job's contribution to the shard's emission floor.
-                ctx.note_watched_started(s.job.id, ctx.now() + actual);
-            }
             // Span: queued phase closes at start. The scheduler attributes the
             // wait from the job's routed submit time; jobs whose queued phase
             // began this instant (e.g. after staging) started immediately.
@@ -1407,10 +1159,7 @@ impl GridSim {
         }
     }
 
-    fn complete_batch(&mut self, ctx: &mut impl EvCtx, id: JobId) {
-        if ctx.exec_mode() == ExecRole::Shard {
-            ctx.note_watched_done(id);
-        }
+    fn complete_batch(&mut self, ctx: &mut Ctx<Event>, id: JobId) {
         let rec = self
             .running
             .remove(&id)
@@ -1426,9 +1175,7 @@ impl GridSim {
             .cluster
             .release(ctx.now(), job.cores);
         self.obs.series.on_stop(ctx.now());
-        {
-            self.schedulers[site.index()].on_complete(ctx.now(), job.id);
-        }
+        self.schedulers[site.index()].on_complete(ctx.now(), job.id);
         if self.span_track.contains_key(&job.id) {
             self.emit_span(
                 ctx.now(),
@@ -1453,24 +1200,16 @@ impl GridSim {
                 ),
             ]
         });
-        {
-            self.emit_records(ctx, site, &job, started, false, None);
-            self.finish_job(ctx, &job);
-            self.sync_exports(ctx);
-        }
-        {
-            self.dispatch(ctx, site);
-        }
+        self.emit_records(ctx, site, &job, started, false, None);
+        self.finish_job(ctx, &job);
+        self.dispatch(ctx, site);
     }
 
     // ------------------------------------------------------------------
     // RC path
     // ------------------------------------------------------------------
 
-    pub(crate) fn route_rc(&mut self, ctx: &mut impl EvCtx, site: SiteId, job: Job) {
-        if ctx.exec_mode() == ExecRole::Shard {
-            self.sync_span_phase(&job);
-        }
+    fn route_rc(&mut self, ctx: &mut Ctx<Event>, site: SiteId, job: Job) {
         if !self.federation.site(site).has_rc() {
             // No fabric anywhere: run the software version.
             self.enqueue(ctx, site, job, None);
@@ -1551,9 +1290,6 @@ impl GridSim {
                     reconfig: setup.reconfig,
                     deadline_met,
                 };
-                if ctx.exec_mode() == ExecRole::Shard {
-                    ctx.note_watched_started(job.id, end);
-                }
                 self.obs.series.on_start(ctx.now());
                 ctx.schedule_at(
                     end,
@@ -1600,15 +1336,6 @@ impl GridSim {
                 if let Some(track) = self.span_track.get_mut(&job.id) {
                     track.deferred = true;
                 }
-                if ctx.exec_mode() == ExecRole::Shard {
-                    // Floor for a deferred rc job: it cannot finish before
-                    // now plus its faster of hardware/software runtimes.
-                    let speed = self.federation.site(site).core_speed();
-                    let d = job
-                        .runtime_on(speed, true)
-                        .min(job.runtime_on(speed, false));
-                    ctx.note_watched_pending(job.id, ctx.now() + d);
-                }
                 self.rc_backlog
                     .get_mut(&site)
                     .expect("site backlog exists")
@@ -1620,7 +1347,7 @@ impl GridSim {
     #[allow(clippy::too_many_arguments)] // event fields arrive together
     fn complete_rc(
         &mut self,
-        ctx: &mut impl EvCtx,
+        ctx: &mut Ctx<Event>,
         site: SiteId,
         node: tg_model::NodeId,
         region: tg_model::reconf::RegionId,
@@ -1628,9 +1355,6 @@ impl GridSim {
         started: SimTime,
         placement: RcPlacementRecord,
     ) {
-        if ctx.exec_mode() == ExecRole::Shard {
-            ctx.note_watched_done(job.id);
-        }
         self.federation
             .site_mut(site)
             .rc
@@ -1657,7 +1381,6 @@ impl GridSim {
         });
         self.emit_records(ctx, site, &job, started, true, Some(placement));
         self.finish_job(ctx, &job);
-        self.sync_exports(ctx);
         // Fabric freed: retry deferred tasks (FIFO, stop at first re-defer).
         loop {
             let next = self
@@ -1687,7 +1410,7 @@ impl GridSim {
             .is_some_and(|f| f.down_since[site.index()].is_some())
     }
 
-    fn handle_fault(&mut self, ctx: &mut impl EvCtx, index: usize) {
+    fn handle_fault(&mut self, ctx: &mut Ctx<Event>, index: usize) {
         let ev = self
             .faults
             .as_ref()
@@ -1733,7 +1456,7 @@ impl GridSim {
     /// `cores` cores fail at `site`: enough running jobs are killed (newest
     /// start first) to vacate them, then the cores leave service until the
     /// paired repair. Crashes during a whole-site outage are absorbed by it.
-    fn fault_node_crash(&mut self, ctx: &mut impl EvCtx, site: SiteId, cores: usize) {
+    fn fault_node_crash(&mut self, ctx: &mut Ctx<Event>, site: SiteId, cores: usize) {
         if self.site_is_down(site) {
             return;
         }
@@ -1753,7 +1476,6 @@ impl GridSim {
                 break;
             };
             self.kill_running(ctx, victim, WaitCause::NodeFailure, false);
-            self.sync_exports(ctx);
         }
         let take = target.min(self.federation.site(site).cluster.free_cores());
         if take > 0 {
@@ -1767,7 +1489,7 @@ impl GridSim {
         self.dispatch(ctx, site);
     }
 
-    fn fault_node_repair(&mut self, ctx: &mut impl EvCtx, site: SiteId, cores: usize) {
+    fn fault_node_repair(&mut self, ctx: &mut Ctx<Event>, site: SiteId, cores: usize) {
         let f = self.faults.as_mut().expect("fault layer");
         let fixed = cores.min(f.crashed_cores[site.index()]);
         if fixed == 0 {
@@ -1790,7 +1512,7 @@ impl GridSim {
     /// The whole site goes dark: running work is killed (or checkpointed per
     /// [`OutagePolicy`]), the queue freezes, and every core leaves service
     /// until the paired recovery.
-    fn fault_site_outage(&mut self, ctx: &mut impl EvCtx, site: SiteId) {
+    fn fault_site_outage(&mut self, ctx: &mut Ctx<Event>, site: SiteId) {
         if self.site_is_down(site) {
             return; // overlapping windows merge into the first
         }
@@ -1804,7 +1526,6 @@ impl GridSim {
         let cause = WaitCause::SiteOutage;
         while let Some(victim) = self.pick_victim(site) {
             self.kill_running(ctx, victim, cause, checkpoint);
-            self.sync_exports(ctx);
         }
         // Park everything free (all in-service cores, now that the running
         // work is gone) until recovery; crashed cores stay in their pool.
@@ -1818,7 +1539,7 @@ impl GridSim {
         }
     }
 
-    fn fault_site_recovery(&mut self, ctx: &mut impl EvCtx, site: SiteId) {
+    fn fault_site_recovery(&mut self, ctx: &mut Ctx<Event>, site: SiteId) {
         let parked = {
             let f = self.faults.as_mut().expect("fault layer");
             let Some(since) = f.down_since[site.index()].take() else {
@@ -1856,7 +1577,7 @@ impl GridSim {
     /// or abandon it once the retry budget is exhausted.
     fn kill_running(
         &mut self,
-        ctx: &mut impl EvCtx,
+        ctx: &mut Ctx<Event>,
         id: JobId,
         cause: WaitCause,
         checkpoint: bool,
@@ -1906,9 +1627,6 @@ impl GridSim {
             ]
         });
         let mut job = rec.job;
-        if ctx.exec_mode() == ExecRole::Shard {
-            ctx.note_watched_done(id);
-        }
         if checkpoint {
             // Checkpoint at the kill instant: only the remaining work reruns
             // and the retry budget is not charged.
@@ -1921,27 +1639,13 @@ impl GridSim {
             f.report.checkpoint_restarts += 1;
             f.report.jobs_requeued += 1;
             let backoff = f.retry.backoff(1);
-            if ctx.exec_mode() == ExecRole::Shard {
-                // Requeues re-enter routing, which is coordinator-owned.
-                let at = ctx.now() + backoff;
-                ctx.export_requeue(at, ctx.now(), Box::new(job));
-            } else {
-                ctx.schedule_after(
-                    backoff,
-                    Event::Requeue {
-                        job: Box::new(job),
-                        killed_at: ctx.now(),
-                    },
-                );
-            }
-            return;
-        }
-        if ctx.exec_mode() == ExecRole::Shard {
-            // The retry book (and the abandon-vs-requeue decision it feeds)
-            // is coordinator state; ship the victim across with fresh site
-            // probes so a retry routes against current occupancy.
-            let probes = self.all_probes();
-            ctx.export_kill_retry(Box::new(job), probes);
+            ctx.schedule_after(
+                backoff,
+                Event::Requeue {
+                    job: Box::new(job),
+                    killed_at: ctx.now(),
+                },
+            );
             return;
         }
         let f = self.faults.as_mut().expect("fault layer");
@@ -1974,13 +1678,7 @@ impl GridSim {
     /// A killed job returns from backoff: emit the `requeue` span covering
     /// the backoff wait, then route it as a fresh submission (`route` bumps
     /// `submit_time`, so accounting sees the final attempt's resubmission).
-    ///
-    /// The span's start is `killed_at`, carried in the event rather than
-    /// read from `span_track`: in a serial run the kill site just set
-    /// `phase_start` to the kill time so the two are identical, but in a
-    /// sharded run the kill happened on a shard and the coordinator's
-    /// track (seeded at admit) is stale.
-    fn requeue(&mut self, ctx: &mut impl EvCtx, job: Job, killed_at: SimTime) {
+    fn requeue(&mut self, ctx: &mut Ctx<Event>, job: Job, killed_at: SimTime) {
         if self.span_track.contains_key(&job.id) {
             if ctx.now() > killed_at {
                 self.emit_span(
@@ -2031,23 +1729,7 @@ impl GridSim {
 
     /// Route one accounting record through the (possibly lossy) ingest.
     /// Ground truth is never touched — this models measurement loss.
-    ///
-    /// In sharded runs the record is buffered (with its causal stamp) on
-    /// the emitting participant instead: the coordinator replays every
-    /// buffered record in global stamp order at merge time, so the ingest
-    /// RNG sees the exact serial draw sequence.
-    fn ingest(&mut self, ctx: &mut impl EvCtx, rec: BufRecord) {
-        if ctx.buffers_records() {
-            ctx.buffer_record(rec);
-            return;
-        }
-        self.replay_record(rec);
-    }
-
-    /// Apply one record through the lossy-ingest channel immediately.
-    /// Serial runs land here straight from [`GridSim::ingest`]; sharded
-    /// runs land here during the coordinator's merge replay.
-    pub(crate) fn replay_record(&mut self, rec: BufRecord) {
+    fn ingest(&mut self, rec: Record) {
         match self.ingest_fate() {
             IngestFate::Keep => self.store_record(rec, 1),
             IngestFate::Drop => {
@@ -2071,7 +1753,7 @@ impl GridSim {
     /// Final landing point of a surviving record: the sink when one is
     /// attached, the in-memory database otherwise. The sink sees the same
     /// copies in the same order the database would have stored.
-    fn store_record(&mut self, rec: BufRecord, copies: usize) {
+    fn store_record(&mut self, rec: Record, copies: usize) {
         if let Some(sink) = self.record_sink.as_mut() {
             for _ in 0..copies {
                 sink.write(rec.as_record_ref());
@@ -2095,7 +1777,7 @@ impl GridSim {
 
     fn emit_records(
         &mut self,
-        ctx: &mut impl EvCtx,
+        ctx: &mut Ctx<Event>,
         site: SiteId,
         job: &Job,
         started: SimTime,
@@ -2120,7 +1802,7 @@ impl GridSim {
             input_mb: job.input_mb,
             output_mb: job.output_mb,
         };
-        self.ingest(ctx, BufRecord::Job(rec));
+        self.ingest(Record::Job(rec));
         if let Some(gw) = job.gateway {
             // The gateway declares which of its community end users this job
             // served; the tag is the gateway's own id space (we use the
@@ -2130,10 +1812,10 @@ impl GridSim {
                 job: job.id,
                 end_user: job.user.index() as u64,
             };
-            self.ingest(ctx, BufRecord::Gateway(rec));
+            self.ingest(Record::Gateway(rec));
         }
         if let Some(p) = placement {
-            self.ingest(ctx, BufRecord::Rc(p));
+            self.ingest(Record::Rc(p));
         }
         // Interactive work implies a login session wrapping the job.
         if job.true_modality == Modality::Interactive {
@@ -2143,7 +1825,7 @@ impl GridSim {
                 login: job.submit_time,
                 logout: ctx.now(),
             };
-            self.ingest(ctx, BufRecord::Session(rec));
+            self.ingest(Record::Session(rec));
         }
         // Output staging to the archive for big outputs.
         if job.output_mb >= STAGING_THRESHOLD_MB && site != self.data_home {
@@ -2182,33 +1864,17 @@ impl GridSim {
                 start: ctx.now(),
                 end: ctx.now() + dur,
             };
-            self.ingest(ctx, BufRecord::Transfer(rec));
+            self.ingest(Record::Transfer(rec));
         }
     }
 
-    fn finish_job(&mut self, ctx: &mut impl EvCtx, job: &Job) {
+    fn finish_job(&mut self, ctx: &mut Ctx<Event>, job: &Job) {
         self.span_track.remove(&job.id);
         self.obs.series.on_complete(ctx.now());
         self.jobs_done += 1;
-        if ctx.exec_mode() == ExecRole::Shard {
-            // Dependency state lives on the coordinator. Only completions
-            // other jobs actually wait on need to cross the wire; the rest
-            // are fully local (nothing downstream ever consults them).
-            if ctx.is_watched(job.id) {
-                let probes = self.all_probes();
-                ctx.export_finish(job.id, probes);
-            }
-            return;
-        }
-        self.release_deps(ctx, job.id);
-    }
-
-    /// Mark `id` complete and route any jobs whose last unmet dependency
-    /// it was. Runs on the serial path inline and on the coordinator when
-    /// a shard reports a watched completion.
-    pub(crate) fn release_deps(&mut self, ctx: &mut impl EvCtx, id: JobId) {
-        self.completed.insert(id);
-        if let Some(waiters) = self.dep_waiters.remove(&id) {
+        self.completed.insert(job.id);
+        // Route any jobs whose last unmet dependency this was.
+        if let Some(waiters) = self.dep_waiters.remove(&job.id) {
             for waiter in waiters {
                 match waiter
                     .deps
@@ -2225,7 +1891,7 @@ impl GridSim {
         }
     }
 
-    fn submit_from_trace(&mut self, ctx: &mut impl EvCtx, index: usize) {
+    fn submit_from_trace(&mut self, ctx: &mut Ctx<Event>, index: usize) {
         let job = self.jobs[index].take().expect("submit delivered once");
         self.admit(ctx, job);
     }
@@ -2234,7 +1900,7 @@ impl GridSim {
     /// In streaming mode the ground-truth label is quarantined here (the
     /// materialized constructor did it up front; final map contents are
     /// identical because every job is admitted exactly once).
-    fn admit(&mut self, ctx: &mut impl EvCtx, job: Job) {
+    fn admit(&mut self, ctx: &mut Ctx<Event>, job: Job) {
         if self.streaming {
             self.truth.insert(job.id, job.true_modality);
         }
@@ -2270,14 +1936,12 @@ impl GridSim {
     }
 }
 
-impl GridSim {
-    /// The event dispatch table, shared verbatim by the serial engine
-    /// ([`Simulation::handle`]) and the sharded participants (which call it
-    /// with their own [`EvCtx`] implementations).
-    pub(crate) fn dispatch_event(&mut self, ctx: &mut impl EvCtx, event: Event) {
+impl Simulation for GridSim {
+    type Event = Event;
+
+    fn handle(&mut self, ctx: &mut Ctx<Event>, event: Event) {
         // Live-stats sink: flush series buckets that closed before this
-        // event (a no-op compare unless a sink is attached, which only the
-        // serial engine does).
+        // event (a no-op compare unless a sink is attached).
         self.obs.tick(ctx.now());
         match event {
             Event::Submit(index) => self.submit_from_trace(ctx, index),
@@ -2299,292 +1963,7 @@ impl GridSim {
             Event::Sample => self.take_sample(ctx),
             Event::Fault(index) => self.handle_fault(ctx, index),
             Event::Requeue { job, killed_at } => self.requeue(ctx, *job, killed_at),
-            Event::NetUpdate(index) => self.apply_net_update(index),
         }
-    }
-
-    /// Replicate a link fault's network effect on a shard. The coordinator
-    /// owns the counted `Fault` event (report + `degraded_since`); every
-    /// shard applies only the transfer-time change to its network replica.
-    pub(crate) fn apply_net_update(&mut self, index: usize) {
-        let ev = self
-            .faults
-            .as_ref()
-            .expect("net update without a fault layer")
-            .schedule
-            .events[index];
-        match ev.kind {
-            FaultEventKind::LinkDegrade {
-                site,
-                bandwidth_factor,
-                latency_factor,
-            } => {
-                self.federation
-                    .network
-                    .set_degradation(site, bandwidth_factor, latency_factor);
-            }
-            FaultEventKind::LinkRestore { site } => {
-                self.federation.network.clear_degradation(site);
-            }
-            _ => unreachable!("NetUpdate is only scheduled for link events"),
-        }
-    }
-
-    /// Replicate a site outage window's *routing visibility* on the
-    /// coordinator. The owning shard executes the real (counted) `Fault`
-    /// event with its kills and report bookkeeping; the coordinator only
-    /// needs `down_since` to keep `select_site`'s outage filter identical
-    /// to the serial run.
-    pub(crate) fn apply_outage_mirror(&mut self, index: usize, now: SimTime) {
-        let f = self
-            .faults
-            .as_mut()
-            .expect("outage mirror without a fault layer");
-        let ev = f.schedule.events[index];
-        match ev.kind {
-            FaultEventKind::SiteOutage { site } => {
-                // Overlapping windows merge into the first, as in
-                // `fault_site_outage`.
-                if f.down_since[site.index()].is_none() {
-                    f.down_since[site.index()] = Some(now);
-                }
-            }
-            FaultEventKind::SiteRecovery { site } => {
-                f.down_since[site.index()] = None;
-            }
-            _ => unreachable!("outage mirror is only scheduled for outage events"),
-        }
-    }
-
-    /// Coordinator half of a shard-exported kill: charge the retry book and
-    /// either abandon the job (counting it done and releasing dependents)
-    /// or schedule its requeue after backoff. Byte-for-byte the bottom of
-    /// the serial [`GridSim::kill_running`].
-    pub(crate) fn coord_kill_retry(&mut self, ctx: &mut impl EvCtx, job: Box<Job>) {
-        let id = job.id;
-        let f = self.faults.as_mut().expect("fault layer");
-        let attempts = f.book.record(id);
-        if f.retry.exhausted(attempts) {
-            f.report.jobs_abandoned += 1;
-            f.book.forget(id);
-            self.tracer.emit_event(ctx.now(), "abandon", || {
-                vec![
-                    ("job", id.index().into()),
-                    ("attempts", (attempts as usize).into()),
-                ]
-            });
-            self.finish_job(ctx, &job);
-        } else {
-            f.report.jobs_requeued += 1;
-            let backoff = f.retry.backoff(attempts);
-            // The interlude runs this at the shard's kill time, so `now`
-            // is the moment the fault struck — the requeue span's start.
-            ctx.schedule_after(
-                backoff,
-                Event::Requeue {
-                    job,
-                    killed_at: ctx.now(),
-                },
-            );
-        }
-    }
-
-    /// Drain any in-flight export acknowledgement at a safe re-entrancy
-    /// point (after a kill or a finish, where `&mut self` is available
-    /// again). While the coordinator processes the export it may need an RC
-    /// routing decision continued *on this very shard*; that continuation
-    /// runs here, inline, exactly where the serial run would have inlined
-    /// it — its effects (fabric occupancy, freed cores) are visible to the
-    /// remainder of the emitting handler, and the acknowledgement restores
-    /// the shared child/record cursors before any further scheduling calls.
-    ///
-    /// Serial and coordinator contexts never owe an acknowledgement, so
-    /// this compiles to nothing on those paths.
-    pub(crate) fn sync_exports(&mut self, ctx: &mut impl EvCtx) {
-        while ctx.export_in_flight() {
-            match ctx.recv_export_reply() {
-                ExportReply::Acked => {}
-                ExportReply::RcCont { site, job } => {
-                    self.route_rc(ctx, site, *job);
-                    let probes = self.all_probes();
-                    ctx.rc_cont_done(probes);
-                }
-            }
-        }
-    }
-
-    /// Fold the scheduler-side observability counters (backfills, drains)
-    /// into the metrics registry. The serial `run` calls this once at the
-    /// end; sharded participants call it on their own registries before
-    /// the merge.
-    pub(crate) fn harvest_scheduler_counters(&mut self) {
-        for i in 0..self.schedulers.len() {
-            let b = self.schedulers[i].backfills();
-            let d = self.schedulers[i].drains();
-            self.metrics.add(self.ins.site_backfills[i], b);
-            self.metrics.add(self.ins.site_drains[i], d);
-        }
-    }
-
-    /// Shard half of the mid-run governor fold: strip the replica down to
-    /// the state the coordinator must take over. Everything else (the jobs
-    /// arena, the untouched data-layer replica, the network copy) is
-    /// dropped here — the coordinator's own replica is authoritative for
-    /// all of it. Scheduler counters are deliberately *not* harvested: the
-    /// boxes themselves move across, and the coordinator's single
-    /// end-of-run [`GridSim::harvest_scheduler_counters`] reads their
-    /// cumulative totals exactly once.
-    pub(crate) fn surrender(self) -> ShardYield {
-        ShardYield {
-            federation: self.federation,
-            schedulers: self.schedulers,
-            running: self.running,
-            span_track: self.span_track,
-            rc_backlog: self.rc_backlog,
-            armed_wakeups: self.armed_wakeups,
-            faults: self.faults.map(|f| FaultYield {
-                crashed_cores: f.crashed_cores,
-                outage_offline: f.outage_offline,
-                down_since: f.down_since,
-                report: f.report,
-            }),
-            metrics: self.metrics,
-            sketches: self.obs.sketches,
-            series: self.obs.series,
-            jobs_done: self.jobs_done,
-        }
-    }
-
-    /// Coordinator half of the governor fold: take over a surrendering
-    /// shard's authoritative state so the remainder of the run can execute
-    /// on the exact serial path. `owned` lists the site indices the shard
-    /// owned; `keymap` translates the shard's queue keys to the
-    /// coordinator's (completion events were rescheduled into the
-    /// coordinator's queue under fresh keys, and the kill path cancels by
-    /// [`RunningRec`] key).
-    pub(crate) fn absorb_shard(
-        &mut self,
-        mut y: ShardYield,
-        owned: &[usize],
-        keymap: &HashMap<EventKey, EventKey>,
-    ) {
-        for &s in owned {
-            std::mem::swap(
-                self.federation.site_mut(SiteId(s)),
-                y.federation.site_mut(SiteId(s)),
-            );
-            std::mem::swap(&mut self.schedulers[s], &mut y.schedulers[s]);
-        }
-        for (id, mut rec) in y.running {
-            rec.key = *keymap
-                .get(&rec.key)
-                .expect("running job's completion event folded with its shard");
-            let prev = self.running.insert(id, rec);
-            debug_assert!(prev.is_none(), "job running on two participants");
-        }
-        for (id, track) in y.span_track {
-            self.span_track.insert(id, track);
-        }
-        for (site, q) in y.rc_backlog {
-            if owned.contains(&site.index()) {
-                self.rc_backlog.insert(site, q);
-            }
-        }
-        for (site, at) in y.armed_wakeups {
-            self.armed_wakeups.insert(site, at);
-        }
-        if let Some(fy) = y.faults {
-            let f = self
-                .faults
-                .as_mut()
-                .expect("shards have a fault layer only when the coordinator does");
-            // Per-site fault state is single-writer: the owning shard's
-            // values are authoritative for its sites. `degraded_since` stays
-            // ours — link windows are replicated everywhere and already
-            // tracked here.
-            for &s in owned {
-                f.crashed_cores[s] = fy.crashed_cores[s];
-                f.outage_offline[s] = fy.outage_offline[s];
-                f.down_since[s] = fy.down_since[s];
-            }
-            f.report.merge_from(&fy.report);
-        }
-        self.metrics.merge_from(&y.metrics);
-        if self.obs.is_enabled() {
-            self.obs.sketches.merge_from(&y.sketches);
-            self.obs.series.merge_from(&y.series);
-        }
-        self.jobs_done += y.jobs_done;
-    }
-
-    /// Translate the completion-event keys held by running jobs after the
-    /// governor's fold renumbered the coordinator queue
-    /// (`RankQueue::fuse_serial`). Every running job's completion event is
-    /// live on that queue — cancellation removes the job from the registry
-    /// too — so a missing translation is a protocol bug, not a tolerable
-    /// state (a stale raw key could collide with a fresh seq and cancel the
-    /// wrong event).
-    pub(crate) fn remap_running_keys(&mut self, keymap: &tg_des::shard::KeyTranslation) {
-        for rec in self.running.values_mut() {
-            rec.key = keymap
-                .get(rec.key)
-                .expect("running job's completion event is pending on the fused queue");
-        }
-    }
-
-    /// Occupancy probes for every site, read from this participant's
-    /// replica. Only the probes of sites this participant *owns* are
-    /// meaningful; the sharded driver filters to those when assembling the
-    /// coordinator's global view.
-    pub(crate) fn all_probes(&self) -> Vec<SiteProbe> {
-        self.federation
-            .sites()
-            .enumerate()
-            .map(|(i, s)| SiteProbe {
-                free_cores: s.cluster.free_cores(),
-                busy_cores: s.cluster.busy_cores(),
-                total_cores: s.cluster.total_cores(),
-                queue_len: self.schedulers[i].queue_len(),
-                core_speed: s.core_speed(),
-            })
-            .collect()
-    }
-}
-
-/// The state a shard hands back when the execution governor folds the run
-/// to serial mid-flight: exactly the per-site state the shard owned, plus
-/// its observer books. Built by [`GridSim::surrender`], consumed by
-/// [`GridSim::absorb_shard`]; the driver ships it across the shard channel
-/// boxed together with the shard's drained queue.
-pub(crate) struct ShardYield {
-    federation: Federation,
-    schedulers: Vec<Box<dyn BatchScheduler>>,
-    running: HashMap<JobId, RunningRec>,
-    span_track: HashMap<JobId, SpanTrack>,
-    rc_backlog: HashMap<SiteId, VecDeque<Job>>,
-    armed_wakeups: HashMap<SiteId, SimTime>,
-    faults: Option<FaultYield>,
-    metrics: MetricsRegistry,
-    sketches: SpanSketchbook,
-    series: WindowedSeries,
-    jobs_done: usize,
-}
-
-/// The fault-layer slice of a [`ShardYield`]: per-site single-writer state
-/// plus the shard's half of the fault report. The retry book, ingest
-/// channel, and policies stay with the coordinator (it already owns them).
-struct FaultYield {
-    crashed_cores: Vec<usize>,
-    outage_offline: Vec<usize>,
-    down_since: Vec<Option<SimTime>>,
-    report: FaultReport,
-}
-
-impl Simulation for GridSim {
-    type Event = Event;
-
-    fn handle(&mut self, ctx: &mut Ctx<Event>, event: Event) {
-        self.dispatch_event(ctx, event);
     }
 }
 

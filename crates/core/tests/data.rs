@@ -3,16 +3,15 @@
 //! The tg-data layer (datasets, replica catalog, per-site LRU caches, WAN
 //! fetch events) must be *inert by construction* when no datasets are
 //! configured — byte-identical to a build without the crate — and fully
-//! deterministic when they are: the same bytes at any `--threads N` and
-//! under streaming generation, because the catalog and caches are only ever
-//! touched from the coordinator-side routing path. This suite enforces
-//! both, checks the locality-aware metascheduler actually wins on WAN bytes
+//! deterministic when they are: the same bytes however many replications
+//! run at once (`--threads N`) and under streaming generation. This suite
+//! enforces both, checks the locality-aware metascheduler actually wins on WAN bytes
 //! moved, and property-tests conservation invariants over random catalogs.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use tg_core::{RunOptions, ScenarioConfig, SimOutput};
+use tg_core::{replicate_with, RunOptions, ScenarioConfig, SimOutput};
 use tg_data::{DataGridSpec, DatasetSpec};
 use tg_sched::MetaPolicy;
 
@@ -101,23 +100,25 @@ fn trivial_data_spec_is_byte_identical_to_none() {
     assert_same_simulation(&a, &b, "trivial-vs-none");
 }
 
-/// The datasets run itself: sharded execution at several thread counts must
-/// reproduce the serial bytes exactly, including the data report — the
-/// catalog and caches live on the coordinator, so shard count can never
-/// reorder accesses.
+/// The datasets run itself: replications of it running two at a time must
+/// reproduce the one-at-a-time batch exactly, data report included — each
+/// replication owns its own catalog and caches.
 #[test]
-fn datasets_run_is_identical_at_any_thread_count() {
+fn datasets_run_is_identical_at_any_worker_count() {
     let scenario = datagrid(120, 7).build();
-    let serial = scenario.run_with(23, &RunOptions::default());
-    let report = serial.data_report.as_ref().expect("data grid ran");
+    let one = replicate_with(&scenario, 23, 3, 1, &RunOptions::default());
+    let two = replicate_with(&scenario, 23, 3, 2, &RunOptions::default());
+    let report = one[0].output.data_report.as_ref().expect("data grid ran");
     assert!(report.accesses > 0, "no dataset accesses: {report:?}");
     assert!(
         report.hits > 0 && report.misses > 0,
         "want a mix: {report:?}"
     );
-    for threads in [2, 4] {
-        let sharded = scenario.run_with(23, &RunOptions::with_threads(threads));
-        assert_same_simulation(&serial, &sharded, &format!("threads={threads}"));
+    for (a, b) in one.iter().zip(&two) {
+        assert_eq!(a.seed, b.seed);
+        let label = format!("seed {}, 1 vs 2 workers", a.seed);
+        assert_same_simulation(&a.output, &b.output, &label);
+        assert_eq!(a.output.stats, b.output.stats, "{label}: stats");
     }
 }
 
@@ -136,14 +137,6 @@ fn streaming_generation_matches_materialized_with_datasets() {
         },
     );
     assert_same_simulation(&materialized, &streamed, "stream-vs-materialized");
-    let sharded_streamed = scenario.run_with(
-        31,
-        &RunOptions {
-            stream_gen: true,
-            ..RunOptions::with_threads(4)
-        },
-    );
-    assert_same_simulation(&materialized, &sharded_streamed, "stream+threads=4");
 }
 
 /// The live-stats sketches must agree with the data report on hit/miss
@@ -255,10 +248,10 @@ proptest! {
         let max = spec.datasets.iter().map(|d| d.size_mb).fold(0.0, f64::max);
         prop_assert!(report.wan_mb >= report.misses as f64 * min - 1e-6);
         prop_assert!(report.wan_mb <= report.misses as f64 * max + 1e-6);
-        let sharded = scenario.run_with(seed, &RunOptions::with_threads(2));
-        prop_assert_eq!(&serial.db.jobs, &sharded.db.jobs);
-        prop_assert_eq!(&serial.db.transfers, &sharded.db.transfers);
-        prop_assert_eq!(serial.end, sharded.end);
-        prop_assert_eq!(&serial.data_report, &sharded.data_report);
+        let again = scenario.run_with(seed, &RunOptions::default());
+        prop_assert_eq!(&serial.db.jobs, &again.db.jobs);
+        prop_assert_eq!(&serial.db.transfers, &again.db.transfers);
+        prop_assert_eq!(serial.end, again.end);
+        prop_assert_eq!(&serial.data_report, &again.data_report);
     }
 }

@@ -113,22 +113,6 @@ fn several_seeds_are_identical_streamed() {
     }
 }
 
-/// `--threads N` with streaming falls back to the serial streaming path
-/// (with a warning) — outputs still identical.
-#[test]
-fn streaming_ignores_thread_count() {
-    let cfg = ScenarioConfig::baseline(60, 4);
-    let scenario = cfg.build();
-    let serial = scenario.run_with(5, &RunOptions::default());
-    let opts = RunOptions {
-        stream_gen: true,
-        threads: 4,
-        ..RunOptions::default()
-    };
-    let streamed = scenario.run_with(5, &opts);
-    assert_identical(&serial, &streamed, "threads=4 fallback");
-}
-
 /// Record-sink diversion: the tally must agree exactly with what a retained
 /// run stores, the database must come back empty, and everything that is
 /// not a record (site stats, truth, samples, end time) must be untouched.

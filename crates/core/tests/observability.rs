@@ -1,16 +1,16 @@
 //! Online-observability differential suite.
 //!
 //! The live-stats layer (`crates/des/src/sketch.rs`, `crates/des/src/series.rs`,
-//! wired through `GridSim` and the sharded engine) is an *observer*: enabling
-//! it must not change a single byte of simulation output, and the report it
-//! produces must itself be byte-identical at any `--threads N`. This suite
-//! enforces both, and cross-checks the online sketches against the offline
-//! trace analyzer within the sketch's documented error bound.
+//! wired through `GridSim`) is an *observer*: enabling it must not change a
+//! single byte of simulation output, and the report it produces must itself
+//! be byte-identical however many replications run at once (`--threads N`).
+//! This suite enforces both, and cross-checks the online sketches against
+//! the offline trace analyzer within the sketch's documented error bound.
 
 use std::io::BufRead;
 use std::path::PathBuf;
 
-use tg_core::{RunOptions, ScenarioConfig, SimOutput};
+use tg_core::{replicate_with, Replication, RunOptions, Scenario, ScenarioConfig, SimOutput};
 use tg_des::analyze::parse_span_line;
 use tg_des::sketch::RELATIVE_ERROR;
 use tg_des::{SpanKind, TraceAnalyzer};
@@ -19,10 +19,9 @@ fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("tg-obs-{tag}-{}.jsonl", std::process::id()))
 }
 
-fn observed(threads: usize) -> RunOptions {
+fn observed() -> RunOptions {
     RunOptions {
         live_stats: true,
-        threads,
         ..RunOptions::default()
     }
 }
@@ -39,6 +38,26 @@ fn assert_same_simulation(a: &SimOutput, b: &SimOutput, label: &str) {
     assert_eq!(a.samples, b.samples, "{label}: sample series");
     assert_eq!(a.site_stats, b.site_stats, "{label}: site stats");
     assert_eq!(a.fault_report, b.fault_report, "{label}: fault report");
+    assert_eq!(a.data_report, b.data_report, "{label}: data report");
+}
+
+/// Run three replications from `seed` on one worker and on two, and assert
+/// the batches match replication by replication — stats report included.
+/// Returns the one-worker batch for the caller's own assertions.
+fn assert_same_at_one_and_two_workers(
+    scenario: &Scenario,
+    seed: u64,
+    opts: &RunOptions,
+) -> Vec<Replication> {
+    let one = replicate_with(scenario, seed, 3, 1, opts);
+    let two = replicate_with(scenario, seed, 3, 2, opts);
+    for (a, b) in one.iter().zip(&two) {
+        let label = format!("seed {}, 1 vs 2 workers", a.seed);
+        assert_eq!(a.seed, b.seed, "{label}: seed");
+        assert_same_simulation(&a.output, &b.output, &label);
+        assert_eq!(a.output.stats, b.output.stats, "{label}: stats");
+    }
+    one
 }
 
 #[test]
@@ -46,48 +65,46 @@ fn live_stats_never_perturb_serial_results() {
     let cfg = ScenarioConfig::baseline(120, 7);
     let scenario = cfg.build();
     let plain = scenario.run_with(11, &RunOptions::default());
-    let obs = scenario.run_with(11, &observed(0));
+    let obs = scenario.run_with(11, &observed());
     assert!(plain.stats.is_none(), "unobserved run grew a stats report");
     let stats = obs.stats.as_ref().expect("observed run reports stats");
     assert!(stats.spans.spans > 0, "no spans recorded");
     assert_same_simulation(&plain, &obs, "serial observed-vs-not");
 }
 
+/// Observed replications running two at a time match unobserved ones run
+/// one at a time.
 #[test]
-fn live_stats_never_perturb_sharded_results() {
-    let cfg = ScenarioConfig::baseline(120, 7);
-    let scenario = cfg.build();
-    let plain = scenario.run_with(11, &RunOptions::with_threads(4));
-    let obs = scenario.run_with(11, &observed(4));
-    assert!(obs.stats.is_some(), "sharded observed run reports stats");
-    assert_same_simulation(&plain, &obs, "sharded observed-vs-not");
-}
-
-/// The stats report itself — sketch tables *and* the f64 series rows — must
-/// be byte-identical at every thread count: per-shard books merge with
-/// element-wise integer adds, and each series site column has exactly one
-/// writer, summed in site-index order.
-#[test]
-fn stats_report_is_identical_at_any_thread_count() {
-    let mut cfg = ScenarioConfig::baseline(120, 7);
-    cfg.sites[0].batch_nodes = 64;
-    let scenario = cfg.build();
-    let serial = scenario.run_with(23, &observed(0));
-    let want = serial.stats.as_ref().expect("serial stats");
-    assert!(want.spans.spans > 0 && !want.series.rows.is_empty());
-    for threads in [2, 3, 4, 8] {
-        let sharded = scenario.run_with(23, &observed(threads));
-        let got = sharded.stats.as_ref().expect("sharded stats");
-        assert_eq!(want, got, "stats diverged at threads={threads}");
-        assert_same_simulation(&serial, &sharded, &format!("threads={threads}"));
+fn live_stats_never_perturb_parallel_replications() {
+    let scenario = ScenarioConfig::baseline(120, 7).build();
+    let plain = replicate_with(&scenario, 11, 2, 1, &RunOptions::default());
+    let obs = replicate_with(&scenario, 11, 2, 2, &observed());
+    for (a, b) in plain.iter().zip(&obs) {
+        assert!(
+            b.output.stats.is_some(),
+            "observed replication reports stats"
+        );
+        assert_same_simulation(&a.output, &b.output, &format!("seed {}", a.seed));
     }
 }
 
-/// Faults exercise the kill → requeue span path, whose sharded phase-start
-/// bookkeeping (`killed_at` riding `Event::Requeue`) must agree with the
-/// serial tracker exactly.
+/// The stats report itself — sketch tables *and* the f64 series rows — must
+/// be byte-identical at any worker count: each replication runs whole on
+/// one worker.
 #[test]
-fn stats_report_survives_faults_at_any_thread_count() {
+fn stats_report_is_identical_at_any_worker_count() {
+    let mut cfg = ScenarioConfig::baseline(120, 7);
+    cfg.sites[0].batch_nodes = 64;
+    let scenario = cfg.build();
+    let reps = assert_same_at_one_and_two_workers(&scenario, 23, &observed());
+    let want = reps[0].output.stats.as_ref().expect("stats");
+    assert!(want.spans.spans > 0 && !want.series.rows.is_empty());
+}
+
+/// Faults exercise the kill → requeue span path; the faulted stats report
+/// must not depend on the worker count either.
+#[test]
+fn stats_report_survives_faults_at_any_worker_count() {
     let mut cfg = ScenarioConfig::baseline(120, 6);
     for s in &mut cfg.sites {
         s.batch_nodes = (s.batch_nodes / 4).max(16);
@@ -103,23 +120,16 @@ fn stats_report_survives_faults_at_any_thread_count() {
         ..tg_core::FaultSpec::default()
     });
     let scenario = cfg.build();
-    let serial = scenario.run_with(4242, &observed(0));
-    let fr = serial.fault_report.as_ref().expect("faults ran");
+    let reps = assert_same_at_one_and_two_workers(&scenario, 4242, &observed());
+    let first = &reps[0].output;
+    let fr = first.fault_report.as_ref().expect("faults ran");
     assert!(fr.jobs_killed > 0, "outage killed running work: {fr:?}");
-    let want = serial.stats.as_ref().expect("serial stats");
+    let want = first.stats.as_ref().expect("stats");
     assert!(
         want.spans.by_kind.contains_key("requeue"),
         "kill path produced requeue spans: {:?}",
         want.spans.by_kind.keys().collect::<Vec<_>>()
     );
-    for threads in [2, 4] {
-        let sharded = scenario.run_with(4242, &observed(threads));
-        assert_eq!(
-            want,
-            sharded.stats.as_ref().expect("sharded stats"),
-            "stats diverged at threads={threads}"
-        );
-    }
 }
 
 /// Acceptance cross-check: run once with both the JSONL trace and the online

@@ -19,8 +19,7 @@
 //! Everything is deterministic: the LRU order is driven by a monotone access
 //! tick (no wall clock, no hashing), the fetch source is chosen by
 //! `(transfer_time, site id)` with a total order, and the layer is only ever
-//! touched from the routing path — which runs on the coordinator thread in
-//! sharded runs — so `--threads N` cannot reorder accesses. When no datasets
+//! touched from the routing path, in event order. When no datasets
 //! are configured the layer is never constructed and the simulation is
 //! byte-identical to a build without this crate.
 
@@ -116,25 +115,30 @@ impl DataGridSpec {
     }
 
     /// Validate against a federation of `nsites` sites. Returns a
-    /// human-readable error for the first problem found.
+    /// human-readable error for the first problem found, led by the path
+    /// of the offending field within the spec.
     pub fn validate(&self, nsites: usize) -> Result<(), String> {
         for (i, d) in self.datasets.iter().enumerate() {
             if d.name.trim().is_empty() {
-                return Err(format!("dataset {i} has an empty name"));
+                return Err(format!("datasets[{i}].name: empty name"));
             }
             if !(d.size_mb.is_finite() && d.size_mb > 0.0) {
                 return Err(format!(
-                    "dataset '{}' has non-positive size {} MB",
+                    "datasets[{i}].size_mb: dataset '{}' has non-positive size {} MB",
                     d.name, d.size_mb
                 ));
             }
             if d.replicas.is_empty() {
-                return Err(format!("dataset '{}' has no replica sites", d.name));
+                return Err(format!(
+                    "datasets[{i}].replicas: dataset '{}' has no replica sites",
+                    d.name
+                ));
             }
-            for &r in &d.replicas {
+            for (j, &r) in d.replicas.iter().enumerate() {
                 if r >= nsites {
                     return Err(format!(
-                        "dataset '{}' replica site {r} out of range (federation has {nsites} sites)",
+                        "datasets[{i}].replicas[{j}]: dataset '{}' replica site {r} out of range \
+                         (federation has {nsites} sites)",
                         d.name
                     ));
                 }
@@ -142,12 +146,12 @@ impl DataGridSpec {
         }
         for (m, &p) in &self.attach {
             if !(0.0..=1.0).contains(&p) || !p.is_finite() {
-                return Err(format!("attach probability for '{m}' out of [0,1]: {p}"));
+                return Err(format!("attach.{m}: probability out of [0,1]: {p}"));
             }
         }
         if !(self.zipf_s.is_finite() && self.zipf_s >= 0.0) {
             return Err(format!(
-                "zipf_s must be finite and >= 0, got {}",
+                "zipf_s: must be finite and >= 0, got {}",
                 self.zipf_s
             ));
         }

@@ -30,15 +30,12 @@
 //! * [`memory`] — process-level memory observability for benchmarks: peak
 //!   RSS via `/proc` and an opt-in counting global allocator (thread-safe:
 //!   worker-thread allocations are attributed to the same run totals).
-//! * [`shard`] — building blocks for sharded conservative simulation:
-//!   causal event ranks that reproduce the serial tie-break order, a
-//!   rank-keyed cancellable queue, and the WAN-derived lookahead matrix.
 //! * [`sketch`] — fixed-layout log-binned quantile sketches for online span
 //!   statistics at streaming scale: constant memory, exactly mergeable
-//!   (element-wise counts), so per-shard books pool byte-deterministically.
+//!   (element-wise counts), so pooled tables are independent of slot order.
 //! * [`series`] — time-bucketed windowed operational series (submit /
 //!   start / complete rates, active jobs, utilization, queue depth) with
-//!   per-site single-writer gauge columns that merge exactly at shard join.
+//!   per-site gauge columns.
 //! * [`metrics`] — a run-level metrics registry (counters, time-weighted
 //!   gauges, time series) and serializable snapshots, plus wall-clock engine
 //!   profiling ([`metrics::EngineProfile`]). Observers only: when disabled
@@ -90,7 +87,6 @@ pub mod memory;
 pub mod metrics;
 pub mod rng;
 pub mod series;
-pub mod shard;
 pub mod sketch;
 pub mod span;
 pub mod stats;
@@ -116,12 +112,9 @@ pub use memory::{
     alloc_snapshot, current_in_use_bytes, peak_in_use_bytes, peak_rss_bytes, reset_peak_in_use,
     AllocDelta, AllocSnapshot, CountingAlloc,
 };
-pub use metrics::{
-    CounterId, EngineProfile, GaugeId, MetricsRegistry, MetricsSnapshot, SeriesId, SyncProfile,
-};
+pub use metrics::{CounterId, EngineProfile, GaugeId, MetricsRegistry, MetricsSnapshot, SeriesId};
 pub use rng::{RngFactory, SimRng, StreamId};
 pub use series::{SeriesDigest, SeriesRow, SeriesSnapshot, WindowedSeries};
-pub use shard::{Lookahead, Rank, RankQueue};
 pub use sketch::{QuantileSketch, SketchSummary, SpanSketchbook, SpanStatsSnapshot};
 pub use span::{Span, SpanKind, WaitCause, SPAN_SCHEMA_VERSION};
 pub use stats::{Histogram, OnlineStats, P2Quantile, TimeWeighted};

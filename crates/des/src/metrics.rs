@@ -20,7 +20,6 @@
 //! [`EngineProfile`] carries the wall-clock engine figures that ride along
 //! with a snapshot but are *not* part of the deterministic run output.
 
-use crate::sketch::SketchSummary;
 use crate::stats::TimeWeighted;
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
@@ -47,9 +46,6 @@ struct Counter {
 struct Gauge {
     name: String,
     tw: TimeWeighted,
-    /// Has any `gauge_set`/`gauge_add` landed here? Merging uses this to
-    /// tell a live signal from an untouched default on another registry.
-    touched: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -121,7 +117,6 @@ impl MetricsRegistry {
         self.gauges.push(Gauge {
             name: name.into(),
             tw: TimeWeighted::new(start, initial),
-            touched: false,
         });
         GaugeId(self.gauges.len() - 1)
     }
@@ -156,7 +151,6 @@ impl MetricsRegistry {
         if !self.enabled {
             return;
         }
-        self.gauges[id.0].touched = true;
         self.gauges[id.0].tw.set(now, value);
     }
 
@@ -166,7 +160,6 @@ impl MetricsRegistry {
         if !self.enabled {
             return;
         }
-        self.gauges[id.0].touched = true;
         self.gauges[id.0].tw.add(now, delta);
     }
 
@@ -182,42 +175,6 @@ impl MetricsRegistry {
     /// Current value of a counter (0 when disabled).
     pub fn counter_value(&self, id: CounterId) -> u64 {
         self.counters[id.0].value
-    }
-
-    /// Fold another registry with the *same instrument layout* into this
-    /// one — the fan-in step of a sharded run, where every participant
-    /// registers the identical instrument set and each instrument has a
-    /// single writer.
-    ///
-    /// Counters sum index-wise. A gauge is taken wholesale from `other`
-    /// when `other` touched it (single-writer: at most one participant ever
-    /// writes a given gauge, so "touched on both sides" is a layout bug and
-    /// panics). Series concatenate in call order — callers merge shards in
-    /// a fixed order to keep output canonical.
-    pub fn merge_from(&mut self, other: &MetricsRegistry) {
-        assert_eq!(
-            self.counters.len(),
-            other.counters.len(),
-            "merging registries with different counter layouts"
-        );
-        assert_eq!(self.gauges.len(), other.gauges.len());
-        assert_eq!(self.series.len(), other.series.len());
-        for (c, oc) in self.counters.iter_mut().zip(&other.counters) {
-            debug_assert_eq!(c.name, oc.name);
-            c.value += oc.value;
-        }
-        for (g, og) in self.gauges.iter_mut().zip(&other.gauges) {
-            debug_assert_eq!(g.name, og.name);
-            if og.touched {
-                assert!(!g.touched, "gauge {} written by two participants", g.name);
-                g.tw = og.tw.clone();
-                g.touched = true;
-            }
-        }
-        for (s, os) in self.series.iter_mut().zip(&other.series) {
-            debug_assert_eq!(s.name, os.name);
-            s.points.extend(os.points.iter().copied());
-        }
     }
 
     /// Freeze everything into a serializable snapshot closed out at `now`.
@@ -323,12 +280,6 @@ pub struct EngineProfile {
     /// Bytes requested from the allocator during the run (same gating).
     #[serde(default)]
     pub allocated_bytes: Option<u64>,
-    /// Sync-round profile of the sharded coordinator protocol (`None` for
-    /// serial runs). Like the rest of the profile this is wall-clock-bearing
-    /// observer data: it rides alongside the deterministic output and is
-    /// excluded from byte-identity comparisons.
-    #[serde(default)]
-    pub sync: Option<SyncProfile>,
 }
 
 impl EngineProfile {
@@ -348,7 +299,6 @@ impl EngineProfile {
             peak_rss_bytes: None,
             allocations: None,
             allocated_bytes: None,
-            sync: None,
         }
     }
 
@@ -364,72 +314,6 @@ impl EngineProfile {
         self.allocated_bytes = alloc.map(|d| d.bytes);
         self
     }
-}
-
-/// Per-round profile of the sharded coordinator's conservative sync
-/// protocol — the measurement layer the "cut sync rounds" roadmap item was
-/// blocked on. Counters say *how many* of each protocol step happened;
-/// the sketch summaries say how long coordinator rounds took (wall-clock)
-/// and how many shards each grant round advanced (occupancy).
-///
-/// Everything here is observer data gathered outside the deterministic
-/// simulation state: the wall-clock figures vary run to run, while the
-/// protocol counters are functions of `(config, seed, threads)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SyncProfile {
-    /// Worker shards the run used (excludes the coordinator).
-    pub shards: u64,
-    /// Coordinator drive-loop rounds.
-    pub rounds: u64,
-    /// Events the coordinator executed itself (routing, admissions).
-    pub coord_events: u64,
-    /// Candidate interludes: rounds that parked every shard so one watched
-    /// head event (completion/kill) could run under a clamped bound.
-    pub candidate_rounds: u64,
-    /// Grant rounds: bound-advance broadcasts after coordinator work.
-    pub grant_rounds: u64,
-    /// Individual `Advance` grants sent to shards.
-    pub advances_sent: u64,
-    /// `Parked` reports received from shards.
-    pub parks_received: u64,
-    /// Interlude messages a candidate execution sent back to the
-    /// coordinator (exports, finishes, kills).
-    pub interlude_messages: u64,
-    /// Candidate rounds where the clamp *mattered*: the candidate's
-    /// timestamp was below the shard's standing grant, voiding a higher
-    /// free-running bound the shard had already been given.
-    pub bound_clamps: u64,
-    /// Watched-completion candidates resolved *inside* a batched grant:
-    /// their export conversation rode an already-open round (the ack
-    /// carried a prefetched bound), so no dedicated candidate round was
-    /// paid for them.
-    #[serde(default)]
-    pub batched_candidates: u64,
-    /// Whether the adaptive execution governor degraded this run to the
-    /// serial path mid-run (see the `governor` run option).
-    #[serde(default)]
-    pub governor_fired: bool,
-    /// Events delivered (all participants) when the governor folded the
-    /// shards into the coordinator; 0 when it never fired.
-    #[serde(default)]
-    pub governor_at_events: u64,
-    /// Events executed on the fused serial path after the fold.
-    #[serde(default)]
-    pub serial_tail_events: u64,
-    /// Coordinator receives satisfied within the spin window.
-    pub recv_spins: u64,
-    /// Coordinator receives that fell back to a blocking wait.
-    pub recv_blocks: u64,
-    /// Shard-side receives satisfied within the spin window (all shards).
-    pub shard_recv_spins: u64,
-    /// Shard-side receives that fell back to blocking (all shards).
-    pub shard_recv_blocks: u64,
-    /// Wall-clock seconds per coordinator drive round.
-    pub round_wall: SketchSummary,
-    /// Wall-clock seconds per candidate interlude (park → execute → ack).
-    pub candidate_wall: SketchSummary,
-    /// Shards advanced per grant round.
-    pub grant_occupancy: SketchSummary,
 }
 
 /// A full end-of-run metrics snapshot.
@@ -535,51 +419,6 @@ mod tests {
         m.add(other, 999);
         let snap = m.snapshot(SimTime::ZERO).unwrap();
         assert_eq!(snap.counter_sum("site."), 12);
-    }
-
-    #[test]
-    fn merge_sums_counters_takes_touched_gauges_concats_series() {
-        fn layout(m: &mut MetricsRegistry) -> (CounterId, GaugeId, GaugeId, SeriesId) {
-            (
-                m.counter("done"),
-                m.gauge("busy.a", SimTime::ZERO, 0.0),
-                m.gauge("busy.b", SimTime::ZERO, 0.0),
-                m.series("q"),
-            )
-        }
-        let mut coord = MetricsRegistry::enabled();
-        let (c, ga, _gb, s) = layout(&mut coord);
-        coord.add(c, 2);
-        coord.gauge_set(ga, SimTime::from_secs(5), 3.0);
-        coord.push(s, SimTime::from_secs(1), 1.0);
-
-        let mut shard = MetricsRegistry::enabled();
-        let (c2, _ga2, gb2, s2) = layout(&mut shard);
-        shard.add(c2, 5);
-        shard.gauge_set(gb2, SimTime::from_secs(8), 7.0);
-        shard.push(s2, SimTime::from_secs(2), 2.0);
-
-        coord.merge_from(&shard);
-        let snap = coord.snapshot(SimTime::from_secs(10)).unwrap();
-        assert_eq!(snap.counter("done"), Some(7));
-        assert_eq!(snap.gauge("busy.a").unwrap().current, 3.0);
-        assert_eq!(snap.gauge("busy.b").unwrap().current, 7.0);
-        assert_eq!(
-            snap.series("q").unwrap().points,
-            vec![(1.0, 1.0), (2.0, 2.0)]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "written by two participants")]
-    fn merge_rejects_double_written_gauges() {
-        let mut a = MetricsRegistry::enabled();
-        let g = a.gauge("busy", SimTime::ZERO, 0.0);
-        a.gauge_set(g, SimTime::from_secs(1), 1.0);
-        let mut b = MetricsRegistry::enabled();
-        let g2 = b.gauge("busy", SimTime::ZERO, 0.0);
-        b.gauge_set(g2, SimTime::from_secs(1), 2.0);
-        a.merge_from(&b);
     }
 
     #[test]

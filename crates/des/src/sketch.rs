@@ -12,13 +12,14 @@
 //!
 //! # Why a counting sketch and not a t-digest / KLL
 //!
-//! The sharded engine merges per-shard observability state at join, and the
-//! repo's contract is *byte-identical output at any `--threads N`*. Rank
-//! sketches like t-digest and KLL compress adaptively, so their merged state
-//! depends on insertion and merge order — two shard partitions of the same
-//! stream produce different centroids, and byte-determinism is lost. A
-//! fixed-layout counting sketch has none of that freedom: every value maps
-//! to one predetermined bin, merge is element-wise `u64` addition, and
+//! The report tables are *pooled* views: the by-kind table folds every
+//! cause/site/modality slot of a kind into one sketch, and the offline
+//! analyzer is the yardstick it is checked against. Rank sketches like
+//! t-digest and KLL compress adaptively, so their state depends on
+//! insertion and merge order — pooling the same spans in a different slot
+//! order would give different centroids and different reported quantiles.
+//! A fixed-layout counting sketch has none of that freedom: every value
+//! maps to one predetermined bin, merge is element-wise `u64` addition, and
 //! therefore merge is **exactly** associative, commutative, and
 //! partition-invariant. Merge-then-query does not just approximate
 //! query-on-pooled-data — it *equals* it, which the property tests in
@@ -29,8 +30,8 @@
 //! Bins are geometric with [`SUBBINS`] sub-bins per octave starting at
 //! [`LO_SECS`] (2⁻³⁰ s ≈ 0.93 ns): bin *i* covers
 //! `[LO·2^(i/8), LO·2^((i+1)/8))`. With [`OCTAVES`] = 64 octaves the range
-//! spans ~1 ns to ~1.6·10¹⁰ s, comfortably covering both microsecond sync
-//! rounds and year-long spans in one layout. Values below the range land in
+//! spans ~1 ns to ~1.6·10¹⁰ s, comfortably covering both microsecond
+//! stage-ins and year-long spans in one layout. Values below the range land in
 //! an `under` bin, values above in an `over` bin, and the sketch tracks the
 //! exact `min`/`max`/`count`. Quantiles are answered by nearest-rank walk
 //! over the bins, reporting the geometric midpoint of the selected bin
@@ -363,26 +364,6 @@ impl SpanSketchbook {
         self.spans += 1;
     }
 
-    /// Merge another book (same dimensions) slot-wise. Panics if the books
-    /// were built for different federations.
-    pub fn merge_from(&mut self, other: &SpanSketchbook) {
-        if !other.enabled {
-            return;
-        }
-        assert_eq!(
-            (self.nsites, &self.modalities),
-            (other.nsites, &other.modalities),
-            "merging sketchbooks with different key spaces"
-        );
-        for (mine, theirs) in self.slots.iter_mut().zip(other.slots.iter()) {
-            if let Some(t) = theirs {
-                mine.get_or_insert_with(|| Box::new(QuantileSketch::new()))
-                    .merge_from(t);
-            }
-        }
-        self.spans += other.spans;
-    }
-
     /// Pool every slot matching `keep(kind, cause, site, modality)` into one
     /// sketch (cause/site/modality are `None` for the sentinel slots).
     pub fn pooled<F>(&self, mut keep: F) -> QuantileSketch
@@ -579,9 +560,9 @@ mod tests {
     }
 
     #[test]
-    fn sketchbook_pools_and_merges_by_key() {
+    fn sketchbook_pools_by_key() {
         let mods = vec!["batch".to_string(), "gateway".to_string()];
-        let mut book = SpanSketchbook::enabled(2, mods.clone());
+        let mut book = SpanSketchbook::enabled(2, mods);
         book.record(
             SpanKind::Queued,
             Some(WaitCause::AheadInQueue),
@@ -606,21 +587,12 @@ mod tests {
         assert_eq!(snap.queued_by_site[&0].count, 1);
         assert_eq!(snap.wait_spans_by_modality["batch"].count, 1);
 
-        let mut other = SpanSketchbook::enabled(2, mods);
-        other.record(
-            SpanKind::Queued,
-            Some(WaitCause::AheadInQueue),
-            Some(0),
-            Some(0),
-            20.0,
-        );
-        book.merge_from(&other);
-        assert_eq!(book.spans(), 4);
         assert_eq!(
             book.pooled_kind_cause(SpanKind::Queued, Some(WaitCause::AheadInQueue))
                 .count(),
-            2
+            1
         );
+        assert_eq!(book.pooled(|k, _, _, _| k == SpanKind::Queued).count(), 2);
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //!    fixed bin layout, so it must be *exactly* associative, commutative,
 //!    and partition-invariant — merge-then-query equals query-on-pooled
 //!    data bit for bit. These are `assert_eq!` on whole sketches, no
-//!    tolerance. This is the property that makes the sharded engine's
-//!    per-shard books byte-identical at any `--threads N`, and it is
-//!    precisely what adaptive rank sketches (t-digest, KLL) cannot offer.
+//!    tolerance. This is the property that makes a sketchbook's pooled
+//!    tables independent of slot order, and it is precisely what adaptive
+//!    rank sketches (t-digest, KLL) cannot offer.
 //!
 //! 2. **Analytic, bounded.** Reported quantiles stay within the documented
 //!    [`RELATIVE_ERROR`] of exact sorted-sample quantiles on uniform,
@@ -16,9 +16,8 @@
 //!    uses for the P²/histogram estimators, and the same nearest-rank
 //!    convention as [`exact_quantile`].
 
-use tg_des::sketch::{QuantileSketch, SpanSketchbook, RELATIVE_ERROR};
+use tg_des::sketch::{QuantileSketch, RELATIVE_ERROR};
 use tg_des::stats::exact_quantile;
-use tg_des::{SpanKind, WaitCause};
 
 /// Deterministic 64-bit LCG (MMIX constants); no external RNG needed.
 struct Lcg(u64);
@@ -124,8 +123,8 @@ fn merge_is_exactly_associative() {
 }
 
 /// Merge-then-query ≡ query-then-pool, for *any* partition of the stream:
-/// splitting the observations across k sketches (as the sharded engine
-/// splits spans across shards) and merging yields the whole-stream sketch
+/// splitting the observations across k sketches (as a sketchbook splits
+/// spans across its keyed slots) and merging yields the whole-stream sketch
 /// bit for bit — so every query answer is identical too.
 #[test]
 fn any_partition_merges_to_the_whole_stream_sketch() {
@@ -200,50 +199,6 @@ fn quantiles_within_bound_on_bimodal_input() {
 fn quantiles_within_bound_on_many_random_seeds() {
     for seed in 100..130u64 {
         check_bound(&exponential(500, 60.0 * (seed - 99) as f64, seed), "sweep");
-    }
-}
-
-/// The keyed book inherits partition invariance slot-wise: splitting spans
-/// across books (as shards do) and merging equals the book that saw the
-/// whole stream, including its pooled/snapshot views.
-#[test]
-fn sketchbook_partition_invariance_across_keys() {
-    let mods = vec!["batch".to_string(), "gateway".to_string()];
-    for seed in 1..=6u64 {
-        let mut rng = Lcg(seed ^ 0xBEEF);
-        let mut whole = SpanSketchbook::enabled(3, mods.clone());
-        let mut parts = vec![
-            SpanSketchbook::enabled(3, mods.clone()),
-            SpanSketchbook::enabled(3, mods.clone()),
-            SpanSketchbook::enabled(3, mods.clone()),
-        ];
-        for _ in 0..800 {
-            let kind = SpanKind::ALL[(rng.next_u64() % SpanKind::ALL.len() as u64) as usize];
-            let cause = if kind == SpanKind::Queued {
-                Some(WaitCause::ALL[(rng.next_u64() % WaitCause::ALL.len() as u64) as usize])
-            } else {
-                None
-            };
-            let site = Some((rng.next_u64() % 3) as usize);
-            let modality = Some((rng.next_u64() % 2) as usize);
-            let secs = rng.next_f64() * 10_000.0;
-            whole.record(kind, cause, site, modality, secs);
-            parts[(rng.next_u64() % 3) as usize].record(kind, cause, site, modality, secs);
-        }
-        let mut merged = parts.remove(0);
-        for p in &parts {
-            merged.merge_from(p);
-        }
-        assert_eq!(merged, whole, "seed {seed}: book partition diverged");
-        assert_eq!(merged.snapshot(), whole.snapshot());
-        assert_eq!(
-            merged
-                .pooled_kind_cause(SpanKind::Queued, Some(WaitCause::AheadInQueue))
-                .summary(),
-            whole
-                .pooled_kind_cause(SpanKind::Queued, Some(WaitCause::AheadInQueue))
-                .summary()
-        );
     }
 }
 

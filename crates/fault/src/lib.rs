@@ -385,40 +385,6 @@ impl FaultReport {
     pub fn total_downtime_s(&self) -> f64 {
         self.downtime_by_site.iter().sum()
     }
-
-    /// Fold another report into this one — the fan-in step of a sharded
-    /// run, where each participant counts only the faults it executed (and
-    /// the per-site vectors are written only by a site's owner, so
-    /// element-wise addition is exact, not double-counting).
-    pub fn merge_from(&mut self, other: &FaultReport) {
-        assert_eq!(
-            self.downtime_by_site.len(),
-            other.downtime_by_site.len(),
-            "merging fault reports sized for different federations"
-        );
-        self.node_crashes += other.node_crashes;
-        self.site_outages += other.site_outages;
-        self.jobs_killed += other.jobs_killed;
-        self.jobs_requeued += other.jobs_requeued;
-        self.jobs_abandoned += other.jobs_abandoned;
-        self.checkpoint_restarts += other.checkpoint_restarts;
-        self.records_lost += other.records_lost;
-        self.records_duplicated += other.records_duplicated;
-        for (d, od) in self
-            .downtime_by_site
-            .iter_mut()
-            .zip(&other.downtime_by_site)
-        {
-            *d += od;
-        }
-        for (d, od) in self
-            .degraded_by_site
-            .iter_mut()
-            .zip(&other.degraded_by_site)
-        {
-            *d += od;
-        }
-    }
 }
 
 #[cfg(test)]

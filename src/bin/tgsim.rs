@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! tgsim emit-baseline [USERS DAYS] > scenario.json   # write a starter config
-//! tgsim run scenario.json [--seed N] [--reps K] [--sample-hours H]
-//!       [--classify] [--out results.json] [--faults spec.json]
+//! tgsim run scenario.json [--seed N] [--reps K] [--threads N]
+//!       [--sample-hours H] [--classify] [--out results.json] [--faults spec.json]
 //!       [--metrics-out metrics.json] [--trace-out trace.jsonl]
 //!       [--stream-out records.jsonl] [--assert-peak-rss-mb N]
 //! tgsim analyze trace.jsonl [--json]
@@ -33,23 +33,24 @@
 //! run — span-latency quantile sketches keyed by (kind, cause, site,
 //! modality) plus an hourly windowed series of submit/start/complete rates,
 //! active jobs, utilization, and queue depth — reported at the end and
-//! included as a `stats` object in the `--out` summary; it works sharded
-//! (per-shard sketches merge exactly, so the report is byte-identical at
-//! any `--threads`). `--live-stats=FILE` additionally streams each closed
-//! series bucket as a JSONL row while the run progresses (serial-only, like
-//! `--trace-out`). `--threads 0` auto-detects the available cores
-//! (`std::thread::available_parallelism`); the resolved count lands in the
-//! `--out` summary's `threads` field alongside a deterministic `sync`
-//! section of sharded-protocol counters — the same value the human `sync:`
-//! line renders from. `--quiet` suppresses that line (it mixes in
-//! run-to-run wall-clock noise). `analyze` reconstructs per-job lifecycle spans from such a
-//! trace offline and prints wait-time breakdowns by span kind, wait cause,
-//! site, and modality (p50/p95/p99) — including the `fault`/`requeue` spans
-//! a faulted run emits. `replay` drives the simulator from a Standard
-//! Workload Format archive trace instead of the generator: the federation,
-//! policies, and (with `--faults`) fault schedule come from the scenario
-//! config, the jobs from the trace — so archive workloads get the same
-//! degraded-operation machinery as synthetic ones.
+//! included as a `stats` object in the `--out` summary. `--live-stats=FILE`
+//! additionally streams each closed series bucket as a JSONL row while the
+//! run progresses (single replication only, like `--stream-out`).
+//! `--threads N` sets how many replications run at once (each replication
+//! is itself sequential, so outputs are identical at any `N`); the default
+//! `0` auto-detects the available cores
+//! (`std::thread::available_parallelism`), and the resolved worker count
+//! lands in the `--out` summary's `threads` field. A config that parses but
+//! breaks a cross-field invariant ([`ScenarioConfig::validate`]) exits 1
+//! with the offending field's path. `analyze` reconstructs per-job
+//! lifecycle spans from a `--trace-out` trace offline and prints wait-time
+//! breakdowns by span kind, wait cause, site, and modality (p50/p95/p99) —
+//! including the `fault`/`requeue` spans a faulted run emits. `replay`
+//! drives the simulator from a Standard Workload Format archive trace
+//! instead of the generator: the federation, policies, and (with
+//! `--faults`) fault schedule come from the scenario config, the jobs from
+//! the trace — so archive workloads get the same degraded-operation
+//! machinery as synthetic ones.
 
 use std::process::ExitCode;
 use teragrid_repro::prelude::*;
@@ -68,7 +69,7 @@ fn usage() -> ExitCode {
         "usage:\n  tgsim emit-baseline [USERS DAYS]\n  tgsim run <scenario.json> \
          [--seed N] [--reps K] [--threads N|0=auto] [--sample-hours H] [--classify] \
          [--out FILE] [--faults FILE] [--metrics-out FILE] [--trace-out FILE] \
-         [--stream-out FILE] [--assert-peak-rss-mb N] [--live-stats[=FILE]] [--quiet]\n  \
+         [--stream-out FILE] [--assert-peak-rss-mb N] [--live-stats[=FILE]]\n  \
          tgsim analyze <trace.jsonl> [--json] [--data]\n  \
          tgsim replay <trace.swf> [--scenario FILE] [--seed N] \
          [--faults FILE] [--classify]"
@@ -120,13 +121,10 @@ struct RunFlags {
     live_stats_file: bool,
 }
 
-/// Why this flag combination is rejected, or `None` if it is fine. Checked
-/// before any file is touched so a bad invocation costs nothing.
-/// Resolve the `--threads` flag: `0` means "one worker per available core"
-/// (the governor keeps over-subscription safe — a 1-core host folds back to
-/// the serial path mid-run). `detected` is
-/// [`std::thread::available_parallelism`], `None` when the platform cannot
-/// tell, in which case auto degrades to the serial path.
+/// Resolve the `--threads` flag: `0` means "one replication worker per
+/// available core". `detected` is [`std::thread::available_parallelism`],
+/// `None` when the platform cannot tell, in which case auto degrades to
+/// one worker.
 fn resolve_threads(raw: usize, detected: Option<usize>) -> usize {
     if raw == 0 {
         detected.unwrap_or(1)
@@ -135,68 +133,8 @@ fn resolve_threads(raw: usize, detected: Option<usize>) -> usize {
     }
 }
 
-/// The deterministic slice of a sharded run's sync profile: pure protocol
-/// counters, functions of `(config, seed, threads)` alone. Both the human
-/// `sync:` line and the `--out` summary render from this one value so the
-/// two can never drift. Wall-clock figures (round/interlude sketches, recv
-/// spin/block tallies) are deliberately excluded: they vary run to run.
-fn sync_summary_json(sync: &SyncProfile) -> serde_json::Value {
-    serde_json::json!({
-        "shards": sync.shards,
-        "rounds": sync.rounds,
-        "coord_events": sync.coord_events,
-        "candidate_rounds": sync.candidate_rounds,
-        "grant_rounds": sync.grant_rounds,
-        "advances_sent": sync.advances_sent,
-        "parks_received": sync.parks_received,
-        "interlude_messages": sync.interlude_messages,
-        "bound_clamps": sync.bound_clamps,
-        "batched_candidates": sync.batched_candidates,
-        "governor": {
-            "fired": sync.governor_fired,
-            "at_events": sync.governor_at_events,
-            "serial_tail_events": sync.serial_tail_events,
-        },
-    })
-}
-
-/// Render the `sync:` line. The protocol counters come from the same
-/// [`sync_summary_json`] value the `--out` summary embeds (one formatting
-/// path); only the wall-clock tail reads the profile directly.
-fn format_sync_line(det: &serde_json::Value, sync: &SyncProfile) -> String {
-    let governor = if det["governor"]["fired"].as_bool() == Some(true) {
-        format!(
-            "folded@{} ({} serial tail)",
-            det["governor"]["at_events"], det["governor"]["serial_tail_events"]
-        )
-    } else {
-        "idle".to_string()
-    };
-    format!(
-        "sync: {} shards, {} rounds ({} coord, {} candidate, {} grant), \
-         {} advances / {} parks / {} clamps / {} batched, governor {governor}, \
-         round p50 {:.1}µs p99 {:.1}µs, interlude p50 {:.1}µs, \
-         occupancy mean {:.2}, recv spin/block coord {}/{} shard {}/{}",
-        det["shards"],
-        det["rounds"],
-        det["coord_events"],
-        det["candidate_rounds"],
-        det["grant_rounds"],
-        det["advances_sent"],
-        det["parks_received"],
-        det["bound_clamps"],
-        det["batched_candidates"],
-        sync.round_wall.p50 * 1e6,
-        sync.round_wall.p99 * 1e6,
-        sync.candidate_wall.p50 * 1e6,
-        sync.grant_occupancy.mean,
-        sync.recv_spins,
-        sync.recv_blocks,
-        sync.shard_recv_spins,
-        sync.shard_recv_blocks,
-    )
-}
-
+/// Why this flag combination is rejected, or `None` if it is fine. Checked
+/// before any file is touched so a bad invocation costs nothing.
 fn run_flag_conflict(f: &RunFlags) -> Option<&'static str> {
     if f.stream_out && f.classify {
         return Some(
@@ -225,7 +163,7 @@ fn run(rest: &[String]) -> ExitCode {
     };
     let mut seed = 42u64;
     let mut reps = 1usize;
-    let mut threads = 1usize;
+    let mut threads = 0usize;
     let mut classify = false;
     let mut out_path: Option<String> = None;
     let mut metrics_out: Option<String> = None;
@@ -236,7 +174,6 @@ fn run(rest: &[String]) -> ExitCode {
     let mut rss_budget_mb: Option<u64> = None;
     let mut live_stats = false;
     let mut live_stats_file: Option<String> = None;
-    let mut quiet = false;
     let mut i = 1;
     while i < rest.len() {
         match rest[i].as_str() {
@@ -301,7 +238,6 @@ fn run(rest: &[String]) -> ExitCode {
                 }
             }
             "--classify" => classify = true,
-            "--quiet" => quiet = true,
             "--live-stats" => live_stats = true,
             s if s.starts_with("--live-stats=") => {
                 let value = &s["--live-stats=".len()..];
@@ -362,7 +298,7 @@ fn run(rest: &[String]) -> ExitCode {
     let mut cfg: ScenarioConfig = match serde_json::from_str(&text) {
         Ok(c) => c,
         Err(e) => {
-            eprintln!("tgsim: invalid scenario config: {e}");
+            eprintln!("tgsim: invalid scenario config: {path}: {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -382,6 +318,10 @@ fn run(rest: &[String]) -> ExitCode {
             }
         }
     }
+    if let Err(e) = cfg.validate() {
+        eprintln!("tgsim: invalid scenario config: {path}: {e}");
+        return ExitCode::FAILURE;
+    }
     if let Some(h) = sample_hours {
         cfg.sample_interval = Some(SimDuration::from_hours(h));
     } else if metrics_out.is_some() && cfg.sample_interval.is_none() {
@@ -393,7 +333,8 @@ fn run(rest: &[String]) -> ExitCode {
     let threads = resolve_threads(
         threads,
         std::thread::available_parallelism().ok().map(|n| n.get()),
-    );
+    )
+    .min(reps);
     let scenario = cfg.build();
     eprintln!(
         "running `{}` × {reps} replication(s) from seed {seed} on {threads} thread(s){} ...",
@@ -407,7 +348,6 @@ fn run(rest: &[String]) -> ExitCode {
     let opts = RunOptions {
         metrics: metrics_out.is_some(),
         trace_path: trace_out.as_ref().map(std::path::PathBuf::from),
-        threads,
         stream_gen: stream_out.is_some(),
         record_streaming: match &stream_out {
             Some(p) => RecordStreaming::Jsonl(std::path::PathBuf::from(p)),
@@ -417,7 +357,7 @@ fn run(rest: &[String]) -> ExitCode {
         live_stats_path: live_stats_file.as_ref().map(std::path::PathBuf::from),
         ..RunOptions::default()
     };
-    let replications = replicate_with(&scenario, seed, reps, 0, &opts);
+    let replications = replicate_with(&scenario, seed, reps, threads, &opts);
     let first = &replications[0].output;
 
     let report: Option<UsageReport> = if let Some(tally) = &first.ingest_tally {
@@ -469,16 +409,6 @@ fn run(rest: &[String]) -> ExitCode {
         "engine: {} events in {:.3}s wall ({:.0} events/s), peak queue {}",
         agg.events_delivered, agg.wall_seconds, agg.events_per_sec, agg.peak_queue_len
     );
-    // Sync-round profile of the sharded engine (first replication). The
-    // deterministic counters render from the same `sync_summary_json` value
-    // the --out summary embeds; the line itself mixes in wall-clock noise,
-    // so `--quiet` suppresses it (CI greps stable lines elsewhere).
-    let sync_det = first.profile.sync.as_ref().map(sync_summary_json);
-    if !quiet {
-        if let (Some(det), Some(sync)) = (&sync_det, &first.profile.sync) {
-            println!("{}", format_sync_line(det, sync));
-        }
-    }
     if let Some(stats) = &first.stats {
         let d = stats.series.digest();
         println!(
@@ -603,11 +533,9 @@ fn run(rest: &[String]) -> ExitCode {
             "scenario": first.scenario,
             "seed": seed,
             "replications": reps,
-            // Resolved thread count (`--threads 0` auto-detect lands here).
+            // Resolved replication workers (`--threads 0` auto-detect
+            // lands here).
             "threads": threads,
-            // Deterministic sync-protocol counters; same value the `sync:`
-            // line renders from. Null on serial runs.
-            "sync": sync_det.clone().unwrap_or(serde_json::Value::Null),
             "jobs": jobs_recorded,
             "events": first.events_delivered,
             "utilization": { "mean": u_mean, "ci95": u_ci },
@@ -1016,10 +944,7 @@ fn replay(rest: &[String]) -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{
-        format_sync_line, resolve_threads, run_flag_conflict, sync_summary_json, RunFlags,
-        SyncProfile,
-    };
+    use super::{resolve_threads, run_flag_conflict, RunFlags};
 
     fn flags() -> RunFlags {
         RunFlags {
@@ -1120,78 +1045,5 @@ mod tests {
     fn explicit_threads_ignore_detection() {
         assert_eq!(resolve_threads(3, Some(16)), 3);
         assert_eq!(resolve_threads(1, None), 1);
-    }
-
-    fn sample_sync() -> SyncProfile {
-        let sketch = tg_des::sketch::SketchSummary {
-            count: 5,
-            mean: 1e-6,
-            p50: 1e-6,
-            p95: 2e-6,
-            p99: 3e-6,
-            min: 1e-7,
-            max: 4e-6,
-        };
-        SyncProfile {
-            shards: 3,
-            rounds: 1234,
-            coord_events: 900,
-            candidate_rounds: 21,
-            grant_rounds: 313,
-            advances_sent: 313,
-            parks_received: 334,
-            interlude_messages: 77,
-            bound_clamps: 9,
-            batched_candidates: 450,
-            governor_fired: true,
-            governor_at_events: 2048,
-            serial_tail_events: 5000,
-            recv_spins: 11,
-            recv_blocks: 22,
-            shard_recv_spins: 33,
-            shard_recv_blocks: 44,
-            round_wall: sketch.clone(),
-            candidate_wall: sketch.clone(),
-            grant_occupancy: sketch,
-        }
-    }
-
-    /// The `--out` summary's sync section is deterministic only: protocol
-    /// counters in, wall-clock sketches and spin/block tallies out.
-    #[test]
-    fn sync_summary_is_deterministic_fields_only() {
-        let det = sync_summary_json(&sample_sync());
-        assert_eq!(det["rounds"], 1234);
-        assert_eq!(det["candidate_rounds"], 21);
-        assert_eq!(det["grant_rounds"], 313);
-        assert_eq!(det["batched_candidates"], 450);
-        assert_eq!(det["interlude_messages"], 77);
-        assert_eq!(det["governor"]["fired"], true);
-        assert_eq!(det["governor"]["at_events"], 2048);
-        assert_eq!(det["governor"]["serial_tail_events"], 5000);
-        let fields = det.as_object().unwrap();
-        for noisy in ["round_wall", "candidate_wall", "recv_spins", "recv_blocks"] {
-            assert!(
-                !fields.iter().any(|(k, _)| k == noisy),
-                "wall-clock field {noisy} leaked into the deterministic summary"
-            );
-        }
-    }
-
-    /// The human `sync:` line renders its counters from the same value the
-    /// summary embeds — one formatting path, no drift.
-    #[test]
-    fn sync_line_renders_from_the_summary_value() {
-        let sync = sample_sync();
-        let det = sync_summary_json(&sync);
-        let line = format_sync_line(&det, &sync);
-        assert!(line.starts_with("sync: 3 shards, 1234 rounds"), "{line}");
-        assert!(line.contains("21 candidate"), "{line}");
-        assert!(line.contains("313 grant"), "{line}");
-        assert!(line.contains("450 batched"), "{line}");
-        assert!(
-            line.contains("governor folded@2048 (5000 serial tail)"),
-            "{line}"
-        );
     }
 }

@@ -22,9 +22,9 @@ pub mod prelude {
     };
     pub use tg_core::{
         aggregate_profiles, classify_all, replicate, replicate_with, run_sweep, Accuracy,
-        ClassifierMode, DegradeWindow, EngineProfile, FaultReport, FaultSpec, Governor,
-        IngestFaults, MetricsSnapshot, Modality, NodeCrashSpec, OutagePolicy, OutageWindow,
-        RecordStreaming, RunOptions, Scenario, ScenarioConfig, SimOutput, SyncProfile,
+        ClassifierMode, DegradeWindow, EngineProfile, FaultReport, FaultSpec, IngestFaults,
+        MetricsSnapshot, Modality, NodeCrashSpec, OutagePolicy, OutageWindow, RecordStreaming,
+        RunOptions, Scenario, ScenarioConfig, SimOutput,
     };
     pub use tg_des::{RngFactory, SimDuration, SimTime};
     pub use tg_model::{ConfigLibrary, Federation, SiteConfig, SiteId};

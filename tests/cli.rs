@@ -1,6 +1,7 @@
 //! Integration tests for the `tgsim` CLI binary.
 
 use std::process::Command;
+use teragrid_repro::prelude::{ConfigLibrary, FaultSpec, OutageWindow, ScenarioConfig};
 
 fn tgsim() -> Command {
     Command::new(env!("CARGO_BIN_EXE_tgsim"))
@@ -316,34 +317,56 @@ fn live_stats_streams_buckets_and_lands_in_the_summary() {
         "streamed rows == snapshot rows"
     );
 
-    // Bare --live-stats works sharded, and the report is byte-identical to
-    // the serial one (per-shard sketches merge exactly).
-    let sharded = tgsim()
-        .args([
-            "run",
-            scen.to_str().expect("utf8"),
-            "--seed",
-            "3",
-            "--live-stats",
-            "--threads",
-            "4",
-        ])
-        .output()
-        .expect("sharded run");
-    assert!(
-        sharded.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&sharded.stderr)
-    );
-    let sharded_stdout = String::from_utf8_lossy(&sharded.stdout);
-    let sharded_line = sharded_stdout
-        .lines()
-        .find(|l| l.starts_with("live stats:"))
-        .expect("sharded live stats line");
-    assert_eq!(live_line, sharded_line, "live stats diverge under sharding");
+    // Bare --live-stats works with several replications in flight: the
+    // summaries written at one and at two workers are byte-identical apart
+    // from the `threads` field, and the first replication's live-stats line
+    // is the single run's line (same seed, same run).
+    let summary_at = |threads: &str| {
+        let path = dir.join(format!("reps-{threads}.json"));
+        let run = tgsim()
+            .args([
+                "run",
+                scen.to_str().expect("utf8"),
+                "--seed",
+                "3",
+                "--reps",
+                "2",
+                "--live-stats",
+                "--threads",
+                threads,
+                "--out",
+                path.to_str().expect("utf8 path"),
+            ])
+            .output()
+            .expect("replicated run");
+        assert!(
+            run.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+        let line = String::from_utf8_lossy(&run.stdout)
+            .lines()
+            .find(|l| l.starts_with("live stats:"))
+            .expect("replicated live stats line")
+            .to_string();
+        let summary: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(&path).expect("summary written"))
+                .expect("summary is JSON");
+        assert_eq!(summary["threads"].as_u64(), threads.parse().ok());
+        let serde_json::Value::Map(mut fields) = summary else {
+            panic!("summary is not an object");
+        };
+        fields.retain(|(k, _)| k != "threads");
+        (line, fields)
+    };
+    let (line_one, summary_one) = summary_at("1");
+    let (line_two, summary_two) = summary_at("2");
+    assert_eq!(live_line, line_one, "first replication is the single run");
+    assert_eq!(line_one, line_two, "live stats diverge across workers");
+    assert_eq!(summary_one, summary_two, "summaries diverge across workers");
 
-    // --live-stats=FILE is serial-only: multiple replications would clobber
-    // the one file, so the combination is refused.
+    // --live-stats=FILE is single-replication only: multiple replications
+    // would clobber the one file, so the combination is refused.
     let conflict = tgsim()
         .args([
             "run",
@@ -450,6 +473,79 @@ fn bad_invocations_fail_cleanly() {
     let out = tgsim().args(["run", "Cargo.toml"]).output().expect("runs");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("invalid scenario"));
+}
+
+/// Configs that parse but break a cross-field invariant are rejected up
+/// front: exit 1 (not a panic) with the offending field's path.
+#[test]
+fn invalid_configs_exit_1_naming_the_field() {
+    let dir = std::env::temp_dir().join(format!("tgsim-invalid-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    type Mutation = fn(&mut ScenarioConfig);
+    let cases: [(&str, Mutation, &str); 5] = [
+        ("data-home", |c| c.data_home = 9, "data_home: site 9"),
+        (
+            "site-count",
+            |c| {
+                c.sites.pop();
+            },
+            "workload.sites:",
+        ),
+        (
+            "replica",
+            |c| {
+                c.data = Some(tg_data::DataGridSpec {
+                    datasets: vec![tg_data::DatasetSpec {
+                        name: "d".into(),
+                        size_mb: 100.0,
+                        replicas: vec![7],
+                    }],
+                    zipf_s: 1.0,
+                    attach: [("batch".to_string(), 0.5)].into_iter().collect(),
+                })
+            },
+            "data.datasets[0].replicas[0]:",
+        ),
+        (
+            "library",
+            |c| c.library = Some(ConfigLibrary::synthetic(1)),
+            "library:",
+        ),
+        (
+            "outage-site",
+            |c| {
+                c.faults = Some(FaultSpec {
+                    site_outages: vec![OutageWindow {
+                        site: 5,
+                        start_hours: 1.0,
+                        duration_hours: 2.0,
+                        notice_hours: 0.0,
+                    }],
+                    ..FaultSpec::default()
+                })
+            },
+            "faults.site_outages[0].site:",
+        ),
+    ];
+    for (tag, mutate, field) in cases {
+        let mut cfg = ScenarioConfig::baseline(20, 1);
+        mutate(&mut cfg);
+        let path = dir.join(format!("{tag}.json"));
+        let json = serde_json::to_string(&cfg).expect("config serializes");
+        std::fs::write(&path, json).expect("write config");
+        let out = tgsim()
+            .args(["run", path.to_str().expect("utf8 path")])
+            .output()
+            .expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{tag}: stderr {stderr}");
+        let want = format!(
+            "tgsim: invalid scenario config: {}: {field}",
+            path.display()
+        );
+        assert!(stderr.contains(&want), "{tag}: want `{want}` in {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
