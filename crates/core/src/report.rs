@@ -323,7 +323,7 @@ impl fmt::Display for UsageReport {
 }
 
 /// Human-readable rendering of a [`MetricsSnapshot`] — counters, gauge
-/// summaries, series sizes, and the engine profile if attached.
+/// summaries, and the engine profile if attached.
 #[derive(Debug, Clone)]
 pub struct MetricsReport<'a>(pub &'a MetricsSnapshot);
 
@@ -347,9 +347,6 @@ impl fmt::Display for MetricsReport<'_> {
                 "  {:<28} avg {:>10.2}  peak {:>8.0}  now {:>8.0}",
                 g.name, g.average, g.peak, g.current
             )?;
-        }
-        for s in &snap.series {
-            writeln!(f, "  {:<28} {:>10} samples", s.name, s.points.len())?;
         }
         Ok(())
     }
@@ -495,14 +492,11 @@ mod tests {
         m.add(c, 9);
         let g = m.gauge("busy_cores.alpha", SimTime::ZERO, 0.0);
         m.gauge_set(g, SimTime::from_secs(10), 4.0);
-        let s = m.series("queue_len.alpha");
-        m.push(s, SimTime::from_secs(5), 2.0);
         let mut snap = m.snapshot(SimTime::from_secs(20)).unwrap();
         snap.engine = Some(EngineProfile::new(100, 0.01, 7));
         let text = MetricsReport(&snap).to_string();
         assert!(text.contains("jobs.enqueued"));
         assert!(text.contains("busy_cores.alpha"));
-        assert!(text.contains("1 samples"));
         assert!(text.contains("peak queue 7"));
     }
 

@@ -162,11 +162,26 @@ impl ScenarioConfig {
         cfg
     }
 
-    /// Check the cross-field invariants the simulator relies on. The error
-    /// names the offending field's path, e.g. `data_home` or
+    /// Check the invariants the simulator relies on: per-field ones (every
+    /// site has batch cores, a sampler interval is positive) and cross-field
+    /// ones. The error names the offending field's path, e.g. `data_home` or
     /// `data.datasets[1].replicas[0]`.
     pub fn validate(&self) -> Result<(), String> {
         let nsites = self.sites.len();
+        for (i, site) in self.sites.iter().enumerate() {
+            // Zero, or too many to count (overflow), is no usable machine.
+            let cores = site.batch_nodes.checked_mul(site.cores_per_node);
+            if cores.unwrap_or(0) == 0 {
+                return Err(format!(
+                    "sites[{i}].batch_nodes: batch_nodes × cores_per_node must be a \
+                     positive core count (got {} × {})",
+                    site.batch_nodes, site.cores_per_node
+                ));
+            }
+        }
+        if self.sample_interval.is_some_and(|d| d.is_zero()) {
+            return Err("sample_interval: must be positive (omit it to disable sampling)".into());
+        }
         if self.workload.sites != nsites {
             return Err(format!(
                 "workload.sites: workload and federation disagree on site count \

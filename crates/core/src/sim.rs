@@ -35,7 +35,7 @@ use tg_accounting::{
     RecordSink, SessionRecord, TransferRecord,
 };
 use tg_data::{DataLayer, DataReport, Locate};
-use tg_des::metrics::{CounterId, GaugeId, MetricsRegistry, MetricsSnapshot, SeriesId};
+use tg_des::metrics::{CounterId, GaugeId, MetricsRegistry, MetricsSnapshot};
 use tg_des::series::{SeriesSnapshot, WindowedSeries};
 use tg_des::sketch::{SpanSketchbook, SpanStatsSnapshot};
 use tg_des::span::{SpanKind, WaitCause, SPAN_CATEGORY, SPAN_SCHEMA_VERSION};
@@ -290,10 +290,6 @@ struct Instruments {
     /// Time-weighted busy-core and queue-length gauges per site.
     busy_cores: Vec<GaugeId>,
     queue_len: Vec<GaugeId>,
-    /// Sampled busy-fraction and queue-length series per site (fed by the
-    /// periodic sampler when [`GridSim::with_sampling`] is on).
-    busy_fraction_series: Vec<SeriesId>,
-    queue_len_series: Vec<SeriesId>,
 }
 
 impl Instruments {
@@ -328,14 +324,6 @@ impl Instruments {
             queue_len: site_names
                 .iter()
                 .map(|n| m.gauge(format!("queue_len.{n}"), SimTime::ZERO, 0.0))
-                .collect(),
-            busy_fraction_series: site_names
-                .iter()
-                .map(|n| m.series(format!("busy_fraction.{n}")))
-                .collect(),
-            queue_len_series: site_names
-                .iter()
-                .map(|n| m.series(format!("queue_len.{n}")))
                 .collect(),
         }
     }
@@ -694,12 +682,6 @@ impl GridSim {
             .map(|s| s.cluster.busy_cores() as f64 / s.cluster.total_cores() as f64)
             .collect();
         let queue_len: Vec<usize> = self.schedulers.iter().map(|s| s.queue_len()).collect();
-        for (i, (&bf, &ql)) in busy_fraction.iter().zip(&queue_len).enumerate() {
-            self.metrics
-                .push(self.ins.busy_fraction_series[i], ctx.now(), bf);
-            self.metrics
-                .push(self.ins.queue_len_series[i], ctx.now(), ql as f64);
-        }
         self.samples.push(SampleRow {
             at: ctx.now(),
             busy_fraction,
@@ -2313,11 +2295,12 @@ mod tests {
             assert!(g.average >= 0.0 && g.average <= cap, "avg {}", g.average);
             assert!(g.peak <= cap);
             assert_eq!(g.current, 0.0, "machine drained");
-            let s = snap
-                .series(&format!("busy_fraction.{}", site.name()))
-                .expect("registered");
-            assert!(!s.points.is_empty(), "sampler fed the series");
-            assert!(s.points.iter().all(|&(_, v)| (0.0..=1.0).contains(&v)));
+        }
+        // Samples land in `samples`, one busy fraction per site.
+        assert!(!out.samples.is_empty(), "sampler ran");
+        for row in &out.samples {
+            assert_eq!(row.busy_fraction.len(), out.federation.len());
+            assert!(row.busy_fraction.iter().all(|v| (0.0..=1.0).contains(v)));
         }
     }
 

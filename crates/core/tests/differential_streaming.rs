@@ -64,7 +64,6 @@ fn assert_identical(mat: &SimOutput, streamed: &SimOutput, label: &str) {
         (Some(a), Some(b)) => {
             assert_eq!(a.counters, b.counters, "{label}: metric counters");
             assert_eq!(a.gauges, b.gauges, "{label}: metric gauges");
-            assert_eq!(a.series, b.series, "{label}: metric series");
         }
         (None, None) => {}
         _ => panic!("{label}: metrics presence diverges"),

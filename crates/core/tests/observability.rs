@@ -4,8 +4,8 @@
 //! wired through `GridSim`) is an *observer*: enabling it must not change a
 //! single byte of simulation output, and the report it produces must itself
 //! be byte-identical however many replications run at once (`--threads N`).
-//! This suite enforces both, and cross-checks the online sketches against
-//! the offline trace analyzer within the sketch's documented error bound.
+//! This suite enforces both, and checks the offline trace analyzer fed the
+//! same run's trace reproduces the online span tables exactly.
 
 use std::io::BufRead;
 use std::path::PathBuf;
@@ -132,21 +132,25 @@ fn stats_report_survives_faults_at_any_worker_count() {
     );
 }
 
-/// Acceptance cross-check: run once with both the JSONL trace and the online
-/// sketches, then compare the sketch tables against (a) the offline analyzer
-/// (exact counts and means) and (b) exact nearest-rank quantiles over the
-/// parsed span durations — everything within the sketch's documented
+fn load_config(name: &str) -> ScenarioConfig {
+    let path = format!("{}/../../configs/{name}.json", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    serde_json::from_str(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"))
+}
+
+/// Run `cfg` once with both the JSONL trace and the online sketches, and
+/// check the offline analyzer fed that trace reproduces the online span
+/// tables *exactly*. Exact nearest-rank quantiles over the parsed span
+/// durations referee the shared estimator against its documented
 /// [`RELATIVE_ERROR`].
-#[test]
-fn online_sketches_agree_with_offline_analyzer() {
-    let cfg = ScenarioConfig::baseline(150, 7);
-    let path = scratch("agree");
+fn assert_offline_equals_online(cfg: ScenarioConfig, seed: u64, tag: &str) -> SimOutput {
+    let path = scratch(tag);
     let opts = RunOptions {
         trace_path: Some(path.clone()),
         live_stats: true,
         ..RunOptions::default()
     };
-    let out = cfg.build().run_with(777, &opts);
+    let out = cfg.build().run_with(seed, &opts);
     let stats = out.stats.as_ref().expect("stats collected");
 
     let mut analyzer = TraceAnalyzer::new();
@@ -165,50 +169,12 @@ fn online_sketches_agree_with_offline_analyzer() {
     let _ = std::fs::remove_file(&path);
     let analysis = analyzer.finish();
 
-    // Same span stream, so group membership and counts match exactly.
     assert_eq!(
-        analysis.span_lines, stats.spans.spans,
-        "span count online vs trace"
+        analysis.spans, stats.spans,
+        "{tag}: offline vs online tables"
     );
-    assert_eq!(
-        analysis.by_kind.keys().collect::<Vec<_>>(),
-        stats.spans.by_kind.keys().collect::<Vec<_>>(),
-        "span kinds"
-    );
-    assert_eq!(
-        analysis.queued_by_cause.keys().collect::<Vec<_>>(),
-        stats.spans.queued_by_cause.keys().collect::<Vec<_>>(),
-        "wait causes"
-    );
-    let close = |got: f64, want: f64, what: &str| {
-        let tol = want.abs() * RELATIVE_ERROR + 1e-6;
-        assert!(
-            (got - want).abs() <= tol,
-            "{what}: online {got} vs offline {want} (tol {tol})"
-        );
-    };
-    for (kind, offline) in &analysis.by_kind {
-        let online = &stats.spans.by_kind[kind];
-        assert_eq!(online.count, offline.count, "{kind}: count");
-        // The analyzer's mean is exact; the sketch's is bin-midpoint based.
-        close(online.mean, offline.mean, &format!("{kind}: mean"));
-    }
-    for (cause, offline) in &analysis.queued_by_cause {
-        assert_eq!(
-            stats.spans.queued_by_cause[cause].count, offline.count,
-            "{cause}: count"
-        );
-    }
-    for (site, offline) in &analysis.queued_by_site {
-        assert_eq!(
-            stats.spans.queued_by_site[site].count, offline.count,
-            "site {site}: count"
-        );
-    }
+    assert_eq!(analysis.span_lines, stats.spans.spans, "{tag}: span count");
 
-    // Exact nearest-rank quantiles from the retained durations: the sketch
-    // must land within its documented relative error. (The analyzer's own
-    // quantiles are P² *estimates*, so the exact sort is the fair referee.)
     for (kind, vals) in &mut durations {
         vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let online = &stats.spans.by_kind[kind.as_str()];
@@ -218,15 +184,25 @@ fn online_sketches_agree_with_offline_analyzer() {
             let tol = want.abs() * RELATIVE_ERROR + 1e-6;
             assert!(
                 (got - want).abs() <= tol,
-                "{kind} p{:.0}: sketch {got} vs exact {want} (tol {tol}, n={})",
+                "{tag}: {kind} p{:.0}: sketch {got} vs exact {want} (tol {tol}, n={})",
                 q * 100.0,
                 vals.len()
             );
         }
-        close(online.min, vals[0], &format!("{kind}: min"));
-        close(online.max, vals[vals.len() - 1], &format!("{kind}: max"));
+        assert_eq!(online.min, vals[0], "{tag}: {kind} min");
+        assert_eq!(online.max, vals[vals.len() - 1], "{tag}: {kind} max");
     }
+    out
+}
 
+/// Acceptance cross-check: one estimator, so the analyzer fed a run's trace
+/// and the run's own `--live-stats` tables are equal, on the baseline, on a
+/// faulted run (kill → fault/requeue spans), and on the data grid
+/// (cache-hit/miss stage-in causes).
+#[test]
+fn online_sketches_agree_with_offline_analyzer() {
+    let out = assert_offline_equals_online(ScenarioConfig::baseline(150, 7), 777, "agree-baseline");
+    let stats = out.stats.as_ref().expect("stats collected");
     // The windowed series agrees with the accounting database on totals.
     let digest = stats.series.digest();
     assert_eq!(
@@ -242,6 +218,21 @@ fn online_sketches_agree_with_offline_analyzer() {
         out.db.jobs.len() as u64 + stats.spans.by_kind.get("requeue").map_or(0, |s| s.count),
         "queued span coverage"
     );
+
+    let mut faulty = load_config("faulty-300u-14d");
+    let demo = std::fs::read_to_string(format!(
+        "{}/../../configs/faults-demo.json",
+        env!("CARGO_MANIFEST_DIR")
+    ))
+    .expect("read faults-demo");
+    faulty.faults = Some(serde_json::from_str(&demo).expect("parse faults-demo"));
+    let out = assert_offline_equals_online(faulty, 99, "agree-faulty");
+    let by_kind = &out.stats.as_ref().expect("stats").spans.by_kind;
+    assert!(by_kind.contains_key("fault") && by_kind.contains_key("requeue"));
+
+    let out = assert_offline_equals_online(load_config("datagrid-300u-14d"), 42, "agree-datagrid");
+    let stage_in = &out.stats.as_ref().expect("stats").spans.stage_in_by_cause;
+    assert!(stage_in.contains_key("cache-hit") && stage_in.contains_key("cache-miss"));
 }
 
 /// The JSONL live sink streams exactly the closed-bucket rows of the final

@@ -9,85 +9,42 @@
 //! [`TraceAnalyzer::add_line`], then call [`TraceAnalyzer::finish`] for the
 //! aggregated [`TraceAnalysis`].
 //!
-//! Aggregates use the same machinery the live simulation uses for its own
-//! statistics ([`Histogram`] with log-spaced duration bins and [`P2Quantile`]
-//! estimators), so numbers derived offline from a trace are directly
-//! comparable to numbers computed in-run.
+//! The span tables are not computed here. Each span is folded into a
+//! [`QuantileSketch`] keyed by `(kind, cause, site, modality)`; `finish`
+//! merges those sketches into a [`SpanSketchbook`] and takes its snapshot —
+//! the same book and snapshot `--live-stats` fills during the run. Sketch
+//! merges are exact and [`Span::duration`] recovers the simulator's
+//! microsecond durations, so a trace's tables equal the online tables of the
+//! run that wrote it, bit for bit.
 
 use std::collections::BTreeMap;
 
+use crate::sketch::{QuantileSketch, SketchSummary, SpanSketchbook, SpanStatsSnapshot};
 use crate::span::{Span, SpanKind, WaitCause, SPAN_CATEGORY};
-use crate::stats::{Histogram, OnlineStats, P2Quantile};
 
-/// Summary statistics for one group of span durations (seconds).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
-pub struct GroupStats {
-    /// Number of spans in the group.
-    pub count: u64,
-    /// Exact mean duration.
-    pub mean: f64,
-    /// Median (P² estimate; log-binned histogram fallback below 5 samples).
-    pub p50: f64,
-    /// 95th percentile.
-    pub p95: f64,
-    /// 99th percentile.
-    pub p99: f64,
-}
-
-/// Online accumulator behind each [`GroupStats`].
-struct GroupAcc {
-    stats: OnlineStats,
-    hist: Histogram,
-    p50: P2Quantile,
-    p95: P2Quantile,
-    p99: P2Quantile,
-}
-
-impl GroupAcc {
-    fn new() -> Self {
-        GroupAcc {
-            stats: OnlineStats::new(),
-            hist: Histogram::for_durations(),
-            p50: P2Quantile::new(0.50),
-            p95: P2Quantile::new(0.95),
-            p99: P2Quantile::new(0.99),
-        }
-    }
-
-    fn record(&mut self, x: f64) {
-        self.stats.record(x);
-        self.hist.record(x);
-        self.p50.record(x);
-        self.p95.record(x);
-        self.p99.record(x);
-    }
-
-    fn finish(&self) -> GroupStats {
-        let q = |p2: &P2Quantile, q: f64| {
-            p2.estimate()
-                .or_else(|| self.hist.quantile(q))
-                .unwrap_or_else(|| self.stats.mean())
-        };
-        GroupStats {
-            count: self.stats.count(),
-            mean: self.stats.mean(),
-            p50: q(&self.p50, 0.50),
-            p95: q(&self.p95, 0.95),
-            p99: q(&self.p99, 0.99),
-        }
-    }
-}
+/// Spans naming a site index at or above this are skipped as malformed:
+/// the sketchbook is a dense table over sites × modalities, and no
+/// federation comes near this size, but a hostile trace could.
+const MAX_SITES: u64 = 256;
+/// Spans naming a modality beyond this many distinct labels are skipped,
+/// for the same reason.
+const MAX_MODALITIES: usize = 32;
 
 /// Per-job state folded up while streaming span lines.
 #[derive(Default)]
 struct JobAcc {
-    /// Sum of wait-kind span durations (stage-in + queued + reconfig).
-    wait_s: f64,
+    /// Sum of wait-kind span durations (stage-in + queued + reconfig), in
+    /// microseconds (wide enough that no trace can overflow it).
+    wait_us: u128,
     /// Modality label from the job's spans, if any carried one.
     modality: Option<String>,
     /// Whether a `run` span was seen (the job completed).
     ran: bool,
 }
+
+/// Sketchbook key of one span: site index and modality (an index into the
+/// analyzer's modality labels, in first-seen order).
+type SpanKey = (SpanKind, Option<WaitCause>, Option<u64>, Option<usize>);
 
 /// Aggregated results of analyzing one trace file.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
@@ -101,51 +58,35 @@ pub struct TraceAnalysis {
     pub skipped: u64,
     /// Jobs that completed (emitted a `run` span).
     pub jobs: u64,
-    /// Mean total wait (stage-in + queued + reconfig) over completed jobs.
+    /// Exact mean total wait (stage-in + queued + reconfig) over completed
+    /// jobs.
     pub mean_wait_s: f64,
-    /// Span duration stats grouped by span kind.
-    pub by_kind: BTreeMap<String, GroupStats>,
-    /// Queued-span duration stats grouped by attributed wait cause.
-    pub queued_by_cause: BTreeMap<String, GroupStats>,
-    /// Stage-in span duration stats grouped by cause (`cache-hit` /
-    /// `cache-miss` for dataset-carrying jobs; stage-in spans without a
-    /// cause — plain bulk staging — do not appear here).
-    pub stage_in_by_cause: BTreeMap<String, GroupStats>,
-    /// Queued-span duration stats grouped by site index.
-    pub queued_by_site: BTreeMap<u64, GroupStats>,
-    /// Per-job total wait stats grouped by modality (completed jobs only).
-    pub wait_by_modality: BTreeMap<String, GroupStats>,
+    /// Span-duration tables, the `--live-stats` `stats.spans` object.
+    /// Flattened, so `spans`, `groups`, `by_kind`, `queued_by_cause`,
+    /// `stage_in_by_cause`, `queued_by_site` and `wait_spans_by_modality`
+    /// are top-level keys of the JSON form.
+    #[serde(flatten)]
+    pub spans: SpanStatsSnapshot,
+    /// Per-job total wait grouped by modality (completed jobs only).
+    pub wait_by_modality: BTreeMap<String, SketchSummary>,
 }
 
 /// Streaming analyzer over JSONL trace lines.
+#[derive(Default)]
 pub struct TraceAnalyzer {
     lines: u64,
     span_lines: u64,
     skipped: u64,
-    by_kind: BTreeMap<String, GroupAcc>,
-    queued_by_cause: BTreeMap<String, GroupAcc>,
-    stage_in_by_cause: BTreeMap<String, GroupAcc>,
-    queued_by_site: BTreeMap<u64, GroupAcc>,
-    // BTreeMap, not HashMap: `finish()` folds per-job f64 wait totals in
-    // iteration order, and float addition is not associative — a hashed
-    // order would make `mean_wait_s` (and the per-modality stats) differ in
-    // the last bits between two identically-fed analyzers.
+    sketches: BTreeMap<SpanKey, QuantileSketch>,
+    /// Modality labels seen, in first-seen order (see [`SpanKey`]).
+    modalities: Vec<String>,
     jobs: BTreeMap<u64, JobAcc>,
 }
 
 impl TraceAnalyzer {
     /// A fresh analyzer with no lines seen.
     pub fn new() -> Self {
-        TraceAnalyzer {
-            lines: 0,
-            span_lines: 0,
-            skipped: 0,
-            by_kind: BTreeMap::new(),
-            queued_by_cause: BTreeMap::new(),
-            stage_in_by_cause: BTreeMap::new(),
-            queued_by_site: BTreeMap::new(),
-            jobs: BTreeMap::new(),
-        }
+        TraceAnalyzer::default()
     }
 
     /// Feed one line of the trace file. Blank lines are ignored; non-span
@@ -156,46 +97,40 @@ impl TraceAnalyzer {
         if trimmed.is_empty() {
             return;
         }
-        match parse_span_line(trimmed) {
-            Some(span) => {
-                self.span_lines += 1;
-                self.add_span(&span);
-            }
-            None => self.skipped += 1,
+        if parse_span_line(trimmed).is_some_and(|span| self.add_span(&span)) {
+            self.span_lines += 1;
+        } else {
+            self.skipped += 1;
         }
     }
 
-    /// Fold one reconstructed span into the aggregates.
-    pub fn add_span(&mut self, span: &Span) {
-        let d = span.duration();
-        self.by_kind
-            .entry(span.kind.name().to_string())
-            .or_insert_with(GroupAcc::new)
-            .record(d);
-        if span.kind == SpanKind::StageIn {
-            if let Some(cause) = span.cause {
-                self.stage_in_by_cause
-                    .entry(cause.name().to_string())
-                    .or_insert_with(GroupAcc::new)
-                    .record(d);
-            }
+    /// Fold one reconstructed span into the aggregates. Returns `false`
+    /// (and folds nothing) when the span names a site index of 256 or more,
+    /// or a 33rd distinct modality: the tables are dense over sites ×
+    /// modalities, so a hostile trace must not size them.
+    pub fn add_span(&mut self, span: &Span) -> bool {
+        if span.site.is_some_and(|s| s >= MAX_SITES) {
+            return false;
         }
-        if span.kind == SpanKind::Queued {
-            let cause = span.cause.unwrap_or(WaitCause::Immediate);
-            self.queued_by_cause
-                .entry(cause.name().to_string())
-                .or_insert_with(GroupAcc::new)
-                .record(d);
-            if let Some(site) = span.site {
-                self.queued_by_site
-                    .entry(site)
-                    .or_insert_with(GroupAcc::new)
-                    .record(d);
-            }
-        }
+        let modality = match &span.modality {
+            None => None,
+            Some(name) => match self.modalities.iter().position(|m| m == name) {
+                Some(i) => Some(i),
+                None if self.modalities.len() < MAX_MODALITIES => {
+                    self.modalities.push(name.clone());
+                    Some(self.modalities.len() - 1)
+                }
+                None => return false,
+            },
+        };
+        let elapsed = span.elapsed();
+        self.sketches
+            .entry((span.kind, span.cause, span.site, modality))
+            .or_default()
+            .record(elapsed.as_secs_f64());
         let job = self.jobs.entry(span.job).or_default();
         if span.kind.is_wait() {
-            job.wait_s += d;
+            job.wait_us += u128::from(elapsed.as_micros());
         }
         if span.kind == SpanKind::Run {
             job.ran = true;
@@ -203,24 +138,35 @@ impl TraceAnalyzer {
         if job.modality.is_none() {
             job.modality = span.modality.clone();
         }
+        true
     }
 
     /// Close out the aggregation and produce the analysis.
     pub fn finish(&self) -> TraceAnalysis {
-        let mut wait_by_modality: BTreeMap<String, GroupAcc> = BTreeMap::new();
-        let mut total_wait = 0.0;
+        let nsites = self
+            .sketches
+            .keys()
+            .filter_map(|&(_, _, site, _)| site)
+            .max()
+            .map_or(0, |s| s as usize + 1);
+        let mut book = SpanSketchbook::enabled(nsites, self.modalities.clone());
+        for (&(kind, cause, site, modality), sketch) in &self.sketches {
+            book.merge(kind, cause, site.map(|s| s as usize), modality, sketch);
+        }
+
+        let mut wait_by_modality: BTreeMap<String, QuantileSketch> = BTreeMap::new();
+        // Integer micros: the total is exact, so the mean does not depend
+        // on the order jobs are folded in.
+        let mut total_wait_us = 0u128;
         let mut completed = 0u64;
-        for job in self.jobs.values() {
-            if !job.ran {
-                continue;
-            }
+        for job in self.jobs.values().filter(|j| j.ran) {
             completed += 1;
-            total_wait += job.wait_s;
+            total_wait_us += job.wait_us;
             let modality = job.modality.clone().unwrap_or_else(|| "?".to_string());
             wait_by_modality
                 .entry(modality)
-                .or_insert_with(GroupAcc::new)
-                .record(job.wait_s);
+                .or_default()
+                .record(job.wait_us as f64 / 1e6);
         }
         TraceAnalysis {
             lines: self.lines,
@@ -228,41 +174,16 @@ impl TraceAnalyzer {
             skipped: self.skipped,
             jobs: completed,
             mean_wait_s: if completed > 0 {
-                total_wait / completed as f64
+                total_wait_us as f64 / 1e6 / completed as f64
             } else {
                 0.0
             },
-            by_kind: self
-                .by_kind
-                .iter()
-                .map(|(k, a)| (k.clone(), a.finish()))
-                .collect(),
-            queued_by_cause: self
-                .queued_by_cause
-                .iter()
-                .map(|(k, a)| (k.clone(), a.finish()))
-                .collect(),
-            stage_in_by_cause: self
-                .stage_in_by_cause
-                .iter()
-                .map(|(k, a)| (k.clone(), a.finish()))
-                .collect(),
-            queued_by_site: self
-                .queued_by_site
-                .iter()
-                .map(|(&k, a)| (k, a.finish()))
-                .collect(),
+            spans: book.snapshot(),
             wait_by_modality: wait_by_modality
                 .iter()
-                .map(|(k, a)| (k.clone(), a.finish()))
+                .map(|(k, s)| (k.clone(), s.summary()))
                 .collect(),
         }
-    }
-}
-
-impl Default for TraceAnalyzer {
-    fn default() -> Self {
-        TraceAnalyzer::new()
     }
 }
 
@@ -302,6 +223,7 @@ pub fn parse_span_line(line: &str) -> Option<Span> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimTime;
 
     fn line(job: u64, kind: &str, t0: f64, t1: f64, extra: &str) -> String {
         format!(
@@ -388,12 +310,15 @@ mod tests {
         let out = a.finish();
         assert_eq!(out.jobs, 2);
         assert!((out.mean_wait_s - 7.5).abs() < 1e-12, "{}", out.mean_wait_s);
-        assert_eq!(out.by_kind["queued"].count, 3);
-        assert_eq!(out.by_kind["run"].count, 2);
-        assert_eq!(out.queued_by_cause["backfill-hole-too-small"].count, 1);
-        assert_eq!(out.queued_by_cause["immediate"].count, 1);
-        assert_eq!(out.queued_by_site[&0].count, 2);
-        assert_eq!(out.queued_by_site[&1].count, 1);
+        assert_eq!(out.spans.by_kind["queued"].count, 3);
+        assert_eq!(out.spans.by_kind["run"].count, 2);
+        assert_eq!(
+            out.spans.queued_by_cause["backfill-hole-too-small"].count,
+            1
+        );
+        assert_eq!(out.spans.queued_by_cause["immediate"].count, 1);
+        assert_eq!(out.spans.queued_by_site[&0].count, 2);
+        assert_eq!(out.spans.queued_by_site[&1].count, 1);
         let wf = &out.wait_by_modality["workflow"];
         assert_eq!(wf.count, 1);
         assert!((wf.mean - 15.0).abs() < 1e-12);
@@ -403,11 +328,8 @@ mod tests {
     }
 
     /// Regression: job aggregation must not depend on map iteration order.
-    /// Two identically-fed analyzers must agree *bit for bit* — with a
-    /// hashed job registry each instance gets its own random iteration
-    /// order, and the non-associative f64 wait fold diverges in the last
-    /// bits (the determinism suites compare these outputs byte-for-byte,
-    /// so "last bits" means failures).
+    /// Two identically-fed analyzers must agree *bit for bit* (the
+    /// determinism suites compare these outputs byte-for-byte).
     #[test]
     fn job_aggregation_is_iteration_order_independent() {
         let build = || {
@@ -439,16 +361,84 @@ mod tests {
     }
 
     #[test]
-    fn group_stats_mean_is_exact_even_with_few_samples() {
+    fn tables_equal_a_sketchbook_fed_the_same_spans() {
+        let spans = [
+            (
+                1,
+                "stage_in",
+                0.0,
+                2.5,
+                ",\"site\":1,\"cause\":\"cache-miss\",\"modality\":\"workflow\"",
+            ),
+            (
+                1,
+                "queued",
+                2.5,
+                9.25,
+                ",\"site\":1,\"cause\":\"ahead-in-queue\",\"modality\":\"workflow\"",
+            ),
+            (
+                1,
+                "run",
+                9.25,
+                99.0,
+                ",\"site\":1,\"modality\":\"workflow\"",
+            ),
+            (2, "held", 0.0, 4.0, ",\"modality\":\"batch\""),
+            (
+                2,
+                "queued",
+                4.0,
+                4.000001,
+                ",\"site\":0,\"cause\":\"immediate\",\"modality\":\"batch\"",
+            ),
+            (
+                2,
+                "run",
+                4.000001,
+                8.0,
+                ",\"site\":0,\"modality\":\"batch\"",
+            ),
+        ];
         let mut a = TraceAnalyzer::new();
-        a.add_line(&line(1, "run", 0.0, 4.0, ""));
-        a.add_line(&line(2, "run", 0.0, 8.0, ""));
+        // The online book is laid out by the simulator's site count and
+        // modality order, not by what one trace happens to contain.
+        let modalities = ["batch", "gateway", "workflow"].map(String::from).to_vec();
+        let mut book = SpanSketchbook::enabled(3, modalities.clone());
+        for &(job, kind, t0, t1, extra) in &spans {
+            let l = line(job, kind, t0, t1, extra);
+            a.add_line(&l);
+            let s = parse_span_line(&l).expect("parses");
+            let m = modalities
+                .iter()
+                .position(|m| Some(m) == s.modality.as_ref());
+            let secs = SimTime::from_secs_f64(t1)
+                .saturating_since(SimTime::from_secs_f64(t0))
+                .as_secs_f64();
+            book.record(s.kind, s.cause, s.site.map(|x| x as usize), m, secs);
+        }
         let out = a.finish();
-        let run = &out.by_kind["run"];
-        assert_eq!(run.count, 2);
-        assert!((run.mean - 6.0).abs() < 1e-12);
-        // Below 5 samples P² has no estimate; the fallback must still give
-        // a finite, in-range number.
-        assert!(run.p50.is_finite() && run.p50 >= 0.0);
+        assert_eq!(out.spans, book.snapshot());
+        assert_eq!(out.spans.spans, out.span_lines);
+    }
+
+    #[test]
+    fn out_of_range_sites_and_modalities_are_skipped() {
+        let mut a = TraceAnalyzer::new();
+        a.add_line(&line(1, "run", 0.0, 1.0, &format!(",\"site\":{MAX_SITES}")));
+        for m in 0..=MAX_MODALITIES {
+            a.add_line(&line(
+                2,
+                "run",
+                0.0,
+                1.0,
+                &format!(",\"modality\":\"m{m}\""),
+            ));
+        }
+        let out = a.finish();
+        assert_eq!(out.skipped, 2);
+        assert_eq!(out.span_lines, MAX_MODALITIES as u64);
+        assert_eq!(out.spans.wait_spans_by_modality.len(), 0);
+        assert_eq!(out.spans.by_kind["run"].count, MAX_MODALITIES as u64);
     }
 }

@@ -16,8 +16,7 @@
 //!   (exponential, log-normal, Weibull, Pareto, gamma, Zipf, hyperexponential,
 //!   empirical/alias sampling, ...). Implemented here rather than pulling in
 //!   `rand_distr` so sampling stays deterministic and auditable.
-//! * [`stats`] — online statistics: Welford mean/variance, time-weighted
-//!   averages (utilization), histograms, P² quantile estimation, and
+//! * [`stats`] — time-weighted averages (utilization), windowed sums, and
 //!   Student-t confidence intervals across replications.
 //! * [`trace`] — a lightweight, optionally-enabled structured event trace
 //!   ring buffer with an optional JSONL sink.
@@ -26,18 +25,19 @@
 //!   through the tracer as `cat == "span"` entries.
 //! * [`analyze`] — offline reconstruction of spans from an archived JSONL
 //!   trace into per-kind / per-cause / per-site / per-modality latency
-//!   breakdowns (mean, p50/p95/p99).
+//!   breakdowns, folded through the same [`sketch`] tables the online
+//!   statistics use.
 //! * [`memory`] — process-level memory observability for benchmarks: peak
 //!   RSS via `/proc` and an opt-in counting global allocator (thread-safe:
 //!   worker-thread allocations are attributed to the same run totals).
-//! * [`sketch`] — fixed-layout log-binned quantile sketches for online span
-//!   statistics at streaming scale: constant memory, exactly mergeable
+//! * [`sketch`] — fixed-layout log-binned quantile sketches, the one
+//!   streaming quantile estimator: constant memory, exactly mergeable
 //!   (element-wise counts), so pooled tables are independent of slot order.
 //! * [`series`] — time-bucketed windowed operational series (submit /
 //!   start / complete rates, active jobs, utilization, queue depth) with
 //!   per-site gauge columns.
-//! * [`metrics`] — a run-level metrics registry (counters, time-weighted
-//!   gauges, time series) and serializable snapshots, plus wall-clock engine
+//! * [`metrics`] — a run-level metrics registry (counters and time-weighted
+//!   gauges) and serializable snapshots, plus wall-clock engine
 //!   profiling ([`metrics::EngineProfile`]). Observers only: when disabled
 //!   every operation is a single branch, and nothing here ever perturbs
 //!   simulation state or RNG draws.
@@ -100,23 +100,23 @@ pub mod prelude {
     pub use crate::metrics::{EngineProfile, MetricsRegistry, MetricsSnapshot};
     pub use crate::rng::{RngFactory, SimRng, StreamId};
     pub use crate::span::{Span, SpanKind, WaitCause};
-    pub use crate::stats::{Histogram, OnlineStats, P2Quantile, TimeWeighted};
+    pub use crate::stats::TimeWeighted;
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::trace::{TraceValue, Tracer};
 }
 
-pub use analyze::{GroupStats, TraceAnalysis, TraceAnalyzer};
+pub use analyze::{TraceAnalysis, TraceAnalyzer};
 pub use dist::{Dist, DistKind};
 pub use engine::{Ctx, Engine, EventKey, Simulation, StopCondition};
 pub use memory::{
     alloc_snapshot, current_in_use_bytes, peak_in_use_bytes, peak_rss_bytes, reset_peak_in_use,
     AllocDelta, AllocSnapshot, CountingAlloc,
 };
-pub use metrics::{CounterId, EngineProfile, GaugeId, MetricsRegistry, MetricsSnapshot, SeriesId};
+pub use metrics::{CounterId, EngineProfile, GaugeId, MetricsRegistry, MetricsSnapshot};
 pub use rng::{RngFactory, SimRng, StreamId};
 pub use series::{SeriesDigest, SeriesRow, SeriesSnapshot, WindowedSeries};
 pub use sketch::{QuantileSketch, SketchSummary, SpanSketchbook, SpanStatsSnapshot};
 pub use span::{Span, SpanKind, WaitCause, SPAN_SCHEMA_VERSION};
-pub use stats::{Histogram, OnlineStats, P2Quantile, TimeWeighted};
+pub use stats::TimeWeighted;
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEntry, TraceHealth, TraceValue, Tracer};

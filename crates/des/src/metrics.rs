@@ -1,5 +1,5 @@
-//! Run-level metrics: a small registry of named counters, time-weighted
-//! gauges, and time series, plus a serializable end-of-run snapshot.
+//! Run-level metrics: a small registry of named counters and time-weighted
+//! gauges, plus a serializable end-of-run snapshot.
 //!
 //! The registry is the observability companion to the engine: simulation
 //! drivers register instruments up front (cheap, once) and feed them from
@@ -13,8 +13,10 @@
 //! * **Gauges** — piecewise-constant signals tracked by [`TimeWeighted`]
 //!   (busy cores, queue length); the snapshot reports current / average /
 //!   peak / integral.
-//! * **Series** — explicit `(time, value)` samples pushed by the driver
-//!   (typically from a periodic sampler event).
+//!
+//! Sampled time series are not kept here: a simulation that samples keeps
+//! its own rows (the grid simulator's `SampleRow`s, its windowed series),
+//! so each sample is stored once.
 //!
 //! [`MetricsSnapshot`] is plain serializable data for JSON export;
 //! [`EngineProfile`] carries the wall-clock engine figures that ride along
@@ -32,10 +34,6 @@ pub struct CounterId(usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GaugeId(usize);
 
-/// Handle to a registered time series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SeriesId(usize);
-
 #[derive(Debug, Clone)]
 struct Counter {
     name: String,
@@ -48,19 +46,12 @@ struct Gauge {
     tw: TimeWeighted,
 }
 
-#[derive(Debug, Clone)]
-struct SeriesBuf {
-    name: String,
-    points: Vec<(SimTime, f64)>,
-}
-
 /// The metrics registry. See the module docs for the model.
 #[derive(Debug, Clone)]
 pub struct MetricsRegistry {
     enabled: bool,
     counters: Vec<Counter>,
     gauges: Vec<Gauge>,
-    series: Vec<SeriesBuf>,
 }
 
 impl Default for MetricsRegistry {
@@ -78,7 +69,6 @@ impl MetricsRegistry {
             enabled: false,
             counters: Vec::new(),
             gauges: Vec::new(),
-            series: Vec::new(),
         }
     }
 
@@ -121,15 +111,6 @@ impl MetricsRegistry {
         GaugeId(self.gauges.len() - 1)
     }
 
-    /// Register an empty time series.
-    pub fn series(&mut self, name: impl Into<String>) -> SeriesId {
-        self.series.push(SeriesBuf {
-            name: name.into(),
-            points: Vec::new(),
-        });
-        SeriesId(self.series.len() - 1)
-    }
-
     /// Increment a counter by 1.
     #[inline]
     pub fn inc(&mut self, id: CounterId) {
@@ -161,15 +142,6 @@ impl MetricsRegistry {
             return;
         }
         self.gauges[id.0].tw.add(now, delta);
-    }
-
-    /// Append a `(at, value)` point to a series.
-    #[inline]
-    pub fn push(&mut self, id: SeriesId, at: SimTime, value: f64) {
-        if !self.enabled {
-            return;
-        }
-        self.series[id.0].points.push((at, value));
     }
 
     /// Current value of a counter (0 when disabled).
@@ -204,18 +176,6 @@ impl MetricsRegistry {
                     integral: g.tw.integral(now),
                 })
                 .collect(),
-            series: self
-                .series
-                .iter()
-                .map(|s| SeriesSnapshot {
-                    name: s.name.clone(),
-                    points: s
-                        .points
-                        .iter()
-                        .map(|&(at, v)| (at.as_secs_f64(), v))
-                        .collect(),
-                })
-                .collect(),
             engine: None,
         })
     }
@@ -243,15 +203,6 @@ pub struct GaugeSnapshot {
     pub peak: f64,
     /// Integral (value·seconds) over the gauge's lifetime.
     pub integral: f64,
-}
-
-/// One time series, in seconds-since-start x coordinates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SeriesSnapshot {
-    /// Instrument name.
-    pub name: String,
-    /// `(seconds, value)` points in time order.
-    pub points: Vec<(f64, f64)>,
 }
 
 /// Wall-clock engine profile for one run. Reported *alongside* simulation
@@ -325,8 +276,6 @@ pub struct MetricsSnapshot {
     pub counters: Vec<CounterSnapshot>,
     /// All gauges, registration order.
     pub gauges: Vec<GaugeSnapshot>,
-    /// All series, registration order.
-    pub series: Vec<SeriesSnapshot>,
     /// Engine profile, attached by the harness after the run (wall-clock
     /// data lives outside the deterministic simulation).
     #[serde(default)]
@@ -345,11 +294,6 @@ impl MetricsSnapshot {
     /// Look up a gauge by name.
     pub fn gauge(&self, name: &str) -> Option<&GaugeSnapshot> {
         self.gauges.iter().find(|g| g.name == name)
-    }
-
-    /// Look up a series by name.
-    pub fn series(&self, name: &str) -> Option<&SeriesSnapshot> {
-        self.series.iter().find(|s| s.name == name)
     }
 
     /// Sum of all counters whose name starts with `prefix` — handy for
@@ -373,27 +317,22 @@ mod tests {
         let mut m = MetricsRegistry::disabled();
         let c = m.counter("jobs");
         let g = m.gauge("busy", SimTime::ZERO, 0.0);
-        let s = m.series("queue");
         m.inc(c);
         m.gauge_set(g, SimTime::from_secs(10), 5.0);
-        m.push(s, SimTime::from_secs(10), 1.0);
         assert_eq!(m.counter_value(c), 0);
         assert!(m.snapshot(SimTime::from_secs(10)).is_none());
         assert!(!m.is_enabled());
     }
 
     #[test]
-    fn counters_gauges_series_snapshot() {
+    fn counters_gauges_snapshot() {
         let mut m = MetricsRegistry::enabled();
         let c = m.counter("jobs_completed");
         let g = m.gauge("busy_cores", SimTime::ZERO, 0.0);
-        let s = m.series("queue_len");
         m.inc(c);
         m.add(c, 2);
         m.gauge_set(g, SimTime::from_secs(10), 4.0); // 0 for 10 s
         m.gauge_add(g, SimTime::from_secs(20), -2.0); // 4 for 10 s, then 2
-        m.push(s, SimTime::from_secs(5), 1.0);
-        m.push(s, SimTime::from_secs(15), 3.0);
         let snap = m.snapshot(SimTime::from_secs(30)).expect("enabled");
         assert_eq!(snap.counter("jobs_completed"), Some(3));
         assert_eq!(snap.counter("missing"), None);
@@ -403,8 +342,6 @@ mod tests {
         // 0·10 + 4·10 + 2·10 = 60 over 30 s.
         assert!((busy.average - 2.0).abs() < 1e-12);
         assert!((busy.integral - 60.0).abs() < 1e-9);
-        let q = snap.series("queue_len").expect("registered");
-        assert_eq!(q.points, vec![(5.0, 1.0), (15.0, 3.0)]);
         assert_eq!(snap.at_secs, 30.0);
     }
 
@@ -437,8 +374,6 @@ mod tests {
         m.inc(c);
         let g = m.gauge("g", SimTime::ZERO, 1.0);
         m.gauge_set(g, SimTime::ZERO + SimDuration::from_secs(1), 2.0);
-        let s = m.series("s");
-        m.push(s, SimTime::from_secs(1), 0.5);
         let mut snap = m.snapshot(SimTime::from_secs(2)).unwrap();
         snap.engine = Some(EngineProfile::new(5, 0.001, 3));
         let json = serde_json::to_string(&snap).unwrap();

@@ -5,16 +5,17 @@
 //! multi-GB while the run itself holds steady a few hundred MiB. This module
 //! provides the constant-memory alternative: a fixed-layout, log-binned
 //! counting sketch ([`QuantileSketch`]) updated once per span close, and a
-//! keyed collection ([`SpanSketchbook`]) that mirrors the offline
-//! [`analyze::TraceAnalyzer`](crate::analyze::TraceAnalyzer) groupings —
-//! by span kind, by wait cause, by site, by modality — without ever seeing
-//! a trace line.
+//! keyed collection ([`SpanSketchbook`]) that groups span durations by span
+//! kind, wait cause, site, and modality without ever seeing a trace line.
+//! The offline [`analyze::TraceAnalyzer`](crate::analyze::TraceAnalyzer)
+//! folds a trace through the same book, so there is one estimator and one
+//! grouping for both paths.
 //!
 //! # Why a counting sketch and not a t-digest / KLL
 //!
 //! The report tables are *pooled* views: the by-kind table folds every
 //! cause/site/modality slot of a kind into one sketch, and the offline
-//! analyzer is the yardstick it is checked against. Rank sketches like
+//! analyzer must reproduce them from per-key partial sketches. Rank sketches like
 //! t-digest and KLL compress adaptively, so their state depends on
 //! insertion and merge order — pooling the same spans in a different slot
 //! order would give different centroids and different reported quantiles.
@@ -251,7 +252,7 @@ impl QuantileSketch {
 
 /// Serializable digest of one sketch: count, approximate mean, key
 /// quantiles, and the exact extremes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SketchSummary {
     /// Observation count (exact).
     pub count: u64,
@@ -278,9 +279,10 @@ const NCAUSES: usize = WaitCause::ALL.len() + 1;
 /// Storage is a dense lazily-filled slot table over the full key
 /// cross-product, so the span-close hot path is an index computation plus a
 /// bin increment — no map lookups, no allocation after first touch of a
-/// key. Snapshots pool slots into the same groupings the offline analyzer
-/// reports, and pooling is itself a sketch merge, so online and offline
-/// tables are directly comparable.
+/// key. Snapshots pool slots into the analyzer-aligned groupings, and
+/// pooling is itself a sketch merge. The offline analyzer fills a book of
+/// its own through [`SpanSketchbook::merge`], so a trace and the run that
+/// wrote it report identical tables.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanSketchbook {
     enabled: bool,
@@ -352,16 +354,44 @@ impl SpanSketchbook {
         if !self.enabled {
             return;
         }
+        self.slot_mut(kind, cause, site, modality).record(secs);
+        self.spans += 1;
+    }
+
+    /// Merge a sketch of spans sharing one `(kind, cause, site, modality)`
+    /// key into its slot, exactly as if each span had been recorded here.
+    /// Out-of-range keys fold like [`SpanSketchbook::record`]'s.
+    pub fn merge(
+        &mut self,
+        kind: SpanKind,
+        cause: Option<WaitCause>,
+        site: Option<usize>,
+        modality: Option<usize>,
+        sketch: &QuantileSketch,
+    ) {
+        if !self.enabled {
+            return;
+        }
+        self.slot_mut(kind, cause, site, modality)
+            .merge_from(sketch);
+        self.spans += sketch.count();
+    }
+
+    /// The (lazily created) sketch for a key.
+    fn slot_mut(
+        &mut self,
+        kind: SpanKind,
+        cause: Option<WaitCause>,
+        site: Option<usize>,
+        modality: Option<usize>,
+    ) -> &mut QuantileSketch {
         let c = cause.map(|c| c as usize).unwrap_or(NCAUSES - 1);
         let s = site.filter(|&s| s < self.nsites).unwrap_or(self.nsites);
         let m = modality
             .filter(|&m| m < self.modalities.len())
             .unwrap_or(self.modalities.len());
         let idx = self.slot_index(kind as usize, c, s, m);
-        self.slots[idx]
-            .get_or_insert_with(|| Box::new(QuantileSketch::new()))
-            .record(secs);
-        self.spans += 1;
+        self.slots[idx].get_or_insert_with(|| Box::new(QuantileSketch::new()))
     }
 
     /// Pool every slot matching `keep(kind, cause, site, modality)` into one
@@ -451,11 +481,12 @@ impl SpanSketchbook {
     }
 }
 
-/// Serializable span-statistics tables, aligned with the offline analyzer's
-/// groupings (`by_kind`, `queued_by_cause`, `queued_by_site`). The modality
-/// table is per *wait span*, not per job — the offline `wait_by_modality`
-/// sums each job's wait spans first, which cannot be done in constant
-/// memory — so the two modality tables are intentionally named differently.
+/// Serializable span-statistics tables — the `--live-stats` `stats.spans`
+/// object, and (flattened) the span tables of an offline
+/// [`TraceAnalysis`](crate::analyze::TraceAnalysis). The modality table is
+/// per *wait span*, not per job — the analyzer's `wait_by_modality` sums
+/// each job's wait spans first, which cannot be done in constant memory —
+/// so the two modality tables are intentionally named differently.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpanStatsSnapshot {
     /// Total spans recorded.

@@ -43,6 +43,8 @@
 
 use std::fmt;
 
+use crate::time::{SimDuration, SimTime};
+
 /// Version of the span trace schema documented in this module. Bump when a
 /// field is added, removed, or reinterpreted.
 pub const SPAN_SCHEMA_VERSION: u64 = 1;
@@ -222,9 +224,18 @@ pub struct Span {
 }
 
 impl Span {
-    /// Span length in seconds (never negative).
+    /// Span length on the simulator's microsecond clock (never negative).
+    /// The wire bounds are microsecond instants printed as shortest
+    /// round-trip seconds, so rounding them back recovers the emitting
+    /// run's exact `t1 - t0`.
+    pub fn elapsed(&self) -> SimDuration {
+        SimTime::from_secs_f64(self.t1).saturating_since(SimTime::from_secs_f64(self.t0))
+    }
+
+    /// Span length in seconds (never negative): bit-for-bit the duration
+    /// the emitting simulation recorded online.
     pub fn duration(&self) -> f64 {
-        (self.t1 - self.t0).max(0.0)
+        self.elapsed().as_secs_f64()
     }
 }
 

@@ -3,115 +3,18 @@
 //! Everything here is single-pass and allocation-light so it can sit on hot
 //! event paths:
 //!
-//! * [`OnlineStats`] — Welford mean/variance/min/max.
 //! * [`TimeWeighted`] — integral-of-value-over-time averages; the correct way
 //!   to measure utilization and queue length.
-//! * [`Histogram`] — fixed-width or logarithmic bins with quantile queries.
-//! * [`P2Quantile`] — the P² streaming quantile estimator (no sample storage).
+//! * [`Utilization`] / [`TimeBuckets`] — busy-capacity and windowed-sum
+//!   conveniences built on the same idea.
 //! * [`ci_student_t`] — replication-level confidence intervals.
+//! * [`exact_quantile`] — nearest-rank quantiles of a stored sample.
+//!
+//! Streaming quantiles live in [`crate::sketch`]: one estimator serves the
+//! online span statistics and the offline trace analyzer alike.
 
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-
-/// Welford single-pass mean / variance / extrema accumulator.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Record one observation. Non-finite values are ignored (and counted
-    /// nowhere) — a deliberate guard against NaN poisoning long runs.
-    pub fn record(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Merge another accumulator into this one (parallel reduction; Chan et al.).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Unbiased sample variance (0 if fewer than 2 observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`None` if empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest observation (`None` if empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.mean() * self.n as f64
-    }
-}
 
 /// Time-weighted average of a piecewise-constant signal, e.g. "busy nodes".
 ///
@@ -179,300 +82,6 @@ impl TimeWeighted {
     pub fn integral(&self, now: SimTime) -> f64 {
         let tail = now.saturating_since(self.last_change).as_secs_f64();
         self.integral + self.value * tail
-    }
-}
-
-/// Binning strategy for [`Histogram`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum Binning {
-    /// `count` equal-width bins covering `[lo, hi)`; outliers clamp to the
-    /// first/last bin.
-    Linear {
-        /// Lower edge of the first bin.
-        lo: f64,
-        /// Upper edge of the last bin.
-        hi: f64,
-        /// Number of bins.
-        count: usize,
-    },
-    /// Logarithmic bins: `[lo·b^i, lo·b^(i+1))` with base `b`, `count` bins.
-    /// Values below `lo` clamp into bin 0.
-    Log {
-        /// Lower edge of the first bin (must be positive).
-        lo: f64,
-        /// Multiplicative bin width (> 1).
-        base: f64,
-        /// Number of bins.
-        count: usize,
-    },
-}
-
-/// A fixed-layout histogram with quantile estimation by linear interpolation
-/// within bins.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    binning: Binning,
-    counts: Vec<u64>,
-    total: u64,
-    raw: OnlineStats,
-}
-
-impl Histogram {
-    /// A histogram with the given binning. Panics on degenerate layouts.
-    pub fn new(binning: Binning) -> Self {
-        let count = match binning {
-            Binning::Linear { lo, hi, count } => {
-                assert!(count > 0 && hi > lo, "bad linear binning");
-                count
-            }
-            Binning::Log { lo, base, count } => {
-                assert!(count > 0 && lo > 0.0 && base > 1.0, "bad log binning");
-                count
-            }
-        };
-        Histogram {
-            binning,
-            counts: vec![0; count],
-            total: 0,
-            raw: OnlineStats::new(),
-        }
-    }
-
-    /// A log-binned histogram suitable for durations from 1 s to ~4 months.
-    pub fn for_durations() -> Self {
-        Histogram::new(Binning::Log {
-            lo: 1.0,
-            base: 2.0,
-            count: 24,
-        })
-    }
-
-    fn bin_of(&self, x: f64) -> usize {
-        match self.binning {
-            Binning::Linear { lo, hi, count } => {
-                if x <= lo {
-                    0
-                } else if x >= hi {
-                    count - 1
-                } else {
-                    (((x - lo) / (hi - lo)) * count as f64) as usize
-                }
-            }
-            Binning::Log { lo, base, count } => {
-                if x <= lo {
-                    0
-                } else {
-                    let i = ((x / lo).ln() / base.ln()).floor() as usize;
-                    i.min(count - 1)
-                }
-            }
-        }
-    }
-
-    /// Lower edge of bin `i`.
-    pub fn bin_lo(&self, i: usize) -> f64 {
-        match self.binning {
-            Binning::Linear { lo, hi, count } => lo + (hi - lo) * i as f64 / count as f64,
-            Binning::Log { lo, base, .. } => lo * base.powi(i as i32),
-        }
-    }
-
-    /// Upper edge of bin `i`.
-    pub fn bin_hi(&self, i: usize) -> f64 {
-        self.bin_lo(i + 1)
-    }
-
-    /// Record one observation (non-finite values ignored).
-    pub fn record(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        let b = self.bin_of(x);
-        self.counts[b] += 1;
-        self.total += 1;
-        self.raw.record(x);
-    }
-
-    /// Total observation count.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Exact running mean of recorded values (not binned).
-    pub fn mean(&self) -> f64 {
-        self.raw.mean()
-    }
-
-    /// Per-bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Estimate quantile `q ∈ [0,1]` by interpolating within the containing
-    /// bin. Returns `None` if empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.total == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = q * self.total as f64;
-        let mut acc = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            let next = acc + c;
-            if next as f64 >= target && c > 0 {
-                let within = (target - acc as f64) / c as f64;
-                let lo = self.bin_lo(i);
-                let hi = self.bin_hi(i);
-                return Some(lo + within.clamp(0.0, 1.0) * (hi - lo));
-            }
-            acc = next;
-        }
-        Some(self.bin_hi(self.counts.len() - 1))
-    }
-
-    /// The cumulative distribution as `(bin upper edge, F(edge))` pairs,
-    /// skipping trailing empty bins. Handy for dumping CDF figures.
-    pub fn cdf_points(&self) -> Vec<(f64, f64)> {
-        let mut out = Vec::new();
-        if self.total == 0 {
-            return out;
-        }
-        let mut acc = 0u64;
-        let last_nonempty = self.counts.iter().rposition(|&c| c > 0).unwrap_or(0);
-        for (i, &c) in self.counts.iter().enumerate().take(last_nonempty + 1) {
-            acc += c;
-            out.push((self.bin_hi(i), acc as f64 / self.total as f64));
-        }
-        out
-    }
-
-    /// Merge a same-layout histogram into this one. Panics on layout mismatch.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.binning, other.binning, "histogram layout mismatch");
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.raw.merge(&other.raw);
-    }
-}
-
-/// P² streaming quantile estimator (Jain & Chlamtac 1985): tracks one
-/// quantile with five markers and no sample buffer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct P2Quantile {
-    q: f64,
-    n: u64,
-    heights: [f64; 5],
-    positions: [f64; 5],
-    desired: [f64; 5],
-    increments: [f64; 5],
-    initial: Vec<f64>,
-}
-
-impl P2Quantile {
-    /// An estimator for quantile `q ∈ (0, 1)`.
-    pub fn new(q: f64) -> Self {
-        assert!(q > 0.0 && q < 1.0, "quantile must be in (0,1)");
-        P2Quantile {
-            q,
-            n: 0,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            increments: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            initial: Vec::with_capacity(5),
-        }
-    }
-
-    /// Record one observation (non-finite ignored).
-    pub fn record(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        self.n += 1;
-        if self.initial.len() < 5 {
-            self.initial.push(x);
-            if self.initial.len() == 5 {
-                self.initial.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                self.heights.copy_from_slice(&self.initial);
-            }
-            return;
-        }
-        // Find cell k such that heights[k] <= x < heights[k+1].
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            let mut k = 0;
-            for i in 0..4 {
-                if x >= self.heights[i] && x < self.heights[i + 1] {
-                    k = i;
-                    break;
-                }
-            }
-            k
-        };
-        for p in self.positions.iter_mut().skip(k + 1) {
-            *p += 1.0;
-        }
-        for i in 0..5 {
-            self.desired[i] += self.increments[i];
-        }
-        // Adjust interior markers with the piecewise-parabolic formula.
-        for i in 1..4 {
-            let d = self.desired[i] - self.positions[i];
-            let right = self.positions[i + 1] - self.positions[i];
-            let left = self.positions[i - 1] - self.positions[i];
-            if (d >= 1.0 && right > 1.0) || (d <= -1.0 && left < -1.0) {
-                let d = d.signum();
-                let candidate = self.parabolic(i, d);
-                let new_h = if self.heights[i - 1] < candidate && candidate < self.heights[i + 1] {
-                    candidate
-                } else {
-                    self.linear(i, d)
-                };
-                self.heights[i] = new_h;
-                self.positions[i] += d;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let p = &self.positions;
-        let h = &self.heights;
-        h[i] + d / (p[i + 1] - p[i - 1])
-            * ((p[i] - p[i - 1] + d) * (h[i + 1] - h[i]) / (p[i + 1] - p[i])
-                + (p[i + 1] - p[i] - d) * (h[i] - h[i - 1]) / (p[i] - p[i - 1]))
-    }
-
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let j = (i as f64 + d) as usize;
-        self.heights[i]
-            + d * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
-    }
-
-    /// Current estimate. For fewer than 5 observations, the exact empirical
-    /// quantile of what has been seen. `None` if empty.
-    pub fn estimate(&self) -> Option<f64> {
-        if self.n == 0 {
-            return None;
-        }
-        if self.initial.len() < 5 {
-            let mut v = self.initial.clone();
-            v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let idx = ((self.q * v.len() as f64).ceil() as usize).saturating_sub(1);
-            return Some(v[idx.min(v.len() - 1)]);
-        }
-        Some(self.heights[2])
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
     }
 }
 
@@ -548,31 +157,6 @@ pub fn exact_quantile(sorted: &[f64], q: f64) -> Option<f64> {
     let q = q.clamp(0.0, 1.0);
     let idx = ((q * sorted.len() as f64).ceil() as usize).saturating_sub(1);
     Some(sorted[idx.min(sorted.len() - 1)])
-}
-
-/// A named series of `(x, y)` points — the common currency of experiment
-/// outputs (one per figure line).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Series {
-    /// Legend label.
-    pub name: String,
-    /// The data points, in x order.
-    pub points: Vec<(f64, f64)>,
-}
-
-impl Series {
-    /// An empty series with the given legend label.
-    pub fn new(name: impl Into<String>) -> Self {
-        Series {
-            name: name.into(),
-            points: Vec::new(),
-        }
-    }
-
-    /// Append a point.
-    pub fn push(&mut self, x: f64, y: f64) {
-        self.points.push((x, y));
-    }
 }
 
 /// Convenience: a utilization tracker counting busy capacity out of a fixed
@@ -675,71 +259,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn online_stats_basics() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        // Population variance of this classic set is 4; sample variance 32/7.
-        assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-        assert!((s.sum() - 40.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn online_stats_ignores_nonfinite() {
-        let mut s = OnlineStats::new();
-        s.record(f64::NAN);
-        s.record(f64::INFINITY);
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), None);
-    }
-
-    #[test]
-    fn online_stats_merge_equals_sequential() {
-        let data: Vec<f64> = (0..100)
-            .map(|i| (i as f64 * 1.37).sin() * 10.0 + 5.0)
-            .collect();
-        let mut whole = OnlineStats::new();
-        for &x in &data {
-            whole.record(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &data[..37] {
-            a.record(x);
-        }
-        for &x in &data[37..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.record(1.0);
-        a.record(3.0);
-        let before = a.clone();
-        a.merge(&OnlineStats::new());
-        assert_eq!(a.count(), before.count());
-        assert_eq!(a.mean(), before.mean());
-        let mut empty = OnlineStats::new();
-        empty.merge(&before);
-        assert_eq!(empty.count(), 2);
-        assert!((empty.mean() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn time_weighted_average() {
         let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
         tw.set(SimTime::from_secs(10), 4.0); // 0 for 10 s
@@ -759,133 +278,6 @@ mod tests {
         assert_eq!(tw.current(), 3.0);
         // [5,10]: 1 for 5s; [10,15]: 3 for 5s → avg (5+15)/10 = 2
         assert!((tw.average(SimTime::from_secs(15)) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_linear_binning_and_quantiles() {
-        let mut h = Histogram::new(Binning::Linear {
-            lo: 0.0,
-            hi: 100.0,
-            count: 10,
-        });
-        for i in 0..100 {
-            h.record(i as f64 + 0.5);
-        }
-        assert_eq!(h.count(), 100);
-        let median = h.quantile(0.5).unwrap();
-        assert!((median - 50.0).abs() < 10.0, "median {median}");
-        let p90 = h.quantile(0.9).unwrap();
-        assert!((p90 - 90.0).abs() < 10.0, "p90 {p90}");
-        assert!((h.mean() - 50.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn histogram_outliers_clamp() {
-        let mut h = Histogram::new(Binning::Linear {
-            lo: 0.0,
-            hi: 10.0,
-            count: 5,
-        });
-        h.record(-100.0);
-        h.record(1e9);
-        assert_eq!(h.counts()[0], 1);
-        assert_eq!(h.counts()[4], 1);
-    }
-
-    #[test]
-    fn histogram_log_binning() {
-        let h = Histogram::new(Binning::Log {
-            lo: 1.0,
-            base: 2.0,
-            count: 8,
-        });
-        assert_eq!(h.bin_lo(0), 1.0);
-        assert_eq!(h.bin_lo(3), 8.0);
-        let mut h = h;
-        h.record(0.5); // clamps to bin 0
-        h.record(1.5);
-        h.record(9.0); // bin [8,16) = 3
-        h.record(1e9); // clamps to last
-        assert_eq!(h.counts()[0], 2);
-        assert_eq!(h.counts()[3], 1);
-        assert_eq!(h.counts()[7], 1);
-    }
-
-    #[test]
-    fn histogram_cdf_monotone_and_ends_at_one() {
-        let mut h = Histogram::for_durations();
-        let mut rng = crate::rng::SimRng::seeded(3);
-        for _ in 0..1000 {
-            h.record(rng.uniform_range(1.0, 10_000.0));
-        }
-        let cdf = h.cdf_points();
-        assert!(!cdf.is_empty());
-        for w in cdf.windows(2) {
-            assert!(w[0].1 <= w[1].1);
-            assert!(w[0].0 < w[1].0);
-        }
-        assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let layout = Binning::Linear {
-            lo: 0.0,
-            hi: 10.0,
-            count: 5,
-        };
-        let mut a = Histogram::new(layout);
-        let mut b = Histogram::new(layout);
-        a.record(1.0);
-        b.record(9.0);
-        b.record(9.5);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.counts()[4], 2);
-    }
-
-    #[test]
-    fn empty_histogram_quantile_none() {
-        let h = Histogram::for_durations();
-        assert_eq!(h.quantile(0.5), None);
-        assert!(h.cdf_points().is_empty());
-    }
-
-    #[test]
-    fn p2_median_converges_on_uniform() {
-        let mut p = P2Quantile::new(0.5);
-        let mut rng = crate::rng::SimRng::seeded(4);
-        for _ in 0..50_000 {
-            p.record(rng.uniform_range(0.0, 100.0));
-        }
-        let est = p.estimate().unwrap();
-        assert!((est - 50.0).abs() < 2.0, "median estimate {est}");
-    }
-
-    #[test]
-    fn p2_p95_converges_on_exponential() {
-        use crate::dist::{Dist, Exponential};
-        let mut p = P2Quantile::new(0.95);
-        let d = Exponential::with_mean(10.0);
-        let mut rng = crate::rng::SimRng::seeded(5);
-        for _ in 0..100_000 {
-            p.record(d.sample(&mut rng));
-        }
-        let est = p.estimate().unwrap();
-        let expect = -10.0 * (0.05f64).ln(); // ≈ 29.96
-        assert!((est - expect).abs() / expect < 0.1, "p95 {est} vs {expect}");
-    }
-
-    #[test]
-    fn p2_small_samples_exact() {
-        let mut p = P2Quantile::new(0.5);
-        assert_eq!(p.estimate(), None);
-        p.record(10.0);
-        assert_eq!(p.estimate(), Some(10.0));
-        p.record(20.0);
-        p.record(30.0);
-        assert_eq!(p.estimate(), Some(20.0));
-        assert_eq!(p.count(), 3);
     }
 
     #[test]
@@ -932,14 +324,5 @@ mod tests {
         tb.add(SimTime::from_days(8), 2.0);
         assert_eq!(tb.sums(), &[15.0, 2.0]);
         assert_eq!(tb.width(), SimDuration::from_days(7));
-    }
-
-    #[test]
-    fn series_collects_points() {
-        let mut s = Series::new("wait");
-        s.push(1.0, 2.0);
-        s.push(2.0, 3.0);
-        assert_eq!(s.points.len(), 2);
-        assert_eq!(s.name, "wait");
     }
 }

@@ -1,9 +1,10 @@
 //! Property-based tests for the DES substrate: engine ordering, RNG
-//! determinism, distribution sanity, and statistics invariants.
+//! determinism, distribution sanity, time arithmetic, and span durations. (Quantile sketch
+//! properties live in `sketch_prop.rs`.)
 
 use proptest::prelude::*;
+use tg_des::analyze::parse_span_line;
 use tg_des::dist::DistKind;
-use tg_des::stats::{exact_quantile, OnlineStats, P2Quantile};
 use tg_des::{Ctx, Engine, RngFactory, SimDuration, SimRng, SimTime, Simulation, StreamId};
 
 // ---------------------------------------------------------------------
@@ -157,71 +158,10 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Statistics
+// Time and span durations
 // ---------------------------------------------------------------------
 
 proptest! {
-    /// Welford mean/variance agree with the naive two-pass computation.
-    #[test]
-    fn online_stats_match_two_pass(data in prop::collection::vec(-1e6f64..1e6, 2..500)) {
-        let mut s = OnlineStats::new();
-        for &x in &data {
-            s.record(x);
-        }
-        let n = data.len() as f64;
-        let mean = data.iter().sum::<f64>() / n;
-        let var = data.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1.0);
-        prop_assert!((s.mean() - mean).abs() <= 1e-6 * (1.0 + mean.abs()));
-        prop_assert!((s.variance() - var).abs() <= 1e-5 * (1.0 + var.abs()));
-    }
-
-    /// Merging partitions is equivalent to sequential accumulation, for any
-    /// split point.
-    #[test]
-    fn online_stats_merge_any_split(
-        data in prop::collection::vec(-1e3f64..1e3, 2..200),
-        split_frac in 0.0f64..1.0,
-    ) {
-        let split = ((data.len() as f64) * split_frac) as usize;
-        let mut whole = OnlineStats::new();
-        for &x in &data {
-            whole.record(x);
-        }
-        let (mut a, mut b) = (OnlineStats::new(), OnlineStats::new());
-        for &x in &data[..split] {
-            a.record(x);
-        }
-        for &x in &data[split..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        prop_assert_eq!(a.count(), whole.count());
-        prop_assert!((a.mean() - whole.mean()).abs() < 1e-9 * (1.0 + whole.mean().abs()));
-        prop_assert!((a.variance() - whole.variance()).abs() < 1e-7 * (1.0 + whole.variance()));
-    }
-
-    /// The P² estimate stays within the sample's range and lands near the
-    /// exact quantile for well-behaved data.
-    #[test]
-    fn p2_is_bounded_by_sample_range(data in prop::collection::vec(0.0f64..1e4, 10..2000)) {
-        let mut p = P2Quantile::new(0.5);
-        for &x in &data {
-            p.record(x);
-        }
-        let est = p.estimate().unwrap();
-        let lo = data.iter().cloned().fold(f64::MAX, f64::min);
-        let hi = data.iter().cloned().fold(f64::MIN, f64::max);
-        prop_assert!(est >= lo && est <= hi, "estimate {est} outside [{lo}, {hi}]");
-        let mut sorted = data.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let exact = exact_quantile(&sorted, 0.5).unwrap();
-        let spread = (hi - lo).max(1e-9);
-        prop_assert!(
-            (est - exact).abs() <= 0.35 * spread,
-            "estimate {est} too far from exact median {exact} (spread {spread})"
-        );
-    }
-
     /// Time arithmetic: (t + d) - t == d and ordering is preserved.
     #[test]
     fn time_arithmetic_roundtrips(t in 0u64..u64::MAX / 4, d in 0u64..u64::MAX / 4) {
@@ -229,5 +169,21 @@ proptest! {
         let d = SimDuration::from_micros(d);
         prop_assert_eq!((t + d) - t, d);
         prop_assert!(t + d >= t);
+    }
+
+    /// A span's bounds survive the trace's shortest-round-trip seconds
+    /// format, so the offline duration is bit-for-bit the simulator's
+    /// `t1 - t0` (up to ~3 years of clock, ~11 days per span).
+    #[test]
+    fn span_duration_survives_the_trace_format(t0 in 0u64..100_000_000_000_000, d in 0u64..1_000_000_000_000) {
+        let (t0, t1) = (SimTime::from_micros(t0), SimTime::from_micros(t0 + d));
+        let line = format!(
+            "{{\"t\":{t:?},\"cat\":\"span\",\"fields\":{{\"v\":1,\"job\":1,\"kind\":\"run\",\"t0\":{a:?},\"t1\":{t:?}}}}}",
+            a = t0.as_secs_f64(),
+            t = t1.as_secs_f64(),
+        );
+        let span = parse_span_line(&line).expect("parses");
+        let online = t1.saturating_since(t0).as_secs_f64();
+        prop_assert_eq!(span.duration().to_bits(), online.to_bits());
     }
 }

@@ -12,8 +12,7 @@
 //!
 //! 2. **Analytic, bounded.** Reported quantiles stay within the documented
 //!    [`RELATIVE_ERROR`] of exact sorted-sample quantiles on uniform,
-//!    exponential, and bimodal inputs — the same shapes `quantiles.rs`
-//!    uses for the P²/histogram estimators, and the same nearest-rank
+//!    exponential, and bimodal inputs, under the same nearest-rank
 //!    convention as [`exact_quantile`].
 
 use tg_des::sketch::{QuantileSketch, RELATIVE_ERROR};

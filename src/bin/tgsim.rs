@@ -14,10 +14,12 @@
 //! `run` prints the usage report (ground-truth labels) and, with
 //! `--classify`, the classifier accuracy in both instrumentation modes;
 //! `--out` writes a JSON summary. `--metrics-out` writes the first
-//! replication's run-level metrics snapshot (per-site busy/queue gauges and
-//! sampled series, per-modality completion counters, engine profile) as
-//! JSON; it implies sampling at 6-hour cadence unless `--sample-hours`
-//! overrides it. `--trace-out` streams a structured JSONL event trace from
+//! replication's run-level metrics snapshot (per-site busy/queue gauges,
+//! per-modality completion counters, engine profile) as JSON; it only
+//! observes, so a run with it is the same run as without it.
+//! `--sample-hours H` (or the config's `sample_interval`) samples per-site
+//! busy fraction and queue length every `H` hours into the summary's
+//! `samples` array. `--trace-out` streams a structured JSONL event trace from
 //! the first replication. `--faults` loads a [`FaultSpec`] JSON file and
 //! overrides the config's `faults` section (node crashes, site outages, WAN
 //! degradation, lossy accounting ingest); the run summary then includes the
@@ -41,22 +43,24 @@
 //! `0` auto-detects the available cores
 //! (`std::thread::available_parallelism`), and the resolved worker count
 //! lands in the `--out` summary's `threads` field. A config that parses but
-//! breaks a cross-field invariant ([`ScenarioConfig::validate`]) exits 1
-//! with the offending field's path. `analyze` reconstructs per-job
+//! breaks an invariant ([`ScenarioConfig::validate`]) exits 1 with the
+//! offending field's path. `analyze` reconstructs per-job
 //! lifecycle spans from a `--trace-out` trace offline and prints wait-time
-//! breakdowns by span kind, wait cause, site, and modality (p50/p95/p99) —
-//! including the `fault`/`requeue` spans a faulted run emits. `replay`
-//! drives the simulator from a Standard Workload Format archive trace
-//! instead of the generator: the federation, policies, and (with
-//! `--faults`) fault schedule come from the scenario config, the jobs from
-//! the trace — so archive workloads get the same degraded-operation
+//! breakdowns by span kind, wait cause, site, and modality (mean, p50/p95/p99,
+//! min/max) — including the `fault`/`requeue` spans a faulted run emits.
+//! Its span tables are the `--live-stats` tables: the same sketches, so
+//! `analyze --json` of a run's trace and that run's `stats.spans` agree
+//! exactly. `replay` drives the simulator from a Standard Workload Format
+//! archive trace instead of the generator: the federation, policies, and
+//! (with `--faults`) fault schedule come from the scenario config, the jobs
+//! from the trace — so archive workloads get the same degraded-operation
 //! machinery as synthetic ones.
 
 use std::process::ExitCode;
 use teragrid_repro::prelude::*;
 use tg_des::memory::CountingAlloc;
 use tg_des::stats::ci_student_t;
-use tg_des::{TraceAnalyzer, TraceHealth};
+use tg_des::{SketchSummary, TraceAnalyzer, TraceHealth};
 
 /// Exact heap accounting for `--assert-peak-rss-mb`: the counting allocator
 /// gives a live-bytes high-water alongside the kernel's `VmHWM`, so the
@@ -169,7 +173,7 @@ fn run(rest: &[String]) -> ExitCode {
     let mut metrics_out: Option<String> = None;
     let mut trace_out: Option<String> = None;
     let mut faults_path: Option<String> = None;
-    let mut sample_hours: Option<u64> = None;
+    let mut sample_interval: Option<SimDuration> = None;
     let mut stream_out: Option<String> = None;
     let mut rss_budget_mb: Option<u64> = None;
     let mut live_stats = false;
@@ -216,8 +220,18 @@ fn run(rest: &[String]) -> ExitCode {
                             return usage();
                         }
                     },
-                    "--sample-hours" => match value.parse() {
-                        Ok(v) if v >= 1 => sample_hours = Some(v),
+                    "--sample-hours" => match value.parse::<u64>() {
+                        Ok(v) if v >= 1 => {
+                            let per_hour = SimDuration::from_hours(1).as_micros();
+                            let Some(us) = v.checked_mul(per_hour) else {
+                                eprintln!(
+                                    "tgsim: bad --sample-hours: {v} h overflows the \
+                                     microsecond clock"
+                                );
+                                return ExitCode::FAILURE;
+                            };
+                            sample_interval = Some(SimDuration::from_micros(us));
+                        }
                         _ => {
                             eprintln!("tgsim: bad --sample-hours");
                             return usage();
@@ -322,13 +336,7 @@ fn run(rest: &[String]) -> ExitCode {
         eprintln!("tgsim: invalid scenario config: {path}: {e}");
         return ExitCode::FAILURE;
     }
-    if let Some(h) = sample_hours {
-        cfg.sample_interval = Some(SimDuration::from_hours(h));
-    } else if metrics_out.is_some() && cfg.sample_interval.is_none() {
-        // Metrics without a sampler would leave the time series empty;
-        // default to a 6-hour cadence.
-        cfg.sample_interval = Some(SimDuration::from_hours(6));
-    }
+    cfg.sample_interval = sample_interval.or(cfg.sample_interval);
     let threads_requested = threads;
     let threads = resolve_threads(
         threads,
@@ -682,32 +690,33 @@ fn analyze(rest: &[String]) -> ExitCode {
         analysis.jobs,
         analysis.mean_wait_s
     );
-    let table = |title: &str, rows: &[(String, tg_des::GroupStats)]| {
+    let table = |title: &str, rows: &[(String, SketchSummary)]| {
         if rows.is_empty() {
             return;
         }
         println!("\n{title}");
         println!(
-            "  {:<24} {:>8} {:>12} {:>12} {:>12} {:>12}",
-            "group", "count", "mean_s", "p50_s", "p95_s", "p99_s"
+            "  {:<24} {:>8} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12}",
+            "group", "count", "mean_s", "p50_s", "p95_s", "p99_s", "min_s", "max_s"
         );
         for (name, g) in rows {
             println!(
-                "  {:<24} {:>8} {:>12.1} {:>12.1} {:>12.1} {:>12.1}",
-                name, g.count, g.mean, g.p50, g.p95, g.p99
+                "  {:<24} {:>8} {:>12.1} {:>12.1} {:>12.1} {:>12.1} {:>12.1} {:>12.1}",
+                name, g.count, g.mean, g.p50, g.p95, g.p99, g.min, g.max
             );
         }
     };
-    let rows = |m: &std::collections::BTreeMap<String, tg_des::GroupStats>| {
+    let rows = |m: &std::collections::BTreeMap<String, SketchSummary>| {
         m.iter().map(|(k, v)| (k.clone(), *v)).collect::<Vec<_>>()
     };
-    table("span durations by kind", &rows(&analysis.by_kind));
+    let spans = &analysis.spans;
+    table("span durations by kind", &rows(&spans.by_kind));
     table(
         "stage-in time by cache outcome",
-        &rows(&analysis.stage_in_by_cause),
+        &rows(&spans.stage_in_by_cause),
     );
     if data_summary {
-        let count = |cause: &str| analysis.stage_in_by_cause.get(cause).map_or(0, |g| g.count);
+        let count = |cause: &str| spans.stage_in_by_cause.get(cause).map_or(0, |g| g.count);
         let (hits, misses) = (count("cache-hit"), count("cache-miss"));
         let total = hits + misses;
         if total == 0 {
@@ -717,24 +726,25 @@ fn analyze(rest: &[String]) -> ExitCode {
                 "\ndata: {total} dataset stage-ins, {hits} cache hits / {misses} misses \
                  (hit rate {:.3}), mean miss fetch {:.1}s",
                 hits as f64 / total as f64,
-                analysis
+                spans
                     .stage_in_by_cause
                     .get("cache-miss")
                     .map_or(0.0, |g| g.mean),
             );
         }
     }
-    table(
-        "queued time by wait cause",
-        &rows(&analysis.queued_by_cause),
-    );
+    table("queued time by wait cause", &rows(&spans.queued_by_cause));
     table(
         "queued time by site",
-        &analysis
+        &spans
             .queued_by_site
             .iter()
             .map(|(k, v)| (format!("site{k}"), *v))
             .collect::<Vec<_>>(),
+    );
+    table(
+        "wait spans by modality",
+        &rows(&spans.wait_spans_by_modality),
     );
     table(
         "total wait by modality (completed jobs)",

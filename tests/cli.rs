@@ -1,7 +1,9 @@
 //! Integration tests for the `tgsim` CLI binary.
 
 use std::process::Command;
-use teragrid_repro::prelude::{ConfigLibrary, FaultSpec, OutageWindow, ScenarioConfig};
+use teragrid_repro::prelude::{
+    ConfigLibrary, FaultSpec, OutageWindow, ScenarioConfig, SimDuration,
+};
 
 fn tgsim() -> Command {
     Command::new(env!("CARGO_BIN_EXE_tgsim"))
@@ -460,6 +462,47 @@ fn analyze_handles_a_large_synthetic_trace() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `--metrics-out` only observes: the same config and seed with and without
+/// it produce the same run (no implied sampler, no extra events).
+#[test]
+fn metrics_out_is_a_pure_observer() {
+    let dir = std::env::temp_dir().join(format!("tgsim-metrics-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let scen = dir.join("scenario.json");
+    let emit = tgsim()
+        .args(["emit-baseline", "40", "2"])
+        .output()
+        .expect("emit runs");
+    std::fs::write(&scen, &emit.stdout).expect("write scenario");
+    let summary = |extra: &[&str]| {
+        let out = dir.join(format!("summary-{}.json", extra.len()));
+        let run = tgsim()
+            .args(["run", scen.to_str().expect("utf8"), "--seed", "5", "--out"])
+            .arg(&out)
+            .args(extra)
+            .output()
+            .expect("run executes");
+        assert!(
+            run.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+        let text = std::fs::read_to_string(&out).expect("summary written");
+        serde_json::from_str::<serde_json::Value>(&text).expect("summary is JSON")
+    };
+    let metrics = dir.join("metrics.json");
+    let plain = summary(&[]);
+    let observed = summary(&["--metrics-out", metrics.to_str().expect("utf8")]);
+    for key in ["events", "jobs", "samples"] {
+        assert_eq!(
+            plain[key], observed[key],
+            "{key} differs with --metrics-out"
+        );
+    }
+    assert!(metrics.exists(), "metrics snapshot written");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn bad_invocations_fail_cleanly() {
     let out = tgsim().output().expect("runs");
@@ -475,6 +518,24 @@ fn bad_invocations_fail_cleanly() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("invalid scenario"));
 }
 
+/// 2^54 hours overflows the microsecond clock: a clean exit 1, not a
+/// wrapped zero interval and a panic.
+#[test]
+fn sample_hours_overflow_exits_1() {
+    let out = tgsim()
+        .args([
+            "run",
+            "configs/baseline-300u-14d.json",
+            "--sample-hours",
+            "18014398509481984",
+        ])
+        .output()
+        .expect("runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("tgsim: bad --sample-hours"), "{stderr}");
+}
+
 /// Configs that parse but break a cross-field invariant are rejected up
 /// front: exit 1 (not a panic) with the offending field's path.
 #[test]
@@ -482,8 +543,18 @@ fn invalid_configs_exit_1_naming_the_field() {
     let dir = std::env::temp_dir().join(format!("tgsim-invalid-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     type Mutation = fn(&mut ScenarioConfig);
-    let cases: [(&str, Mutation, &str); 5] = [
+    let cases: [(&str, Mutation, &str); 7] = [
         ("data-home", |c| c.data_home = 9, "data_home: site 9"),
+        (
+            "sample-interval",
+            |c| c.sample_interval = Some(SimDuration::ZERO),
+            "sample_interval:",
+        ),
+        (
+            "coreless-site",
+            |c| c.sites[1].batch_nodes = 0,
+            "sites[1].batch_nodes:",
+        ),
         (
             "site-count",
             |c| {

@@ -158,6 +158,7 @@ fn outage_run_emits_fault_and_requeue_spans_the_analyzer_counts() {
     let analysis = analyzer.finish();
     let count = |kind: &str| {
         analysis
+            .spans
             .by_kind
             .get(kind)
             .map(|s| s.count)
