@@ -199,24 +199,7 @@ impl ScenarioConfig {
             spec.validate(nsites).map_err(|e| format!("data.{e}"))?;
         }
         if let Some(spec) = &self.faults {
-            let check = |list: &str, sites: &mut dyn Iterator<Item = usize>| match sites
-                .enumerate()
-                .find(|&(_, site)| site >= nsites)
-            {
-                Some((i, site)) => Err(format!(
-                    "faults.{list}[{i}].site: site {site} is out of range \
-                         (federation has {nsites} sites)"
-                )),
-                None => Ok(()),
-            };
-            check(
-                "site_outages",
-                &mut spec.site_outages.iter().map(|w| w.site),
-            )?;
-            check(
-                "wan_degradations",
-                &mut spec.wan_degradations.iter().map(|w| w.site),
-            )?;
+            spec.validate(nsites).map_err(|e| format!("faults.{e}"))?;
         }
         if let Some(library) = &self.library {
             if library.len() < self.workload.rc_config_count {
@@ -281,7 +264,7 @@ pub enum RecordStreaming {
 /// the records live in memory, never what they contain).
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
-    /// Collect a [`MetricsSnapshot`] (counters, gauges, series).
+    /// Collect a [`MetricsSnapshot`] (counters and time-weighted gauges).
     pub metrics: bool,
     /// Stream a JSONL structured trace to this path.
     pub trace_path: Option<PathBuf>,

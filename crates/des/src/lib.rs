@@ -109,8 +109,8 @@ pub use analyze::{TraceAnalysis, TraceAnalyzer};
 pub use dist::{Dist, DistKind};
 pub use engine::{Ctx, Engine, EventKey, Simulation, StopCondition};
 pub use memory::{
-    alloc_snapshot, current_in_use_bytes, peak_in_use_bytes, peak_rss_bytes, reset_peak_in_use,
-    AllocDelta, AllocSnapshot, CountingAlloc,
+    alloc_snapshot, current_in_use_bytes, peak_in_use_bytes, peak_rss_bytes, AllocDelta,
+    AllocSnapshot, CountingAlloc,
 };
 pub use metrics::{CounterId, EngineProfile, GaugeId, MetricsRegistry, MetricsSnapshot};
 pub use rng::{RngFactory, SimRng, StreamId};

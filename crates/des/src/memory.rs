@@ -27,8 +27,7 @@ static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 /// obtained before the allocator was installed can transiently outnumber
 /// recorded allocations.
 static IN_USE_BYTES: AtomicI64 = AtomicI64::new(0);
-/// High-water mark of [`IN_USE_BYTES`] since process start (or the last
-/// [`reset_peak_in_use`]).
+/// High-water mark of [`IN_USE_BYTES`] since process start.
 static PEAK_IN_USE_BYTES: AtomicI64 = AtomicI64::new(0);
 
 #[inline]
@@ -128,19 +127,9 @@ pub fn current_in_use_bytes() -> i64 {
     IN_USE_BYTES.load(Ordering::Relaxed)
 }
 
-/// High-water mark of live bytes since process start or the last
-/// [`reset_peak_in_use`].
+/// High-water mark of live bytes since process start.
 pub fn peak_in_use_bytes() -> i64 {
     PEAK_IN_USE_BYTES.load(Ordering::Relaxed)
-}
-
-/// Start a fresh live-bytes high-water window (e.g. at the top of one bench
-/// run, so the reported peak is per-run rather than per-process). Call from
-/// a quiescent point — concurrent allocations racing the reset stay
-/// correctly counted in `in_use`, but may land on either side of the peak
-/// window boundary.
-pub fn reset_peak_in_use() {
-    PEAK_IN_USE_BYTES.store(IN_USE_BYTES.load(Ordering::Relaxed), Ordering::Relaxed);
 }
 
 /// The process's peak resident set size in bytes (`VmHWM`), or `None` where

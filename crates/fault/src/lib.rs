@@ -234,6 +234,32 @@ fn exp_hours(rng: &mut SimRng, mean: f64) -> f64 {
     -mean * (1.0 - rng.uniform()).ln()
 }
 
+/// What a numeric [`FaultSpec`] field must be for the spec to compile.
+#[derive(Clone, Copy)]
+enum Rule {
+    Finite,
+    Positive,
+    /// A degradation factor: finite and ≥ 1.
+    Factor,
+    Probability,
+}
+
+impl Rule {
+    fn check(self, path: &str, v: f64) -> Result<(), String> {
+        let (ok, want) = match self {
+            Rule::Finite => (v.is_finite(), "finite"),
+            Rule::Positive => (v.is_finite() && v > 0.0, "positive and finite"),
+            Rule::Factor => (v.is_finite() && v >= 1.0, "finite and >= 1"),
+            Rule::Probability => ((0.0..=1.0).contains(&v), "a probability in [0, 1]"),
+        };
+        if ok {
+            Ok(())
+        } else {
+            Err(format!("{path}: must be {want}, got {v}"))
+        }
+    }
+}
+
 impl FaultSpec {
     /// True when the spec would inject nothing at all.
     pub fn is_trivial(&self) -> bool {
@@ -241,6 +267,49 @@ impl FaultSpec {
             && self.site_outages.is_empty()
             && self.wan_degradations.is_empty()
             && self.ingest.is_none()
+    }
+
+    /// Validate against a federation of `nsites` sites: every window names
+    /// a site in range, every time is finite, rates and durations are
+    /// positive, degradation factors are ≥ 1 and probabilities lie in
+    /// `[0, 1]`. Returns a human-readable error for the first problem
+    /// found, led by the path of the offending field within the spec. A
+    /// spec that passes compiles without panicking.
+    pub fn validate(&self, nsites: usize) -> Result<(), String> {
+        let site = |path: String, site: usize| {
+            if site < nsites {
+                Ok(())
+            } else {
+                Err(format!(
+                    "{path}: site {site} is out of range (federation has {nsites} sites)"
+                ))
+            }
+        };
+        if let Some(nc) = &self.node_crashes {
+            Rule::Positive.check("node_crashes.mtbf_hours", nc.mtbf_hours)?;
+            Rule::Positive.check("node_crashes.repair_hours", nc.repair_hours)?;
+            Rule::Finite.check("node_crashes.horizon_days", nc.horizon_days)?;
+        }
+        for (i, w) in self.site_outages.iter().enumerate() {
+            let at = |field: &str| format!("site_outages[{i}].{field}");
+            site(at("site"), w.site)?;
+            Rule::Finite.check(&at("start_hours"), w.start_hours)?;
+            Rule::Positive.check(&at("duration_hours"), w.duration_hours)?;
+            Rule::Finite.check(&at("notice_hours"), w.notice_hours)?;
+        }
+        for (i, w) in self.wan_degradations.iter().enumerate() {
+            let at = |field: &str| format!("wan_degradations[{i}].{field}");
+            site(at("site"), w.site)?;
+            Rule::Finite.check(&at("start_hours"), w.start_hours)?;
+            Rule::Finite.check(&at("duration_hours"), w.duration_hours)?;
+            Rule::Factor.check(&at("bandwidth_factor"), w.bandwidth_factor)?;
+            Rule::Factor.check(&at("latency_factor"), w.latency_factor)?;
+        }
+        if let Some(ingest) = &self.ingest {
+            Rule::Probability.check("ingest.loss", ingest.loss)?;
+            Rule::Probability.check("ingest.duplication", ingest.duplication)?;
+        }
+        Ok(())
     }
 
     /// The effective retry policy (spec override or default).
@@ -255,7 +324,9 @@ impl FaultSpec {
     /// `factory`, so the schedule is a pure function of `(spec, site count,
     /// master seed)` and never perturbs other components' draws.
     ///
-    /// Panics if a window names a site index outside the federation.
+    /// Panics if a window names a site outside the federation, or a rate,
+    /// duration or factor is out of range; [`FaultSpec::validate`] reports
+    /// all of these as errors instead.
     pub fn compile(&self, site_cores: &[usize], factory: &RngFactory) -> FaultSchedule {
         let mut events = Vec::new();
 

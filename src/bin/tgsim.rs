@@ -853,8 +853,9 @@ fn replay(rest: &[String]) -> ExitCode {
             }
         }
     }
-    if cfg.data_home >= cfg.sites.len() {
-        eprintln!("tgsim: scenario data_home out of range");
+    if let Err(e) = cfg.validate() {
+        let source = scenario_path.as_deref().unwrap_or("built-in baseline");
+        eprintln!("tgsim: invalid scenario config: {source}: {e}");
         return ExitCode::FAILURE;
     }
 

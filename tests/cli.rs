@@ -2,7 +2,8 @@
 
 use std::process::Command;
 use teragrid_repro::prelude::{
-    ConfigLibrary, FaultSpec, OutageWindow, ScenarioConfig, SimDuration,
+    ConfigLibrary, FaultSpec, IngestFaults, NodeCrashSpec, OutageWindow, RngFactory,
+    ScenarioConfig, SimDuration, WorkloadGenerator,
 };
 
 fn tgsim() -> Command {
@@ -536,14 +537,31 @@ fn sample_hours_overflow_exits_1() {
     assert!(stderr.contains("tgsim: bad --sample-hours"), "{stderr}");
 }
 
-/// Configs that parse but break a cross-field invariant are rejected up
-/// front: exit 1 (not a panic) with the offending field's path.
+/// The demo fault spec (every section present) installed on `c`, for a
+/// case to break one field of.
+fn demo_faults(c: &mut ScenarioConfig) -> &mut FaultSpec {
+    c.faults.get_or_insert_with(|| {
+        serde_json::from_str(include_str!("../configs/faults-demo.json")).expect("demo spec")
+    })
+}
+
+/// The demo spec's crash process, for a case to break.
+fn crashes(c: &mut ScenarioConfig) -> &mut NodeCrashSpec {
+    demo_faults(c)
+        .node_crashes
+        .as_mut()
+        .expect("demo spec has crashes")
+}
+
+/// Configs that parse but break a per-field or cross-field invariant (fault
+/// specs included) are rejected up front: exit 1 (not a panic) with the
+/// offending field's path.
 #[test]
 fn invalid_configs_exit_1_naming_the_field() {
     let dir = std::env::temp_dir().join(format!("tgsim-invalid-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     type Mutation = fn(&mut ScenarioConfig);
-    let cases: [(&str, Mutation, &str); 7] = [
+    let cases: &[(&str, Mutation, &str)] = &[
         ("data-home", |c| c.data_home = 9, "data_home: site 9"),
         (
             "sample-interval",
@@ -584,21 +602,46 @@ fn invalid_configs_exit_1_naming_the_field() {
         ),
         (
             "outage-site",
-            |c| {
-                c.faults = Some(FaultSpec {
-                    site_outages: vec![OutageWindow {
-                        site: 5,
-                        start_hours: 1.0,
-                        duration_hours: 2.0,
-                        notice_hours: 0.0,
-                    }],
-                    ..FaultSpec::default()
-                })
-            },
+            |c| demo_faults(c).site_outages[0].site = 5,
             "faults.site_outages[0].site:",
         ),
+        (
+            "mtbf",
+            |c| crashes(c).mtbf_hours = 0.0,
+            "faults.node_crashes.mtbf_hours:",
+        ),
+        (
+            "repair",
+            |c| crashes(c).repair_hours = -1.0,
+            "faults.node_crashes.repair_hours:",
+        ),
+        (
+            "outage-duration",
+            |c| demo_faults(c).site_outages[1].duration_hours = 0.0,
+            "faults.site_outages[1].duration_hours:",
+        ),
+        (
+            "bandwidth-factor",
+            |c| demo_faults(c).wan_degradations[0].bandwidth_factor = 0.5,
+            "faults.wan_degradations[0].bandwidth_factor:",
+        ),
+        (
+            "latency-factor",
+            |c| demo_faults(c).wan_degradations[0].latency_factor = 0.0,
+            "faults.wan_degradations[0].latency_factor:",
+        ),
+        (
+            "ingest-loss",
+            |c| {
+                demo_faults(c).ingest = Some(IngestFaults {
+                    loss: 2.0,
+                    duplication: 0.0,
+                })
+            },
+            "faults.ingest.loss:",
+        ),
     ];
-    for (tag, mutate, field) in cases {
+    for &(tag, mutate, field) in cases {
         let mut cfg = ScenarioConfig::baseline(20, 1);
         mutate(&mut cfg);
         let path = dir.join(format!("{tag}.json"));
@@ -615,6 +658,45 @@ fn invalid_configs_exit_1_naming_the_field() {
             path.display()
         );
         assert!(stderr.contains(&want), "{tag}: want `{want}` in {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn invalid_fault_spec_files_exit_1_naming_the_field() {
+    // `--faults` replaces the config's fault section; `run` and `replay`
+    // both validate it before anything compiles it.
+    let dir = std::env::temp_dir().join(format!("tgsim-bad-faults-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let scenario = dir.join("scenario.json");
+    let cfg = ScenarioConfig::baseline(20, 1);
+    std::fs::write(&scenario, serde_json::to_string(&cfg).expect("json")).expect("write");
+    let trace = dir.join("trace.swf");
+    let workload = WorkloadGenerator::new(cfg.workload).generate(&RngFactory::new(7));
+    std::fs::write(&trace, tg_workload::swf::to_swf(&workload.jobs)).expect("write trace");
+    let faults = dir.join("faults.json");
+    let spec = FaultSpec {
+        site_outages: vec![OutageWindow {
+            site: 7,
+            start_hours: 1.0,
+            duration_hours: 2.0,
+            notice_hours: 0.0,
+        }],
+        ..FaultSpec::default()
+    };
+    std::fs::write(&faults, serde_json::to_string(&spec).expect("json")).expect("write");
+    for (cmd, input) in [("run", &scenario), ("replay", &trace)] {
+        let out = tgsim()
+            .args([cmd, input.to_str().expect("utf8 path"), "--faults"])
+            .arg(&faults)
+            .output()
+            .expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: stderr {stderr}");
+        assert!(
+            stderr.contains("faults.site_outages[0].site: site 7 is out of range"),
+            "{cmd}: {stderr}"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
