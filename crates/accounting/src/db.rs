@@ -1,14 +1,20 @@
 //! The central accounting database (in-memory).
 //!
-//! Sites stream records upstream; the database stores them append-only and
-//! serves the aggregation queries in [`crate::query`]. Indexes are built
-//! lazily by the queries themselves — at our scales (≤ millions of records)
-//! full scans are cheap and keep ingestion allocation-free.
+//! Sites stream records upstream; the database stores them append-only, one
+//! plain `Vec` per record stream, and serves the aggregation queries in
+//! [`crate::query`]. It keeps no index: ingestion stays a push, and
+//! [`AccountingDb::merge`] and (de)serialization never have an index to
+//! invalidate. A query that looks records up by job or user builds the index
+//! it needs once per call ([`AccountingDb::gateway_job_ids`],
+//! [`AccountingDb::rc_placed_job_ids`], the per-user pass in
+//! [`crate::query::user_summaries`]) so that it stays linear in the record
+//! count; a scan per job would make it quadratic.
 
 use crate::record::{
     GatewayAttribute, JobRecord, RcPlacementRecord, SessionRecord, TransferRecord,
 };
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 use tg_workload::JobId;
 
 /// The federation's accounting store.
@@ -71,14 +77,21 @@ impl AccountingDb {
         self.len() == 0
     }
 
-    /// Does `job` carry a gateway attribute?
+    /// Does `job` carry a gateway attribute? Each call scans every
+    /// attribute, so this is for a single lookup; a per-job loop should
+    /// build [`AccountingDb::gateway_job_ids`] once instead.
     pub fn has_gateway_attr(&self, job: JobId) -> bool {
         self.gateway_attrs.iter().any(|a| a.job == job)
     }
 
-    /// Does `job` have an RC placement record?
-    pub fn rc_placement_of(&self, job: JobId) -> Option<&RcPlacementRecord> {
-        self.rc_placements.iter().find(|p| p.job == job)
+    /// Ids of the jobs carrying a gateway attribute, in one pass.
+    pub fn gateway_job_ids(&self) -> HashSet<JobId> {
+        self.gateway_attrs.iter().map(|a| a.job).collect()
+    }
+
+    /// Ids of the jobs with an RC placement record, in one pass.
+    pub fn rc_placed_job_ids(&self) -> HashSet<JobId> {
+        self.rc_placements.iter().map(|p| p.job).collect()
     }
 
     /// Merge another database into this one (parallel replication fan-in).
@@ -138,8 +151,8 @@ mod tests {
         assert_eq!(db.len(), 3);
         assert!(db.has_gateway_attr(JobId(1)));
         assert!(!db.has_gateway_attr(JobId(2)));
-        assert!(db.rc_placement_of(JobId(1)).unwrap().reused);
-        assert!(db.rc_placement_of(JobId(9)).is_none());
+        assert_eq!(db.gateway_job_ids(), HashSet::from([JobId(1)]));
+        assert_eq!(db.rc_placed_job_ids(), HashSet::from([JobId(1)]));
     }
 
     #[test]

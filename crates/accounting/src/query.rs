@@ -90,22 +90,59 @@ pub struct UserSummary {
     pub transfer_mb: f64,
 }
 
+/// Count and database-order sum of one per-user quantity. The sum starts
+/// at `-0.0`, the value `Iterator::sum` folds from, so a tally equals the
+/// filtered `.sum()` it replaces bit for bit, the empty sum included.
+struct Tally {
+    n: u64,
+    sum: f64,
+}
+
+impl Default for Tally {
+    fn default() -> Self {
+        Tally { n: 0, sum: -0.0 }
+    }
+}
+
+impl Tally {
+    fn add(&mut self, x: f64) {
+        self.n += 1;
+        self.sum += x;
+    }
+}
+
+/// One account's records, gathered in a single pass per stream.
+#[derive(Default)]
+struct UserRecords<'a> {
+    jobs: Vec<&'a JobRecord>,
+    /// Login sessions and their hours.
+    sessions: Tally,
+    /// Transfers and their MB.
+    transfers: Tally,
+}
+
 /// Build summaries for every user appearing in the database, ordered by id.
+///
+/// Linear in the record count: each stream is read once, and the gateway
+/// attributes are indexed by job id up front.
 pub fn user_summaries(db: &AccountingDb) -> Vec<UserSummary> {
-    let mut by_user: BTreeMap<UserId, Vec<&JobRecord>> = BTreeMap::new();
+    let gateway = db.gateway_job_ids();
+    let mut by_user: BTreeMap<UserId, UserRecords> = BTreeMap::new();
     for j in &db.jobs {
-        by_user.entry(j.user).or_default().push(j);
+        by_user.entry(j.user).or_default().jobs.push(j);
     }
     // Users with only sessions/transfers still get a summary.
     for s in &db.sessions {
-        by_user.entry(s.user).or_default();
+        let hours = s.logout.saturating_since(s.login).as_hours_f64();
+        by_user.entry(s.user).or_default().sessions.add(hours);
     }
     for t in &db.transfers {
-        by_user.entry(t.user).or_default();
+        by_user.entry(t.user).or_default().transfers.add(t.mb);
     }
 
     let mut out = Vec::with_capacity(by_user.len());
-    for (user, mut jobs) in by_user {
+    for (user, records) in by_user {
+        let (mut jobs, sessions, transfers) = (records.jobs, records.sessions, records.transfers);
         jobs.sort_by_key(|j| (j.submit, j.job));
         let n = jobs.len() as u64;
         let core_hours: f64 = jobs.iter().map(|j| j.core_hours()).sum();
@@ -162,20 +199,12 @@ pub fn user_summaries(db: &AccountingDb) -> Vec<UserSummary> {
             1.0
         };
 
-        let gateway_jobs = jobs.iter().filter(|j| db.has_gateway_attr(j.job)).count() as u64;
+        let gateway_jobs = jobs.iter().filter(|j| gateway.contains(&j.job)).count() as u64;
         let engine_jobs = jobs
             .iter()
             .filter(|j| j.interface == SubmitInterface::WorkflowEngine)
             .count() as u64;
         let rc_jobs = jobs.iter().filter(|j| j.used_hw).count() as u64;
-
-        let sessions: Vec<_> = db.sessions.iter().filter(|s| s.user == user).collect();
-        let session_hours: f64 = sessions
-            .iter()
-            .map(|s| s.logout.saturating_since(s.login).as_hours_f64())
-            .sum();
-        let transfers: Vec<_> = db.transfers.iter().filter(|t| t.user == user).collect();
-        let transfer_mb: f64 = transfers.iter().map(|t| t.mb).sum();
 
         out.push(UserSummary {
             user,
@@ -193,10 +222,10 @@ pub fn user_summaries(db: &AccountingDb) -> Vec<UserSummary> {
             gateway_jobs,
             engine_jobs,
             rc_jobs,
-            sessions: sessions.len() as u64,
-            session_hours,
-            transfers: transfers.len() as u64,
-            transfer_mb,
+            sessions: sessions.n,
+            session_hours: sessions.sum,
+            transfers: transfers.n,
+            transfer_mb: transfers.sum,
         });
     }
     out

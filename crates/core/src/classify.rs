@@ -16,7 +16,7 @@
 //! the records determine the modality, not that a model can be fit.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use tg_accounting::query::{user_summaries, UserSummary};
 use tg_accounting::{AccountingDb, JobRecord};
 use tg_des::SimDuration;
@@ -78,12 +78,28 @@ pub fn classify_all(db: &AccountingDb, mode: ClassifierMode) -> HashMap<JobId, M
     classify_with(db, mode, &RuleThresholds::default())
 }
 
-/// [`classify_all`] with explicit thresholds.
+/// The attribute streams [`ClassifierMode::WithAttributes`] consults,
+/// indexed by job id once per call (empty in records-only mode).
+#[derive(Default)]
+struct Attributes {
+    gateway: HashSet<JobId>,
+    rc_placed: HashSet<JobId>,
+}
+
+/// [`classify_all`] with explicit thresholds. Linear in the record count:
+/// per-user summaries, batches and attributes are each built in one pass.
 pub fn classify_with(
     db: &AccountingDb,
     mode: ClassifierMode,
     t: &RuleThresholds,
 ) -> HashMap<JobId, Modality> {
+    let attrs = match mode {
+        ClassifierMode::WithAttributes => Attributes {
+            gateway: db.gateway_job_ids(),
+            rc_placed: db.rc_placed_job_ids(),
+        },
+        ClassifierMode::RecordsOnly => Attributes::default(),
+    };
     let summaries: HashMap<UserId, UserSummary> = user_summaries(db)
         .into_iter()
         .map(|s| (s.user, s))
@@ -104,7 +120,7 @@ pub fn classify_with(
     for j in &db.jobs {
         let summary = summaries.get(&j.user).expect("summary for every account");
         let (batch_n, _, batch_uniform) = batches[&(j.user, j.submit)];
-        let m = classify_one(db, j, summary, batch_n, batch_uniform, mode, t);
+        let m = classify_one(&attrs, j, summary, batch_n, batch_uniform, mode, t);
         out.insert(j.job, m);
     }
     out
@@ -112,7 +128,7 @@ pub fn classify_with(
 
 #[allow(clippy::too_many_arguments)]
 fn classify_one(
-    db: &AccountingDb,
+    attrs: &Attributes,
     j: &JobRecord,
     summary: &UserSummary,
     batch_n: u64,
@@ -123,10 +139,10 @@ fn classify_one(
     match mode {
         ClassifierMode::WithAttributes => {
             // Strong evidence first.
-            if db.rc_placement_of(j.job).is_some() || j.used_hw {
+            if attrs.rc_placed.contains(&j.job) || j.used_hw {
                 return Modality::RcAccelerated;
             }
-            if db.has_gateway_attr(j.job) {
+            if attrs.gateway.contains(&j.job) {
                 return Modality::ScienceGateway;
             }
             if j.interface == SubmitInterface::WorkflowEngine {
@@ -271,18 +287,25 @@ mod tests {
             used_hw: true,
             ..job(0, 5, 0, 120, 1)
         });
-        db.add_rc_placement(RcPlacementRecord {
-            job: JobId(0),
-            site: SiteId(0),
-            node: NodeId(0),
-            config: ConfigId(0),
-            reused: false,
-            transfer: SimDuration::ZERO,
-            reconfig: SimDuration::from_millis(100),
-            deadline_met: None,
-        });
+        // The placement record alone is enough, without the hardware flag.
+        db.add_job(job(1, 5, 500, 120, 1));
+        for id in [0, 1] {
+            db.add_rc_placement(RcPlacementRecord {
+                job: JobId(id),
+                site: SiteId(0),
+                node: NodeId(0),
+                config: ConfigId(0),
+                reused: false,
+                transfer: SimDuration::ZERO,
+                reconfig: SimDuration::from_millis(100),
+                deadline_met: None,
+            });
+        }
         let inferred = classify_all(&db, ClassifierMode::WithAttributes);
         assert_eq!(inferred[&JobId(0)], Modality::RcAccelerated);
+        assert_eq!(inferred[&JobId(1)], Modality::RcAccelerated);
+        let inferred = classify_all(&db, ClassifierMode::RecordsOnly);
+        assert_ne!(inferred[&JobId(1)], Modality::RcAccelerated);
     }
 
     #[test]

@@ -163,8 +163,10 @@ impl ScenarioConfig {
     }
 
     /// Check the invariants the simulator relies on: per-field ones (every
-    /// site has batch cores, a sampler interval is positive) and cross-field
-    /// ones. The error names the offending field's path, e.g. `data_home` or
+    /// site has batch cores, a sampler interval is positive, every workload
+    /// profile's rates and distributions are usable) and cross-field ones.
+    /// The error names the offending field's path, e.g. `data_home`,
+    /// `workload.profiles[3].arrival.mean_quiet_s` or
     /// `data.datasets[1].replicas[0]`.
     pub fn validate(&self) -> Result<(), String> {
         let nsites = self.sites.len();
@@ -181,6 +183,25 @@ impl ScenarioConfig {
         }
         if self.sample_interval.is_some_and(|d| d.is_zero()) {
             return Err("sample_interval: must be positive (omit it to disable sampling)".into());
+        }
+        let profiles = &self.workload.profiles;
+        if profiles.len() != Modality::ALL.len() {
+            return Err(format!(
+                "workload.profiles: needs one profile per modality ({}), got {}",
+                Modality::ALL.len(),
+                profiles.len()
+            ));
+        }
+        for (i, (p, m)) in profiles.iter().zip(Modality::ALL).enumerate() {
+            if p.modality != m {
+                return Err(format!(
+                    "workload.profiles[{i}].modality: profiles must be in modality \
+                     order (expected {m:?}, got {:?})",
+                    p.modality
+                ));
+            }
+            p.validate()
+                .map_err(|e| format!("workload.profiles[{i}].{e}"))?;
         }
         if self.workload.sites != nsites {
             return Err(format!(

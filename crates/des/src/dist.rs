@@ -15,6 +15,7 @@
 //! Every sampler draws only from [`SimRng`]; moments are unit-tested against
 //! closed forms.
 
+use crate::param::Rule;
 use crate::rng::SimRng;
 use serde::{Deserialize, Serialize};
 
@@ -610,6 +611,36 @@ pub enum DistKind {
 }
 
 impl DistKind {
+    /// Check the parameters the constructors (and [`DistKind::sample`])
+    /// require. The error names the offending parameter, e.g. `cv: …`.
+    pub fn validate(&self) -> Result<(), String> {
+        use Rule::{AtLeast, Finite, NonNegative, Positive};
+        let checks = match *self {
+            DistKind::Constant { value } => vec![("value", Finite, value)],
+            DistKind::Uniform { lo, hi } => vec![("lo", Finite, lo), ("hi", AtLeast(lo), hi)],
+            DistKind::Exponential { mean } => vec![("mean", Positive, mean)],
+            DistKind::Normal { mu, sigma } => {
+                vec![("mu", Finite, mu), ("sigma", NonNegative, sigma)]
+            }
+            DistKind::LogNormal { mean, cv } => {
+                vec![("mean", Positive, mean), ("cv", NonNegative, cv)]
+            }
+            DistKind::Weibull { k, lambda } => {
+                vec![("k", Positive, k), ("lambda", Positive, lambda)]
+            }
+            DistKind::Pareto { xm, alpha } => {
+                vec![("xm", Positive, xm), ("alpha", Positive, alpha)]
+            }
+            DistKind::Gamma { k, theta } => vec![("k", Positive, k), ("theta", Positive, theta)],
+            DistKind::Hyperexp { mean, scv } => {
+                vec![("mean", Positive, mean), ("scv", AtLeast(1.0), scv)]
+            }
+        };
+        checks
+            .into_iter()
+            .try_for_each(|(name, rule, v)| rule.check(name, v))
+    }
+
     /// Instantiate the described distribution.
     pub fn build(&self) -> Box<dyn Dist + Send + Sync> {
         match *self {
@@ -874,6 +905,84 @@ mod tests {
         for _ in 0..10_000 {
             let x = d.sample(&mut rng);
             assert!((2.0..3.0).contains(&x));
+        }
+    }
+
+    #[test]
+    fn dist_kind_validate_matches_constructors() {
+        let good = [
+            DistKind::Constant { value: -1.0 },
+            DistKind::Uniform { lo: 2.0, hi: 2.0 },
+            DistKind::Normal {
+                mu: -3.0,
+                sigma: 0.0,
+            },
+            DistKind::LogNormal { mean: 1.0, cv: 0.0 },
+            DistKind::Hyperexp {
+                mean: 1.0,
+                scv: 1.0,
+            },
+        ];
+        for d in good {
+            assert_eq!(d.validate(), Ok(()), "{d:?}");
+            d.build();
+        }
+        let bad = [
+            (
+                DistKind::Constant { value: f64::NAN },
+                "value: must be finite, got NaN",
+            ),
+            (
+                DistKind::Uniform { lo: 3.0, hi: 1.0 },
+                "hi: must be finite and >= 3, got 1",
+            ),
+            (DistKind::Exponential { mean: 0.0 }, "mean:"),
+            (
+                DistKind::Normal {
+                    mu: 0.0,
+                    sigma: -1.0,
+                },
+                "sigma:",
+            ),
+            (
+                DistKind::LogNormal {
+                    mean: 1.0,
+                    cv: -1.0,
+                },
+                "cv:",
+            ),
+            (
+                DistKind::Weibull {
+                    k: 1.0,
+                    lambda: f64::INFINITY,
+                },
+                "lambda:",
+            ),
+            (
+                DistKind::Pareto {
+                    xm: 0.0,
+                    alpha: 1.0,
+                },
+                "xm:",
+            ),
+            (
+                DistKind::Gamma {
+                    k: 1.0,
+                    theta: -2.0,
+                },
+                "theta:",
+            ),
+            (
+                DistKind::Hyperexp {
+                    mean: 1.0,
+                    scv: 0.5,
+                },
+                "scv:",
+            ),
+        ];
+        for (d, want) in bad {
+            let err = d.validate().expect_err(want);
+            assert!(err.starts_with(want), "want `{want}…`, got `{err}`");
         }
     }
 }

@@ -85,6 +85,7 @@ pub mod dist;
 pub mod engine;
 pub mod memory;
 pub mod metrics;
+pub mod param;
 pub mod rng;
 pub mod series;
 pub mod sketch;

@@ -26,6 +26,7 @@
 #![deny(unsafe_code)]
 
 use serde::{Deserialize, Serialize};
+use tg_des::param::Rule;
 use tg_des::{RngFactory, SimRng, SimTime, StreamId};
 use tg_model::SiteId;
 use tg_sched::RetryPolicy;
@@ -234,32 +235,6 @@ fn exp_hours(rng: &mut SimRng, mean: f64) -> f64 {
     -mean * (1.0 - rng.uniform()).ln()
 }
 
-/// What a numeric [`FaultSpec`] field must be for the spec to compile.
-#[derive(Clone, Copy)]
-enum Rule {
-    Finite,
-    Positive,
-    /// A degradation factor: finite and ≥ 1.
-    Factor,
-    Probability,
-}
-
-impl Rule {
-    fn check(self, path: &str, v: f64) -> Result<(), String> {
-        let (ok, want) = match self {
-            Rule::Finite => (v.is_finite(), "finite"),
-            Rule::Positive => (v.is_finite() && v > 0.0, "positive and finite"),
-            Rule::Factor => (v.is_finite() && v >= 1.0, "finite and >= 1"),
-            Rule::Probability => ((0.0..=1.0).contains(&v), "a probability in [0, 1]"),
-        };
-        if ok {
-            Ok(())
-        } else {
-            Err(format!("{path}: must be {want}, got {v}"))
-        }
-    }
-}
-
 impl FaultSpec {
     /// True when the spec would inject nothing at all.
     pub fn is_trivial(&self) -> bool {
@@ -302,8 +277,8 @@ impl FaultSpec {
             site(at("site"), w.site)?;
             Rule::Finite.check(&at("start_hours"), w.start_hours)?;
             Rule::Finite.check(&at("duration_hours"), w.duration_hours)?;
-            Rule::Factor.check(&at("bandwidth_factor"), w.bandwidth_factor)?;
-            Rule::Factor.check(&at("latency_factor"), w.latency_factor)?;
+            Rule::AtLeast(1.0).check(&at("bandwidth_factor"), w.bandwidth_factor)?;
+            Rule::AtLeast(1.0).check(&at("latency_factor"), w.latency_factor)?;
         }
         if let Some(ingest) = &self.ingest {
             Rule::Probability.check("ingest.loss", ingest.loss)?;

@@ -105,16 +105,32 @@ impl DagShape {
         }
     }
 
+    /// Whether every size parameter is at least 1, as [`DagShape::generate`]
+    /// requires.
+    pub fn is_valid(&self) -> bool {
+        match *self {
+            DagShape::Chain { n } => n >= 1,
+            DagShape::ForkJoin { width, stages } => width >= 1 && stages >= 1,
+            DagShape::Layered {
+                layers,
+                width,
+                fan_in,
+            } => layers >= 1 && width >= 1 && fan_in >= 1,
+        }
+    }
+
     /// Generate the skeleton (deterministic given `rng` state).
     pub fn generate(&self, rng: &mut SimRng) -> DagSkeleton {
+        assert!(
+            self.is_valid(),
+            "DAG shape sizes must be at least 1: {self:?}"
+        );
         match *self {
             DagShape::Chain { n } => {
-                assert!(n >= 1, "chain needs a task");
                 let edges = (1..n).map(|i| (i - 1, i)).collect();
                 DagSkeleton { tasks: n, edges }
             }
             DagShape::ForkJoin { width, stages } => {
-                assert!(width >= 1 && stages >= 1, "bad fork-join");
                 // Index layout: 0 = source; then per stage `width` workers;
                 // then sink. Stages are joined through synthetic join tasks
                 // only if stages > 1 — we join directly worker→worker of
@@ -146,7 +162,6 @@ impl DagShape {
                 width,
                 fan_in,
             } => {
-                assert!(layers >= 1 && width >= 1 && fan_in >= 1, "bad layered");
                 let mut edges = Vec::new();
                 let task = |layer: usize, i: usize| layer * width + i;
                 for l in 1..layers {

@@ -13,6 +13,7 @@ use crate::dag::DagShape;
 use crate::modality::Modality;
 use serde::{Deserialize, Serialize};
 use tg_des::dist::DistKind;
+use tg_des::param::Rule;
 
 /// Which arrival process a profile uses.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -258,6 +259,91 @@ impl ModalityProfile {
         }
     }
 
+    /// Check every field the generator samples from or indexes into, and the
+    /// extras its modality needs (ensemble widths, workflow shapes, RC task
+    /// parameters). The error names the field's path within the profile,
+    /// e.g. `arrival.mean_quiet_s: …` or `cores_weights[2]: …`.
+    pub fn validate(&self) -> Result<(), String> {
+        use Rule::{AtLeast, NonNegative, Positive, Probability};
+        let dist = |name: &str, d: &DistKind| d.validate().map_err(|e| format!("{name}.{e}"));
+
+        NonNegative.check("per_user_per_day", self.per_user_per_day)?;
+        match self.arrival {
+            ArrivalKind::Poisson => {}
+            ArrivalKind::Diurnal {
+                day_night_ratio,
+                peak_hour,
+                weekend_factor,
+            } => {
+                AtLeast(1.0).check("arrival.day_night_ratio", day_night_ratio)?;
+                NonNegative.check("arrival.peak_hour", peak_hour)?;
+                if peak_hour >= 24.0 {
+                    return Err(format!("arrival.peak_hour: must be < 24, got {peak_hour}"));
+                }
+                Positive.check("arrival.weekend_factor", weekend_factor)?;
+                Probability.check("arrival.weekend_factor", weekend_factor)?;
+            }
+            ArrivalKind::Bursty {
+                burst_ratio,
+                mean_quiet_s,
+                mean_burst_s,
+            } => {
+                Positive.check("arrival.burst_ratio", burst_ratio)?;
+                Positive.check("arrival.mean_quiet_s", mean_quiet_s)?;
+                Positive.check("arrival.mean_burst_s", mean_burst_s)?;
+                // The generator solves the state rates through this sum.
+                if !(mean_quiet_s + burst_ratio * mean_burst_s).is_finite() {
+                    return Err(
+                        "arrival: mean_quiet_s + burst_ratio × mean_burst_s must be finite".into(),
+                    );
+                }
+            }
+        }
+        if self.cores_weights.is_empty() {
+            return Err("cores_weights: needs at least one (cores, weight) entry".into());
+        }
+        for (k, &(cores, weight)) in self.cores_weights.iter().enumerate() {
+            if cores == 0 {
+                return Err(format!("cores_weights[{k}]: core count must be positive"));
+            }
+            Positive.check(&format!("cores_weights[{k}]"), weight)?;
+        }
+        dist("runtime", &self.runtime)?;
+        dist("estimate_factor", &self.estimate_factor)?;
+        dist("input_mb", &self.input_mb)?;
+        dist("output_mb", &self.output_mb)?;
+        Probability.check("site_pinned_prob", self.site_pinned_prob)?;
+        match &self.ensemble_width {
+            Some(d) => dist("ensemble_width", d)?,
+            None if self.modality == Modality::Ensemble => {
+                return Err("ensemble_width: required for the ensemble modality".into())
+            }
+            None => {}
+        }
+        if self.modality == Modality::Workflow && self.dag_shapes.is_empty() {
+            return Err("dag_shapes: the workflow modality needs at least one shape".into());
+        }
+        for (k, &(shape, weight)) in self.dag_shapes.iter().enumerate() {
+            if !shape.is_valid() {
+                return Err(format!("dag_shapes[{k}]: every size must be at least 1"));
+            }
+            Positive.check(&format!("dag_shapes[{k}]"), weight)?;
+        }
+        match &self.rc {
+            Some(rc) => {
+                NonNegative.check("rc.config_zipf_s", rc.config_zipf_s)?;
+                dist("rc.speedup", &rc.speedup)?;
+                Probability.check("rc.deadline_fraction", rc.deadline_fraction)?;
+                dist("rc.deadline_slack", &rc.deadline_slack)?;
+            }
+            None if self.modality == Modality::RcAccelerated => {
+                return Err("rc: required for the RC-accelerated modality".into())
+            }
+            None => {}
+        }
+        Ok(())
+    }
+
     /// All default profiles, in [`Modality::ALL`] order.
     pub fn all_defaults() -> Vec<ModalityProfile> {
         Modality::ALL
@@ -333,6 +419,110 @@ mod tests {
             assert!(p.cores_weights.iter().all(|&(c, w)| c > 0 && w > 0.0));
         }
         assert_eq!(ModalityProfile::all_defaults().len(), Modality::ALL.len());
+    }
+
+    #[test]
+    fn defaults_validate() {
+        for p in ModalityProfile::all_defaults() {
+            assert_eq!(p.validate(), Ok(()), "{:?}", p.modality);
+        }
+    }
+
+    #[test]
+    fn validate_names_the_bad_field() {
+        type Mutation = fn(&mut ModalityProfile);
+        let cases: &[(Modality, Mutation, &str)] = &[
+            (
+                Modality::BatchComputing,
+                |p| p.per_user_per_day = f64::NAN,
+                "per_user_per_day:",
+            ),
+            (
+                Modality::Workflow,
+                |p| {
+                    p.arrival = ArrivalKind::Bursty {
+                        burst_ratio: 20.0,
+                        mean_quiet_s: 600.0,
+                        mean_burst_s: f64::INFINITY,
+                    }
+                },
+                "arrival.mean_burst_s:",
+            ),
+            (
+                Modality::Workflow,
+                |p| {
+                    p.arrival = ArrivalKind::Bursty {
+                        burst_ratio: 1e300,
+                        mean_quiet_s: 600.0,
+                        mean_burst_s: 1e300,
+                    }
+                },
+                "arrival: mean_quiet_s + burst_ratio",
+            ),
+            (
+                Modality::Interactive,
+                |p| {
+                    p.arrival = ArrivalKind::Diurnal {
+                        day_night_ratio: 2.0,
+                        peak_hour: 24.0,
+                        weekend_factor: 0.5,
+                    }
+                },
+                "arrival.peak_hour:",
+            ),
+            (
+                Modality::Interactive,
+                |p| p.cores_weights[0].0 = 0,
+                "cores_weights[0]: core count",
+            ),
+            (
+                Modality::Interactive,
+                |p| p.cores_weights[1].1 = f64::NAN,
+                "cores_weights[1]:",
+            ),
+            (
+                Modality::BatchComputing,
+                |p| {
+                    p.output_mb = DistKind::Pareto {
+                        xm: 1.0,
+                        alpha: f64::NEG_INFINITY,
+                    }
+                },
+                "output_mb.alpha:",
+            ),
+            (
+                Modality::Ensemble,
+                |p| p.ensemble_width = None,
+                "ensemble_width: required",
+            ),
+            (
+                Modality::Workflow,
+                |p| p.dag_shapes.clear(),
+                "dag_shapes: the workflow",
+            ),
+            (
+                Modality::Workflow,
+                |p| {
+                    p.dag_shapes[1].0 = DagShape::ForkJoin {
+                        width: 0,
+                        stages: 2,
+                    }
+                },
+                "dag_shapes[1]: every size",
+            ),
+            (Modality::RcAccelerated, |p| p.rc = None, "rc: required"),
+            (
+                Modality::RcAccelerated,
+                |p| p.rc.as_mut().expect("rc").deadline_fraction = -0.1,
+                "rc.deadline_fraction:",
+            ),
+        ];
+        for &(m, mutate, want) in cases {
+            let mut p = ModalityProfile::default_for(m);
+            mutate(&mut p);
+            let err = p.validate().expect_err(want);
+            assert!(err.starts_with(want), "want `{want}…`, got `{err}`");
+        }
     }
 
     #[test]

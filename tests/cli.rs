@@ -5,6 +5,8 @@ use teragrid_repro::prelude::{
     ConfigLibrary, FaultSpec, IngestFaults, NodeCrashSpec, OutageWindow, RngFactory,
     ScenarioConfig, SimDuration, WorkloadGenerator,
 };
+use tg_des::dist::DistKind;
+use tg_workload::profiles::ArrivalKind;
 
 fn tgsim() -> Command {
     Command::new(env!("CARGO_BIN_EXE_tgsim"))
@@ -553,6 +555,16 @@ fn crashes(c: &mut ScenarioConfig) -> &mut NodeCrashSpec {
         .expect("demo spec has crashes")
 }
 
+/// The workflow profile (index 3 in modality order) with a bursty arrival
+/// process of the given parameters.
+fn workflow_bursty(c: &mut ScenarioConfig, burst_ratio: f64, quiet: f64, burst: f64) {
+    c.workload.profiles[3].arrival = ArrivalKind::Bursty {
+        burst_ratio,
+        mean_quiet_s: quiet,
+        mean_burst_s: burst,
+    };
+}
+
 /// Configs that parse but break a per-field or cross-field invariant (fault
 /// specs included) are rejected up front: exit 1 (not a panic) with the
 /// offending field's path.
@@ -639,6 +651,56 @@ fn invalid_configs_exit_1_naming_the_field() {
                 })
             },
             "faults.ingest.loss:",
+        ),
+        (
+            "mean-quiet",
+            |c| workflow_bursty(c, 20.0, 0.0, 1800.0),
+            "workload.profiles[3].arrival.mean_quiet_s:",
+        ),
+        (
+            "mean-burst",
+            |c| workflow_bursty(c, 20.0, 21_600.0, -5.0),
+            "workload.profiles[3].arrival.mean_burst_s:",
+        ),
+        (
+            "burst-ratio",
+            |c| workflow_bursty(c, 0.0, 21_600.0, 1800.0),
+            "workload.profiles[3].arrival.burst_ratio:",
+        ),
+        (
+            "runtime-cv",
+            |c| {
+                c.workload.profiles[0].runtime = DistKind::LogNormal {
+                    mean: 3600.0,
+                    cv: -1.0,
+                }
+            },
+            "workload.profiles[0].runtime.cv:",
+        ),
+        (
+            "cores-empty",
+            |c| c.workload.profiles[1].cores_weights.clear(),
+            "workload.profiles[1].cores_weights:",
+        ),
+        (
+            "cores-weight",
+            |c| c.workload.profiles[1].cores_weights[2].1 = 0.0,
+            "workload.profiles[1].cores_weights[2]:",
+        ),
+        (
+            "rate",
+            |c| c.workload.profiles[2].per_user_per_day = -1.0,
+            "workload.profiles[2].per_user_per_day:",
+        ),
+        (
+            "pinned-prob",
+            |c| c.workload.profiles[4].site_pinned_prob = 2.0,
+            "workload.profiles[4].site_pinned_prob:",
+        ),
+        (
+            "estimate-bounds",
+            |c| c.workload.profiles[5].estimate_factor = DistKind::Uniform { lo: 3.0, hi: 1.0 },
+            "workload.profiles[5].estimate_factor.hi:",
         ),
     ];
     for &(tag, mutate, field) in cases {
