@@ -375,6 +375,11 @@ pub(crate) struct IdCursor {
 /// (the common-random-numbers contract). Arrival instants strictly increase
 /// and every job in an arrival's block shares its submit time with ids
 /// ascending, so blocks come out already sorted by `(submit_time, id)`.
+///
+/// A clone taken before the first [`UserGen::emit_next`] emits exactly what
+/// a fresh [`UserGen::new`] would: it carries the same arrival instants and
+/// the RNG state right after they were drawn.
+#[derive(Clone)]
 pub(crate) struct UserGen {
     user: User,
     home: SiteId,

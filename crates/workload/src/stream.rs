@@ -4,17 +4,20 @@
 //! million-user scale that footprint dominates peak RSS. This module
 //! produces the *identical* job sequence one job at a time:
 //!
-//! 1. **Counting prepass.** Each user's generation is replayed (same RNG
-//!    stream, same draws) with the jobs discarded, yielding the exact
-//!    per-user id bases the global counters would have reached — job,
-//!    workflow, and ensemble ids are threaded across users in population
-//!    order, so each user owns a contiguous block of each id space.
-//! 2. **Per-user cursors.** A fresh `UserGen` per user re-draws the
-//!    arrival instants up front (~8 bytes per arrival, versus hundreds per
-//!    materialized job) and draws job fields lazily as each arrival is
+//! 1. **Per-user cursors.** One `UserGen` per user draws the home site and
+//!    the arrival instants up front (~8 bytes per arrival, versus hundreds
+//!    per materialized job) and draws job fields lazily as each arrival is
 //!    pulled. The draw *order* within the user's stream is unchanged —
 //!    all arrivals first, then per-arrival job fields — so every sampled
 //!    value matches the materialized path bit for bit.
+//! 2. **Counting prepass.** A clone of each fresh cursor is drained with
+//!    the jobs discarded, yielding the exact per-user id bases the global
+//!    counters would have reached — job, workflow, and ensemble ids are
+//!    threaded across users in population order, so each user owns a
+//!    contiguous block of each id space. The clone starts from the
+//!    cursor's post-arrival RNG state, so it makes the same per-arrival
+//!    draws the cursor will make later, and the arrival process is walked
+//!    once per user.
 //! 3. **K-way merge.** Arrival instants strictly increase within a user
 //!    and every job in an arrival's block shares its submit time with
 //!    contiguous ascending ids, so each cursor emits blocks already sorted
@@ -22,14 +25,15 @@
 //!    heap over `(next submit time, next id)` therefore reproduces the
 //!    materialized `sort_by_key(|j| (j.submit_time, j.id))` exactly.
 //!
-//! The cost is one extra generation pass (the prepass) and the resident
-//! cursors; what it buys is that pending jobs never exist all at once.
+//! The cost is one extra pass over each user's per-arrival job fields (the
+//! prepass; arrival instants are drawn once) and the resident cursors;
+//! what it buys is that pending jobs never exist all at once.
 
 use crate::generator::{IdCursor, UserGen, WorkloadGenerator};
 use crate::job::Job;
 use crate::user::Population;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use tg_des::dist::Zipf;
 use tg_des::{RngFactory, SimTime};
 
@@ -56,8 +60,9 @@ pub struct WorkloadStream {
     /// Min-heap of `(next submit time, next job id, cursor index)` — the
     /// head of each non-exhausted cursor.
     heap: BinaryHeap<Reverse<(SimTime, usize, usize)>>,
-    /// The current arrival block, delivered front to back.
-    block: VecDeque<Job>,
+    /// The current arrival block in reverse, so that `pop` delivers it
+    /// front to back. One buffer, refilled in place for every arrival.
+    block: Vec<Job>,
     emitted: usize,
 }
 
@@ -77,15 +82,16 @@ impl WorkloadGenerator {
 
         for user in &population.users {
             let gateway = self.gateway_for(user, &mut gw_counter);
-            // Counting prepass: replay this user's generation and discard
-            // the jobs — only the id-counter advance is kept. Uses its own
-            // instance of the user's RNG stream, so the real cursor below
-            // starts from the identical state.
-            let mut counter = UserGen::new(self, user, factory, ids, gateway);
+            // Counting prepass: drain a clone of the cursor and discard the
+            // jobs — only the id-counter advance is kept. The clone copies
+            // the cursor's arrivals and post-arrival RNG state, so the
+            // arrival process is walked once per user and the cursor itself
+            // stays at its first arrival.
+            let cursor = UserGen::new(self, user, factory, ids, gateway);
+            let mut counter = cursor.clone();
             while counter.emit_next(self, rc_zipf.as_ref(), &mut scratch) {
                 scratch.clear();
             }
-            let cursor = UserGen::new(self, user, factory, ids, gateway);
             if let Some(t) = cursor.peek_time() {
                 heap.push(Reverse((t, cursor.ids().next_job, cursors.len())));
             }
@@ -102,7 +108,7 @@ impl WorkloadGenerator {
                 rc_zipf,
                 cursors,
                 heap,
-                block: VecDeque::new(),
+                block: Vec::new(),
                 emitted: 0,
             },
         }
@@ -120,15 +126,13 @@ impl WorkloadStream {
             return;
         };
         let cursor = &mut self.cursors[idx];
-        let mut block = std::mem::take(&mut self.block);
-        let mut out: Vec<Job> = Vec::with_capacity(4);
-        let produced = cursor.emit_next(&self.gen, self.rc_zipf.as_ref(), &mut out);
+        debug_assert!(self.block.is_empty(), "refilled before the block drained");
+        let produced = cursor.emit_next(&self.gen, self.rc_zipf.as_ref(), &mut self.block);
         debug_assert!(produced, "heaped cursor had no arrival left");
-        block.extend(out);
+        self.block.reverse();
         if let Some(t) = cursor.peek_time() {
             self.heap.push(Reverse((t, cursor.ids().next_job, idx)));
         }
-        self.block = block;
     }
 }
 
@@ -143,7 +147,7 @@ impl Iterator for WorkloadStream {
             self.refill();
         }
         self.emitted += 1;
-        self.block.pop_front()
+        self.block.pop()
     }
 }
 
@@ -190,6 +194,80 @@ mod tests {
         for m in Modality::ALL {
             assert!(jobs.iter().any(|j| j.true_modality == m), "no {m} jobs");
         }
+    }
+
+    /// Every block a cursor emits, each paired with the `peek_time` seen
+    /// before it, and where the id counters stand once it is exhausted.
+    type Drained = (Vec<(Option<SimTime>, Vec<Job>)>, IdCursor);
+
+    fn drain(gen: &WorkloadGenerator, rc_zipf: Option<&Zipf>, mut g: UserGen) -> Drained {
+        let mut blocks = Vec::new();
+        loop {
+            let at = g.peek_time();
+            let mut out = Vec::new();
+            if !g.emit_next(gen, rc_zipf, &mut out) {
+                assert!(at.is_none() && out.is_empty());
+                return (blocks, g.ids());
+            }
+            blocks.push((at, out));
+        }
+    }
+
+    /// The streaming prepass drains a clone of each cursor instead of a
+    /// second `UserGen::new`; that is only sound if a clone emits exactly
+    /// what a rebuild does. Checked for every modality, with RC sites and a
+    /// dataset assignment (the per-job `data_zipf` draws ride the user
+    /// stream), at a sparse million-style rate over a year so that bursty
+    /// users walk many quiet states before their first arrival.
+    #[test]
+    fn cloned_cursor_equals_rebuilt_cursor() {
+        let mut cfg = GeneratorConfig::baseline(1000, 365, 3);
+        for p in &mut cfg.profiles {
+            p.per_user_per_day *= 0.0016;
+        }
+        cfg.data = Some(tg_data::DatasetAssignment {
+            count: 6,
+            zipf_s: 1.1,
+            attach: Modality::ALL
+                .iter()
+                .enumerate()
+                .map(|(i, m)| (m.name().to_string(), 0.2 + 0.1 * i as f64))
+                .collect(),
+        });
+        let gen = WorkloadGenerator::new(cfg);
+        let factory = RngFactory::new(17);
+        let rc_zipf = gen.rc_zipf();
+        let population = gen.population();
+        let mut ids = IdCursor::default();
+        let mut gw_counter = 0usize;
+        let mut nonempty = [0usize; Modality::ALL.len()];
+        let mut with_dataset = 0usize;
+        for user in &population.users {
+            let gateway = gen.gateway_for(user, &mut gw_counter);
+            let built = UserGen::new(&gen, user, &factory, ids, gateway);
+            let cloned = built.clone();
+            let rebuilt = UserGen::new(&gen, user, &factory, ids, gateway);
+            let want = drain(&gen, rc_zipf.as_ref(), rebuilt);
+            assert_eq!(drain(&gen, rc_zipf.as_ref(), built), want, "{:?}", user.id);
+            assert_eq!(drain(&gen, rc_zipf.as_ref(), cloned), want, "{:?}", user.id);
+            if !want.0.is_empty() {
+                nonempty[user.modality.index()] += 1;
+            }
+            with_dataset += want
+                .0
+                .iter()
+                .flat_map(|(_, b)| b)
+                .filter(|j| j.dataset.is_some())
+                .count();
+            ids = want.1;
+        }
+        for m in Modality::ALL {
+            assert!(
+                nonempty[m.index()] > 0,
+                "no {m} user emitted a block: {nonempty:?}"
+            );
+        }
+        assert!(with_dataset > 0, "no job drew a dataset");
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! acyclicity, and SWF-parser robustness against arbitrary input.
 
 use proptest::prelude::*;
+use tg_data::DatasetAssignment;
 use tg_des::{RngFactory, SimDuration, SimRng, SimTime};
 use tg_workload::arrival::{arrivals_in, ArrivalProcess, DiurnalPoisson, Mmpp2, Poisson};
 use tg_workload::dag::DagShape;
@@ -175,16 +176,47 @@ proptest! {
     }
 }
 
+/// No data grid, or a dataset assignment: a catalog of one or more
+/// datasets, any Zipf skew, and an attach probability in `[0, 1]` for every
+/// modality (both ends included; all of them zero, which leaves the
+/// assignment inert, is possible but rare).
+fn arb_data() -> impl Strategy<Value = Option<DatasetAssignment>> {
+    prop_oneof![
+        Just(None),
+        (
+            1usize..10,
+            0.0f64..2.0,
+            prop::collection::vec(
+                prop_oneof![Just(0.0), 0.0f64..1.0, Just(1.0)],
+                Modality::ALL.len(),
+            ),
+        )
+            .prop_map(|(count, zipf_s, probs)| {
+                Some(DatasetAssignment {
+                    count,
+                    zipf_s,
+                    attach: Modality::ALL
+                        .iter()
+                        .zip(probs)
+                        .map(|(m, p)| (m.name().to_string(), p))
+                        .collect(),
+                })
+            }),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     /// The streaming generator emits the exact job sequence the
     /// materialized generator produces — ids, arrival times, modalities,
-    /// every field — whatever the population mix or seed. This is the
-    /// contract the streaming simulation path's byte-identity rests on.
+    /// every field — whatever the population mix, dataset assignment or
+    /// seed. This is the contract the streaming simulation path's
+    /// byte-identity rests on.
     #[test]
     fn streaming_equals_materialized_generation(
         mix in arb_mix(),
+        data in arb_data(),
         seed in any::<u64>(),
         days in 1u64..4,
     ) {
@@ -196,7 +228,7 @@ proptest! {
             sites: 3,
             rc_sites: if rc_users > 0 { vec![tg_model::SiteId(2)] } else { vec![] },
             rc_config_count: if rc_users > 0 { 5 } else { 0 },
-            data: None,
+            data,
         };
         let gen = WorkloadGenerator::new(cfg);
         let materialized = gen.generate(&RngFactory::new(seed));
