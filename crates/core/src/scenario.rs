@@ -21,6 +21,7 @@ use tg_workload::{GeneratorConfig, JobId, Modality, WorkloadGenerator};
 
 /// Everything that defines an experiment run (minus the seed).
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ScenarioConfig {
     /// Scenario label for reports.
     pub name: String,
@@ -163,23 +164,16 @@ impl ScenarioConfig {
     }
 
     /// Check the invariants the simulator relies on: per-field ones (every
-    /// site has batch cores, a sampler interval is positive, every workload
-    /// profile's rates and distributions are usable) and cross-field ones.
+    /// site's hardware figures are usable, a sampler interval is positive,
+    /// every workload profile's rates and distributions are usable) and
+    /// cross-field ones.
     /// The error names the offending field's path, e.g. `data_home`,
     /// `workload.profiles[3].arrival.mean_quiet_s` or
     /// `data.datasets[1].replicas[0]`.
     pub fn validate(&self) -> Result<(), String> {
         let nsites = self.sites.len();
         for (i, site) in self.sites.iter().enumerate() {
-            // Zero, or too many to count (overflow), is no usable machine.
-            let cores = site.batch_nodes.checked_mul(site.cores_per_node);
-            if cores.unwrap_or(0) == 0 {
-                return Err(format!(
-                    "sites[{i}].batch_nodes: batch_nodes × cores_per_node must be a \
-                     positive core count (got {} × {})",
-                    site.batch_nodes, site.cores_per_node
-                ));
-            }
+            site.validate().map_err(|e| format!("sites[{i}].{e}"))?;
         }
         if self.sample_interval.is_some_and(|d| d.is_zero()) {
             return Err("sample_interval: must be positive (omit it to disable sampling)".into());
@@ -346,43 +340,59 @@ impl Scenario {
     pub fn run_with(&self, seed: u64, opts: &RunOptions) -> SimOutput {
         let cfg = &self.config;
         let alloc_before = tg_des::memory::alloc_snapshot();
-        // `build` validated that an explicit library covers every config id
-        // the workload draws; the synthetic one is sized to cover them.
-        let library = cfg
-            .library
-            .clone()
-            .unwrap_or_else(|| ConfigLibrary::synthetic(cfg.workload.rc_config_count.max(1)));
-        let federation = build_federation(cfg, &library);
+        let library = self.library();
         if opts.stream_gen {
-            return self.run_streaming(seed, opts, federation);
+            return self.run_streaming(seed, opts, build_federation(cfg, &library));
         }
         let mut workload =
             WorkloadGenerator::new(cfg.effective_workload()).generate(&RngFactory::new(seed));
-        // Real users size jobs to the machine; the generator doesn't know
-        // machine sizes, so clamp here: a pinned job fits its site, an
-        // unpinned one fits the largest site.
-        let max_cores = federation
-            .sites()
-            .map(|s| s.cluster.total_cores())
-            .max()
-            .expect("non-empty federation");
-        for job in &mut workload.jobs {
-            let cap = match job.site_hint {
-                Some(s) => federation.site(s).cluster.total_cores(),
-                None => max_cores,
-            };
-            job.cores = job.cores.min(cap);
-        }
-
         let jobs = std::mem::take(&mut workload.jobs);
-        let sim = assemble(cfg, &library, jobs, RngFactory::new(seed), opts);
+        let mut out = self.run_materialized(seed, jobs, &library, opts, alloc_before);
+        out.population = workload.population;
+        out
+    }
+
+    /// Run `jobs` (e.g. an imported archive trace) through this scenario's
+    /// federation, policies and layers at `seed`, in place of the generated
+    /// workload. Jobs are clamped to the machine as generated ones are; site
+    /// hints must name sites of this federation. The output's population is
+    /// empty: no generator ran.
+    pub fn run_jobs(&self, seed: u64, jobs: Vec<tg_workload::Job>, opts: &RunOptions) -> SimOutput {
+        let alloc_before = tg_des::memory::alloc_snapshot();
+        let library = self.library();
+        self.run_materialized(seed, jobs, &library, opts, alloc_before)
+    }
+
+    /// The processor-configuration library runs build their federation
+    /// with. `build` validated that an explicit library covers every config
+    /// id the workload draws; the synthetic one is sized to cover them.
+    fn library(&self) -> ConfigLibrary {
+        let cfg = &self.config;
+        cfg.library
+            .clone()
+            .unwrap_or_else(|| ConfigLibrary::synthetic(cfg.workload.rc_config_count.max(1)))
+    }
+
+    /// The materialized tail of a run: clamp, assemble, run, output.
+    /// `alloc_before` is where the profile's allocation count starts.
+    fn run_materialized(
+        &self,
+        seed: u64,
+        mut jobs: Vec<tg_workload::Job>,
+        library: &ConfigLibrary,
+        opts: &RunOptions,
+        alloc_before: tg_des::memory::AllocSnapshot,
+    ) -> SimOutput {
+        let cfg = &self.config;
+        jobs.iter_mut().for_each(machine_clamp(cfg));
+        let sim = assemble(cfg, library, jobs, RngFactory::new(seed), opts);
         // Wall-clock profiling wraps the event loop; it lives OUTSIDE the
         // deterministic outputs (never compared across runs).
         let mut engine: Engine<Event> = Engine::with_capacity(1024);
         let wall_start = std::time::Instant::now();
         let finished = sim.run(&mut engine);
         let profile = measure(&engine, wall_start, alloc_before);
-        self.output(seed, opts, finished, workload.population, profile)
+        self.output(seed, opts, finished, Default::default(), profile)
     }
 
     /// The streaming run path: lazy generation, jobs pulled on demand, and
@@ -397,17 +407,9 @@ impl Scenario {
         let total_jobs = streamed.total_jobs;
         // The same machine-size clamp the materialized path applies after
         // generation, moved into the stream adapter so it runs per job.
-        let caps: Vec<usize> = federation
-            .sites()
-            .map(|s| s.cluster.total_cores())
-            .collect();
-        let max_cores = *caps.iter().max().expect("non-empty federation");
+        let clamp = machine_clamp(cfg);
         let jobs = streamed.stream.map(move |mut job| {
-            let cap = match job.site_hint {
-                Some(s) => caps[s.index()],
-                None => max_cores,
-            };
-            job.cores = job.cores.min(cap);
+            clamp(&mut job);
             job
         });
 
@@ -470,10 +472,7 @@ impl Scenario {
             events_delivered: profile.events_delivered,
             metrics,
             profile,
-            trace_health: opts
-                .trace_path
-                .as_ref()
-                .map(|_| finished.tracer.health(finished.trace_flush_ok)),
+            trace_health: opts.trace_path.as_ref().map(|_| finished.trace_health),
             fault_report: finished.fault_report,
             ingest_tally: finished.ingest_tally,
             stats: finished.stats,
@@ -494,6 +493,18 @@ fn measure(
         tg_des::memory::peak_rss_bytes(),
         tg_des::memory::AllocDelta::since(alloc_before),
     )
+}
+
+/// Real users size jobs to the machine; the generator doesn't know machine
+/// sizes, so every run clamps each job's cores: a pinned job fits its site,
+/// an unpinned one fits the largest site.
+fn machine_clamp(cfg: &ScenarioConfig) -> impl Fn(&mut tg_workload::Job) + Send + 'static {
+    let caps: Vec<usize> = cfg.sites.iter().map(SiteConfig::total_cores).collect();
+    let max_cores = *caps.iter().max().expect("non-empty federation");
+    move |job| {
+        let cap = job.site_hint.map_or(max_cores, |s| caps[s.index()]);
+        job.cores = job.cores.min(cap);
+    }
 }
 
 fn build_federation(cfg: &ScenarioConfig, library: &ConfigLibrary) -> Federation {
@@ -573,9 +584,7 @@ fn apply_sim_options(mut sim: GridSim, cfg: &ScenarioConfig, opts: &RunOptions) 
     if let Some(path) = &opts.trace_path {
         let file = std::fs::File::create(path)
             .unwrap_or_else(|e| panic!("cannot create trace file {}: {e}", path.display()));
-        let mut tracer = Tracer::enabled(4096);
-        tracer.set_sink(Box::new(std::io::BufWriter::new(file)));
-        sim = sim.with_tracer(tracer);
+        sim = sim.with_tracer(Tracer::new(Box::new(std::io::BufWriter::new(file))));
     }
     if let Some(sink) = build_record_sink(&opts.record_streaming) {
         sim = sim.with_record_sink(sink);
@@ -657,8 +666,8 @@ pub struct SimOutput {
     /// of the deterministic output (varies run to run).
     pub profile: EngineProfile,
     /// Trace sink health (`Some` only when [`RunOptions::trace_path`] was
-    /// set). Lets callers surface dropped entries or write failures instead
-    /// of silently shipping a truncated trace.
+    /// set). Lets callers surface write or flush failures instead of
+    /// silently shipping a truncated trace.
     pub trace_health: Option<tg_des::TraceHealth>,
     /// What fault injection did to the run (`None` when the config carried
     /// no — or only a trivial — fault spec).

@@ -39,7 +39,7 @@ use tg_des::metrics::{CounterId, GaugeId, MetricsRegistry, MetricsSnapshot};
 use tg_des::series::{SeriesSnapshot, WindowedSeries};
 use tg_des::sketch::{SpanSketchbook, SpanStatsSnapshot};
 use tg_des::span::{SpanKind, WaitCause, SPAN_CATEGORY, SPAN_SCHEMA_VERSION};
-use tg_des::trace::{TraceValue, Tracer};
+use tg_des::trace::{TraceHealth, TraceValue, Tracer};
 use tg_des::{
     Ctx, Engine, EventKey, RngFactory, SimDuration, SimRng, SimTime, Simulation, StopCondition,
     StreamId,
@@ -419,7 +419,7 @@ pub struct GridSim {
     /// Run-level metrics (disabled by default; see [`GridSim::with_metrics`]).
     metrics: MetricsRegistry,
     ins: Instruments,
-    /// Structured event trace (disabled by default; see
+    /// Structured JSONL event trace (off by default; see
     /// [`GridSim::with_tracer`]).
     tracer: Tracer,
     /// Per-job lifecycle phase state for span emission (populated only while
@@ -486,7 +486,7 @@ impl GridSim {
             samples: Vec::new(),
             metrics,
             ins,
-            tracer: Tracer::new(4096),
+            tracer: Tracer::default(),
             span_track: HashMap::new(),
             obs: Obs::disabled(),
             faults: None,
@@ -596,9 +596,9 @@ impl GridSim {
         self
     }
 
-    /// Attach a (typically enabled, possibly sink-bearing) tracer. The
-    /// tracer observes the same event stream the records come from; like
-    /// metrics it never perturbs the simulation.
+    /// Attach a JSONL tracer (see [`Tracer::new`]). The tracer observes the
+    /// same event stream the records come from; like metrics it never
+    /// perturbs the simulation.
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = tracer;
         self
@@ -696,15 +696,26 @@ impl GridSim {
     }
 
     /// Schedule the whole workload's submit events onto `engine`. The
-    /// arrival stream goes in as one staged batch: delivery order is
-    /// bit-identical to per-job `schedule_at` calls, but the engine's heap
-    /// stays sized to the *dynamic* event population instead of holding the
+    /// arrivals go in as one stream of job indices sorted by
+    /// `(submit_time, index)`: delivery order is bit-identical to per-job
+    /// `schedule_at` calls in index order, but the engine's heap stays
+    /// sized to the *dynamic* event population instead of holding the
     /// entire workload up front.
     pub fn prime(&self, engine: &mut Engine<Event>) {
-        engine.schedule_batch(self.jobs.iter().enumerate().map(|(i, job)| {
-            let job = job.as_ref().expect("unconsumed at prime time");
-            (job.submit_time, Event::Submit(i))
-        }));
+        let mut arrivals: Vec<(SimTime, usize)> = self
+            .jobs
+            .iter()
+            .enumerate()
+            .map(|(i, job)| {
+                let job = job.as_ref().expect("unconsumed at prime time");
+                (job.submit_time, i)
+            })
+            .collect();
+        arrivals.sort_unstable();
+        engine.schedule_stream(
+            arrivals.len() as u64,
+            arrivals.into_iter().map(|(at, i)| (at, Event::Submit(i))),
+        );
         self.prime_aux(engine);
     }
 
@@ -765,7 +776,7 @@ impl GridSim {
             self.metrics.add(self.ins.site_drains[i], s.drains());
         }
         let metrics = self.metrics.snapshot(engine.now());
-        let trace_flush_ok = self.tracer.close_sink();
+        let trace_health = self.tracer.close();
         debug_assert!(self.running.is_empty(), "registry drained with the jobs");
         let fault_report = self.faults.take().map(|f| f.report);
         let ingest_tally = self.record_sink.as_mut().map(|s| s.close());
@@ -778,8 +789,7 @@ impl GridSim {
             end: engine.now(),
             samples: self.samples,
             metrics,
-            tracer: self.tracer,
-            trace_flush_ok,
+            trace_health,
             fault_report,
             ingest_tally,
             stats,
@@ -1504,7 +1514,6 @@ impl GridSim {
             f.down_since[site.index()] = Some(ctx.now());
             f.outage_policy == OutagePolicy::Checkpoint
         };
-        self.federation.site_mut(site).set_available(false);
         let cause = WaitCause::SiteOutage;
         while let Some(victim) = self.pick_victim(site) {
             self.kill_running(ctx, victim, cause, checkpoint);
@@ -1531,7 +1540,6 @@ impl GridSim {
                 ctx.now().saturating_since(since).as_secs_f64();
             std::mem::take(&mut f.outage_offline[site.index()])
         };
-        self.federation.site_mut(site).set_available(true);
         if parked > 0 {
             self.federation
                 .site_mut(site)
@@ -1965,12 +1973,10 @@ pub struct FinishedSim {
     /// was on). The engine profile slot is filled by the harness, which is
     /// where wall-clock time is measured.
     pub metrics: Option<MetricsSnapshot>,
-    /// The tracer, ring buffer intact (sink already flushed and closed).
-    pub tracer: Tracer,
-    /// Whether the trace sink's final flush succeeded (`true` when no sink
-    /// was attached). Combined with [`Tracer::sink_errors`] this tells a
-    /// caller whether an archived trace file is complete.
-    pub trace_flush_ok: bool,
+    /// What the trace writer saw (write errors, final flush); clean when no
+    /// tracer was attached. Tells a caller whether an archived trace file
+    /// is complete.
+    pub trace_health: TraceHealth,
     /// What fault injection did (`None` unless [`GridSim::with_faults`]).
     pub fault_report: Option<FaultReport>,
     /// Final tally from an attached record sink (`None` when records were
@@ -2308,11 +2314,40 @@ mod tests {
     fn metrics_disabled_by_default_and_inert() {
         let out = run_jobs(vec![job(0, 4, 100, 0).with_site(SiteId(0))]);
         assert!(out.metrics.is_none());
-        assert!(out.tracer.is_empty(), "tracer off by default");
+        assert!(out.trace_health.sink_clean(), "no tracer, nothing lost");
+    }
+
+    /// An in-memory JSONL trace writer.
+    #[derive(Clone, Default)]
+    struct TraceBuf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+
+    impl std::io::Write for TraceBuf {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl TraceBuf {
+        fn tracer(&self) -> Tracer {
+            Tracer::new(Box::new(self.clone()))
+        }
+
+        /// Every line written so far, parsed.
+        fn entries(&self) -> Vec<serde_json::Value> {
+            let text = String::from_utf8(self.0.lock().unwrap().clone()).unwrap();
+            text.lines()
+                .map(|l| serde_json::from_str(l).expect("trace line is JSON"))
+                .collect()
+        }
     }
 
     #[test]
     fn tracer_sees_the_job_lifecycle() {
+        let trace = TraceBuf::default();
         let fed = tiny_federation();
         let scheds = schedulers(&fed, SchedulerKind::Easy);
         let sim = GridSim::new(
@@ -2324,10 +2359,12 @@ mod tests {
             vec![job(0, 4, 100, 0).with_site(SiteId(0))],
             RngFactory::new(1),
         )
-        .with_tracer(tg_des::Tracer::enabled(64));
+        .with_tracer(trace.tracer());
         let mut engine = Engine::new();
         let out = sim.run(&mut engine);
-        let cats: Vec<&str> = out.tracer.entries().map(|e| e.category).collect();
+        assert!(out.trace_health.sink_clean());
+        let entries = trace.entries();
+        let cats: Vec<&str> = entries.iter().map(|e| e["cat"].as_str().unwrap()).collect();
         assert_eq!(
             cats,
             vec!["submit", "queue", "span", "sched", "span", "done"]
@@ -2507,6 +2544,7 @@ mod tests {
             site_outages: vec![outage_at(50.0, 100.0)],
             ..FaultSpec::default()
         };
+        let trace = TraceBuf::default();
         let fed = tiny_federation();
         let scheds = schedulers(&fed, SchedulerKind::Easy);
         let sim = GridSim::new(
@@ -2519,35 +2557,29 @@ mod tests {
             RngFactory::new(1),
         )
         .with_faults(&spec)
-        .with_tracer(tg_des::Tracer::enabled(256));
+        .with_tracer(trace.tracer());
         let mut engine = Engine::new();
-        let out = sim.run(&mut engine);
-        let cats: Vec<&str> = out.tracer.entries().map(|e| e.category).collect();
+        sim.run(&mut engine);
+        let entries = trace.entries();
+        let cats: Vec<&str> = entries.iter().map(|e| e["cat"].as_str().unwrap()).collect();
         assert!(cats.contains(&"fault"), "kill traced: {cats:?}");
         assert!(cats.contains(&"requeue"), "requeue traced: {cats:?}");
-        let field = |e: &tg_des::trace::TraceEntry, name: &str| {
-            e.fields
-                .iter()
-                .find(|(k, _)| *k == name)
-                .map(|(_, v)| v.to_string())
-        };
-        let span_kinds: Vec<String> = out
-            .tracer
-            .entries()
-            .filter(|e| e.category == SPAN_CATEGORY)
-            .filter_map(|e| field(e, "kind"))
+        let spans: Vec<&serde_json::Value> = entries
+            .iter()
+            .filter(|e| e["cat"].as_str() == Some(SPAN_CATEGORY))
+            .map(|e| &e["fields"])
             .collect();
-        assert!(span_kinds.iter().any(|k| k == "fault"), "{span_kinds:?}");
-        assert!(span_kinds.iter().any(|k| k == "requeue"), "{span_kinds:?}");
-        let fault = out
-            .tracer
-            .entries()
-            .find(|e| e.category == SPAN_CATEGORY && field(e, "kind").as_deref() == Some("fault"))
+        let span_kinds: Vec<&str> = spans.iter().filter_map(|f| f["kind"].as_str()).collect();
+        assert!(span_kinds.contains(&"fault"), "{span_kinds:?}");
+        assert!(span_kinds.contains(&"requeue"), "{span_kinds:?}");
+        let fault = spans
+            .iter()
+            .find(|f| f["kind"].as_str() == Some("fault"))
             .expect("fault span present");
-        assert_eq!(field(fault, "cause").as_deref(), Some("site-outage"));
+        assert_eq!(fault["cause"].as_str(), Some("site-outage"));
         assert_eq!(
-            field(fault, "t1").as_deref(),
-            Some("50"),
+            fault["t1"].as_f64(),
+            Some(50.0),
             "killed at the outage instant"
         );
     }

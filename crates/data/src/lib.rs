@@ -44,6 +44,7 @@ impl DatasetId {
 
 /// One named dataset in the scenario catalog.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct DatasetSpec {
     /// Human-readable name (shows up in reports only).
     pub name: String,
@@ -60,6 +61,7 @@ pub struct DatasetSpec {
 /// This is the only piece of the data-grid spec the generator needs, split
 /// out so the workload crate stays independent of cache/catalog mechanics.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct DatasetAssignment {
     /// Catalog size (number of datasets).
     pub count: usize,
@@ -85,6 +87,7 @@ impl DatasetAssignment {
 /// The full scenario-level data-grid declaration: the dataset catalog plus
 /// the assignment rule. Lives in `ScenarioConfig` under `"data"`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct DataGridSpec {
     /// The dataset catalog, in popularity order (index 0 is the hottest
     /// under the Zipf assignment).

@@ -548,6 +548,7 @@ impl Dist for Empirical {
 /// what scenario config files store.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(tag = "kind", rename_all = "snake_case")]
+#[serde(deny_unknown_fields)]
 pub enum DistKind {
     /// See [`Constant`].
     Constant {

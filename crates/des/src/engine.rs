@@ -21,7 +21,7 @@
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Identifies one scheduled event so it can be cancelled before it fires.
 ///
@@ -159,10 +159,6 @@ pub struct Ctx<'a, E> {
     queue: &'a mut BinaryHeap<Scheduled<E>>,
     cancelled: &'a mut SeqSet,
     live: &'a mut SeqSet,
-    /// Staged-backlog entries not yet delivered; constant while one handler
-    /// runs (the backlog is only consumed between handlers) and folded into
-    /// the peak-queue high-water mark.
-    staged_len: usize,
     peak_queue_len: &'a mut usize,
     next_seq: &'a mut u64,
     delivered: u64,
@@ -206,7 +202,7 @@ impl<'a, E> Ctx<'a, E> {
         *self.next_seq += 1;
         self.live.insert(seq);
         self.queue.push(Scheduled { at, seq, event });
-        *self.peak_queue_len = (*self.peak_queue_len).max(self.queue.len() + self.staged_len);
+        *self.peak_queue_len = (*self.peak_queue_len).max(self.queue.len());
         EventKey(seq)
     }
 
@@ -244,8 +240,8 @@ impl<'a, E> Ctx<'a, E> {
 /// A lazily-pulled event source feeding the engine (see
 /// [`Engine::schedule_stream`]). The source owns a contiguous block of
 /// pre-reserved sequence numbers and hands them out in pull order, so the
-/// merged delivery order is bit-identical to bulk-loading the same items —
-/// but only the buffered head physically exists at any moment.
+/// merged delivery order is bit-identical to scheduling the same items one
+/// by one — but only the buffered head physically exists at any moment.
 struct StreamSource<E> {
     head: Option<Scheduled<E>>,
     iter: Box<dyn Iterator<Item = (SimTime, E)> + Send>,
@@ -275,21 +271,16 @@ impl<E> StreamSource<E> {
 
 /// The event queue and virtual clock.
 ///
-/// Events live in three places: the binary heap (everything scheduled one
-/// at a time), the *staged backlog* — a pre-sorted run of events loaded in
-/// bulk with [`Engine::schedule_batch`] — and an optional *stream source*
-/// ([`Engine::schedule_stream`]) that materializes events one at a time on
-/// demand. Delivery merges the sources by `(time, seq)`, which is exactly
-/// the heap's total order, so a batch or stream behaves bit-identically to
-/// the equivalent `schedule_at` loop while the heap stays small: a
-/// workload's million pre-scheduled arrivals become a cursor walk over a
-/// sorted vector (batch) or an O(1)-resident generator pull (stream)
-/// instead of log-depth sifts through a heap that dwarfs the cache.
+/// Events live in two places: the binary heap (everything scheduled one
+/// at a time) and an optional *stream source* ([`Engine::schedule_stream`])
+/// that materializes time-ordered events one at a time on demand. Delivery
+/// merges the two by `(time, seq)`, which is exactly the heap's total
+/// order, so a stream behaves bit-identically to the equivalent
+/// `schedule_at` loop while the heap stays small: a workload's million
+/// pre-scheduled arrivals become an O(1)-resident pull instead of
+/// log-depth sifts through a heap that dwarfs the cache.
 pub struct Engine<E> {
     queue: BinaryHeap<Scheduled<E>>,
-    /// Bulk-loaded events, sorted ascending by `(at, seq)`, consumed from
-    /// the front.
-    staged: VecDeque<Scheduled<E>>,
     /// Lazily-pulled source, sorted ascending by time; only its head is
     /// resident.
     stream: Option<StreamSource<E>>,
@@ -299,9 +290,9 @@ pub struct Engine<E> {
     /// `cancel` exact (a delivered key can no longer be "cancelled") and
     /// `pending` O(1) without subtraction that could underflow.
     live: SeqSet,
-    /// High-water mark of pending events (heap + staged backlog, including
-    /// tombstoned entries) over the engine's lifetime; feeds engine
-    /// profiling.
+    /// High-water mark of resident pending events (heap plus the stream's
+    /// buffered head, tombstoned entries included) over the engine's
+    /// lifetime; feeds engine profiling.
     peak_queue_len: usize,
     now: SimTime,
     next_seq: u64,
@@ -319,7 +310,6 @@ impl<E> Engine<E> {
     pub fn new() -> Self {
         Engine {
             queue: BinaryHeap::new(),
-            staged: VecDeque::new(),
             stream: None,
             cancelled: SeqSet::default(),
             live: SeqSet::default(),
@@ -374,60 +364,42 @@ impl<E> Engine<E> {
         self.peek_key().map(|(at, _)| at)
     }
 
+    /// The `(at, seq)` of the stream's buffered head, if any.
+    #[inline]
+    fn stream_key(&self) -> Option<(SimTime, u64)> {
+        self.stream
+            .as_ref()
+            .and_then(|s| s.head.as_ref())
+            .map(|s| (s.at, s.seq))
+    }
+
     /// The `(at, seq)` of the earliest undelivered event across both
     /// sources, tombstones included.
     #[inline]
     fn peek_key(&self) -> Option<(SimTime, u64)> {
         let heap = self.queue.peek().map(|s| (s.at, s.seq));
-        let staged = self.staged.front().map(|s| (s.at, s.seq));
-        let stream = self
-            .stream
-            .as_ref()
-            .and_then(|s| s.head.as_ref())
-            .map(|s| (s.at, s.seq));
-        [heap, staged, stream].into_iter().flatten().min()
+        match (heap, self.stream_key()) {
+            (Some(h), Some(s)) => Some(h.min(s)),
+            (h, s) => h.or(s),
+        }
     }
 
-    /// Pop the earliest undelivered event across all sources.
+    /// Pop the earliest undelivered event across both sources.
     #[inline]
     fn pop_next(&mut self) -> Option<Scheduled<E>> {
-        #[derive(PartialEq)]
-        enum Src {
-            Heap,
-            Staged,
-            Stream,
-        }
-        let mut best: Option<((SimTime, u64), Src)> = None;
-        let mut consider = |key: Option<(SimTime, u64)>, src: Src| {
-            if let Some(k) = key {
-                match &best {
-                    Some((b, _)) if k >= *b => {}
-                    _ => best = Some((k, src)),
-                }
-            }
+        let Some(stream) = self.stream_key() else {
+            return self.queue.pop();
         };
-        consider(self.queue.peek().map(|s| (s.at, s.seq)), Src::Heap);
-        consider(self.staged.front().map(|s| (s.at, s.seq)), Src::Staged);
-        consider(
-            self.stream
-                .as_ref()
-                .and_then(|s| s.head.as_ref())
-                .map(|s| (s.at, s.seq)),
-            Src::Stream,
-        );
-        match best?.1 {
-            Src::Heap => self.queue.pop(),
-            Src::Staged => self.staged.pop_front(),
-            Src::Stream => {
-                let source = self.stream.as_mut().expect("stream head peeked");
-                let item = source.head.take();
-                source.pull();
-                if source.head.is_none() {
-                    self.stream = None;
-                }
-                item
-            }
+        if self.queue.peek().is_some_and(|h| (h.at, h.seq) < stream) {
+            return self.queue.pop();
         }
+        let source = self.stream.as_mut().expect("stream head peeked");
+        let item = source.head.take();
+        source.pull();
+        if source.head.is_none() {
+            self.stream = None;
+        }
+        item
     }
 
     /// Schedule an event from outside a handler (initial conditions).
@@ -437,32 +409,8 @@ impl<E> Engine<E> {
         self.next_seq += 1;
         self.live.insert(seq);
         self.queue.push(Scheduled { at, seq, event });
-        self.peak_queue_len = self
-            .peak_queue_len
-            .max(self.queue.len() + self.staged.len());
+        self.peak_queue_len = self.peak_queue_len.max(self.queue.len());
         EventKey(seq)
-    }
-
-    /// Bulk-load events into the staged backlog (initial conditions — a
-    /// workload's arrival stream). Delivery order is bit-identical to
-    /// calling [`Engine::schedule_at`] once per item in iteration order;
-    /// only the cost changes. Items need not be pre-sorted. Batch events
-    /// are fire-and-forget: no [`EventKey`]s are returned, so they cannot
-    /// be individually cancelled.
-    pub fn schedule_batch(&mut self, items: impl IntoIterator<Item = (SimTime, E)>) {
-        for (at, event) in items {
-            assert!(at >= self.now, "scheduled into the past");
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.live.insert(seq);
-            self.staged.push_back(Scheduled { at, seq, event });
-        }
-        self.staged
-            .make_contiguous()
-            .sort_unstable_by_key(|s| (s.at, s.seq));
-        self.peak_queue_len = self
-            .peak_queue_len
-            .max(self.queue.len() + self.staged.len());
     }
 
     /// Attach a lazily-pulled event source (initial conditions — a
@@ -471,9 +419,9 @@ impl<E> Engine<E> {
     /// The source must yield exactly `count` events in ascending time order;
     /// its block of sequence numbers `[next, next+count)` is reserved up
     /// front, so anything scheduled afterwards sorts behind stream events at
-    /// equal timestamps — delivery order is bit-identical to bulk-loading
-    /// the same items with [`Engine::schedule_batch`], but only one stream
-    /// item is resident at a time. `pending` counts the full reservation.
+    /// equal timestamps — delivery order is bit-identical to calling
+    /// [`Engine::schedule_at`] once per item in pull order, but only one
+    /// stream item is resident at a time. `pending` counts the full reservation.
     /// Stream events are fire-and-forget (no [`EventKey`]s, no
     /// cancellation), and at most one stream can be attached at once.
     ///
@@ -510,9 +458,7 @@ impl<E> Engine<E> {
         // The stream's single buffered head joins the peak-queue accounting;
         // the unpulled remainder intentionally does not — not being resident
         // is the point.
-        self.peak_queue_len = self
-            .peak_queue_len
-            .max(self.queue.len() + self.staged.len() + 1);
+        self.peak_queue_len = self.peak_queue_len.max(self.queue.len() + 1);
     }
 
     /// Schedule an event `after` the current clock from outside a handler.
@@ -558,7 +504,6 @@ impl<E> Engine<E> {
             queue: &mut self.queue,
             cancelled: &mut self.cancelled,
             live: &mut self.live,
-            staged_len: self.staged.len(),
             peak_queue_len: &mut self.peak_queue_len,
             next_seq: &mut self.next_seq,
             delivered: self.delivered,
@@ -615,7 +560,6 @@ impl<E> Engine<E> {
                 queue: &mut self.queue,
                 cancelled: &mut self.cancelled,
                 live: &mut self.live,
-                staged_len: self.staged.len(),
                 peak_queue_len: &mut self.peak_queue_len,
                 next_seq: &mut self.next_seq,
                 delivered: self.delivered,
@@ -947,7 +891,7 @@ mod tests {
     }
 
     #[test]
-    fn stream_source_is_bit_identical_to_batch() {
+    fn stream_source_is_bit_identical_to_schedule_at_loop() {
         let items = |n: u64| {
             (0..n).map(|i| {
                 (
@@ -961,7 +905,9 @@ mod tests {
             if streamed {
                 eng.schedule_stream(8, items(8));
             } else {
-                eng.schedule_batch(items(8));
+                for (at, ev) in items(8) {
+                    eng.schedule_at(at, ev);
+                }
             }
             // Later scheduling must sort behind stream events at equal times.
             eng.schedule_at(SimTime::from_secs(2), Ev::Tag("late"));
@@ -1004,14 +950,17 @@ mod tests {
     #[test]
     fn stream_interleaves_with_handler_scheduling() {
         // A handler chain scheduled mid-run must merge with stream events in
-        // (time, seq) order exactly as it would against a materialized batch.
+        // (time, seq) order exactly as it would against the same arrivals
+        // scheduled one by one.
         let arrivals = |n: u64| (0..n).map(|i| (SimTime::from_secs(2 * i), Ev::Tag("arrive")));
         let run = |streamed: bool| {
             let mut eng = Engine::new();
             if streamed {
                 eng.schedule_stream(6, arrivals(6));
             } else {
-                eng.schedule_batch(arrivals(6));
+                for (at, ev) in arrivals(6) {
+                    eng.schedule_at(at, ev);
+                }
             }
             eng.schedule_at(SimTime::from_secs(1), Ev::Chain(4));
             let mut sim = Recorder::default();

@@ -18,8 +18,8 @@
 //!   `rand_distr` so sampling stays deterministic and auditable.
 //! * [`stats`] — time-weighted averages (utilization), windowed sums, and
 //!   Student-t confidence intervals across replications.
-//! * [`trace`] — a lightweight, optionally-enabled structured event trace
-//!   ring buffer with an optional JSONL sink.
+//! * [`trace`] — a lightweight structured event trace streamed to a JSONL
+//!   writer; off when no writer is attached.
 //! * [`span`] — per-job lifecycle span schema (held / stage-in / queued /
 //!   reconfig / run / stage-out) with wait-cause attribution, emitted
 //!   through the tracer as `cat == "span"` entries.

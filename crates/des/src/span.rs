@@ -139,8 +139,6 @@ pub enum WaitCause {
     BackfillHole,
     /// An armed drain window (capability clear-out) withheld resources.
     DrainWindow,
-    /// An advance-reservation window (own or foreign) constrained placement.
-    ReservationBlock,
     /// Fabric setup latency: bitstream transfer + reconfiguration.
     ReconfigLatency,
     /// The reconfigurable fabric had no free region; the task was deferred.
@@ -160,12 +158,11 @@ pub enum WaitCause {
 
 impl WaitCause {
     /// All causes.
-    pub const ALL: [WaitCause; 11] = [
+    pub const ALL: [WaitCause; 10] = [
         WaitCause::Immediate,
         WaitCause::AheadInQueue,
         WaitCause::BackfillHole,
         WaitCause::DrainWindow,
-        WaitCause::ReservationBlock,
         WaitCause::ReconfigLatency,
         WaitCause::FabricBusy,
         WaitCause::NodeFailure,
@@ -181,7 +178,6 @@ impl WaitCause {
             WaitCause::AheadInQueue => "ahead-in-queue",
             WaitCause::BackfillHole => "backfill-hole-too-small",
             WaitCause::DrainWindow => "drain-window",
-            WaitCause::ReservationBlock => "reservation-block",
             WaitCause::ReconfigLatency => "reconfig-latency",
             WaitCause::FabricBusy => "fabric-busy",
             WaitCause::NodeFailure => "node-failure",

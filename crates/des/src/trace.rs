@@ -1,14 +1,12 @@
 //! Lightweight structured event tracing.
 //!
-//! A bounded ring buffer of structured entries — `(time, category, message,
-//! key=value fields)` — that can be toggled at runtime, plus an optional
-//! JSONL sink that streams every recorded entry to a writer (one JSON
-//! object per line) as it is emitted. When disabled, [`Tracer::emit`] and
-//! [`Tracer::emit_event`] are a branch and nothing more — safe to leave on
-//! hot paths; the field/message closures never run.
+//! A [`Tracer`] streams structured entries — `(time, category, message,
+//! key=value fields)` — to a JSONL writer, one JSON object per line, as
+//! they are emitted. It is on exactly when it has a writer. When off,
+//! [`Tracer::emit`] and [`Tracer::emit_event`] are a branch and nothing
+//! more — safe to leave on hot paths; the field/message closures never run.
 
 use crate::time::SimTime;
-use std::collections::VecDeque;
 use std::fmt;
 use std::io::Write;
 
@@ -171,15 +169,11 @@ impl fmt::Display for TraceEntry {
 }
 
 /// End-of-run health of a tracer: whether the sink saw everything it
-/// should have and made it to stable storage. Produced by
-/// [`Tracer::health`] after [`Tracer::close_sink`]; callers that archive
-/// traces should surface a non-clean health to the user instead of
-/// silently shipping a lossy file.
+/// should have and made it to stable storage. Returned by
+/// [`Tracer::close`]; callers that archive traces should surface a
+/// non-clean health to the user instead of silently shipping a lossy file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
 pub struct TraceHealth {
-    /// Entries evicted from the in-memory ring (the sink, if any, still saw
-    /// them — this only matters for ring consumers).
-    pub dropped: u64,
     /// JSONL sink writes that failed; the trace file is missing lines.
     pub sink_errors: u64,
     /// Whether the final sink flush succeeded (false means the tail of the
@@ -194,12 +188,9 @@ impl TraceHealth {
     }
 }
 
-/// A bounded trace ring buffer with an optional JSONL sink.
+/// A JSONL trace sink; off (records nothing) when it has no writer.
+#[derive(Default)]
 pub struct Tracer {
-    enabled: bool,
-    capacity: usize,
-    entries: VecDeque<TraceEntry>,
-    dropped: u64,
     sink: Option<Box<dyn Write + Send>>,
     sink_errors: u64,
 }
@@ -207,10 +198,6 @@ pub struct Tracer {
 impl fmt::Debug for Tracer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Tracer")
-            .field("enabled", &self.enabled)
-            .field("capacity", &self.capacity)
-            .field("entries", &self.entries)
-            .field("dropped", &self.dropped)
             .field("sink", &self.sink.as_ref().map(|_| "<writer>"))
             .field("sink_errors", &self.sink_errors)
             .finish()
@@ -218,70 +205,38 @@ impl fmt::Debug for Tracer {
 }
 
 impl Tracer {
-    /// A disabled tracer holding up to `capacity` entries once enabled.
-    pub fn new(capacity: usize) -> Self {
+    /// A tracer that streams every entry to `sink` as JSON lines. Write
+    /// failures are counted (see [`Tracer::close`]) but do not panic or
+    /// stop the simulation.
+    pub fn new(sink: Box<dyn Write + Send>) -> Self {
         Tracer {
-            enabled: false,
-            capacity: capacity.max(1),
-            entries: VecDeque::new(),
-            dropped: 0,
-            sink: None,
+            sink: Some(sink),
             sink_errors: 0,
         }
     }
 
-    /// An enabled tracer (tests, debugging sessions).
-    pub fn enabled(capacity: usize) -> Self {
-        let mut t = Tracer::new(capacity);
-        t.enabled = true;
-        t
-    }
-
-    /// Turn tracing on or off.
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
-    }
-
-    /// Is tracing currently on?
+    /// Is tracing on (a writer attached and not yet closed)?
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.sink.is_some()
     }
 
-    /// Stream every recorded entry to `sink` as JSON lines, in addition to
-    /// retaining it in the ring. Write failures are counted
-    /// ([`Tracer::sink_errors`]) but do not panic or stop the simulation.
-    pub fn set_sink(&mut self, sink: Box<dyn Write + Send>) {
-        self.sink = Some(sink);
-    }
-
-    /// Flush and drop the sink, returning whether flushing succeeded.
-    pub fn close_sink(&mut self) -> bool {
-        match self.sink.take() {
+    /// Flush and drop the writer, turning the tracer off, and report what
+    /// the writer saw. An off tracer reports clean health.
+    pub fn close(&mut self) -> TraceHealth {
+        let flush_ok = match self.sink.take() {
             Some(mut s) => s.flush().is_ok(),
             None => true,
-        }
-    }
-
-    /// JSONL writes that failed so far.
-    pub fn sink_errors(&self) -> u64 {
-        self.sink_errors
-    }
-
-    /// Summarize drop/error/flush state as a [`TraceHealth`]. `flush_ok` is
-    /// the value returned by [`Tracer::close_sink`] (pass `true` when no
-    /// sink was ever attached).
-    pub fn health(&self, flush_ok: bool) -> TraceHealth {
+        };
         TraceHealth {
-            dropped: self.dropped,
             sink_errors: self.sink_errors,
             flush_ok,
         }
     }
 
-    /// Record a plain-message entry if enabled. The message closure is only
+    /// Record a plain-message entry if on. The message closure is only
     /// evaluated when tracing is on, so formatting cost is zero when off.
     pub fn emit(&mut self, at: SimTime, category: &'static str, message: impl FnOnce() -> String) {
-        if !self.enabled {
+        if self.sink.is_none() {
             return;
         }
         let entry = TraceEntry {
@@ -290,18 +245,18 @@ impl Tracer {
             message: message(),
             fields: Vec::new(),
         };
-        self.record(entry);
+        self.record(&entry);
     }
 
-    /// Record a structured entry if enabled. The field closure is only
-    /// evaluated when tracing is on.
+    /// Record a structured entry if on. The field closure is only evaluated
+    /// when tracing is on.
     pub fn emit_event(
         &mut self,
         at: SimTime,
         category: &'static str,
         fields: impl FnOnce() -> Vec<(&'static str, TraceValue)>,
     ) {
-        if !self.enabled {
+        if self.sink.is_none() {
             return;
         }
         let entry = TraceEntry {
@@ -310,47 +265,18 @@ impl Tracer {
             message: String::new(),
             fields: fields(),
         };
-        self.record(entry);
+        self.record(&entry);
     }
 
-    fn record(&mut self, entry: TraceEntry) {
-        if let Some(sink) = self.sink.as_mut() {
-            let mut line = entry.to_json_line();
-            line.push('\n');
-            if sink.write_all(line.as_bytes()).is_err() {
-                self.sink_errors += 1;
-            }
+    fn record(&mut self, entry: &TraceEntry) {
+        let Some(sink) = self.sink.as_mut() else {
+            return;
+        };
+        let mut line = entry.to_json_line();
+        line.push('\n');
+        if sink.write_all(line.as_bytes()).is_err() {
+            self.sink_errors += 1;
         }
-        if self.entries.len() == self.capacity {
-            self.entries.pop_front();
-            self.dropped += 1;
-        }
-        self.entries.push_back(entry);
-    }
-
-    /// Entries currently retained, oldest first.
-    pub fn entries(&self) -> impl Iterator<Item = &TraceEntry> {
-        self.entries.iter()
-    }
-
-    /// How many entries were evicted by the ring.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Number of retained entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Drop all retained entries (keeps the enabled flag and sink).
-    pub fn clear(&mut self) {
-        self.entries.clear();
     }
 }
 
@@ -359,46 +285,68 @@ mod tests {
     use super::*;
     use std::sync::{Arc, Mutex};
 
+    /// A shared Vec<u8> writer for inspecting sink output in tests.
+    #[derive(Clone, Default)]
+    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+    impl Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl SharedBuf {
+        fn lines(&self) -> Vec<String> {
+            let text = String::from_utf8(self.0.lock().unwrap().clone()).unwrap();
+            text.lines().map(str::to_string).collect()
+        }
+    }
+
     #[test]
-    fn disabled_tracer_records_nothing_and_skips_formatting() {
-        let mut t = Tracer::new(10);
+    fn off_tracer_records_nothing_and_skips_formatting() {
+        let mut t = Tracer::default();
+        assert!(!t.is_enabled());
         let mut evaluated = false;
         t.emit(SimTime::ZERO, "x", || {
             evaluated = true;
             "boom".into()
         });
-        assert!(!evaluated, "message closure must not run when disabled");
+        assert!(!evaluated, "message closure must not run when off");
         let mut built = false;
         t.emit_event(SimTime::ZERO, "x", || {
             built = true;
             vec![]
         });
-        assert!(!built, "field closure must not run when disabled");
-        assert!(t.is_empty());
+        assert!(!built, "field closure must not run when off");
+        assert!(t.close().sink_clean());
     }
 
     #[test]
-    fn enabled_tracer_records() {
-        let mut t = Tracer::enabled(10);
-        t.emit(SimTime::from_secs(1), "sched", || "job 1 started".into());
-        assert_eq!(t.len(), 1);
-        let e = t.entries().next().unwrap();
-        assert_eq!(e.category, "sched");
+    fn plain_entries_render_message() {
+        let e = TraceEntry {
+            at: SimTime::from_secs(1),
+            category: "sched",
+            message: "job 1 started".into(),
+            fields: vec![],
+        };
         assert_eq!(format!("{e}"), "[t+1s] sched: job 1 started");
     }
 
     #[test]
     fn structured_entries_render_fields() {
-        let mut t = Tracer::enabled(10);
-        t.emit_event(SimTime::from_secs(2), "xfer", || {
-            vec![
+        let e = TraceEntry {
+            at: SimTime::from_secs(2),
+            category: "xfer",
+            message: String::new(),
+            fields: vec![
                 ("mb", 500.0.into()),
                 ("src", "alpha".into()),
                 ("ok", true.into()),
-            ]
-        });
-        let e = t.entries().next().unwrap();
-        assert_eq!(e.fields.len(), 3);
+            ],
+        };
         let text = format!("{e}");
         assert!(text.contains("mb=500"));
         assert!(text.contains("src=alpha"));
@@ -427,67 +375,29 @@ mod tests {
         assert_eq!(e2.to_json_line(), "{\"t\":0.0,\"cat\":\"c\"}");
     }
 
-    /// A shared Vec<u8> writer for inspecting sink output in tests.
-    #[derive(Clone, Default)]
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-    impl Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
     #[test]
     fn sink_receives_one_json_line_per_entry() {
         let buf = SharedBuf::default();
-        let mut t = Tracer::enabled(2);
-        t.set_sink(Box::new(buf.clone()));
+        let mut t = Tracer::new(Box::new(buf.clone()));
+        assert!(t.is_enabled());
         for i in 0..4u64 {
             t.emit_event(SimTime::from_secs(i), "c", || vec![("i", i.into())]);
         }
-        assert!(t.close_sink());
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        // The ring kept only 2, but the sink saw all 4.
-        assert_eq!(lines.len(), 4);
-        assert_eq!(t.len(), 2);
+        t.emit(SimTime::from_secs(4), "c", || "done".into());
+        let health = t.close();
+        assert!(health.sink_clean());
+        assert!(!t.is_enabled(), "closing turns the tracer off");
+        let lines = buf.lines();
+        assert_eq!(lines.len(), 5);
         assert!(lines[3].contains("\"i\":3"));
+        assert!(lines[4].contains("\"msg\":\"done\""));
         for l in lines {
             assert!(l.starts_with('{') && l.ends_with('}'));
         }
-        assert_eq!(t.sink_errors(), 0);
     }
 
     #[test]
-    fn ring_evicts_oldest() {
-        let mut t = Tracer::enabled(3);
-        for i in 0..5 {
-            t.emit(SimTime::from_secs(i), "c", || format!("m{i}"));
-        }
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.dropped(), 2);
-        let msgs: Vec<_> = t.entries().map(|e| e.message.clone()).collect();
-        assert_eq!(msgs, vec!["m2", "m3", "m4"]);
-    }
-
-    #[test]
-    fn toggle_and_clear() {
-        let mut t = Tracer::new(4);
-        t.set_enabled(true);
-        assert!(t.is_enabled());
-        t.emit(SimTime::ZERO, "c", || "one".into());
-        t.clear();
-        assert!(t.is_empty());
-        t.set_enabled(false);
-        t.emit(SimTime::ZERO, "c", || "two".into());
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn health_reports_drops_errors_and_flush() {
+    fn health_reports_errors_and_flush() {
         struct FailingWriter;
         impl Write for FailingWriter {
             fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
@@ -498,27 +408,12 @@ mod tests {
             }
         }
 
-        let mut t = Tracer::enabled(1);
-        t.set_sink(Box::new(FailingWriter));
+        let mut t = Tracer::new(Box::new(FailingWriter));
         t.emit(SimTime::ZERO, "c", || "a".into());
         t.emit(SimTime::ZERO, "c", || "b".into());
-        let flush_ok = t.close_sink();
-        assert!(!flush_ok);
-        let h = t.health(flush_ok);
-        assert_eq!(h.dropped, 1);
+        let h = t.close();
         assert_eq!(h.sink_errors, 2);
         assert!(!h.flush_ok);
         assert!(!h.sink_clean());
-
-        let clean = Tracer::enabled(8);
-        assert!(clean.health(true).sink_clean());
-    }
-
-    #[test]
-    fn zero_capacity_clamps_to_one() {
-        let mut t = Tracer::enabled(0);
-        t.emit(SimTime::ZERO, "c", || "a".into());
-        t.emit(SimTime::ZERO, "c", || "b".into());
-        assert_eq!(t.len(), 1);
     }
 }

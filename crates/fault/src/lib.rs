@@ -38,6 +38,7 @@ use tg_sched::RetryPolicy;
 /// next failure can occur — at most one crash outstanding per site, a
 /// deliberate simplification that keeps crash/repair pairing trivial.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct NodeCrashSpec {
     /// Mean time between failures per site, hours.
     pub mtbf_hours: f64,
@@ -51,6 +52,7 @@ pub struct NodeCrashSpec {
 
 /// One scheduled whole-site outage window.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct OutageWindow {
     /// Site index.
     pub site: usize,
@@ -65,6 +67,7 @@ pub struct OutageWindow {
 
 /// One WAN-degradation window on a site's uplink.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct DegradeWindow {
     /// Site index.
     pub site: usize,
@@ -82,6 +85,7 @@ pub struct DegradeWindow {
 /// duplicated before it reaches the central database. Ground truth is never
 /// touched — this models measurement loss, not workload loss.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct IngestFaults {
     /// Probability a record is silently dropped.
     #[serde(default)]
@@ -108,6 +112,7 @@ pub enum OutagePolicy {
 /// Every section is optional; an empty spec compiles to an empty schedule
 /// and the driver behaves exactly as if faults were disabled.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FaultSpec {
     /// Stochastic per-site node crashes.
     #[serde(default)]

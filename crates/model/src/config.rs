@@ -3,10 +3,12 @@
 
 use crate::ids::ConfigId;
 use serde::{Deserialize, Serialize};
+use tg_des::param::Rule;
 use tg_des::SimDuration;
 
 /// Static description of one compute site.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SiteConfig {
     /// Human-readable site name (e.g. `"ranger"`, `"kraken"`).
     pub name: String,
@@ -30,10 +32,6 @@ pub struct SiteConfig {
     pub wan_bandwidth_mbps: f64,
     /// One-way WAN latency to the backbone hub, in milliseconds.
     pub wan_latency_ms: f64,
-    /// Scratch storage read/write bandwidth, MB/s (staging model).
-    pub storage_bandwidth_mbps: f64,
-    /// Archive (tape) bandwidth, MB/s.
-    pub archive_bandwidth_mbps: f64,
     /// Dataset cache capacity on scratch, in MB (data-grid scenarios).
     /// 0 disables caching at this site — every non-permanent access
     /// refetches over the WAN.
@@ -55,8 +53,6 @@ impl SiteConfig {
             rc_bitstream_cache: 8,
             wan_bandwidth_mbps: 1250.0, // 10 Gb/s
             wan_latency_ms: 20.0,
-            storage_bandwidth_mbps: 2000.0,
-            archive_bandwidth_mbps: 200.0,
             data_cache_mb: 0.0,
         }
     }
@@ -86,6 +82,27 @@ impl SiteConfig {
     pub fn total_cores(&self) -> usize {
         self.batch_nodes * self.cores_per_node
     }
+
+    /// Check every field the model builds from: a positive batch core
+    /// count, and usable charge, speed, WAN and cache figures. The error
+    /// names the field, e.g. `wan_latency_ms: …`.
+    pub fn validate(&self) -> Result<(), String> {
+        use Rule::{NonNegative, Positive};
+        // Zero, or too many to count (overflow), is no usable machine.
+        let cores = self.batch_nodes.checked_mul(self.cores_per_node);
+        if cores.unwrap_or(0) == 0 {
+            return Err(format!(
+                "batch_nodes: batch_nodes × cores_per_node must be a positive core \
+                 count (got {} × {})",
+                self.batch_nodes, self.cores_per_node
+            ));
+        }
+        Positive.check("charge_factor", self.charge_factor)?;
+        Positive.check("core_speed", self.core_speed)?;
+        Positive.check("wan_bandwidth_mbps", self.wan_bandwidth_mbps)?;
+        NonNegative.check("wan_latency_ms", self.wan_latency_ms)?;
+        NonNegative.check("data_cache_mb", self.data_cache_mb)
+    }
 }
 
 /// One reconfigurable processor configuration (a bitstream type).
@@ -95,6 +112,7 @@ impl SiteConfig {
 /// performance increase, reconfiguration time, and the time to transfer the
 /// configuration bitstream.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ProcessorConfig {
     /// Configuration name (e.g. `"smith-waterman"`, `"fft-1d"`).
     pub name: String,
@@ -128,6 +146,7 @@ impl ProcessorConfig {
 
 /// The library of processor configurations known to the federation.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ConfigLibrary {
     configs: Vec<ProcessorConfig>,
 }
@@ -197,6 +216,27 @@ mod tests {
         let r = SiteConfig::rc_site("gamma", 16, 8);
         assert_eq!(r.rc_nodes, 16);
         assert_eq!(r.rc_area_per_node, 8);
+    }
+
+    #[test]
+    fn validate_names_the_bad_field() {
+        assert_eq!(SiteConfig::large("l").validate(), Ok(()));
+        let bad = |f: fn(&mut SiteConfig)| {
+            let mut c = SiteConfig::medium("m");
+            f(&mut c);
+            c.validate().unwrap_err()
+        };
+        assert!(bad(|c| c.cores_per_node = 0).starts_with("batch_nodes: "));
+        assert!(bad(|c| c.batch_nodes = usize::MAX).starts_with("batch_nodes: "));
+        assert!(bad(|c| c.charge_factor = -1.0).starts_with("charge_factor: "));
+        assert!(bad(|c| c.core_speed = 0.0).starts_with("core_speed: "));
+        assert!(bad(|c| c.wan_bandwidth_mbps = f64::INFINITY).starts_with("wan_bandwidth_mbps: "));
+        assert!(bad(|c| c.wan_latency_ms = -1.0).starts_with("wan_latency_ms: "));
+        assert!(bad(|c| c.data_cache_mb = f64::NAN).starts_with("data_cache_mb: "));
+        assert_eq!(
+            bad(|c| c.data_cache_mb = -1.0),
+            "data_cache_mb: must be non-negative and finite, got -1"
+        );
     }
 
     #[test]

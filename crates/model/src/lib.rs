@@ -11,7 +11,6 @@
 //!   caching, reconfiguration cost accounting, and wasted-area statistics.
 //! * [`network`] — inter-site links with latency + bandwidth, used for data
 //!   staging and configuration-bitstream transfer times.
-//! * [`storage`] — scratch and archive systems with staging-time models.
 //! * [`config`] — `serde`-serializable scenario descriptions for all of the
 //!   above, plus a [`config::ConfigLibrary`] of processor configurations
 //!   (area, bitstream size, speedup) that reconfigurable tasks reference.
@@ -58,7 +57,6 @@ pub mod ids;
 pub mod network;
 pub mod reconf;
 pub mod site;
-pub mod storage;
 
 pub use cluster::Cluster;
 pub use config::{ConfigLibrary, ProcessorConfig, SiteConfig};
@@ -67,4 +65,3 @@ pub use ids::{ConfigId, NodeId, SiteId};
 pub use network::{LinkDegradation, Network};
 pub use reconf::{RcNode, RcPartition, ReconfCost};
 pub use site::Site;
-pub use storage::Storage;

@@ -5,10 +5,8 @@
 //! traverses both uplinks, so its bandwidth is the minimum of the two and its
 //! latency the sum. Transfers are contention-free (each gets full link
 //! bandwidth) — adequate for staging/bitstream latencies, and documented as a
-//! deliberate simplification in DESIGN.md.
-//!
-//! A configurable *congestion factor* per site lets experiments model
-//! overloaded links without a full flow-level model.
+//! deliberate simplification in DESIGN.md. The only time-varying state is
+//! the fault layer's per-site degradation windows ([`LinkDegradation`]).
 
 use crate::ids::SiteId;
 use serde::{Deserialize, Serialize};
@@ -21,19 +19,16 @@ pub struct Uplink {
     pub bandwidth_mbps: f64,
     /// One-way latency to the hub.
     pub latency: SimDuration,
-    /// Multiplier ≥ 1 applied to transfer times (1 = uncongested).
-    pub congestion: f64,
 }
 
 impl Uplink {
-    /// An uplink with the given bandwidth (MB/s) and latency (ms), uncongested.
+    /// An uplink with the given bandwidth (MB/s) and latency (ms).
     pub fn new(bandwidth_mbps: f64, latency_ms: f64) -> Self {
         assert!(bandwidth_mbps > 0.0, "bandwidth must be positive");
         assert!(latency_ms >= 0.0, "latency must be non-negative");
         Uplink {
             bandwidth_mbps,
             latency: SimDuration::from_secs_f64(latency_ms / 1000.0),
-            congestion: 1.0,
         }
     }
 }
@@ -111,12 +106,6 @@ impl Network {
         &self.uplinks[site.index()]
     }
 
-    /// Set a site's congestion factor (≥ 1).
-    pub fn set_congestion(&mut self, site: SiteId, factor: f64) {
-        assert!(factor >= 1.0, "congestion factor must be >= 1");
-        self.uplinks[site.index()].congestion = factor;
-    }
-
     /// Open a fault-degradation window on `site`'s uplink: bandwidth divided
     /// by `bandwidth_factor`, latency multiplied by `latency_factor` (both
     /// ≥ 1) until [`Network::clear_degradation`].
@@ -151,8 +140,8 @@ impl Network {
 
     /// Time to move `mb` megabytes from `src` to `dst`.
     ///
-    /// Same-site transfers are free (local staging is priced by
-    /// [`crate::storage::Storage`], not the WAN).
+    /// Same-site transfers are free: the model prices staging by WAN
+    /// movement alone, so data already at `dst` costs nothing.
     pub fn transfer_time(&self, src: SiteId, dst: SiteId, mb: f64) -> SimDuration {
         assert!(mb >= 0.0, "negative transfer size");
         if src == dst {
@@ -160,8 +149,8 @@ impl Network {
         }
         let a = self.uplink(src);
         let b = self.uplink(dst);
-        let mut bw_a = a.bandwidth_mbps / a.congestion;
-        let mut bw_b = b.bandwidth_mbps / b.congestion;
+        let mut bw_a = a.bandwidth_mbps;
+        let mut bw_b = b.bandwidth_mbps;
         let mut latency = a.latency + b.latency;
         // Degradation windows stay out of the healthy path entirely so that
         // fault-free runs remain bit-identical to pre-fault builds.
@@ -228,18 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn congestion_scales_time() {
-        let mut n = net3();
-        let before = n.transfer_time(SiteId(0), SiteId(2), 1000.0);
-        n.set_congestion(SiteId(2), 4.0);
-        let after = n.transfer_time(SiteId(0), SiteId(2), 1000.0);
-        // bandwidth term ×4; latency unchanged.
-        let bw_before = before.as_secs_f64() - 0.015;
-        let bw_after = after.as_secs_f64() - 0.015;
-        assert!((bw_after / bw_before - 4.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn repository_fetch() {
         let mut n = net3();
         assert_eq!(n.fetch_from_repository(SiteId(1), 64.0), SimDuration::ZERO);
@@ -275,18 +252,6 @@ mod tests {
         n.clear_degradation(SiteId(2));
         assert_eq!(n.transfer_time(SiteId(0), SiteId(2), 1000.0), healthy);
         assert_eq!(n.degradation(SiteId(2)), LinkDegradation::default());
-    }
-
-    #[test]
-    fn degradation_composes_with_congestion() {
-        let mut n = net3();
-        n.set_congestion(SiteId(2), 2.0);
-        let congested = n.transfer_time(SiteId(0), SiteId(2), 1000.0);
-        n.set_degradation(SiteId(2), 2.0, 1.0);
-        let both = n.transfer_time(SiteId(0), SiteId(2), 1000.0);
-        let bw_c = congested.as_secs_f64() - 0.015;
-        let bw_both = both.as_secs_f64() - 0.015;
-        assert!((bw_both / bw_c - 2.0).abs() < 1e-6);
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! A compute site: batch cluster + optional RC partition + storage.
+//! A compute site: batch cluster + optional RC partition.
 
 use crate::cluster::Cluster;
 use crate::config::SiteConfig;
 use crate::ids::SiteId;
 use crate::reconf::RcPartition;
-use crate::storage::Storage;
 use tg_des::SimTime;
 
 /// One resource-provider site in the federation.
@@ -16,11 +15,6 @@ pub struct Site {
     pub cluster: Cluster,
     /// The reconfigurable partition (empty if the site has none).
     pub rc: RcPartition,
-    /// Scratch + archive storage.
-    pub storage: Storage,
-    /// False while the whole site is down (fault-injected outage): the batch
-    /// queue is frozen and the metascheduler routes around it.
-    available: bool,
 }
 
 impl Site {
@@ -33,25 +27,12 @@ impl Site {
             config.rc_area_per_node.max(1),
             config.rc_bitstream_cache,
         );
-        let storage = Storage::new(config.storage_bandwidth_mbps, config.archive_bandwidth_mbps);
         Site {
             id,
             config,
             cluster,
             rc,
-            storage,
-            available: true,
         }
-    }
-
-    /// Is the site up (accepting dispatches)?
-    pub fn is_available(&self) -> bool {
-        self.available
-    }
-
-    /// Mark the site up or down (fault-injected outage / recovery).
-    pub fn set_available(&mut self, available: bool) {
-        self.available = available;
     }
 
     /// This site's id.
@@ -108,15 +89,5 @@ mod tests {
         let s = Site::from_config(SiteId(0), SiteConfig::medium("m"), SimTime::ZERO);
         assert!(!s.has_rc());
         assert_eq!(s.rc.len(), 0);
-    }
-
-    #[test]
-    fn availability_toggles() {
-        let mut s = Site::from_config(SiteId(0), SiteConfig::medium("m"), SimTime::ZERO);
-        assert!(s.is_available());
-        s.set_available(false);
-        assert!(!s.is_available());
-        s.set_available(true);
-        assert!(s.is_available());
     }
 }

@@ -5,8 +5,9 @@
 //! **simultaneously** (coupled multi-physics runs, grid-MPI jobs). The
 //! planner finds the earliest instant at which every participating site can
 //! provide its share for the full duration, using the same availability
-//! profiles conservative backfill maintains, and reserves all parts
-//! atomically.
+//! profiles conservative backfill maintains. It plans only; holding the
+//! agreed window would take advance reservations, which no site scheduler
+//! here grants.
 //!
 //! The algorithm is the classic fixed-point iteration: start from the
 //! earliest bound, ask every site for its earliest feasible slot at or
@@ -67,7 +68,7 @@ impl CoallocPlan {
 
 /// Find the earliest common start for `request` at or after `earliest`,
 /// against per-site `profiles` (indexed by `SiteId`). Returns `None` if any
-/// part can never fit. Does **not** reserve — see [`plan_and_reserve`].
+/// part can never fit.
 pub fn plan_coallocation(
     profiles: &[Profile],
     request: &CoallocRequest,
@@ -102,19 +103,6 @@ pub fn plan_coallocation(
         }
         candidate = next;
     }
-}
-
-/// Plan and, on success, reserve every part at the agreed start.
-pub fn plan_and_reserve(
-    profiles: &mut [Profile],
-    request: &CoallocRequest,
-    earliest: SimTime,
-) -> Option<CoallocPlan> {
-    let plan = plan_coallocation(profiles, request, earliest)?;
-    for &(site, cores) in &request.parts {
-        profiles[site.index()].reserve(plan.start, request.duration, cores);
-    }
-    Some(plan)
 }
 
 #[cfg(test)]
@@ -199,35 +187,6 @@ mod tests {
             plan_coallocation(&profiles, &req(&[(0, 4), (1, 16)], 60), SimTime::ZERO),
             None
         );
-    }
-
-    #[test]
-    fn reserve_composes_sequential_requests() {
-        let mut profiles = vec![profile(16, &[]), profile(16, &[])];
-        let r = req(&[(0, 16), (1, 16)], 1000);
-        let first = plan_and_reserve(&mut profiles, &r, SimTime::ZERO).expect("first fits");
-        assert_eq!(first.start, SimTime::ZERO);
-        // The second identical request must queue behind the first.
-        let second = plan_and_reserve(&mut profiles, &r, SimTime::ZERO).expect("second fits later");
-        assert_eq!(second.start, SimTime::from_secs(1000));
-        // And a third behind the second.
-        let third = plan_and_reserve(&mut profiles, &r, SimTime::ZERO).expect("third");
-        assert_eq!(third.start, SimTime::from_secs(2000));
-    }
-
-    #[test]
-    fn partial_overlap_uses_remaining_capacity() {
-        // Site 0 half-busy until 800: 8 of 16 free.
-        let mut profiles = vec![profile(16, &[(800, 8)]), profile(16, &[])];
-        // 8 cores at site 0 fit alongside the running half.
-        let plan = plan_and_reserve(&mut profiles, &req(&[(0, 8), (1, 8)], 600), SimTime::ZERO)
-            .expect("fits in the free half");
-        assert_eq!(plan.start, SimTime::ZERO);
-        // A 16-core follow-up at site 0 must wait for both the running work
-        // (t=800) and the co-allocated reservation ([0,600)).
-        let plan2 = plan_and_reserve(&mut profiles, &req(&[(0, 16)], 100), SimTime::ZERO)
-            .expect("fits after");
-        assert_eq!(plan2.start, SimTime::from_secs(800));
     }
 
     #[test]

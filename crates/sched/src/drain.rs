@@ -37,7 +37,6 @@ pub struct WeeklyDrain {
     heroes: VecDeque<Job>,
     running: RunningSet,
     period: SimDuration,
-    machine_cores: usize,
     hero_threshold: usize,
     /// The active drain instant, set while hero jobs are pending.
     active_drain: Option<SimTime>,
@@ -72,7 +71,6 @@ impl WeeklyDrain {
             heroes: VecDeque::new(),
             running: RunningSet::new(),
             period,
-            machine_cores,
             hero_threshold: ((machine_cores as f64) * DEFAULT_HERO_FRACTION).ceil() as usize,
             active_drain: None,
             predrain_fill: true,
@@ -87,18 +85,6 @@ impl WeeklyDrain {
     pub fn with_predrain_fill(mut self, fill: bool) -> Self {
         self.predrain_fill = fill;
         self
-    }
-
-    /// Override the hero threshold (cores at or above which a job is a hero).
-    pub fn with_hero_threshold(mut self, cores: usize) -> Self {
-        assert!(cores > 0 && cores <= self.machine_cores);
-        self.hero_threshold = cores;
-        self
-    }
-
-    /// Pending hero jobs.
-    pub fn hero_queue_len(&self) -> usize {
-        self.heroes.len()
     }
 
     /// The drain instant currently armed, if any.
@@ -278,7 +264,7 @@ mod tests {
         let t = SimTime::from_days(3);
         s.submit(t, job(0, 10, 3600));
         assert_eq!(s.active_drain(), Some(SimTime::from_days(7)));
-        assert_eq!(s.hero_queue_len(), 1);
+        assert_eq!(s.heroes.len(), 1);
         assert_eq!(s.next_wakeup(t), Some(SimTime::from_days(7)));
     }
 
@@ -322,7 +308,7 @@ mod tests {
             WaitCause::DrainWindow,
             "heroes wait for the drain boundary"
         );
-        assert_eq!(s.hero_queue_len(), 1);
+        assert_eq!(s.heroes.len(), 1);
         // First hero completes; second starts immediately.
         let t2 = d + SimDuration::from_secs(3600);
         c.release(t2, 10);
@@ -402,10 +388,8 @@ mod tests {
     fn near_full_jobs_count_as_heroes() {
         let mut s = sched(100); // threshold = 90
         s.submit(SimTime::ZERO, job(0, 95, 60));
-        assert_eq!(s.hero_queue_len(), 1);
+        assert_eq!(s.heroes.len(), 1);
         s.submit(SimTime::ZERO, job(1, 89, 60));
-        assert_eq!(s.hero_queue_len(), 1, "89 < 90 is a normal job");
-        let s2 = sched(100).with_hero_threshold(50);
-        assert_eq!(s2.hero_threshold, 50);
+        assert_eq!(s.heroes.len(), 1, "89 < 90 is a normal job");
     }
 }

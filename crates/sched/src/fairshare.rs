@@ -21,8 +21,6 @@ pub struct FairShare {
     half_life: SimDuration,
     /// Per-project (decayed usage, last update time).
     usage: HashMap<ProjectId, (f64, SimTime)>,
-    /// Weight of decayed usage against wait time in priority.
-    usage_weight: f64,
 }
 
 impl FairShare {
@@ -32,15 +30,7 @@ impl FairShare {
         FairShare {
             half_life,
             usage: HashMap::new(),
-            usage_weight: 1.0,
         }
-    }
-
-    /// Set the usage weight in the priority formula.
-    pub fn with_usage_weight(mut self, w: f64) -> Self {
-        assert!(w >= 0.0);
-        self.usage_weight = w;
-        self
     }
 
     fn decayed(&self, project: ProjectId, now: SimTime) -> f64 {
@@ -81,7 +71,7 @@ impl FairShare {
         } else {
             0.0
         };
-        wait_hours - self.usage_weight * norm * 24.0
+        wait_hours - norm * 24.0
     }
 }
 

@@ -61,10 +61,9 @@ pub mod meta;
 pub mod queue;
 pub mod reconf;
 pub mod reference;
-pub mod reservation;
 pub mod retry;
 
-pub use coalloc::{plan_and_reserve, plan_coallocation, CoallocPlan, CoallocRequest};
+pub use coalloc::{plan_coallocation, CoallocPlan, CoallocRequest};
 pub use conservative::{ConservativeBackfill, Profile};
 pub use drain::WeeklyDrain;
 pub use easy::EasyBackfill;
@@ -73,5 +72,4 @@ pub use fcfs::Fcfs;
 pub use meta::{DataContext, MetaPolicy, SiteView};
 pub use queue::{BatchScheduler, SchedulerKind, Started};
 pub use reconf::{RcDecision, RcPolicy};
-pub use reservation::{Reservation, ReservingConservative};
 pub use retry::{RetryBook, RetryPolicy};

@@ -42,6 +42,7 @@ pub enum Packing {
 
 /// A reconfigurable-task scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct RcPolicy {
     /// Prefer idle regions already configured with the task's kernel.
     pub seek_reuse: bool,

@@ -17,6 +17,7 @@ use tg_workload::JobId;
 /// `max_retries` failures it is abandoned. All four fields are required when
 /// a JSON fault spec overrides the policy.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct RetryPolicy {
     /// Failures tolerated before the job is abandoned.
     pub max_retries: u32,

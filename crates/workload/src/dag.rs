@@ -69,6 +69,7 @@ impl DagSkeleton {
 /// The supported workflow shapes.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[serde(tag = "shape", rename_all = "snake_case")]
+#[serde(deny_unknown_fields)]
 pub enum DagShape {
     /// `n` tasks in a sequential chain.
     Chain {

@@ -22,6 +22,7 @@ use tg_model::{ConfigId, SiteId};
 
 /// Full generator configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct GeneratorConfig {
     /// Length of the generated window (jobs arrive in `[0, horizon)`).
     pub horizon: SimDuration,

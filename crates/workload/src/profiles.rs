@@ -18,6 +18,7 @@ use tg_des::param::Rule;
 /// Which arrival process a profile uses.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[serde(tag = "kind", rename_all = "snake_case")]
+#[serde(deny_unknown_fields)]
 pub enum ArrivalKind {
     /// Homogeneous Poisson.
     Poisson,
@@ -43,6 +44,7 @@ pub enum ArrivalKind {
 
 /// Reconfigurable-task parameters within a profile.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct RcTaskProfile {
     /// Zipf exponent over the configuration library (popularity skew).
     pub config_zipf_s: f64,
@@ -56,6 +58,7 @@ pub struct RcTaskProfile {
 
 /// Everything needed to generate one modality's job stream.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ModalityProfile {
     /// The modality this profile describes.
     pub modality: Modality,
@@ -355,6 +358,7 @@ impl ModalityProfile {
 
 /// How many users practice each modality, plus population-level skew knobs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct PopulationMix {
     /// Users per modality, in [`Modality::ALL`] order.
     pub users_per_modality: [usize; Modality::ALL.len()],
@@ -550,6 +554,33 @@ mod tests {
     fn with_users_overrides() {
         let mix = PopulationMix::baseline(100).with_users(Modality::RcAccelerated, 50);
         assert_eq!(mix.users_per_modality[Modality::RcAccelerated.index()], 50);
+    }
+
+    #[test]
+    fn tagged_variants_reject_unknown_keys() {
+        let parse = |json: &str| serde_json::from_str::<ArrivalKind>(json);
+        assert_eq!(
+            parse(r#"{"kind": "poisson"}"#).unwrap(),
+            ArrivalKind::Poisson
+        );
+        let bursty = r#"{"kind": "bursty", "burst_ratio": 20.0, "mean_quiet_s": 60.0,
+            "mean_burst_s": 6.0"#;
+        assert!(
+            parse(&format!("{bursty}}}")).is_ok(),
+            "the tag key is allowed"
+        );
+        let err = parse(&format!(r#"{bursty}, "mean_quiet": 1.0}}"#)).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("unknown field `mean_quiet` in variant ArrivalKind::Bursty"),
+            "{err}"
+        );
+        let err = parse(r#"{"kind": "poisson", "rate": 1.0}"#).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("unknown field `rate` in variant ArrivalKind::Poisson"),
+            "{err}"
+        );
     }
 
     #[test]

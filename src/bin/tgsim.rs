@@ -17,13 +17,15 @@
 //! replication's run-level metrics snapshot (per-site busy/queue gauges,
 //! per-modality completion counters, engine profile) as JSON; it only
 //! observes, so a run with it is the same run as without it.
-//! `--sample-hours H` (or the config's `sample_interval`) samples per-site
-//! busy fraction and queue length every `H` hours into the summary's
-//! `samples` array. `--trace-out` streams a structured JSONL event trace from
-//! the first replication. `--faults` loads a [`FaultSpec`] JSON file and
-//! overrides the config's `faults` section (node crashes, site outages, WAN
-//! degradation, lossy accounting ingest); the run summary then includes the
-//! fault report. `--stream-out` switches to the O(in-flight) memory-diet
+//! `--trace-out` streams the first replication's JSONL event trace; the
+//! summary's `trace` object (null without it) reports that file's
+//! `sink_errors`, `flush_ok` and `complete`, and an incomplete trace fails
+//! the run (exit 1). `--sample-hours H` (or the config's
+//! `sample_interval`) samples per-site busy fraction and queue length
+//! every `H` hours into the summary's `samples` array. `--faults` loads a
+//! [`FaultSpec`] JSON file and overrides the config's `faults` section
+//! (node crashes, site outages, WAN degradation, lossy accounting ingest);
+//! the run summary then includes the fault report. `--stream-out` switches to the O(in-flight) memory-diet
 //! path: the workload is generated lazily (jobs pulled as simulated time
 //! advances) and accounting records stream to the given JSONL file instead
 //! of accumulating in memory — outputs are byte-identical to the default
@@ -51,10 +53,11 @@
 //! Its span tables are the `--live-stats` tables: the same sketches, so
 //! `analyze --json` of a run's trace and that run's `stats.spans` agree
 //! exactly. `replay` drives the simulator from a Standard Workload Format
-//! archive trace instead of the generator: the federation, policies, and
-//! (with `--faults`) fault schedule come from the scenario config, the jobs
-//! from the trace — so archive workloads get the same degraded-operation
-//! machinery as synthetic ones.
+//! archive trace instead of the generator: the federation, policies,
+//! sampler, data grid and (with `--faults`) fault schedule come from the
+//! scenario config, the jobs from the trace (`Scenario::run_jobs`) — so
+//! archive workloads get the same degraded-operation machinery as
+//! synthetic ones.
 
 use std::process::ExitCode;
 use teragrid_repro::prelude::*;
@@ -490,12 +493,6 @@ fn run(rest: &[String]) -> ExitCode {
     let trace_health: Option<TraceHealth> = first.trace_health;
     if let Some(out) = &trace_out {
         let health = trace_health.expect("trace was requested");
-        if health.dropped > 0 {
-            eprintln!(
-                "tgsim: note: ring buffer evicted {} entries ({out} still has all of them)",
-                health.dropped
-            );
-        }
         if health.sink_errors > 0 {
             eprintln!(
                 "tgsim: warning: {} trace writes failed; {out} is missing lines",
@@ -526,11 +523,11 @@ fn run(rest: &[String]) -> ExitCode {
     }
 
     if let Some(out) = out_path {
-        // `trace` notes sink health so a summary shipped with a truncated
-        // trace file is self-describing (null when --trace-out was not set).
+        // `trace` notes the trace file's write errors and final flush, so a
+        // summary shipped with a truncated trace file is self-describing
+        // (null when --trace-out was not set).
         let trace_json = match trace_health {
             Some(h) => serde_json::json!({
-                "dropped": h.dropped,
                 "sink_errors": h.sink_errors,
                 "flush_ok": h.flush_ok,
                 "complete": h.sink_clean(),
@@ -754,9 +751,6 @@ fn analyze(rest: &[String]) -> ExitCode {
 }
 
 fn replay(rest: &[String]) -> ExitCode {
-    use tg_core::sim::{Event, GridSim};
-    use tg_des::Engine;
-    use tg_sched::BatchScheduler;
     use tg_workload::swf;
 
     let Some(path) = rest.first() else {
@@ -859,73 +853,31 @@ fn replay(rest: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let factory = RngFactory::new(seed);
-    let library = cfg
-        .library
-        .clone()
-        .unwrap_or_else(|| ConfigLibrary::synthetic(cfg.workload.rc_config_count.max(1)));
-    let mut builder = Federation::builder().library(library);
-    for s in &cfg.sites {
-        builder = builder.site(s.clone());
-    }
-    let federation = builder.repository_at(cfg.data_home).build();
     // Archive traces come from bigger iron than this federation may model:
-    // clamp like the generator path does — a pinned job must fit its site
-    // (drop hints pointing past this federation), an unpinned one the
-    // largest site.
-    let max_cores = federation
-        .sites()
-        .map(|s| s.cluster.total_cores())
-        .max()
-        .expect("non-empty federation");
+    // drop site hints pointing past this federation; the run then clamps
+    // every job to the machine like generated ones.
     let site_count = cfg.sites.len();
     let jobs: Vec<Job> = imported
         .into_iter()
         .map(|mut j| {
-            if let Some(s) = j.site_hint {
-                if s.index() >= site_count {
-                    j.site_hint = None;
-                }
+            if j.site_hint.is_some_and(|s| s.index() >= site_count) {
+                j.site_hint = None;
             }
-            let cap = match j.site_hint {
-                Some(s) => federation.site(s).cluster.total_cores(),
-                None => max_cores,
-            };
-            j.cores = j.cores.min(cap);
             j
         })
         .collect();
     let n_jobs = jobs.len();
-    let schedulers: Vec<Box<dyn BatchScheduler>> = federation
-        .sites()
-        .map(|s| cfg.scheduler.build(s.cluster.total_cores()))
-        .collect();
     eprintln!(
         "replaying {n_jobs} jobs from {path} through `{}` at seed {seed} ...",
         cfg.name
     );
-    let mut sim = GridSim::new(
-        federation,
-        schedulers,
-        cfg.meta,
-        cfg.rc_policy,
-        SiteId(cfg.data_home),
-        jobs,
-        factory,
-    );
-    if let Some(spec) = &cfg.faults {
-        if !spec.is_trivial() {
-            sim = sim.with_faults(spec);
-        }
-    }
-    let mut engine: Engine<Event> = Engine::with_capacity(1024);
-    let out = sim.run(&mut engine);
+    let out = cfg.build().run_jobs(seed, jobs, &RunOptions::default());
     println!(
         "replay complete: {} of {n_jobs} jobs finished by {}, mean wait {:.0} s, {} events",
         out.db.jobs.len(),
         out.end,
-        tg_accounting::query::mean_wait_secs(&out.db.jobs),
-        engine.delivered()
+        out.mean_wait_secs(),
+        out.events_delivered
     );
     if let Some(fr) = &out.fault_report {
         println!(

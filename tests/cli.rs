@@ -702,6 +702,34 @@ fn invalid_configs_exit_1_naming_the_field() {
             |c| c.workload.profiles[5].estimate_factor = DistKind::Uniform { lo: 3.0, hi: 1.0 },
             "workload.profiles[5].estimate_factor.hi:",
         ),
+        // Site hardware figures. Before `SiteConfig::validate`, the first
+        // three panicked in the model constructors (exit 101) and the last
+        // two ran silently (exit 0).
+        (
+            "wan-bandwidth",
+            |c| c.sites[0].wan_bandwidth_mbps = 0.0,
+            "sites[0].wan_bandwidth_mbps:",
+        ),
+        (
+            "wan-latency",
+            |c| c.sites[0].wan_latency_ms = -1.0,
+            "sites[0].wan_latency_ms:",
+        ),
+        (
+            "charge-factor",
+            |c| c.sites[0].charge_factor = -1.0,
+            "sites[0].charge_factor:",
+        ),
+        (
+            "core-speed",
+            |c| c.sites[0].core_speed = 0.0,
+            "sites[0].core_speed:",
+        ),
+        (
+            "data-cache",
+            |c| c.sites[0].data_cache_mb = -1.0,
+            "sites[0].data_cache_mb:",
+        ),
     ];
     for &(tag, mutate, field) in cases {
         let mut cfg = ScenarioConfig::baseline(20, 1);
@@ -763,14 +791,140 @@ fn invalid_fault_spec_files_exit_1_naming_the_field() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The entries of a JSON object, for a case to add a key to.
+fn object(v: &mut serde_json::Value) -> &mut Vec<(String, serde_json::Value)> {
+    match v {
+        serde_json::Value::Map(entries) => entries,
+        other => panic!("not an object: {other}"),
+    }
+}
+
+/// `sites[0]` of a serialized scenario config.
+fn first_site(v: &mut serde_json::Value) -> &mut Vec<(String, serde_json::Value)> {
+    let sites = object(v)
+        .iter_mut()
+        .find(|(k, _)| k == "sites")
+        .map(|(_, v)| v)
+        .expect("config has sites");
+    match sites {
+        serde_json::Value::Seq(sites) => object(&mut sites[0]),
+        other => panic!("sites is not an array: {other}"),
+    }
+}
+
+/// Misspelled or retired keys are rejected while parsing: exit 1 naming
+/// the key and the struct it sits in. Before, every case here exited 0 and
+/// ran as if the key were absent (a misspelled `faults` section injected
+/// nothing), except the retired `storage_bandwidth_mbps: -5`, which
+/// panicked in the storage model (exit 101).
+#[test]
+fn unknown_config_keys_exit_1_naming_the_key() {
+    let dir = std::env::temp_dir().join(format!("tgsim-unknown-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let base = serde_json::to_string(&ScenarioConfig::baseline(20, 1)).expect("json");
+    type Mutation = fn(&mut serde_json::Value);
+    let cases: &[(&str, Mutation, &str)] = &[
+        (
+            "fault",
+            |v| {
+                let crash = serde_json::json!({"node_crashes": {"mtbf_hours": 1.0,
+                    "repair_hours": 1.0, "cores_per_crash": 8, "horizon_days": 1.0}});
+                object(v).push(("fault".into(), crash));
+            },
+            "unknown field `fault` in struct ScenarioConfig",
+        ),
+        (
+            "bogus",
+            |v| object(v).push(("bogus_key".into(), serde_json::json!(1))),
+            "unknown field `bogus_key` in struct ScenarioConfig",
+        ),
+        (
+            "schedular",
+            |v| first_site(v).push(("schedular".into(), serde_json::json!("easy"))),
+            "unknown field `schedular` in struct SiteConfig",
+        ),
+        (
+            "storage",
+            |v| first_site(v).push(("storage_bandwidth_mbps".into(), serde_json::json!(-5.0))),
+            "unknown field `storage_bandwidth_mbps` in struct SiteConfig",
+        ),
+    ];
+    for &(tag, mutate, want) in cases {
+        let mut v: serde_json::Value = serde_json::from_str(&base).expect("json");
+        mutate(&mut v);
+        let path = dir.join(format!("{tag}.json"));
+        std::fs::write(&path, v.to_string()).expect("write config");
+        let out = tgsim()
+            .args(["run", path.to_str().expect("utf8 path")])
+            .output()
+            .expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{tag}: stderr {stderr}");
+        assert!(stderr.contains(want), "{tag}: want `{want}` in {stderr}");
+    }
+
+    // A typo inside a `--faults` file fails the same way.
+    let scenario = dir.join("scenario.json");
+    std::fs::write(&scenario, &base).expect("write config");
+    let faults = dir.join("faults.json");
+    std::fs::write(
+        &faults,
+        r#"{"node_crashes": {"mtbf_hour": 1.0, "mtbf_hours": 1.0, "repair_hours": 1.0,
+            "cores_per_crash": 8, "horizon_days": 1.0}}"#,
+    )
+    .expect("write faults");
+    let out = tgsim()
+        .args(["run", scenario.to_str().expect("utf8 path"), "--faults"])
+        .arg(&faults)
+        .output()
+        .expect("runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr {stderr}");
+    assert!(
+        stderr.contains("unknown field `mtbf_hour` in struct NodeCrashSpec"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn checked_in_config_still_parses() {
-    // Guard against config-format drift: the committed example must load.
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/configs/baseline-300u-14d.json"
-    );
-    let text = std::fs::read_to_string(path).expect("config exists");
-    let v: serde_json::Value = serde_json::from_str(&text).expect("valid JSON");
-    assert_eq!(v["sites"].as_array().expect("sites").len(), 3);
+    // Guard against config-format drift: every committed config loads as
+    // what it is (`faults-demo.json` is a `--faults` file, the rest are
+    // scenarios) and passes validation.
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/configs");
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
+        .expect("configs dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    paths.sort();
+    assert!(paths.len() >= 6, "configs: {paths:?}");
+    for path in &paths {
+        let text = std::fs::read_to_string(path).expect("config exists");
+        let name = path.display();
+        if path.ends_with("faults-demo.json") {
+            let spec: FaultSpec =
+                serde_json::from_str(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            spec.validate(3).unwrap_or_else(|e| panic!("{name}: {e}"));
+        } else {
+            let cfg: ScenarioConfig =
+                serde_json::from_str(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            cfg.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(cfg.sites.len(), 3, "{name}");
+        }
+    }
+
+    // `emit-baseline` writes a config that parses, validates, and
+    // serializes back to the same bytes.
+    let out = tgsim()
+        .args(["emit-baseline", "40", "2"])
+        .output()
+        .expect("tgsim runs");
+    assert!(out.status.success());
+    let text = String::from_utf8(out.stdout).expect("utf8");
+    let cfg: ScenarioConfig = serde_json::from_str(&text).expect("emitted config parses");
+    cfg.validate().expect("emitted config is valid");
+    let again = serde_json::to_string_pretty(&cfg).expect("serializes");
+    assert_eq!(format!("{again}\n"), text, "emit-baseline round-trips");
 }
