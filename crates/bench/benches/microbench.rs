@@ -75,7 +75,7 @@ fn bench_scheduler_round(c: &mut Criterion) {
                             SimDuration::from_hours(10),
                         ),
                     );
-                    sched.make_decisions(SimTime::ZERO, &mut cluster, 1.0);
+                    sched.make_decisions(SimTime::ZERO, &mut cluster, 1.0, &mut Vec::new());
                     for i in 1..=100 {
                         let cores = 1 + (i * 37) % 512;
                         sched.submit(
@@ -93,7 +93,8 @@ fn bench_scheduler_round(c: &mut Criterion) {
                     (sched, cluster)
                 },
                 |(mut sched, mut cluster)| {
-                    let started = sched.make_decisions(SimTime::from_secs(1), &mut cluster, 1.0);
+                    let mut started = Vec::new();
+                    sched.make_decisions(SimTime::from_secs(1), &mut cluster, 1.0, &mut started);
                     black_box(started.len())
                 },
             );

@@ -217,6 +217,10 @@ impl ScenarioConfig {
             spec.validate(nsites).map_err(|e| format!("faults.{e}"))?;
         }
         if let Some(library) = &self.library {
+            for (id, cfg) in library.iter() {
+                cfg.validate()
+                    .map_err(|e| format!("library.configs[{}].{e}", id.index()))?;
+            }
             if library.len() < self.workload.rc_config_count {
                 return Err(format!(
                     "library: {} configurations, fewer than the {} ids \

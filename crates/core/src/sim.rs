@@ -29,7 +29,7 @@
 //!   dependencies finished and the engine handed it to the queue), because
 //!   that is when the queue first saw it.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use tg_accounting::{
     AccountingDb, GatewayAttribute, IngestTally, JobRecord, RcPlacementRecord, RecordRef,
     RecordSink, SessionRecord, TransferRecord,
@@ -48,9 +48,10 @@ use tg_fault::{FaultEventKind, FaultReport, FaultSchedule, FaultSpec, OutagePoli
 use tg_model::reconf::HostPlan;
 use tg_model::{Federation, SiteId};
 use tg_sched::{
-    BatchScheduler, DataContext, MetaPolicy, RcDecision, RcPolicy, RetryBook, RetryPolicy, SiteView,
+    BatchScheduler, DataContext, MetaPolicy, RcDecision, RcPolicy, RetryBook, RetryPolicy,
+    SiteView, Started,
 };
-use tg_workload::{Job, JobId, Modality, UserId};
+use tg_workload::{IdMap, Job, JobId, Modality, UserId};
 
 /// Base offset for synthetic gateway community accounts in job records.
 pub const COMMUNITY_ACCOUNT_BASE: usize = 10_000_000;
@@ -342,6 +343,36 @@ struct RunningRec {
     job: Job,
 }
 
+/// Ids of finished jobs, as a bitset in pages of [`JobBitset::PAGE`] ids.
+/// A page is allocated when its first id finishes and found through an
+/// id-hashed map, so memory follows the number of jobs rather than the
+/// largest id (SWF traces may number jobs sparsely), and a lookup is one
+/// probe into a small table plus a bit test.
+#[derive(Default)]
+struct JobBitset {
+    pages: IdMap<usize, Box<[u64; JobBitset::PAGE / 64]>>,
+}
+
+impl JobBitset {
+    const PAGE: usize = 4096;
+
+    fn insert(&mut self, id: JobId) {
+        let i = id.index();
+        let page = self
+            .pages
+            .entry(i / Self::PAGE)
+            .or_insert_with(|| Box::new([0; Self::PAGE / 64]));
+        page[i % Self::PAGE / 64] |= 1 << (i % 64);
+    }
+
+    fn contains(&self, id: JobId) -> bool {
+        let i = id.index();
+        self.pages
+            .get(&(i / Self::PAGE))
+            .is_some_and(|page| page[i % Self::PAGE / 64] & (1 << (i % 64)) != 0)
+    }
+}
+
 /// The lossy accounting-ingest channel. Both uniforms are drawn for *every*
 /// record regardless of the configured probabilities, so the per-record fate
 /// sequence is identical across loss rates (monotone coupling — the R1
@@ -399,16 +430,21 @@ pub struct GridSim {
     /// job is re-examined and either routed or re-registered under another
     /// still-unmet dep. (A per-job unmet counter would go stale: deps the
     /// job is not registered under can complete in the meantime.)
-    dep_waiters: HashMap<JobId, Vec<Job>>,
-    completed: HashSet<JobId>,
-    /// Deferred RC tasks per site (fabric was full).
-    rc_backlog: HashMap<SiteId, VecDeque<Job>>,
+    dep_waiters: IdMap<JobId, Vec<Job>>,
+    completed: JobBitset,
+    /// Deferred RC tasks, by site index (fabric was full).
+    rc_backlog: Vec<VecDeque<Job>>,
     /// Running batch jobs by id — the single owner of every dispatched job
     /// until its completion event delivers (RC fabric tasks are tracked by
     /// their own events). Also the fault layer's kill index.
-    running: HashMap<JobId, RunningRec>,
-    /// Armed scheduler wakeups (dedupe).
-    armed_wakeups: HashMap<SiteId, SimTime>,
+    running: IdMap<JobId, RunningRec>,
+    /// Armed scheduler wakeups by site index (dedupe).
+    armed_wakeups: Vec<Option<SimTime>>,
+    /// Reused buffer for one scheduler decision pass (empty between
+    /// dispatches).
+    started: Vec<Started>,
+    /// Reused buffer of per-site snapshots for the metascheduler.
+    site_views: Vec<SiteView>,
     rng: RngFactory,
     /// The accounting database being populated.
     pub db: AccountingDb,
@@ -424,7 +460,7 @@ pub struct GridSim {
     tracer: Tracer,
     /// Per-job lifecycle phase state for span emission (populated only while
     /// the tracer or the online-stats layer is enabled).
-    span_track: HashMap<JobId, SpanTrack>,
+    span_track: IdMap<JobId, SpanTrack>,
     /// Online observability (disabled by default; see
     /// [`GridSim::with_live_stats`]).
     obs: Obs,
@@ -458,10 +494,7 @@ impl GridSim {
         let truth: HashMap<JobId, Modality> =
             jobs.iter().map(|j| (j.id, j.true_modality)).collect();
         let jobs_total = jobs.len();
-        let rc_backlog = federation
-            .site_ids()
-            .map(|s| (s, VecDeque::new()))
-            .collect();
+        let sites = federation.len();
         let mut metrics = MetricsRegistry::disabled();
         let ins = Instruments::register(&mut metrics, &federation);
         GridSim {
@@ -473,11 +506,13 @@ impl GridSim {
             data: None,
             jobs: jobs.into_iter().map(Some).collect(),
             truth,
-            dep_waiters: HashMap::new(),
-            completed: HashSet::new(),
-            rc_backlog,
-            running: HashMap::new(),
-            armed_wakeups: HashMap::new(),
+            dep_waiters: IdMap::default(),
+            completed: JobBitset::default(),
+            rc_backlog: vec![VecDeque::new(); sites],
+            running: IdMap::default(),
+            armed_wakeups: vec![None; sites],
+            started: Vec::new(),
+            site_views: Vec::with_capacity(sites),
             rng,
             db: AccountingDb::new(),
             jobs_done: 0,
@@ -487,7 +522,7 @@ impl GridSim {
             metrics,
             ins,
             tracer: Tracer::default(),
-            span_track: HashMap::new(),
+            span_track: IdMap::default(),
             obs: Obs::disabled(),
             faults: None,
             streaming: false,
@@ -947,40 +982,32 @@ impl GridSim {
     fn select_site(&mut self, job: &Job) -> SiteId {
         // Queue depth by scheduler queue length × job-average shape is a
         // coarse stand-in; use queue length × estimate of this job.
-        let views: Vec<SiteView> = self
-            .federation
-            .sites()
-            .enumerate()
-            .map(|(i, s)| SiteView {
-                site: s.id(),
-                total_cores: s.cluster.total_cores(),
-                free_cores: s.cluster.free_cores(),
-                queued_core_seconds: self.schedulers[i].queue_len() as f64
-                    * job.cores as f64
-                    * job.estimate.as_secs_f64(),
-                core_speed: s.core_speed(),
-            })
-            .collect();
+        let mut views = std::mem::take(&mut self.site_views);
+        views.clear();
+        views.extend(self.federation.sites().enumerate().map(|(i, s)| SiteView {
+            site: s.id(),
+            total_cores: s.cluster.total_cores(),
+            free_cores: s.cluster.free_cores(),
+            queued_core_seconds: self.schedulers[i].queue_len() as f64
+                * job.cores as f64
+                * job.estimate.as_secs_f64(),
+            core_speed: s.core_speed(),
+        }));
         // Under an active whole-site outage the metascheduler routes around
         // the dark site(s) — unless no surviving site could fit this job
         // (or everything is dark), in which case it routes to its normal
         // choice and waits out the outage there. The filter only engages
         // while a site is actually down, so fault-free runs build the
         // identical view vector.
-        let views = match &self.faults {
-            Some(f)
-                if f.down_since.iter().any(Option::is_some)
-                    && views.iter().any(|v| {
-                        f.down_since[v.site.index()].is_none() && job.cores <= v.total_cores
-                    }) =>
+        if let Some(f) = &self.faults {
+            if f.down_since.iter().any(Option::is_some)
+                && views
+                    .iter()
+                    .any(|v| f.down_since[v.site.index()].is_none() && job.cores <= v.total_cores)
             {
-                views
-                    .into_iter()
-                    .filter(|v| f.down_since[v.site.index()].is_none())
-                    .collect()
+                views.retain(|v| f.down_since[v.site.index()].is_none());
             }
-            _ => views,
-        };
+        }
         // Data-locality context: where the job's dataset is resident right
         // now (permanent replicas plus warm caches) and how big it is. Only
         // dataset-carrying jobs build one; everything else passes `None`,
@@ -995,7 +1022,8 @@ impl GridSim {
         let mut rng = self
             .rng
             .stream(StreamId::new("meta", job.id.index() as u64));
-        self.meta_policy
+        let site = self
+            .meta_policy
             .select(
                 job,
                 &views,
@@ -1004,7 +1032,9 @@ impl GridSim {
                 dctx.as_ref(),
                 &mut rng,
             )
-            .expect("at least one site fits any generated job")
+            .expect("at least one site fits any generated job");
+        self.site_views = views;
+        site
     }
 
     fn rc_site_for(&self, job: &Job) -> SiteId {
@@ -1069,8 +1099,9 @@ impl GridSim {
         }
         let speed = self.federation.site(site).core_speed();
         let cluster = &mut self.federation.site_mut(site).cluster;
-        let started = self.schedulers[site.index()].make_decisions(ctx.now(), cluster, speed);
-        for s in started {
+        let mut started = std::mem::take(&mut self.started);
+        self.schedulers[site.index()].make_decisions(ctx.now(), cluster, speed, &mut started);
+        for s in started.drain(..) {
             let actual = s.job.runtime_on(speed, false);
             self.obs.series.on_start(ctx.now());
             // Span: queued phase closes at start. The scheduler attributes the
@@ -1121,11 +1152,12 @@ impl GridSim {
                 },
             );
         }
+        self.started = started;
         // Arm a wakeup if the policy wants one (weekly drain).
         if let Some(at) = self.schedulers[site.index()].next_wakeup(ctx.now()) {
-            let armed = self.armed_wakeups.get(&site).copied();
-            if armed != Some(at) {
-                self.armed_wakeups.insert(site, at);
+            let armed = &mut self.armed_wakeups[site.index()];
+            if *armed != Some(at) {
+                *armed = Some(at);
                 ctx.schedule_at(at, Event::SchedWakeup { site });
             }
         }
@@ -1222,15 +1254,10 @@ impl GridSim {
         match decision {
             RcDecision::PlaceHw { node, plan, setup } => {
                 let reused = matches!(plan, HostPlan::Reuse(_));
-                let library = self.federation.library.clone();
                 let rc_cfg = job.rc.expect("rc job").config;
-                let speed = self.federation.site(site).core_speed();
-                let region = self.federation.site_mut(site).rc.node_mut(node).commit(
-                    plan,
-                    rc_cfg,
-                    &library,
-                    ctx.now(),
-                );
+                let (s, library) = self.federation.site_mut_with_library(site);
+                let speed = s.core_speed();
+                let region = s.rc.node_mut(node).commit(plan, rc_cfg, library, ctx.now());
                 let exec_start = ctx.now() + setup.total();
                 // Spans: queued-for-fabric (zero-length unless the job sat in
                 // the deferral backlog), then bitstream transfer + reconfig.
@@ -1328,10 +1355,7 @@ impl GridSim {
                 if let Some(track) = self.span_track.get_mut(&job.id) {
                     track.deferred = true;
                 }
-                self.rc_backlog
-                    .get_mut(&site)
-                    .expect("site backlog exists")
-                    .push_back(job);
+                self.rc_backlog[site.index()].push_back(job);
             }
         }
     }
@@ -1374,18 +1398,12 @@ impl GridSim {
         self.emit_records(ctx, site, &job, started, true, Some(placement));
         self.finish_job(ctx, &job);
         // Fabric freed: retry deferred tasks (FIFO, stop at first re-defer).
-        loop {
-            let next = self
-                .rc_backlog
-                .get_mut(&site)
-                .expect("site backlog exists")
-                .pop_front();
-            let Some(next) = next else { break };
-            let before = self.rc_backlog[&site].len();
+        while let Some(next) = self.rc_backlog[site.index()].pop_front() {
+            let before = self.rc_backlog[site.index()].len();
             self.route_rc(ctx, site, next);
             // If route_rc deferred it again it went to the back; avoid
             // spinning over a full backlog in one pass.
-            if self.rc_backlog[&site].len() > before {
+            if self.rc_backlog[site.index()].len() > before {
                 break;
             }
         }
@@ -1870,7 +1888,7 @@ impl GridSim {
                     .deps
                     .iter()
                     .copied()
-                    .find(|d| !self.completed.contains(d))
+                    .find(|&d| !self.completed.contains(d))
                 {
                     None => self.route(ctx, waiter),
                     Some(next_dep) => {
@@ -1916,7 +1934,7 @@ impl GridSim {
             .deps
             .iter()
             .copied()
-            .find(|d| !self.completed.contains(d));
+            .find(|&d| !self.completed.contains(d));
         match first_unmet {
             None => self.route(ctx, job),
             Some(dep) => {
@@ -1947,7 +1965,7 @@ impl Simulation for GridSim {
                 placement,
             } => self.complete_rc(ctx, site, node, region, *job, started, placement),
             Event::SchedWakeup { site } => {
-                self.armed_wakeups.remove(&site);
+                self.armed_wakeups[site.index()] = None;
                 self.dispatch(ctx, site);
             }
             Event::Sample => self.take_sample(ctx),
@@ -2613,5 +2631,19 @@ mod tests {
             small_rec.start < SimTime::from_days(7),
             "small job runs pre-drain"
         );
+    }
+
+    #[test]
+    fn job_bitset_holds_sparse_ids_in_few_pages() {
+        let ids = [0, 63, 64, 4095, 4096, 999_999_999_999];
+        let mut set = JobBitset::default();
+        for id in ids {
+            set.insert(JobId(id));
+        }
+        assert!(ids.iter().all(|&id| set.contains(JobId(id))));
+        for id in [1, 62, 65, 4094, 4097, 8192, 999_999_999_998] {
+            assert!(!set.contains(JobId(id)), "{id} was never inserted");
+        }
+        assert_eq!(set.pages.len(), 3, "pages follow the ids in use");
     }
 }

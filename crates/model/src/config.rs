@@ -142,6 +142,18 @@ impl ProcessorConfig {
             reconfig_time: SimDuration::from_millis(100),
         }
     }
+
+    /// Check the fields the RC model allocates fabric from, prices a
+    /// transfer by, or divides a runtime by: a positive area and speedup
+    /// and a non-negative bitstream size. The error names the field, e.g.
+    /// `speedup: …`.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.area == 0 {
+            return Err("area: must be positive, got 0".into());
+        }
+        Rule::NonNegative.check("bitstream_mb", self.bitstream_mb)?;
+        Rule::Positive.check("speedup", self.speedup)
+    }
 }
 
 /// The library of processor configurations known to the federation.
@@ -237,6 +249,20 @@ mod tests {
             bad(|c| c.data_cache_mb = -1.0),
             "data_cache_mb: must be non-negative and finite, got -1"
         );
+    }
+
+    #[test]
+    fn processor_config_validate_names_the_bad_field() {
+        assert_eq!(ProcessorConfig::new("ok", 4, 2.0).validate(), Ok(()));
+        let bad = |f: fn(&mut ProcessorConfig)| {
+            let mut c = ProcessorConfig::new("k", 4, 2.0);
+            f(&mut c);
+            c.validate().unwrap_err()
+        };
+        assert_eq!(bad(|c| c.area = 0), "area: must be positive, got 0");
+        assert!(bad(|c| c.bitstream_mb = -5.0).starts_with("bitstream_mb: "));
+        assert!(bad(|c| c.speedup = 0.0).starts_with("speedup: "));
+        assert!(bad(|c| c.speedup = f64::NAN).starts_with("speedup: "));
     }
 
     #[test]

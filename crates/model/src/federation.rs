@@ -42,6 +42,12 @@ impl Federation {
         &mut self.sites[id.index()]
     }
 
+    /// Mutable site access alongside the configuration library, which an
+    /// RC placement reads while it commits to the site's fabric.
+    pub fn site_mut_with_library(&mut self, id: SiteId) -> (&mut Site, &ConfigLibrary) {
+        (&mut self.sites[id.index()], &self.library)
+    }
+
     /// Iterate sites.
     pub fn sites(&self) -> impl Iterator<Item = &Site> {
         self.sites.iter()

@@ -27,7 +27,6 @@
 use crate::config::ConfigLibrary;
 use crate::ids::{ConfigId, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use tg_des::stats::TimeWeighted;
 use tg_des::{SimDuration, SimTime};
 
@@ -45,14 +44,16 @@ struct Region {
 pub struct RegionId(usize);
 
 /// What hosting a configuration on a node would involve.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum HostPlan {
     /// An idle region already holds the configuration — reuse it for free.
     Reuse(RegionId),
-    /// Configure a fresh region, evicting the listed idle regions first.
+    /// Configure a fresh region after evicting the `evictions` least
+    /// recently used idle regions (possibly none). The victims are picked
+    /// at commit, so planning a candidate node allocates nothing.
     Configure {
-        /// Idle regions to evict (possibly empty).
-        evict: Vec<RegionId>,
+        /// Idle regions to evict first, in LRU order.
+        evictions: usize,
         /// Whether the bitstream must be fetched from the repository.
         fetch_bitstream: bool,
     },
@@ -100,9 +101,10 @@ pub struct RcNode {
     id: NodeId,
     area_total: u32,
     regions: Vec<Option<Region>>,
-    bitstream_cache: HashSet<ConfigId>,
     cache_capacity: usize,
-    cache_order: Vec<ConfigId>, // LRU order, oldest first
+    /// Cached bitstreams in LRU order, oldest first (at most
+    /// `cache_capacity`, a handful, so a scan is the lookup).
+    bitstream_cache: Vec<ConfigId>,
     busy_area: TimeWeighted,
     configured_area: TimeWeighted,
     stats: RcNodeStats,
@@ -117,9 +119,8 @@ impl RcNode {
             id,
             area_total,
             regions: Vec::new(),
-            bitstream_cache: HashSet::new(),
             cache_capacity,
-            cache_order: Vec::new(),
+            bitstream_cache: Vec::new(),
             busy_area: TimeWeighted::new(start, 0.0),
             configured_area: TimeWeighted::new(start, 0.0),
             stats: RcNodeStats::default(),
@@ -212,40 +213,47 @@ impl RcNode {
             return HostPlan::Infeasible;
         }
         let fetch_bitstream = !self.has_bitstream(config);
-        // 2. Fits in free area.
-        if need <= self.free_area() {
-            return HostPlan::Configure {
-                evict: Vec::new(),
-                fetch_bitstream,
-            };
-        }
-        // 3. Evict idle regions, least-recently-used first.
-        let mut idle: Vec<(usize, SimTime, u32)> = self
-            .regions
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.as_ref().map(|r| (i, r)))
-            .filter(|(_, r)| !r.busy)
-            .map(|(i, r)| (i, r.last_used, r.area))
-            .collect();
-        idle.sort_by_key(|&(_, t, _)| t);
+        // 2. Fits in free area; 3. otherwise evict idle regions,
+        // least-recently-used first, until it does.
         let mut freed = self.free_area();
-        let mut evict = Vec::new();
-        for (i, _, area) in idle {
-            if freed >= need {
+        let mut evictions = 0;
+        let mut victims = self.idle_lru();
+        while freed < need {
+            let Some((_, area)) = victims.next() else {
                 break;
-            }
-            evict.push(RegionId(i));
+            };
+            evictions += 1;
             freed += area;
         }
         if freed >= need {
             HostPlan::Configure {
-                evict,
+                evictions,
                 fetch_bitstream,
             }
         } else {
             HostPlan::Infeasible
         }
+    }
+
+    /// Idle regions in eviction order — least recently used first, ties to
+    /// the lower slot — as `(slot, area)`. Each step rescans the regions
+    /// for the next key instead of sorting a copy: allocation-free, and a
+    /// node's fabric holds only a handful of regions.
+    fn idle_lru(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
+        let mut prev: Option<(SimTime, usize)> = None;
+        std::iter::from_fn(move || {
+            let (key, area) = self
+                .regions
+                .iter()
+                .enumerate()
+                .filter_map(|(i, r)| r.as_ref().map(|r| (i, r)))
+                .filter(|(_, r)| !r.busy)
+                .map(|(i, r)| ((r.last_used, i), r.area))
+                .filter(|&(key, _)| prev < Some(key))
+                .min_by_key(|&(key, _)| key)?;
+            prev = Some(key);
+            Some((key.1, area))
+        })
     }
 
     /// The setup latency of a plan, pricing transfer via `transfer_time` (the
@@ -302,14 +310,15 @@ impl RcNode {
                 rid
             }
             HostPlan::Configure {
-                evict,
+                evictions,
                 fetch_bitstream,
             } => {
-                for rid in &evict {
-                    let r = self.regions[rid.0]
-                        .take()
-                        .expect("stale plan: eviction target vanished");
-                    assert!(!r.busy, "stale plan: eviction target became busy");
+                for _ in 0..evictions {
+                    let (slot, _) = self
+                        .idle_lru()
+                        .next()
+                        .expect("stale plan: no idle region left to evict");
+                    self.regions[slot] = None;
                     self.stats.evictions += 1;
                 }
                 let need = lib.get(config).area;
@@ -366,21 +375,20 @@ impl RcNode {
         if self.cache_capacity == 0 {
             return;
         }
-        if self.bitstream_cache.insert(config) {
-            self.cache_order.push(config);
-            if self.bitstream_cache.len() > self.cache_capacity {
-                let victim = self.cache_order.remove(0);
-                self.bitstream_cache.remove(&victim);
-            }
-        } else {
+        if self.has_bitstream(config) {
             self.cache_touch(config);
+        } else {
+            self.bitstream_cache.push(config);
+            if self.bitstream_cache.len() > self.cache_capacity {
+                self.bitstream_cache.remove(0);
+            }
         }
     }
 
     fn cache_touch(&mut self, config: ConfigId) {
-        if let Some(pos) = self.cache_order.iter().position(|&c| c == config) {
-            self.cache_order.remove(pos);
-            self.cache_order.push(config);
+        if let Some(pos) = self.bitstream_cache.iter().position(|&c| c == config) {
+            self.bitstream_cache.remove(pos);
+            self.bitstream_cache.push(config);
         }
     }
 
@@ -481,7 +489,7 @@ mod tests {
         assert_eq!(
             plan,
             HostPlan::Configure {
-                evict: vec![],
+                evictions: 0,
                 fetch_bitstream: true
             }
         );
@@ -521,7 +529,7 @@ mod tests {
         n.finish(r, SimTime::from_secs(1));
         let plan_b = n.plan(b, &lib);
         assert!(
-            matches!(&plan_b, HostPlan::Configure { evict, .. } if evict.len() == 1),
+            matches!(plan_b, HostPlan::Configure { evictions: 1, .. }),
             "hosting b must evict a's idle region: {plan_b:?}"
         );
         let rb = n.commit(plan_b, b, &lib, SimTime::from_secs(1));
@@ -609,8 +617,8 @@ mod tests {
                                               // big needs 5, free = 2 → must evict k0 (older) only (2+3=5).
         let plan = n.plan(big, &lib);
         match &plan {
-            HostPlan::Configure { evict, .. } => {
-                assert_eq!(evict.len(), 1);
+            HostPlan::Configure { evictions, .. } => {
+                assert_eq!(*evictions, 1);
                 // Evicted region must be k0's: after commit, k1 remains.
             }
             other => panic!("{other:?}"),

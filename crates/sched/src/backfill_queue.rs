@@ -26,12 +26,20 @@
 //! under the current free/extra budgets (plus one boundary probe per lane)
 //! — O((picks + distinct widths) · log) per pass instead of O(queue).
 //!
+//! A lane holds no per-job map: its sequence numbers are appended in
+//! increasing order, so a leaving job's slot is a binary search away, and
+//! dead slots are dropped by an in-place compaction (amortized O(1) per
+//! push) that keeps the lane's buffers whenever its capacity stays the
+//! same. The pass's merge heap and pick list live on the queue and are
+//! reused from pass to pass.
+//!
 //! Decisions are **bit-identical** to the naive walk; the differential
 //! suite (`tests/differential.rs`, plus the property tests in this crate)
 //! drives both against identical traffic to prove it.
 
 use crate::queue::estimated_runtime;
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use tg_workload::Job;
 
 /// Dead-slot sentinel in the lane segment trees. Real estimates are u64
@@ -46,43 +54,49 @@ pub(crate) const ALIVE_LIMIT: u128 = u64::MAX as u128;
 #[derive(Debug, Default)]
 pub(crate) struct WidthLane {
     /// Arrival-ordered sequence numbers; dead entries keep their slot until
-    /// the next rebuild.
+    /// the next compaction. Seqs are appended in increasing order, so the
+    /// vector is sorted and a seq's slot is a binary search away.
     seqs: Vec<u64>,
     /// Segment tree over `seqs` of estimated runtime in microseconds
     /// (`DEAD` for killed slots). `seg[cap + i]` is the leaf for `seqs[i]`.
     seg: Vec<u128>,
     /// Leaf capacity (power of two ≥ `seqs.len()`).
     cap: usize,
-    /// Live seq → slot index.
-    by_seq: BTreeMap<u64, usize>,
+    /// Slots whose leaf is not `DEAD`.
+    live: usize,
 }
 
 impl WidthLane {
-    fn rebuild(&mut self, entries: Vec<(u64, u128)>) {
-        let cap = entries.len().next_power_of_two().max(8);
-        let mut seg = vec![DEAD; 2 * cap];
-        let mut seqs = Vec::with_capacity(cap);
-        let mut by_seq = BTreeMap::new();
-        for (i, (seq, est)) in entries.into_iter().enumerate() {
-            seg[cap + i] = est;
-            by_seq.insert(seq, i);
-            seqs.push(seq);
+    /// Drop dead slots (keeping arrival order) and size the tree for
+    /// `live + room` entries, at least 8 leaves. The buffers are reused
+    /// whenever the capacity stays the same, so a lane that keeps filling
+    /// and emptying at one size stops allocating.
+    fn compact(&mut self, room: usize) {
+        let mut n = 0;
+        for i in 0..self.seqs.len() {
+            let est = self.seg[self.cap + i];
+            if est != DEAD {
+                self.seqs[n] = self.seqs[i];
+                self.seg[self.cap + n] = est;
+                n += 1;
+            }
         }
-        for n in (1..cap).rev() {
-            seg[n] = seg[2 * n].min(seg[2 * n + 1]);
+        debug_assert_eq!(n, self.live, "live count matches the leaves");
+        self.seqs.truncate(n);
+        let cap = (n + room).next_power_of_two().max(8);
+        if cap == self.cap {
+            self.seg[cap + n..].fill(DEAD);
+        } else {
+            let mut seg = vec![DEAD; 2 * cap];
+            if self.cap > 0 {
+                seg[cap..cap + n].copy_from_slice(&self.seg[self.cap..self.cap + n]);
+            }
+            self.seg = seg;
+            self.cap = cap;
         }
-        self.seqs = seqs;
-        self.seg = seg;
-        self.cap = cap;
-        self.by_seq = by_seq;
-    }
-
-    /// Live entries in arrival order (used by rebuilds).
-    fn live_entries(&self) -> Vec<(u64, u128)> {
-        self.by_seq
-            .iter()
-            .map(|(&seq, &i)| (seq, self.seg[self.cap + i]))
-            .collect()
+        for node in (1..cap).rev() {
+            self.seg[node] = self.seg[2 * node].min(self.seg[2 * node + 1]);
+        }
     }
 
     fn update_path(&mut self, i: usize, v: u128) {
@@ -96,29 +110,30 @@ impl WidthLane {
 
     /// Append a job (seqs are globally increasing, so arrival order holds).
     fn push(&mut self, seq: u64, est_micros: u64) {
+        debug_assert!(self.seqs.last() < Some(&seq), "seqs arrive in order");
         if self.seqs.len() == self.cap {
-            // No free slot: rebuild from the live entries (dropping dead
-            // slots) with the new job appended; `rebuild` sizes the tree
-            // with room to grow. Amortized O(1) per push.
-            let mut entries = self.live_entries();
-            entries.push((seq, est_micros as u128));
-            self.rebuild(entries);
-            return;
+            // No free slot: drop dead slots, with room for the new job.
+            // Amortized O(1) per push.
+            self.compact(1);
         }
         let i = self.seqs.len();
         self.seqs.push(seq);
-        self.by_seq.insert(seq, i);
+        self.live += 1;
         self.update_path(i, est_micros as u128);
     }
 
     /// Kill `seq` (it left the queue). Compacts when mostly dead.
     fn kill(&mut self, seq: u64) {
-        let Some(i) = self.by_seq.remove(&seq) else {
+        let Ok(i) = self.seqs.binary_search(&seq) else {
             return;
         };
+        if self.est_at(i) == DEAD {
+            return;
+        }
         self.update_path(i, DEAD);
-        if self.seqs.len() >= 32 && self.by_seq.len() * 2 < self.seqs.len() {
-            self.rebuild(self.live_entries());
+        self.live -= 1;
+        if self.seqs.len() >= 32 && self.live * 2 < self.seqs.len() {
+            self.compact(0);
         }
     }
 
@@ -174,6 +189,11 @@ pub(crate) struct BackfillQueue {
     next_seq: u64,
     /// Captured at first integration; the per-site speed never changes.
     core_speed: Option<f64>,
+    /// A pass's lane-merge heap of `(seq, width, slot)` candidates, kept
+    /// between passes so its allocation is reused (empty outside a pass).
+    pub(crate) merge: BinaryHeap<Reverse<(u64, usize, usize)>>,
+    /// A pass's picked seqs, reused like `merge`.
+    pub(crate) picked: Vec<u64>,
 }
 
 impl BackfillQueue {

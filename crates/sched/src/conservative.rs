@@ -174,10 +174,10 @@ impl BatchScheduler for ConservativeBackfill {
         now: SimTime,
         cluster: &mut Cluster,
         core_speed: f64,
-    ) -> Vec<Started> {
+        started: &mut Vec<Started>,
+    ) {
         let mut profile =
             Profile::from_running(now, cluster.free_cores(), self.running.iter_by_end());
-        let mut started = Vec::new();
         let mut remaining = VecDeque::with_capacity(self.queue.len());
         for job in self.queue.drain(..) {
             let dur = estimated_runtime(&job, core_speed);
@@ -207,7 +207,6 @@ impl BatchScheduler for ConservativeBackfill {
             }
         }
         self.queue = remaining;
-        started
     }
 
     fn queue_len(&self) -> usize {
@@ -218,6 +217,7 @@ impl BatchScheduler for ConservativeBackfill {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::decide;
     use tg_workload::{ProjectId, UserId};
 
     fn job(id: usize, cores: usize, secs: u64) -> Job {
@@ -299,10 +299,10 @@ mod tests {
         let mut s = ConservativeBackfill::new();
         let mut c = Cluster::new(SimTime::ZERO, 10);
         s.submit(SimTime::ZERO, job(0, 6, 1000));
-        s.make_decisions(SimTime::ZERO, &mut c, 1.0);
+        decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         s.submit(SimTime::ZERO, job(1, 8, 100)); // reservation at t=1000
         s.submit(SimTime::ZERO, job(2, 4, 500)); // ends before 1000 → ok
-        let started = s.make_decisions(SimTime::ZERO, &mut c, 1.0);
+        let started = decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         assert_eq!(started.len(), 1);
         assert_eq!(started[0].job.id, JobId(2));
 
@@ -310,7 +310,7 @@ mod tests {
         // ([1000,1100) has free 10-8=2... after job2 started, profile at
         // [0,500) free 0; job 3 must not start now.
         s.submit(SimTime::ZERO, job(3, 4, 2000));
-        let started = s.make_decisions(SimTime::ZERO, &mut c, 1.0);
+        let started = decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         assert!(started.is_empty());
     }
 
@@ -324,18 +324,18 @@ mod tests {
         let mut s = ConservativeBackfill::new();
         let mut c = Cluster::new(SimTime::ZERO, 10);
         s.submit(SimTime::ZERO, job(0, 10, 100));
-        let st = s.make_decisions(SimTime::ZERO, &mut c, 1.0);
+        let st = decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         assert_eq!(st.len(), 1);
         s.submit(SimTime::ZERO, job(1, 10, 100)); // reserves [100,200)
         s.submit(SimTime::ZERO, job(2, 2, 100)); // reserves [200,300)
         s.submit(SimTime::ZERO, job(3, 2, 300)); // fits [200,500) alongside 2
-        let started = s.make_decisions(SimTime::ZERO, &mut c, 1.0);
+        let started = decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         assert!(started.is_empty(), "nothing can start while machine full");
         assert_eq!(s.queue_len(), 3);
         // At t=100, job 0 completes; job 1 starts; 2 and 3 wait.
         c.release(SimTime::from_secs(100), 10);
         s.on_complete(SimTime::from_secs(100), JobId(0));
-        let started = s.make_decisions(SimTime::from_secs(100), &mut c, 1.0);
+        let started = decide(&mut s, SimTime::from_secs(100), &mut c, 1.0);
         assert_eq!(started.len(), 1);
         assert_eq!(started[0].job.id, JobId(1));
     }
@@ -347,7 +347,7 @@ mod tests {
         for i in 0..5 {
             s.submit(SimTime::ZERO, job(i, 2, 100));
         }
-        let started = s.make_decisions(SimTime::ZERO, &mut c, 1.0);
+        let started = decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         assert_eq!(started.len(), 5);
         assert_eq!(c.free_cores(), 0);
     }

@@ -124,8 +124,8 @@ impl BatchScheduler for WeeklyDrain {
         now: SimTime,
         cluster: &mut Cluster,
         core_speed: f64,
-    ) -> Vec<Started> {
-        let mut started = Vec::new();
+        started: &mut Vec<Started>,
+    ) {
         loop {
             match self.active_drain {
                 None => {
@@ -136,7 +136,7 @@ impl BatchScheduler for WeeklyDrain {
                         now,
                         cluster,
                         core_speed,
-                        &mut started,
+                        started,
                         &mut self.backfilled,
                     );
                     // Normal jobs held back across the drain wall waited for
@@ -149,11 +149,11 @@ impl BatchScheduler for WeeklyDrain {
                             }
                         }
                     }
-                    return started;
+                    return;
                 }
                 Some(drain) if now < drain => {
                     if !self.predrain_fill {
-                        return started; // naive drain: start nothing
+                        return; // naive drain: start nothing
                     }
                     // Pre-drain: greedily start normal jobs that fit and
                     // finish (by estimate) before the wall. Any wait these
@@ -166,9 +166,9 @@ impl BatchScheduler for WeeklyDrain {
                         cluster,
                         core_speed,
                         drain,
-                        &mut started,
+                        started,
                     );
-                    return started;
+                    return;
                 }
                 Some(_) => {
                     // Drain reached: run heroes back-to-back while the
@@ -187,7 +187,7 @@ impl BatchScheduler for WeeklyDrain {
                             job,
                             WaitCause::DrainWindow,
                             &mut self.running,
-                            &mut started,
+                            started,
                         );
                         any = true;
                     }
@@ -200,7 +200,7 @@ impl BatchScheduler for WeeklyDrain {
                         continue;
                     }
                     let _ = any;
-                    return started;
+                    return;
                 }
             }
         }
@@ -230,6 +230,7 @@ impl BatchScheduler for WeeklyDrain {
 mod tests {
     use super::*;
     use crate::easy::EasyBackfill;
+    use crate::queue::decide;
 
     fn sched(machine: usize) -> WeeklyDrain {
         WeeklyDrain::new(EasyBackfill::new(), SimDuration::from_weeks(1), machine)
@@ -252,7 +253,7 @@ mod tests {
         let mut c = Cluster::new(SimTime::ZERO, 10);
         s.submit(SimTime::ZERO, job(0, 6, 100));
         s.submit(SimTime::ZERO, job(1, 4, 100));
-        let started = s.make_decisions(SimTime::ZERO, &mut c, 1.0);
+        let started = decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         assert_eq!(started.len(), 2);
         assert_eq!(s.active_drain(), None);
         assert_eq!(s.next_wakeup(SimTime::ZERO), None);
@@ -286,7 +287,7 @@ mod tests {
         let t = SimTime::from_days(1);
         s.submit(t, short);
         s.submit(t, long);
-        let started = s.make_decisions(t, &mut c, 1.0);
+        let started = decide(&mut s, t, &mut c, 1.0);
         assert_eq!(started.len(), 1);
         assert_eq!(started[0].job.id, JobId(1));
         assert_eq!(s.queue_len(), 2, "long job + hero still queued");
@@ -300,7 +301,7 @@ mod tests {
         s.submit(SimTime::ZERO, job(1, 10, 3600));
         let d = SimTime::from_days(7);
         // Machine is empty at the drain (nothing was started).
-        let started = s.make_decisions(d, &mut c, 1.0);
+        let started = decide(&mut s, d, &mut c, 1.0);
         assert_eq!(started.len(), 1, "one full-machine hero at a time");
         assert_eq!(started[0].job.id, JobId(0));
         assert_eq!(
@@ -313,7 +314,7 @@ mod tests {
         let t2 = d + SimDuration::from_secs(3600);
         c.release(t2, 10);
         s.on_complete(t2, JobId(0));
-        let started = s.make_decisions(t2, &mut c, 1.0);
+        let started = decide(&mut s, t2, &mut c, 1.0);
         assert_eq!(started.len(), 1);
         assert_eq!(started[0].job.id, JobId(1));
         assert_eq!(s.active_drain(), None, "disarmed once hero queue empties");
@@ -326,14 +327,14 @@ mod tests {
         let mut c = Cluster::new(SimTime::ZERO, 10);
         s.submit(SimTime::ZERO, job(0, 10, 3600));
         let d = SimTime::from_days(7);
-        s.make_decisions(d, &mut c, 1.0);
+        decide(&mut s, d, &mut c, 1.0);
         let t2 = d + SimDuration::from_secs(3600);
         c.release(t2, 10);
         s.on_complete(t2, JobId(0));
-        s.make_decisions(t2, &mut c, 1.0);
+        decide(&mut s, t2, &mut c, 1.0);
         // Now a long normal job may start — no wall remains.
         s.submit(t2, job(1, 4, 30 * 86_400));
-        let started = s.make_decisions(t2, &mut c, 1.0);
+        let started = decide(&mut s, t2, &mut c, 1.0);
         assert_eq!(started.len(), 1);
     }
 
@@ -344,16 +345,14 @@ mod tests {
         s.submit(SimTime::ZERO, job(0, 10, 3600)); // hero → drain at day 7
                                                    // Submitted before the drain, crosses the wall → waits through it.
         s.submit(SimTime::from_secs(10), job(1, 4, 8 * 86_400));
-        assert!(s
-            .make_decisions(SimTime::from_secs(10), &mut c, 1.0)
-            .is_empty());
+        assert!(decide(&mut s, SimTime::from_secs(10), &mut c, 1.0).is_empty());
         let d = SimTime::from_days(7);
-        let st = s.make_decisions(d, &mut c, 1.0);
+        let st = decide(&mut s, d, &mut c, 1.0);
         assert_eq!(st.len(), 1, "hero runs at the wall");
         let t2 = d + SimDuration::from_secs(3600);
         c.release(t2, 10);
         s.on_complete(t2, JobId(0));
-        let st = s.make_decisions(t2, &mut c, 1.0);
+        let st = decide(&mut s, t2, &mut c, 1.0);
         assert_eq!(st.len(), 1);
         assert_eq!(st[0].job.id, JobId(1));
         assert_eq!(
@@ -369,7 +368,7 @@ mod tests {
         let mut c = Cluster::new(SimTime::ZERO, 10);
         s.submit(SimTime::ZERO, job(0, 10, 3600)); // hero
         s.submit(SimTime::ZERO, job(1, 2, 60)); // tiny, would fit before wall
-        let started = s.make_decisions(SimTime::from_secs(10), &mut c, 1.0);
+        let started = decide(&mut s, SimTime::from_secs(10), &mut c, 1.0);
         assert!(started.is_empty(), "naive drain idles the machine");
         assert_eq!(s.queue_len(), 2);
     }
@@ -379,7 +378,7 @@ mod tests {
         let mut s = sched(10);
         let mut c = Cluster::new(SimTime::ZERO, 10);
         s.submit(SimTime::ZERO, job(0, 4, 100));
-        s.make_decisions(SimTime::ZERO, &mut c, 1.0);
+        decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         assert_eq!(s.drains(), 0);
         assert_eq!(s.backfills(), 0);
     }

@@ -16,7 +16,7 @@ use crate::queue::{
     Started,
 };
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use tg_des::span::WaitCause;
 use tg_des::SimTime;
 use tg_model::Cluster;
@@ -59,14 +59,14 @@ pub(crate) fn drain_pass(
     if cluster.free_cores() == 0 {
         return;
     }
-    let mut picked = Vec::new();
+    let mut picked = std::mem::take(&mut queue.picked);
     for (seq, job) in queue.iter() {
         if cluster.can_fit(job.cores) && now + estimated_runtime(job, core_speed) <= horizon {
             assert!(cluster.acquire(now, job.cores), "can_fit said yes");
             picked.push(seq);
         }
     }
-    for seq in picked {
+    for seq in picked.drain(..) {
         let job = queue.remove(seq);
         record_start(
             now,
@@ -77,6 +77,7 @@ pub(crate) fn drain_pass(
             started,
         );
     }
+    queue.picked = picked;
 }
 
 /// Start `job` on `cluster`, recording it in `running` and `out`. `delayed`
@@ -236,13 +237,14 @@ pub(crate) fn easy_pass(
         }
     };
     // One in-flight candidate per lane, merged by (seq) = arrival order.
-    let mut heap: BinaryHeap<Reverse<(u64, usize, usize)>> = BinaryHeap::new();
+    // Both buffers are the queue's, borrowed for the pass.
+    let mut heap = std::mem::take(&mut queue.merge);
     for (w, lane) in queue.lanes_up_to(cluster.free_cores()) {
         if let Some(i) = lane.first_le(0, lane_limit(w, extra)) {
             heap.push(Reverse((lane.seq_at(i), w, i)));
         }
     }
-    let mut picked: Vec<u64> = Vec::new();
+    let mut picked = std::mem::take(&mut queue.picked);
     while let Some(Reverse((seq, w, i))) = heap.pop() {
         if !cluster.can_fit(w) {
             // Free cores only shrink during the pass: this lane is done.
@@ -278,7 +280,7 @@ pub(crate) fn easy_pass(
     // Overtaking jobs waited only until a hole opened up. Removal is
     // deferred so lane slots stay stable during the scan; `picked` is in
     // arrival order, preserving the naive start order.
-    for seq in picked {
+    for seq in picked.drain(..) {
         let job = queue.remove(seq);
         record_start(
             now,
@@ -289,6 +291,8 @@ pub(crate) fn easy_pass(
             started,
         );
     }
+    queue.merge = heap;
+    queue.picked = picked;
 }
 
 /// The [`easy_pass`] decision logic over a plain `VecDeque` — for
@@ -379,8 +383,8 @@ impl BatchScheduler for EasyBackfill {
         now: SimTime,
         cluster: &mut Cluster,
         core_speed: f64,
-    ) -> Vec<Started> {
-        let mut started = Vec::new();
+        started: &mut Vec<Started>,
+    ) {
         if let Some(horizon) = self.outage {
             drain_pass(
                 &mut self.queue,
@@ -389,7 +393,7 @@ impl BatchScheduler for EasyBackfill {
                 cluster,
                 core_speed,
                 horizon,
-                &mut started,
+                started,
             );
         } else {
             easy_pass(
@@ -398,11 +402,10 @@ impl BatchScheduler for EasyBackfill {
                 now,
                 cluster,
                 core_speed,
-                &mut started,
+                started,
                 &mut self.backfilled,
             );
         }
-        started
     }
 
     fn queue_len(&self) -> usize {
@@ -421,6 +424,7 @@ impl BatchScheduler for EasyBackfill {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::decide;
     use tg_des::SimDuration;
     use tg_workload::{ProjectId, UserId};
 
@@ -442,10 +446,10 @@ mod tests {
         let mut s = EasyBackfill::new();
         let mut c = Cluster::new(SimTime::ZERO, 10);
         s.submit(SimTime::ZERO, job(0, 6, 1000)); // starts
-        s.make_decisions(SimTime::ZERO, &mut c, 1.0);
+        decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         s.submit(SimTime::ZERO, job(1, 8, 100)); // blocked head → reservation at t=1000
         s.submit(SimTime::ZERO, job(2, 4, 500)); // fits free 4, ends 500 ≤ 1000 → backfill
-        let started = s.make_decisions(SimTime::ZERO, &mut c, 1.0);
+        let started = decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         assert_eq!(started.len(), 1);
         assert_eq!(started[0].job.id, JobId(2));
         assert_eq!(s.queue_len(), 1, "head still waits");
@@ -456,12 +460,12 @@ mod tests {
         let mut s = EasyBackfill::new();
         let mut c = Cluster::new(SimTime::ZERO, 10);
         s.submit(SimTime::ZERO, job(0, 6, 1000));
-        s.make_decisions(SimTime::ZERO, &mut c, 1.0);
+        decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         s.submit(SimTime::ZERO, job(1, 8, 100)); // reservation at t=1000 needs 8 cores
                                                  // Runs past the shadow and would eat cores the reservation needs
                                                  // (free at shadow = 10, extra = 2 < 4):
         s.submit(SimTime::ZERO, job(2, 4, 5000));
-        let started = s.make_decisions(SimTime::ZERO, &mut c, 1.0);
+        let started = decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         assert!(started.is_empty(), "long wide job must not backfill");
     }
 
@@ -470,10 +474,10 @@ mod tests {
         let mut s = EasyBackfill::new();
         let mut c = Cluster::new(SimTime::ZERO, 10);
         s.submit(SimTime::ZERO, job(0, 6, 1000));
-        s.make_decisions(SimTime::ZERO, &mut c, 1.0);
+        decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         s.submit(SimTime::ZERO, job(1, 8, 100)); // extra = 10 - 8 = 2
         s.submit(SimTime::ZERO, job(2, 2, 9999)); // narrow enough for extra
-        let started = s.make_decisions(SimTime::ZERO, &mut c, 1.0);
+        let started = decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         assert_eq!(started.len(), 1);
         assert_eq!(started[0].job.id, JobId(2));
     }
@@ -483,11 +487,11 @@ mod tests {
         let mut s = EasyBackfill::new();
         let mut c = Cluster::new(SimTime::ZERO, 10);
         s.submit(SimTime::ZERO, job(0, 6, 1000));
-        s.make_decisions(SimTime::ZERO, &mut c, 1.0);
+        decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         s.submit(SimTime::ZERO, job(1, 8, 100));
         s.submit(SimTime::ZERO, job(2, 2, 9999)); // takes both extra cores
         s.submit(SimTime::ZERO, job(3, 2, 9999)); // no extra left → waits
-        let started = s.make_decisions(SimTime::ZERO, &mut c, 1.0);
+        let started = decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         assert_eq!(started.len(), 1);
         assert_eq!(started[0].job.id, JobId(2));
         assert_eq!(s.queue_len(), 2);
@@ -498,14 +502,14 @@ mod tests {
         let mut s = EasyBackfill::new();
         let mut c = Cluster::new(SimTime::ZERO, 10);
         s.submit(SimTime::ZERO, job(0, 6, 1000));
-        let st = s.make_decisions(SimTime::ZERO, &mut c, 1.0);
+        let st = decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         s.submit(SimTime::ZERO, job(1, 8, 100));
-        s.make_decisions(SimTime::ZERO, &mut c, 1.0);
+        decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         // Head's reservation comes due.
         let t = SimTime::from_secs(1000);
         c.release(t, 6);
         s.on_complete(t, st[0].job.id);
-        let started = s.make_decisions(t, &mut c, 1.0);
+        let started = decide(&mut s, t, &mut c, 1.0);
         assert_eq!(started.len(), 1);
         assert_eq!(started[0].job.id, JobId(1));
         assert_eq!(
@@ -520,11 +524,11 @@ mod tests {
         let mut s = EasyBackfill::new();
         let mut c = Cluster::new(SimTime::ZERO, 10);
         s.submit(SimTime::ZERO, job(0, 6, 1000));
-        s.make_decisions(SimTime::ZERO, &mut c, 1.0);
+        decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         s.submit(SimTime::ZERO, job(1, 8, 100));
         s.submit(SimTime::ZERO, job(2, 3, 500));
         s.submit(SimTime::ZERO, job(3, 3, 500)); // only one of 2,3 fits (free=4)
-        let started = s.make_decisions(SimTime::ZERO, &mut c, 1.0);
+        let started = decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         assert_eq!(started.len(), 1);
         assert_eq!(started[0].job.id, JobId(2), "earlier candidate wins");
     }
@@ -535,13 +539,13 @@ mod tests {
         let mut s = EasyBackfill::new();
         let mut c = Cluster::new(SimTime::ZERO, 10);
         s.submit(SimTime::ZERO, job(0, 6, 1000));
-        let st = s.make_decisions(SimTime::ZERO, &mut c, 1.0);
+        let st = decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         assert_eq!(st[0].cause, WaitCause::Immediate, "started at submission");
         s.submit(SimTime::ZERO, job(1, 8, 100)); // blocked head
         s.submit(SimTime::ZERO, job(2, 4, 500));
         // Decision round later than submission: the overtake is a backfill
         // and the wait is attributed to the hole that finally opened.
-        let st = s.make_decisions(SimTime::from_secs(5), &mut c, 1.0);
+        let st = decide(&mut s, SimTime::from_secs(5), &mut c, 1.0);
         assert_eq!(st.len(), 1);
         assert_eq!(st[0].job.id, JobId(2));
         assert_eq!(st[0].cause, WaitCause::BackfillHole);
@@ -555,14 +559,14 @@ mod tests {
         s.drain_notice(Some(SimTime::from_secs(300)));
         s.submit(SimTime::ZERO, job(0, 4, 1000)); // would outlive the outage
         s.submit(SimTime::ZERO, job(1, 4, 100)); // finishes in time
-        let started = s.make_decisions(SimTime::from_secs(5), &mut c, 1.0);
+        let started = decide(&mut s, SimTime::from_secs(5), &mut c, 1.0);
         assert_eq!(started.len(), 1);
         assert_eq!(started[0].job.id, JobId(1), "only the short job starts");
         assert_eq!(started[0].cause, WaitCause::DrainWindow);
         assert_eq!(s.queue_len(), 1);
         // Lifting the notice restores normal EASY behavior.
         s.drain_notice(None);
-        let started = s.make_decisions(SimTime::from_secs(10), &mut c, 1.0);
+        let started = decide(&mut s, SimTime::from_secs(10), &mut c, 1.0);
         assert_eq!(started.len(), 1);
         assert_eq!(started[0].job.id, JobId(0));
     }
@@ -571,7 +575,7 @@ mod tests {
     fn empty_queue_is_a_noop() {
         let mut s = EasyBackfill::new();
         let mut c = Cluster::new(SimTime::ZERO, 4);
-        assert!(s.make_decisions(SimTime::ZERO, &mut c, 1.0).is_empty());
+        assert!(decide(&mut s, SimTime::ZERO, &mut c, 1.0).is_empty());
     }
 
     #[test]
@@ -579,11 +583,11 @@ mod tests {
         let mut s = EasyBackfill::new();
         let mut c = Cluster::new(SimTime::ZERO, 10);
         s.submit(SimTime::ZERO, job(0, 6, 1000)); // FCFS start — not a backfill
-        s.make_decisions(SimTime::ZERO, &mut c, 1.0);
+        decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         assert_eq!(s.backfills(), 0);
         s.submit(SimTime::ZERO, job(1, 8, 100)); // blocked head
         s.submit(SimTime::ZERO, job(2, 4, 500)); // overtakes → backfill
-        s.make_decisions(SimTime::ZERO, &mut c, 1.0);
+        decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         assert_eq!(s.backfills(), 1);
         assert_eq!(s.drains(), 0, "EASY has no drain mechanism");
     }

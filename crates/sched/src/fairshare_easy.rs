@@ -12,10 +12,10 @@
 use crate::easy::easy_pass_unindexed;
 use crate::fairshare::FairShare;
 use crate::queue::{BatchScheduler, RunningSet, Started};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use tg_des::{SimDuration, SimTime};
 use tg_model::Cluster;
-use tg_workload::{Job, JobId};
+use tg_workload::{IdMap, Job, JobId};
 
 /// EASY backfill over a fair-share-ordered queue.
 #[derive(Debug)]
@@ -23,7 +23,7 @@ pub struct FairshareEasy {
     queue: VecDeque<Job>,
     running: RunningSet,
     /// `id → (cores, start, project)` for usage charging at completion.
-    charge_info: HashMap<JobId, (usize, SimTime, tg_workload::ProjectId)>,
+    charge_info: IdMap<JobId, (usize, SimTime, tg_workload::ProjectId)>,
     shares: FairShare,
     backfilled: u64,
 }
@@ -34,7 +34,7 @@ impl FairshareEasy {
         FairshareEasy {
             queue: VecDeque::new(),
             running: RunningSet::new(),
-            charge_info: HashMap::new(),
+            charge_info: IdMap::default(),
             shares: FairShare::new(half_life),
             backfilled: 0,
         }
@@ -80,23 +80,23 @@ impl BatchScheduler for FairshareEasy {
         now: SimTime,
         cluster: &mut Cluster,
         core_speed: f64,
-    ) -> Vec<Started> {
+        started: &mut Vec<Started>,
+    ) {
         self.rerank(now);
-        let mut started = Vec::new();
+        let before = started.len();
         easy_pass_unindexed(
             &mut self.queue,
             &mut self.running,
             now,
             cluster,
             core_speed,
-            &mut started,
+            started,
             &mut self.backfilled,
         );
-        for s in &started {
+        for s in &started[before..] {
             self.charge_info
                 .insert(s.job.id, (s.job.cores, now, s.job.project));
         }
-        started
     }
 
     fn queue_len(&self) -> usize {
@@ -111,6 +111,7 @@ impl BatchScheduler for FairshareEasy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::decide;
     use tg_workload::{ProjectId, UserId};
 
     fn job(id: usize, project: usize, cores: usize, secs: u64, submit: u64) -> Job {
@@ -134,7 +135,7 @@ mod tests {
         let mut c = Cluster::new(SimTime::ZERO, 10);
         s.submit(SimTime::ZERO, job(0, 0, 6, 100, 0));
         s.submit(SimTime::ZERO, job(1, 1, 4, 100, 0));
-        let started = s.make_decisions(SimTime::ZERO, &mut c, 1.0);
+        let started = decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         assert_eq!(started.len(), 2, "both fit; no history → FIFO");
         assert_eq!(started[0].job.id, JobId(0));
     }
@@ -145,7 +146,7 @@ mod tests {
         let mut c = Cluster::new(SimTime::ZERO, 10);
         // Project 0 burns the machine for a while.
         s.submit(SimTime::ZERO, job(0, 0, 10, 50_000, 0));
-        let st = s.make_decisions(SimTime::ZERO, &mut c, 1.0);
+        let st = decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         assert_eq!(st.len(), 1);
         let t1 = SimTime::from_secs(50_000);
         c.release(t1, 10);
@@ -154,7 +155,7 @@ mod tests {
                                      // whole machine. Fair share puts project 1 ahead.
         s.submit(t1, job(1, 0, 10, 100, 50_000));
         s.submit(t1, job(2, 1, 10, 100, 50_000));
-        let started = s.make_decisions(t1, &mut c, 1.0);
+        let started = decide(&mut s, t1, &mut c, 1.0);
         assert_eq!(started.len(), 1);
         assert_eq!(started[0].job.id, JobId(2), "light project overtakes");
         assert_eq!(s.queue_len(), 1);
@@ -165,7 +166,7 @@ mod tests {
         let mut s = sched();
         let mut c = Cluster::new(SimTime::ZERO, 10);
         s.submit(SimTime::ZERO, job(0, 0, 10, 1000, 0));
-        let st = s.make_decisions(SimTime::ZERO, &mut c, 1.0);
+        let st = decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         let t1 = SimTime::from_secs(1000);
         c.release(t1, 10);
         s.on_complete(t1, st[0].job.id);
@@ -173,7 +174,7 @@ mod tests {
         let t2 = SimTime::from_secs(1000 + 2 * 86_400);
         s.submit(t1, job(1, 0, 10, 100, 1000));
         s.submit(t2, job(2, 1, 10, 100, 1000 + 2 * 86_400));
-        let started = s.make_decisions(t2, &mut c, 1.0);
+        let started = decide(&mut s, t2, &mut c, 1.0);
         assert_eq!(
             started[0].job.id,
             JobId(1),
@@ -186,7 +187,7 @@ mod tests {
         let mut s = sched();
         let mut c = Cluster::new(SimTime::ZERO, 8);
         s.submit(SimTime::ZERO, job(0, 3, 4, 600, 0));
-        s.make_decisions(SimTime::ZERO, &mut c, 1.0);
+        decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         assert_eq!(s.shares().usage_of(ProjectId(3), SimTime::ZERO), 0.0);
         let t = SimTime::from_secs(600);
         c.release(t, 4);
@@ -200,10 +201,10 @@ mod tests {
         let mut s = sched();
         let mut c = Cluster::new(SimTime::ZERO, 10);
         s.submit(SimTime::ZERO, job(0, 0, 6, 1000, 0));
-        s.make_decisions(SimTime::ZERO, &mut c, 1.0);
+        decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         s.submit(SimTime::ZERO, job(1, 1, 8, 100, 0)); // blocked head
         s.submit(SimTime::ZERO, job(2, 2, 4, 500, 0)); // backfills
-        let started = s.make_decisions(SimTime::ZERO, &mut c, 1.0);
+        let started = decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         assert_eq!(started.len(), 1);
         assert_eq!(started[0].job.id, JobId(2));
     }

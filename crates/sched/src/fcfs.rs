@@ -45,8 +45,8 @@ impl BatchScheduler for Fcfs {
         now: SimTime,
         cluster: &mut Cluster,
         core_speed: f64,
-    ) -> Vec<Started> {
-        let mut started = Vec::new();
+        started: &mut Vec<Started>,
+    ) {
         while let Some(head) = self.queue.front() {
             if !cluster.can_fit(head.cores) {
                 break;
@@ -75,7 +75,6 @@ impl BatchScheduler for Fcfs {
                 cause,
             });
         }
-        started
     }
 
     fn queue_len(&self) -> usize {
@@ -90,6 +89,7 @@ impl BatchScheduler for Fcfs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::decide;
     use tg_des::SimDuration;
     use tg_workload::{ProjectId, UserId};
 
@@ -111,7 +111,7 @@ mod tests {
         s.submit(SimTime::ZERO, job(0, 4, 100));
         s.submit(SimTime::ZERO, job(1, 4, 100));
         s.submit(SimTime::ZERO, job(2, 4, 100)); // doesn't fit
-        let started = s.make_decisions(SimTime::ZERO, &mut c, 1.0);
+        let started = decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         assert_eq!(started.len(), 2);
         assert_eq!(started[0].job.id, JobId(0));
         assert_eq!(started[1].job.id, JobId(1));
@@ -125,10 +125,10 @@ mod tests {
         let mut c = Cluster::new(SimTime::ZERO, 10);
         s.submit(SimTime::ZERO, job(0, 10, 100)); // full machine
         s.submit(SimTime::ZERO, job(1, 1, 10)); // tiny, would fit — must wait
-        let started = s.make_decisions(SimTime::ZERO, &mut c, 1.0);
+        let started = decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         assert_eq!(started.len(), 1);
         s.submit(SimTime::ZERO, job(2, 1, 10));
-        let started = s.make_decisions(SimTime::ZERO, &mut c, 1.0);
+        let started = decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         assert!(started.is_empty(), "FCFS never backfills");
         assert_eq!(s.queue_len(), 2);
     }
@@ -138,12 +138,12 @@ mod tests {
         let mut s = Fcfs::new();
         let mut c = Cluster::new(SimTime::ZERO, 10);
         s.submit(SimTime::ZERO, job(0, 10, 100));
-        let st = s.make_decisions(SimTime::ZERO, &mut c, 1.0);
+        let st = decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         s.submit(SimTime::ZERO, job(1, 6, 50));
         let t1 = SimTime::from_secs(100);
         c.release(t1, 10);
         s.on_complete(t1, st[0].job.id);
-        let started = s.make_decisions(t1, &mut c, 1.0);
+        let started = decide(&mut s, t1, &mut c, 1.0);
         assert_eq!(started.len(), 1);
         assert_eq!(started[0].job.id, JobId(1));
         assert_eq!(started[0].estimated_end, SimTime::from_secs(150));
@@ -156,9 +156,9 @@ mod tests {
         s.drain_notice(Some(SimTime::from_secs(50)));
         s.submit(SimTime::ZERO, job(0, 2, 100)); // outlives the outage
         s.submit(SimTime::ZERO, job(1, 2, 10)); // would fit, but FCFS never overtakes
-        assert!(s.make_decisions(SimTime::ZERO, &mut c, 1.0).is_empty());
+        assert!(decide(&mut s, SimTime::ZERO, &mut c, 1.0).is_empty());
         s.drain_notice(None);
-        let started = s.make_decisions(SimTime::ZERO, &mut c, 1.0);
+        let started = decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         assert_eq!(started.len(), 2);
     }
 
@@ -167,7 +167,7 @@ mod tests {
         let mut s = Fcfs::new();
         let mut c = Cluster::new(SimTime::ZERO, 4);
         s.submit(SimTime::ZERO, job(0, 2, 100));
-        let st = s.make_decisions(SimTime::ZERO, &mut c, 2.0);
+        let st = decide(&mut s, SimTime::ZERO, &mut c, 2.0);
         assert_eq!(st[0].estimated_end, SimTime::from_secs(50));
     }
 }

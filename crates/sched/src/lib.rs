@@ -41,7 +41,8 @@
 //! sched.submit(SimTime::ZERO, job(0, 48, 3_600)); // wide, long
 //! sched.submit(SimTime::ZERO, job(1, 32, 60));    // blocked head → reservation
 //! sched.submit(SimTime::ZERO, job(2, 16, 600));   // backfills around it
-//! let started = sched.make_decisions(SimTime::ZERO, &mut cluster, 1.0);
+//! let mut started = Vec::new();
+//! sched.make_decisions(SimTime::ZERO, &mut cluster, 1.0, &mut started);
 //! assert_eq!(started.len(), 2); // jobs 0 and 2; job 1 holds its reservation
 //! assert_eq!(sched.queue_len(), 1);
 //! ```

@@ -118,21 +118,18 @@ impl MetaPolicy {
         data: Option<&DataContext>,
         rng: &mut SimRng,
     ) -> Option<SiteId> {
-        let feasible: Vec<&SiteView> = views
+        // Walked lazily: only `Random` needs the feasible sites as a slice.
+        let mut feasible = views
             .iter()
             .filter(|v| job.cores <= v.total_cores)
-            .collect();
-        if feasible.is_empty() {
-            return None;
-        }
+            .peekable();
+        feasible.peek()?;
         let chosen = match self {
-            MetaPolicy::Random => **rng.pick(&feasible),
-            MetaPolicy::LeastLoaded => **feasible
-                .iter()
+            MetaPolicy::Random => *rng.pick(&feasible.collect::<Vec<_>>()),
+            MetaPolicy::LeastLoaded => feasible
                 .max_by_key(|v| (v.free_cores, std::cmp::Reverse(v.site)))
                 .expect("non-empty"),
-            MetaPolicy::ShortestEta => **feasible
-                .iter()
+            MetaPolicy::ShortestEta => feasible
                 .min_by(|a, b| {
                     // Equal ETAs (usually both zero) break toward the freer
                     // machine so idle capacity spreads instead of piling
@@ -143,8 +140,7 @@ impl MetaPolicy {
                         .then(a.site.cmp(&b.site))
                 })
                 .expect("non-empty"),
-            MetaPolicy::DataAware => **feasible
-                .iter()
+            MetaPolicy::DataAware => feasible
                 .min_by(|a, b| {
                     let cost = |v: &SiteView| {
                         v.eta(job.cores) + network.transfer_time(data_home, v.site, job.input_mb)
@@ -159,22 +155,21 @@ impl MetaPolicy {
                     // DataAware so mixed workloads still route sensibly.
                     return MetaPolicy::DataAware.select(job, views, data_home, network, data, rng);
                 }
-                let holders: Vec<&&SiteView> = feasible
-                    .iter()
+                let holder = feasible
+                    .clone()
                     .filter(|v| resident.binary_search(&v.site).is_ok())
-                    .collect();
-                if let Some(v) = holders.iter().min_by(|a, b| {
-                    a.eta(job.cores)
-                        .cmp(&b.eta(job.cores))
-                        .then(a.site.cmp(&b.site))
-                }) {
-                    ***v
+                    .min_by(|a, b| {
+                        a.eta(job.cores)
+                            .cmp(&b.eta(job.cores))
+                            .then(a.site.cmp(&b.site))
+                    });
+                if let Some(v) = holder {
+                    v
                 } else {
                     // No feasible holder: weigh every site by ETA plus the
                     // cheapest replica fetch it would trigger.
                     let size = data.map(|d| d.size_mb).unwrap_or(job.input_mb);
-                    **feasible
-                        .iter()
+                    feasible
                         .min_by(|a, b| {
                             let cost = |v: &SiteView| {
                                 let fetch = resident

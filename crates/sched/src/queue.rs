@@ -1,11 +1,11 @@
 //! The scheduler interface and shared queue machinery.
 
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use tg_des::span::WaitCause;
 use tg_des::{SimDuration, SimTime};
 use tg_model::Cluster;
-use tg_workload::{Job, JobId};
+use tg_workload::{IdMap, Job, JobId};
 
 /// A job the scheduler has decided to start *now*.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,7 +40,7 @@ pub(crate) struct RunningJob {
 /// clamped time are order-independent for a cumulative sum).
 #[derive(Debug, Default)]
 pub(crate) struct RunningSet {
-    by_id: HashMap<JobId, RunningJob>,
+    by_id: IdMap<JobId, RunningJob>,
     by_end: BTreeMap<(SimTime, JobId), usize>,
 }
 
@@ -89,15 +89,19 @@ pub trait BatchScheduler: Send {
     /// Notify that running job `id` completed at `now`.
     fn on_complete(&mut self, now: SimTime, id: JobId);
 
-    /// Start whatever should start now. Implementations must acquire cores
-    /// from `cluster` for each returned job. `core_speed` converts the job's
-    /// reference estimate into machine time.
+    /// Start whatever should start now, appending each started job to
+    /// `started` in start order. The buffer is the caller's: it is reused
+    /// across calls, so implementations only push and never assume it
+    /// starts empty. Implementations must acquire cores from `cluster` for
+    /// each job they push. `core_speed` converts the job's reference
+    /// estimate into machine time.
     fn make_decisions(
         &mut self,
         now: SimTime,
         cluster: &mut Cluster,
         core_speed: f64,
-    ) -> Vec<Started>;
+        started: &mut Vec<Started>,
+    );
 
     /// Queue length (jobs waiting).
     fn queue_len(&self) -> usize;
@@ -220,6 +224,19 @@ impl SchedulerKind {
             SchedulerKind::FairshareEasy => "fairshare-easy",
         }
     }
+}
+
+/// Test shorthand: one decision pass into a fresh buffer.
+#[cfg(test)]
+pub(crate) fn decide(
+    sched: &mut impl BatchScheduler,
+    now: SimTime,
+    cluster: &mut Cluster,
+    core_speed: f64,
+) -> Vec<Started> {
+    let mut started = Vec::new();
+    sched.make_decisions(now, cluster, core_speed, &mut started);
+    started
 }
 
 /// Wait attribution for a job starting at `now`: a job that starts at its

@@ -80,6 +80,10 @@ impl RcPolicy {
     }
 }
 
+/// A fresh-configuration candidate's rank, lowest first: evictions,
+/// leftover free area, setup latency, node id.
+type Rank = (usize, u32, SimDuration, NodeId);
+
 /// The scheduler's verdict for one task.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RcDecision {
@@ -119,54 +123,53 @@ impl RcPolicy {
         let hw_runtime = job.runtime_on(core_speed, true);
         let deadline_abs = rc.deadline.map(|d| job.submit_time + d);
 
-        // Gather feasible plans.
-        let mut reuse: Option<NodeId> = None;
-        let mut configure: Vec<(NodeId, HostPlan, ReconfCost, usize, u32)> = Vec::new();
+        // One pass over the nodes, allocation-free: the first node that
+        // can reuse an idle region, and the best fresh configuration under
+        // the packing rule. First-fit ranks by node id alone; best-fit by
+        // fewest evictions, tightest leftover, cheapest setup, then node id.
+        // Node ids are unique, so either order has exactly one minimum.
+        let fetch = fetch_time(config);
+        let mut reuse: Option<(NodeId, HostPlan)> = None;
+        let mut configure: Option<(Rank, HostPlan, ReconfCost)> = None;
         for node in partition.iter() {
-            match node.plan(config, lib) {
-                HostPlan::Infeasible => {}
-                HostPlan::Reuse(rid) => {
+            let plan = node.plan(config, lib);
+            let (cost, evictions, leftover) = match plan {
+                HostPlan::Infeasible => continue,
+                HostPlan::Reuse(_) => {
                     if reuse.is_none() {
-                        reuse = Some(node.id());
+                        reuse = Some((node.id(), plan));
                     }
-                    // Blind policies treat reuse as just another placement.
-                    if !self.seek_reuse {
-                        configure.push((
-                            node.id(),
-                            HostPlan::Reuse(rid),
-                            ReconfCost::default(),
-                            0,
-                            node.free_area(),
-                        ));
+                    // Aware policies take reuse outright (below); blind
+                    // ones treat it as just another placement.
+                    if self.seek_reuse {
+                        continue;
                     }
+                    (ReconfCost::default(), 0, node.free_area())
                 }
-                plan @ HostPlan::Configure { .. } => {
-                    let cost = node.cost_of(&plan, config, lib, fetch_time(config));
-                    let evictions = match &plan {
-                        HostPlan::Configure { evict, .. } => evict.len(),
-                        _ => 0,
-                    };
+                HostPlan::Configure { evictions, .. } => {
+                    let cost = node.cost_of(&plan, config, lib, fetch);
                     let leftover = node
                         .free_area()
-                        .saturating_add(evicted_area(&plan, node, lib))
+                        .saturating_add(evicted_area(&plan, node))
                         .saturating_sub(need_area);
-                    configure.push((node.id(), plan, cost, evictions, leftover));
+                    (cost, evictions, leftover)
                 }
+            };
+            let rank = match self.packing {
+                Packing::FirstFit => (0, 0, SimDuration::ZERO, node.id()),
+                Packing::BestFit => (evictions, leftover, cost.total(), node.id()),
+            };
+            match &configure {
+                Some((best, ..)) if *best <= rank => {}
+                _ => configure = Some((rank, plan, cost)),
             }
         }
+        let configure = configure.map(|((.., node), plan, cost)| (node, plan, cost));
 
         // Aware: reuse wins outright (zero setup beats everything).
-        let best = if self.seek_reuse {
-            if let Some(node_id) = reuse {
-                let node = partition.node(node_id);
-                let plan = node.plan(config, lib);
-                debug_assert!(matches!(plan, HostPlan::Reuse(_)));
-                Some((node_id, plan, ReconfCost::default()))
-            } else {
-                self.pick_configure(configure)
-            }
-        } else {
-            self.pick_configure(configure)
+        let best = match reuse {
+            Some((node, plan)) if self.seek_reuse => Some((node, plan, ReconfCost::default())),
+            _ => configure,
         };
 
         match best {
@@ -212,41 +215,16 @@ impl RcPolicy {
             }
         }
     }
-
-    fn pick_configure(
-        &self,
-        mut candidates: Vec<(NodeId, HostPlan, ReconfCost, usize, u32)>,
-    ) -> Option<(NodeId, HostPlan, ReconfCost)> {
-        if candidates.is_empty() {
-            return None;
-        }
-        match self.packing {
-            Packing::FirstFit => {
-                candidates.sort_by_key(|&(node, ..)| node);
-            }
-            Packing::BestFit => {
-                // Packing-first: fewest evictions, tightest leftover, then
-                // cheapest setup. (Reuse still wins under `seek_reuse`,
-                // which short-circuits before this sort.)
-                candidates.sort_by_key(|&(node, _, cost, evictions, leftover)| {
-                    (evictions, leftover, cost.total(), node)
-                });
-            }
-        }
-        let (node, plan, cost, _, _) = candidates.into_iter().next().expect("non-empty");
-        Some((node, plan, cost))
-    }
 }
 
 /// Total area of the regions a plan would evict.
-fn evicted_area(plan: &HostPlan, node: &tg_model::RcNode, _lib: &ConfigLibrary) -> u32 {
+fn evicted_area(plan: &HostPlan, node: &tg_model::RcNode) -> u32 {
     match plan {
-        HostPlan::Configure { evict, .. } if !evict.is_empty() => {
+        HostPlan::Configure { evictions, .. } if *evictions > 0 => {
             // Eviction targets are idle regions; their area is part of the
             // node's configured-but-idle area. We can't read individual
             // region areas through the public API, so bound it by idle area —
             // exact enough for the leftover tie-break.
-            let _ = evict;
             node.idle_area_now()
         }
         _ => 0,

@@ -219,8 +219,8 @@ impl BatchScheduler for NaiveEasy {
         now: SimTime,
         cluster: &mut Cluster,
         core_speed: f64,
-    ) -> Vec<Started> {
-        let mut started = Vec::new();
+        started: &mut Vec<Started>,
+    ) {
         if let Some(horizon) = self.outage {
             drain_pass_naive(
                 &mut self.queue,
@@ -229,7 +229,7 @@ impl BatchScheduler for NaiveEasy {
                 cluster,
                 core_speed,
                 horizon,
-                &mut started,
+                started,
             );
         } else {
             easy_pass_naive(
@@ -238,11 +238,10 @@ impl BatchScheduler for NaiveEasy {
                 now,
                 cluster,
                 core_speed,
-                &mut started,
+                started,
                 &mut self.backfilled,
             );
         }
-        started
     }
 
     fn queue_len(&self) -> usize {
@@ -291,8 +290,8 @@ impl BatchScheduler for NaiveFcfs {
         now: SimTime,
         cluster: &mut Cluster,
         core_speed: f64,
-    ) -> Vec<Started> {
-        let mut started = Vec::new();
+        started: &mut Vec<Started>,
+    ) {
         while let Some(head) = self.queue.front() {
             if !cluster.can_fit(head.cores) {
                 break;
@@ -310,10 +309,9 @@ impl BatchScheduler for NaiveFcfs {
                 job,
                 WaitCause::AheadInQueue,
                 &mut self.running,
-                &mut started,
+                started,
             );
         }
-        started
     }
 
     fn queue_len(&self) -> usize {
@@ -357,13 +355,13 @@ impl BatchScheduler for NaiveConservative {
         now: SimTime,
         cluster: &mut Cluster,
         core_speed: f64,
-    ) -> Vec<Started> {
+        started: &mut Vec<Started>,
+    ) {
         let mut profile = crate::conservative::Profile::from_running(
             now,
             cluster.free_cores(),
             self.running.iter().copied(),
         );
-        let mut started = Vec::new();
         let mut remaining = VecDeque::with_capacity(self.queue.len());
         for job in self.queue.drain(..) {
             let dur = estimated_runtime(&job, core_speed);
@@ -391,7 +389,6 @@ impl BatchScheduler for NaiveConservative {
             }
         }
         self.queue = remaining;
-        started
     }
 
     fn queue_len(&self) -> usize {
@@ -472,8 +469,8 @@ impl BatchScheduler for NaiveWeeklyDrain {
         now: SimTime,
         cluster: &mut Cluster,
         core_speed: f64,
-    ) -> Vec<Started> {
-        let mut started = Vec::new();
+        started: &mut Vec<Started>,
+    ) {
         loop {
             match self.active_drain {
                 None => {
@@ -484,7 +481,7 @@ impl BatchScheduler for NaiveWeeklyDrain {
                         now,
                         cluster,
                         core_speed,
-                        &mut started,
+                        started,
                         &mut self.backfilled,
                     );
                     if let Some(disarm) = self.last_disarm {
@@ -494,11 +491,11 @@ impl BatchScheduler for NaiveWeeklyDrain {
                             }
                         }
                     }
-                    return started;
+                    return;
                 }
                 Some(drain) if now < drain => {
                     if !self.predrain_fill {
-                        return started;
+                        return;
                     }
                     let mut i = 0;
                     while i < self.normal.len() {
@@ -513,13 +510,13 @@ impl BatchScheduler for NaiveWeeklyDrain {
                                 job,
                                 WaitCause::DrainWindow,
                                 &mut self.running,
-                                &mut started,
+                                started,
                             );
                         } else {
                             i += 1;
                         }
                     }
-                    return started;
+                    return;
                 }
                 Some(_) => {
                     while let Some(hero) = self.heroes.front() {
@@ -534,7 +531,7 @@ impl BatchScheduler for NaiveWeeklyDrain {
                             job,
                             WaitCause::DrainWindow,
                             &mut self.running,
-                            &mut started,
+                            started,
                         );
                     }
                     if self.heroes.is_empty() {
@@ -543,7 +540,7 @@ impl BatchScheduler for NaiveWeeklyDrain {
                         self.last_disarm = Some(now);
                         continue;
                     }
-                    return started;
+                    return;
                 }
             }
         }
@@ -626,23 +623,23 @@ impl BatchScheduler for NaiveFairshareEasy {
         now: SimTime,
         cluster: &mut Cluster,
         core_speed: f64,
-    ) -> Vec<Started> {
+        started: &mut Vec<Started>,
+    ) {
         self.rerank(now);
-        let mut started = Vec::new();
+        let before = started.len();
         easy_pass_naive(
             &mut self.queue,
             &mut self.running,
             now,
             cluster,
             core_speed,
-            &mut started,
+            started,
             &mut self.backfilled,
         );
-        for s in &started {
+        for s in &started[before..] {
             self.charge_info
                 .push((s.job.id, s.job.cores, now, s.job.project));
         }
-        started
     }
 
     fn queue_len(&self) -> usize {

@@ -6,9 +6,8 @@
 //! [`RetryBook`] tracks per-job failure counts across attempts.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use tg_des::SimDuration;
-use tg_workload::JobId;
+use tg_workload::{IdMap, JobId};
 
 /// Bounded-retry policy with exponential backoff.
 ///
@@ -59,7 +58,7 @@ impl RetryPolicy {
 /// Per-job failure counts across fault-induced resubmissions.
 #[derive(Debug, Clone, Default)]
 pub struct RetryBook {
-    attempts: HashMap<JobId, u32>,
+    attempts: IdMap<JobId, u32>,
 }
 
 impl RetryBook {

@@ -69,7 +69,9 @@ fn drive(
         episode: &mut Episode,
         now: SimTime,
     ) {
-        for s in sched.make_decisions(now, cluster, 1.0) {
+        let mut started = Vec::new();
+        sched.make_decisions(now, cluster, 1.0, &mut started);
+        for s in started {
             running.push((now + s.job.runtime, s.job.id, s.job.cores));
             episode
                 .starts

@@ -54,7 +54,8 @@ fn drive(
                            now: SimTime|
      -> Result<(), TestCaseError> {
         let free_before = cluster.free_cores();
-        let started = sched.make_decisions(now, cluster, 1.0);
+        let mut started = Vec::new();
+        sched.make_decisions(now, cluster, 1.0, &mut started);
         let used: usize = started.iter().map(|s| s.job.cores).sum();
         prop_assert!(
             used <= free_before,

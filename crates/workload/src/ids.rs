@@ -1,7 +1,9 @@
 //! Identifiers for the workload domain.
 
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 macro_rules! index_id {
     ($(#[$meta:meta])* $name:ident, $prefix:literal) => {
@@ -70,6 +72,36 @@ index_id!(
     "ens"
 );
 
+/// A hash map keyed by an index id ([`JobId`] and friends), hashed with
+/// [`IdHasher`] instead of SipHash. For the per-job tables a simulation
+/// touches on every event; iterate one only where order cannot matter.
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// Multiplicative (Fibonacci) hasher for index ids: one multiply per key.
+/// Ids are dense and not attacker-chosen, so SipHash's flooding defence
+/// buys nothing; the odd multiplier keeps consecutive ids in distinct
+/// buckets and spreads them into the high bits the table's tag reads.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.0 = (self.0 ^ n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_usize(b as usize);
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,6 +114,19 @@ mod tests {
         assert_eq!(GatewayId(4).to_string(), "gw4");
         assert_eq!(WorkflowId(5).to_string(), "wf5");
         assert_eq!(EnsembleId(6).to_string(), "ens6");
+    }
+
+    #[test]
+    fn id_map_spreads_consecutive_ids() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<IdHasher>::default();
+        let low_bits: std::collections::HashSet<u64> =
+            (0..1024).map(|i| build.hash_one(JobId(i)) & 1023).collect();
+        assert_eq!(low_bits.len(), 1024, "1,024 consecutive ids, 1,024 buckets");
+        let mut m: IdMap<JobId, usize> = IdMap::default();
+        m.insert(JobId(7), 1);
+        assert_eq!(m.remove(&JobId(7)), Some(1));
+        assert!(m.is_empty());
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! requirements — the SWF has no fields for them. Round-trips preserve the
 //! representable subset; tests pin that contract.
 
-use crate::ids::{JobId, ProjectId, UserId};
+use crate::ids::{IdMap, JobId, ProjectId, UserId};
 use crate::job::Job;
 use crate::modality::Modality;
 use tg_des::{SimDuration, SimTime};
@@ -77,9 +77,11 @@ impl std::error::Error for SwfError {}
 ///
 /// Jobs with non-positive runtime or cores are skipped (archive traces mark
 /// cancelled jobs that way). Queue numbers outside the modality range fall
-/// back to batch.
+/// back to batch. A job number may appear on one kept line only: a repeat
+/// is an error naming both lines, since the simulator keys jobs by it.
 pub fn from_swf(text: &str) -> Result<Vec<Job>, SwfError> {
     let mut jobs = Vec::new();
+    let mut line_of: IdMap<JobId, usize> = IdMap::default();
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() || line.starts_with(';') {
@@ -121,8 +123,15 @@ pub fn from_swf(text: &str) -> Result<Vec<Job>, SwfError> {
             .ok()
             .and_then(|q| Modality::ALL.get(q).copied())
             .unwrap_or(Modality::BatchComputing);
+        let job_id = JobId((id - 1) as usize);
+        if let Some(first) = line_of.insert(job_id, lineno + 1) {
+            return Err(SwfError {
+                line: lineno + 1,
+                message: format!("job number {id} repeats the job on line {first}"),
+            });
+        }
         let mut job = Job::batch(
-            JobId((id - 1) as usize),
+            job_id,
             UserId(uid as usize),
             ProjectId(gid as usize),
             SimTime::from_secs(submit.max(0) as u64),
@@ -216,6 +225,21 @@ mod tests {
         assert_eq!(err.line, 1);
         assert!(err.message.contains("18 fields"));
         assert!(err.to_string().contains("SWF line 1"));
+    }
+
+    #[test]
+    fn repeated_job_number_is_an_error_naming_both_lines() {
+        let line = "7 0 -1 60 4 -1 -1 4 100 -1 -1 0 0 -1 1 1 -1 -1\n";
+        let text = format!("{line}; comment\n{line}");
+        let err = from_swf(&text).unwrap_err();
+        assert_eq!(err.line, 3);
+        assert_eq!(
+            err.to_string(),
+            "SWF line 3: job number 7 repeats the job on line 1"
+        );
+        // A skipped (cancelled) record does not claim its number.
+        let cancelled = "7 0 -1 -1 4 -1 -1 4 100 -1 -1 0 0 -1 1 1 -1 -1\n";
+        assert_eq!(from_swf(&format!("{cancelled}{line}")).unwrap().len(), 1);
     }
 
     #[test]

@@ -157,6 +157,37 @@ fn replay_drives_an_swf_trace_with_faults() {
     assert!(!bad.status.success());
     assert!(String::from_utf8_lossy(&bad.stderr).contains("cannot read"));
 
+    // A repeated job number is a bad trace, not a panic (it exited 101 in
+    // the simulator's running registry before `from_swf` rejected it).
+    let replay = |name: &str, text: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).expect("write trace");
+        tgsim()
+            .args(["replay", path.to_str().expect("utf8 path")])
+            .output()
+            .expect("runs")
+    };
+    let line = |number: u64, submit: u64| {
+        format!("{number} {submit} -1 60 4 -1 -1 4 100 -1 -1 0 0 -1 1 1 -1 -1\n")
+    };
+    let dup = replay("dup.swf", &(line(1, 0) + &line(1, 10)));
+    let stderr = String::from_utf8_lossy(&dup.stderr);
+    assert_eq!(dup.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("SWF line 2: job number 1 repeats the job on line 1"),
+        "{stderr}"
+    );
+    // Job numbers need not be dense: the simulator's job tables grow with
+    // the number of jobs, not with the largest number.
+    let sparse = replay("sparse.swf", &(line(1, 0) + &line(999_999_999_999, 10)));
+    assert_eq!(
+        sparse.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&sparse.stderr)
+    );
+    assert!(String::from_utf8_lossy(&sparse.stdout).contains("of 2 jobs finished"));
+
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -565,6 +596,20 @@ fn workflow_bursty(c: &mut ScenarioConfig, burst_ratio: f64, quiet: f64, burst: 
     };
 }
 
+/// The synthetic RC library the workload draws from, written out in the
+/// config with its first entry broken by `mutate`.
+fn rc_library(c: &mut ScenarioConfig, mutate: fn(&mut tg_model::config::ProcessorConfig)) {
+    let mut library = ConfigLibrary::new();
+    for (id, k) in ConfigLibrary::synthetic(c.workload.rc_config_count).iter() {
+        let mut k = k.clone();
+        if id.index() == 0 {
+            mutate(&mut k);
+        }
+        library.add(k);
+    }
+    c.library = Some(library);
+}
+
 /// Configs that parse but break a per-field or cross-field invariant (fault
 /// specs included) are rejected up front: exit 1 (not a panic) with the
 /// offending field's path.
@@ -611,6 +656,29 @@ fn invalid_configs_exit_1_naming_the_field() {
             "library",
             |c| c.library = Some(ConfigLibrary::synthetic(1)),
             "library:",
+        ),
+        // RC library entries. Before `ProcessorConfig::validate`, a
+        // negative bitstream size panicked in the network model (exit 101)
+        // and the other three ran silently (exit 0).
+        (
+            "bitstream-mb",
+            |c| rc_library(c, |k| k.bitstream_mb = -5.0),
+            "library.configs[0].bitstream_mb:",
+        ),
+        (
+            "rc-area",
+            |c| rc_library(c, |k| k.area = 0),
+            "library.configs[0].area:",
+        ),
+        (
+            "speedup-zero",
+            |c| rc_library(c, |k| k.speedup = 0.0),
+            "library.configs[0].speedup:",
+        ),
+        (
+            "speedup-negative",
+            |c| rc_library(c, |k| k.speedup = -3.0),
+            "library.configs[0].speedup:",
         ),
         (
             "outage-site",
