@@ -1,11 +1,13 @@
 //! Deterministic parallel replication.
 //!
 //! Experiments need confidence intervals, so every point is run at several
-//! seeds. Replications are embarrassingly parallel *between* runs and
-//! strictly sequential *within* one run — so results are bit-identical
-//! whatever the thread count. Threads are scoped (no detached state) and
-//! fan results back through a crossbeam channel; outputs are re-ordered by
-//! replication index before returning.
+//! seeds. Replications are embarrassingly parallel *between* runs, and each
+//! run's event loop is strictly sequential — so results are bit-identical
+//! whatever the thread count. (The one fan-out inside a run is the
+//! streaming generator's per-user prepass, which assembles its result in
+//! population order; see `tg_workload::stream`.) Threads are scoped (no
+//! detached state) and fan results back through a crossbeam channel;
+//! outputs are re-ordered by replication index before returning.
 
 use crate::scenario::{RunOptions, Scenario, SimOutput};
 use crossbeam::channel;

@@ -295,7 +295,10 @@ pub struct RunOptions {
     /// and feed jobs to the engine on demand, so pending workload is
     /// O(in-flight) instead of O(total jobs). Outputs are byte-identical to
     /// the materialized path at the same seed (the differential suite proves
-    /// it).
+    /// it). The generator's per-user prepass fans out over every available
+    /// core before the event loop starts, so a streaming run is not meant
+    /// to share the machine with other replications; `tgsim` rejects
+    /// `--stream-out` with `--reps > 1`.
     pub stream_gen: bool,
     /// Where accounting records land (retained in `db` by default).
     pub record_streaming: RecordStreaming,

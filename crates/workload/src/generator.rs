@@ -191,7 +191,9 @@ impl WorkloadGenerator {
             ids = cursor.ids();
         }
 
-        jobs.sort_by_key(|j| (j.submit_time, j.id));
+        // Job ids are unique, so the unstable sort yields the same order
+        // without the stable sort's scratch copy of half the jobs.
+        jobs.sort_unstable_by_key(|j| (j.submit_time, j.id));
         Workload { population, jobs }
     }
 
@@ -425,6 +427,40 @@ impl UserGen {
             arrivals,
             next_arrival: 0,
             ids,
+        }
+    }
+
+    /// Build `user`'s cursor at a zero id base and count the ids it will
+    /// use by draining a clone of it into `scratch` (jobs discarded). The
+    /// returned cursor's [`UserGen::ids`] hold that count until
+    /// [`UserGen::rebase`] moves them to the user's real base. Ids feed no
+    /// draw, so the count and every job field are independent of the base.
+    pub(crate) fn counted(
+        gen: &WorkloadGenerator,
+        user: &User,
+        factory: &RngFactory,
+        gateway: Option<GatewayId>,
+        rc_zipf: Option<&Zipf>,
+        scratch: &mut Vec<Job>,
+    ) -> Self {
+        let mut cursor = UserGen::new(gen, user, factory, IdCursor::default(), gateway);
+        let mut counter = cursor.clone();
+        while counter.emit_next(gen, rc_zipf, scratch) {
+            scratch.clear();
+        }
+        cursor.ids = counter.ids;
+        cursor
+    }
+
+    /// Start a [`UserGen::counted`] cursor's ids at `base`, returning where
+    /// they end (the next user's base). The cursor then emits exactly what
+    /// `UserGen::new` at `base` would.
+    pub(crate) fn rebase(&mut self, base: IdCursor) -> IdCursor {
+        let used = std::mem::replace(&mut self.ids, base);
+        IdCursor {
+            next_job: base.next_job + used.next_job,
+            next_wf: base.next_wf + used.next_wf,
+            next_ens: base.next_ens + used.next_ens,
         }
     }
 

@@ -11,29 +11,43 @@
 //!    all arrivals first, then per-arrival job fields — so every sampled
 //!    value matches the materialized path bit for bit.
 //! 2. **Counting prepass.** A clone of each fresh cursor is drained with
-//!    the jobs discarded, yielding the exact per-user id bases the global
-//!    counters would have reached — job, workflow, and ensemble ids are
-//!    threaded across users in population order, so each user owns a
-//!    contiguous block of each id space. The clone starts from the
-//!    cursor's post-arrival RNG state, so it makes the same per-arrival
-//!    draws the cursor will make later, and the arrival process is walked
-//!    once per user.
-//! 3. **K-way merge.** Arrival instants strictly increase within a user
+//!    the jobs discarded, yielding how many job, workflow, and ensemble ids
+//!    the user will take. The clone starts from the cursor's post-arrival
+//!    RNG state, so it makes the same per-arrival draws the cursor will
+//!    make later, and the arrival process is walked once per user. Each
+//!    user draws from its own RNG stream and ids feed no draw, so this
+//!    per-user work is independent: it runs on every core, each cursor
+//!    built at a zero id base. Workers take chunks of 64 users from a
+//!    shared queue (population order keeps the costly workflow users
+//!    together, so fixed splits would be unbalanced) and write each cursor
+//!    into its slot of one population-ordered vector.
+//! 3. **Id assembly.** One sequential pass in population order prefix-sums
+//!    the counts and rebases each cursor, so each user owns the contiguous
+//!    block of each id space the global counters of the materialized path
+//!    would have given it. Gateway identities come from a draw-free
+//!    round-robin counter, so each chunk's starting count is taken before
+//!    the fan-out. The result is the same whatever the worker count.
+//! 4. **K-way merge.** Arrival instants strictly increase within a user
 //!    and every job in an arrival's block shares its submit time with
 //!    contiguous ascending ids, so each cursor emits blocks already sorted
 //!    by `(submit_time, id)`, and block id-ranges are globally disjoint. A
 //!    heap over `(next submit time, next id)` therefore reproduces the
-//!    materialized `sort_by_key(|j| (j.submit_time, j.id))` exactly.
+//!    materialized `(submit_time, id)` sort exactly.
 //!
 //! The cost is one extra pass over each user's per-arrival job fields (the
 //! prepass; arrival instants are drawn once) and the resident cursors;
-//! what it buys is that pending jobs never exist all at once.
+//! what it buys is that pending jobs never exist all at once. Only the
+//! prepass is parallel: the merge, and the run that pulls from it, stay on
+//! the calling thread.
 
 use crate::generator::{IdCursor, UserGen, WorkloadGenerator};
 use crate::job::Job;
 use crate::user::Population;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::num::NonZeroUsize;
+use std::sync::Mutex;
+use std::thread;
 use tg_des::dist::Zipf;
 use tg_des::{RngFactory, SimTime};
 
@@ -66,38 +80,98 @@ pub struct WorkloadStream {
     emitted: usize,
 }
 
+/// Users per unit of prepass work: small enough that the costly workflow
+/// users, which sit together in population order, spread over the
+/// workers; large enough that taking a chunk costs nothing next to
+/// building its cursors.
+const CHUNK: usize = 64;
+
 impl WorkloadGenerator {
     /// Generate the population and a lazy job stream. The stream yields a
     /// job sequence bit-identical to [`WorkloadGenerator::generate`] at the
     /// same seed (see the module docs for why), without ever materializing
-    /// the whole workload.
+    /// the whole workload. The counting prepass runs on
+    /// [`thread::available_parallelism`] threads, the caller's included.
     pub fn generate_streaming(&self, factory: &RngFactory) -> StreamedWorkload {
-        let population = self.population();
-        let rc_zipf = self.rc_zipf();
-        let mut ids = IdCursor::default();
-        let mut gw_counter = 0usize;
-        let mut cursors = Vec::with_capacity(population.users.len());
-        let mut heap = BinaryHeap::with_capacity(population.users.len());
-        let mut scratch: Vec<Job> = Vec::new();
+        let workers = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        self.generate_streaming_on(factory, workers)
+    }
 
-        for user in &population.users {
-            let gateway = self.gateway_for(user, &mut gw_counter);
-            // Counting prepass: drain a clone of the cursor and discard the
-            // jobs — only the id-counter advance is kept. The clone copies
-            // the cursor's arrivals and post-arrival RNG state, so the
-            // arrival process is walked once per user and the cursor itself
-            // stays at its first arrival.
-            let cursor = UserGen::new(self, user, factory, ids, gateway);
-            let mut counter = cursor.clone();
-            while counter.emit_next(self, rc_zipf.as_ref(), &mut scratch) {
-                scratch.clear();
+    /// [`WorkloadGenerator::generate_streaming`] with the prepass on
+    /// `workers` threads (at least one: the caller's). The output does not
+    /// depend on `workers`.
+    pub(crate) fn generate_streaming_on(
+        &self,
+        factory: &RngFactory,
+        workers: usize,
+    ) -> StreamedWorkload {
+        let population = self.population();
+        let users = &population.users;
+        let rc_zipf = self.rc_zipf();
+        // `gateway_for` is a draw-free counter in population order, so each
+        // chunk's starting count (one entry per chunk) is known up front.
+        let mut gw_counter = 0usize;
+        let gw_starts: Vec<usize> = users
+            .chunks(CHUNK)
+            .map(|chunk| {
+                let start = gw_counter;
+                for user in chunk {
+                    self.gateway_for(user, &mut gw_counter);
+                }
+                start
+            })
+            .collect();
+
+        let mut slots: Vec<Option<UserGen>> = Vec::new();
+        slots.resize_with(users.len(), || None);
+        let queue = Mutex::new(slots.chunks_mut(CHUNK).enumerate());
+        let work = || {
+            let mut scratch: Vec<Job> = Vec::new();
+            loop {
+                let next = queue
+                    .lock()
+                    .expect("prepass workers never panic while holding the queue")
+                    .next();
+                let Some((c, chunk)) = next else {
+                    return;
+                };
+                let mut gw_counter = gw_starts[c];
+                for (slot, user) in chunk.iter_mut().zip(&users[c * CHUNK..]) {
+                    let gateway = self.gateway_for(user, &mut gw_counter);
+                    *slot = Some(UserGen::counted(
+                        self,
+                        user,
+                        factory,
+                        gateway,
+                        rc_zipf.as_ref(),
+                        &mut scratch,
+                    ));
+                }
             }
-            if let Some(t) = cursor.peek_time() {
-                heap.push(Reverse((t, cursor.ids().next_job, cursors.len())));
+        };
+        thread::scope(|s| {
+            for _ in 1..workers.min(gw_starts.len()) {
+                s.spawn(work);
             }
-            ids = counter.ids();
-            cursors.push(cursor);
-        }
+            work();
+        });
+
+        // Assembly in population order. Mapping the slot vector in place
+        // makes the cursor vector reuse its allocation.
+        let mut ids = IdCursor::default();
+        let mut heap = BinaryHeap::with_capacity(users.len());
+        let cursors: Vec<UserGen> = slots
+            .into_iter()
+            .enumerate()
+            .map(|(i, slot)| {
+                let mut cursor = slot.expect("every chunk was taken by a worker");
+                ids = cursor.rebase(ids);
+                if let Some(t) = cursor.peek_time() {
+                    heap.push(Reverse((t, cursor.ids().next_job, i)));
+                }
+                cursor
+            })
+            .collect();
 
         let total_jobs = ids.next_job;
         StreamedWorkload {
@@ -213,15 +287,8 @@ mod tests {
         }
     }
 
-    /// The streaming prepass drains a clone of each cursor instead of a
-    /// second `UserGen::new`; that is only sound if a clone emits exactly
-    /// what a rebuild does. Checked for every modality, with RC sites and a
-    /// dataset assignment (the per-job `data_zipf` draws ride the user
-    /// stream), at a sparse million-style rate over a year so that bursty
-    /// users walk many quiet states before their first arrival.
-    #[test]
-    fn cloned_cursor_equals_rebuilt_cursor() {
-        let mut cfg = GeneratorConfig::baseline(1000, 365, 3);
+    fn sparse_year(users: usize) -> GeneratorConfig {
+        let mut cfg = GeneratorConfig::baseline(users, 365, 3);
         for p in &mut cfg.profiles {
             p.per_user_per_day *= 0.0016;
         }
@@ -234,7 +301,18 @@ mod tests {
                 .map(|(i, m)| (m.name().to_string(), 0.2 + 0.1 * i as f64))
                 .collect(),
         });
-        let gen = WorkloadGenerator::new(cfg);
+        cfg
+    }
+
+    /// The streaming prepass drains a clone of each cursor instead of a
+    /// second `UserGen::new`; that is only sound if a clone emits exactly
+    /// what a rebuild does. Checked for every modality, with RC sites and a
+    /// dataset assignment (the per-job `data_zipf` draws ride the user
+    /// stream), at a sparse million-style rate over a year so that bursty
+    /// users walk many quiet states before their first arrival.
+    #[test]
+    fn cloned_cursor_equals_rebuilt_cursor() {
+        let gen = WorkloadGenerator::new(sparse_year(1000));
         let factory = RngFactory::new(17);
         let rc_zipf = gen.rc_zipf();
         let population = gen.population();
@@ -268,6 +346,37 @@ mod tests {
             );
         }
         assert!(with_dataset > 0, "no job drew a dataset");
+    }
+
+    /// The prepass fans out over workers that take chunks in whatever order
+    /// the threads run; ids are assigned afterwards in population order, so
+    /// no worker count may change the population, the job count or a job.
+    /// Covered: several chunks with RC users and dataset draws, a
+    /// population smaller than one chunk, and an empty one.
+    #[test]
+    fn worker_count_does_not_change_the_stream() {
+        let factory = RngFactory::new(23);
+        for (users, chunks) in [(400, 7), (CHUNK / 2, 1), (0, 0)] {
+            let gen = WorkloadGenerator::new(sparse_year(users));
+            let materialized = gen.generate(&factory);
+            let built = materialized.population.users.len();
+            assert_eq!(
+                built.div_ceil(CHUNK),
+                chunks,
+                "{users} users built as {built}"
+            );
+            if users > 0 {
+                assert!(materialized.jobs_of(Modality::RcAccelerated).count() > 0);
+                assert!(materialized.jobs.iter().any(|j| j.dataset.is_some()));
+            }
+            for workers in [1, 2, 3, 5] {
+                let streamed = gen.generate_streaming_on(&factory, workers);
+                assert_eq!(streamed.population.users, materialized.population.users);
+                assert_eq!(streamed.total_jobs, materialized.jobs.len());
+                let jobs: Vec<Job> = streamed.stream.collect();
+                assert_eq!(jobs, materialized.jobs, "{users} users, {workers} workers");
+            }
+        }
     }
 
     #[test]

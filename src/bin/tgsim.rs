@@ -40,8 +40,8 @@
 //! included as a `stats` object in the `--out` summary. `--live-stats=FILE`
 //! additionally streams each closed series bucket as a JSONL row while the
 //! run progresses (single replication only, like `--stream-out`).
-//! `--threads N` sets how many replications run at once (each replication
-//! is itself sequential, so outputs are identical at any `N`); the default
+//! `--threads N` sets how many replications run at once (each replication's
+//! event loop is sequential, so outputs are identical at any `N`); the default
 //! `0` auto-detects the available cores
 //! (`std::thread::available_parallelism`), and the resolved worker count
 //! lands in the `--out` summary's `threads` field. A config that parses but
@@ -96,11 +96,24 @@ fn main() -> ExitCode {
 }
 
 fn emit_baseline(rest: &[String]) -> ExitCode {
-    let users = rest
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(300usize);
-    let days = rest.get(1).and_then(|s| s.parse().ok()).unwrap_or(14u64);
+    if let Some(extra) = rest.get(2) {
+        eprintln!("tgsim: emit-baseline: unexpected argument {extra:?}");
+        return usage();
+    }
+    let users = match rest.first().map_or(Ok(300usize), |s| s.parse()) {
+        Ok(v) => v,
+        Err(e) => {
+            eprintln!("tgsim: bad USERS: {e}");
+            return usage();
+        }
+    };
+    let days = match rest.get(1).map_or(Ok(14u64), |s| s.parse()) {
+        Ok(v) => v,
+        Err(e) => {
+            eprintln!("tgsim: bad DAYS: {e}");
+            return usage();
+        }
+    };
     let cfg = ScenarioConfig::baseline(users, days);
     match serde_json::to_string_pretty(&cfg) {
         Ok(json) => {

@@ -26,6 +26,40 @@ fn emit_baseline_produces_valid_config() {
     assert_eq!(cfg["workload"]["sites"], 3);
 }
 
+/// A bad USERS or DAYS, or an argument past them, is a usage error (exit 2,
+/// no config printed) rather than a silently defaulted 300-user config.
+/// Omitted arguments still default.
+#[test]
+fn emit_baseline_rejects_bad_arguments() {
+    for (args, err) in [
+        (&["abc", "2"][..], "bad USERS"),
+        (&["-3", "2"][..], "bad USERS"),
+        (&["40", "2.5"][..], "bad DAYS"),
+        (&["40", "2", "extra"][..], "unexpected argument \"extra\""),
+    ] {
+        let out = tgsim()
+            .arg("emit-baseline")
+            .args(args)
+            .output()
+            .expect("tgsim runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr {stderr}");
+        assert!(
+            stderr.contains(err) && stderr.contains("usage:"),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} printed a config");
+    }
+    for args in [&[][..], &["40"][..]] {
+        let out = tgsim()
+            .arg("emit-baseline")
+            .args(args)
+            .output()
+            .expect("tgsim runs");
+        assert!(out.status.success(), "{args:?}");
+    }
+}
+
 #[test]
 fn run_executes_a_config_end_to_end() {
     let dir = std::env::temp_dir().join(format!("tgsim-cli-{}", std::process::id()));
