@@ -12,7 +12,7 @@ use tg_accounting::{AccountingDb, ChargePolicy};
 use tg_data::{DataGridSpec, DataLayer, DataReport, DatasetSpec};
 use tg_des::metrics::{EngineProfile, MetricsSnapshot};
 use tg_des::trace::Tracer;
-use tg_des::{Engine, RngFactory, SimTime};
+use tg_des::{Engine, RngFactory, SimDuration, SimTime};
 use tg_fault::{FaultReport, FaultSpec};
 use tg_model::reconf::RcNodeStats;
 use tg_model::{ConfigLibrary, Federation, SiteConfig, SiteId};
@@ -177,6 +177,15 @@ impl ScenarioConfig {
         }
         if self.sample_interval.is_some_and(|d| d.is_zero()) {
             return Err("sample_interval: must be positive (omit it to disable sampling)".into());
+        }
+        let horizon = self.workload.horizon;
+        let max_days = GeneratorConfig::MAX_HORIZON_DAYS;
+        if horizon.is_zero() || horizon > SimDuration::from_days(max_days) {
+            return Err(format!(
+                "workload.horizon: must be positive and at most {max_days} days \
+                 (100 years), got {} µs",
+                horizon.as_micros()
+            ));
         }
         let profiles = &self.workload.profiles;
         if profiles.len() != Modality::ALL.len() {

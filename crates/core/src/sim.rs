@@ -60,10 +60,20 @@ pub const COMMUNITY_ACCOUNT_BASE: usize = 10_000_000;
 /// produce transfer records; smaller ones ride along invisibly.
 pub const STAGING_THRESHOLD_MB: f64 = 500.0;
 
+/// The materialized job store gives back its drained tail once at least
+/// `1/PENDING_SHRINK_DIVISOR` of its capacity is free, so a run's memory
+/// falls as it submits. On glibc a large buffer shrinks in place
+/// (`mremap`), so the cost is a few hundred syscalls over a run; an
+/// allocator that copies on shrink moves O(n · PENDING_SHRINK_DIVISOR)
+/// bytes in total. A larger divisor frees sooner and shrinks more often.
+const PENDING_SHRINK_DIVISOR: usize = 16;
+
 /// Simulation events.
 #[derive(Debug)]
 pub enum Event {
-    /// A job arrives from the workload trace (index into the job list).
+    /// A job arrives from the materialized workload. It carries the job's
+    /// delivery ordinal (0 for the first submission); the job itself is
+    /// the top of [`GridSim`]'s pending store.
     Submit(usize),
     /// A job arrives from a *streamed* workload (the job rides in the event
     /// itself — there is no materialized job list to index into).
@@ -422,7 +432,11 @@ pub struct GridSim {
     /// The data grid: replica catalog plus per-site caches (`None` — the
     /// default — is the pre-data-grid simulator, byte-identical behaviour).
     data: Option<DataLayer>,
-    jobs: Vec<Option<Job>>,
+    /// Materialized jobs not yet submitted, in *reverse* delivery order
+    /// (`(submit_time, list index)` descending), so the next submission is
+    /// always `pop()` and the buffer drains from its tail. Empty in
+    /// streaming mode.
+    pending: Vec<Job>,
     /// Ground-truth labels by job id (kept OUT of the record stream).
     truth: HashMap<JobId, Modality>,
     /// Jobs waiting on workflow dependencies. Each held job is registered
@@ -478,19 +492,29 @@ impl GridSim {
     /// Assemble a simulation.
     ///
     /// `schedulers` must have one entry per federation site. `jobs` is the
-    /// generated workload (its ground-truth labels are extracted and
-    /// quarantined here).
+    /// workload (its ground-truth labels are extracted and quarantined
+    /// here); jobs are submitted in `(submit_time, list index)` order, so a
+    /// list that is not sorted by submit time (an SWF replay) is sorted
+    /// here, stably.
     pub fn new(
         federation: Federation,
         schedulers: Vec<Box<dyn BatchScheduler>>,
         meta_policy: MetaPolicy,
         rc_policy: RcPolicy,
         data_home: SiteId,
-        jobs: Vec<Job>,
+        mut jobs: Vec<Job>,
         rng: RngFactory,
     ) -> Self {
         assert_eq!(schedulers.len(), federation.len(), "one scheduler per site");
         assert!(data_home.index() < federation.len(), "data home must exist");
+        if !jobs.is_sorted_by_key(|j| j.submit_time) {
+            // Stable: tied submit times keep list order.
+            jobs.sort_by_key(|j| j.submit_time);
+        }
+        jobs.reverse();
+        // Drop the generator's growth slack (up to half the list) before
+        // the truth map is built, so the two are never live together.
+        jobs.shrink_to_fit();
         let truth: HashMap<JobId, Modality> =
             jobs.iter().map(|j| (j.id, j.true_modality)).collect();
         let jobs_total = jobs.len();
@@ -504,7 +528,7 @@ impl GridSim {
             rc_policy,
             data_home,
             data: None,
-            jobs: jobs.into_iter().map(Some).collect(),
+            pending: jobs,
             truth,
             dep_waiters: IdMap::default(),
             completed: JobBitset::default(),
@@ -731,25 +755,19 @@ impl GridSim {
     }
 
     /// Schedule the whole workload's submit events onto `engine`. The
-    /// arrivals go in as one stream of job indices sorted by
-    /// `(submit_time, index)`: delivery order is bit-identical to per-job
-    /// `schedule_at` calls in index order, but the engine's heap stays
-    /// sized to the *dynamic* event population instead of holding the
-    /// entire workload up front.
+    /// pending jobs' submit times go in as one stream, in delivery order:
+    /// delivery is bit-identical to per-job `schedule_at` calls in
+    /// `(submit_time, list index)` order, but the engine's heap stays sized
+    /// to the *dynamic* event population instead of holding the entire
+    /// workload up front.
     pub fn prime(&self, engine: &mut Engine<Event>) {
-        let mut arrivals: Vec<(SimTime, usize)> = self
-            .jobs
-            .iter()
-            .enumerate()
-            .map(|(i, job)| {
-                let job = job.as_ref().expect("unconsumed at prime time");
-                (job.submit_time, i)
-            })
-            .collect();
-        arrivals.sort_unstable();
+        let times: Vec<SimTime> = self.pending.iter().rev().map(|j| j.submit_time).collect();
         engine.schedule_stream(
-            arrivals.len() as u64,
-            arrivals.into_iter().map(|(at, i)| (at, Event::Submit(i))),
+            times.len() as u64,
+            times
+                .into_iter()
+                .enumerate()
+                .map(|(ordinal, at)| (at, Event::Submit(ordinal))),
         );
         self.prime_aux(engine);
     }
@@ -1899,8 +1917,17 @@ impl GridSim {
         }
     }
 
-    fn submit_from_trace(&mut self, ctx: &mut Ctx<Event>, index: usize) {
-        let job = self.jobs[index].take().expect("submit delivered once");
+    fn submit_from_trace(&mut self, ctx: &mut Ctx<Event>, ordinal: usize) {
+        debug_assert_eq!(
+            ordinal,
+            self.jobs_total - self.pending.len(),
+            "submits delivered in order"
+        );
+        let job = self.pending.pop().expect("one pending job per submit");
+        let free = self.pending.capacity() - self.pending.len();
+        if free > 0 && free * PENDING_SHRINK_DIVISOR >= self.pending.capacity() {
+            self.pending.shrink_to_fit();
+        }
         self.admit(ctx, job);
     }
 
@@ -1952,7 +1979,7 @@ impl Simulation for GridSim {
         // event (a no-op compare unless a sink is attached).
         self.obs.tick(ctx.now());
         match event {
-            Event::Submit(index) => self.submit_from_trace(ctx, index),
+            Event::Submit(ordinal) => self.submit_from_trace(ctx, ordinal),
             Event::SubmitJob(job) => self.admit(ctx, *job),
             Event::Enqueue { site, job, cause } => self.enqueue(ctx, site, *job, cause),
             Event::Complete { id } => self.complete_batch(ctx, id),
@@ -2275,6 +2302,53 @@ mod tests {
         );
         assert_eq!(sim.truth_of(JobId(0)), Some(Modality::ScienceGateway));
         assert_eq!(sim.truth_of(JobId(99)), None);
+    }
+
+    #[test]
+    fn pending_store_shrinks_as_jobs_are_submitted() {
+        // One job every 10 s, each short enough to finish before the next,
+        // in a list with growth slack.
+        let mut jobs = Vec::with_capacity(1_000);
+        jobs.extend((0..400).map(|i| job(i, 1, 5, i as u64 * 10)));
+        let fed = tiny_federation();
+        let scheds = schedulers(&fed, SchedulerKind::Easy);
+        let mut sim = GridSim::new(
+            fed,
+            scheds,
+            MetaPolicy::ShortestEta,
+            RcPolicy::AWARE,
+            SiteId(0),
+            jobs,
+            RngFactory::new(1),
+        );
+        assert_eq!(sim.pending.capacity(), 400, "growth slack dropped up front");
+        let mut engine = Engine::new();
+        sim.prime(&mut engine);
+        for stop_s in [0, 9, 1_000, 2_995, 3_990] {
+            engine.run_until(&mut sim, StopCondition::AtTime(SimTime::from_secs(stop_s)));
+            let unsubmitted = 400 - (stop_s as usize / 10 + 1);
+            let (len, cap) = (sim.pending.len(), sim.pending.capacity());
+            assert_eq!(len, unsubmitted, "stopped at {stop_s} s");
+            assert!(
+                (cap - len) * PENDING_SHRINK_DIVISOR < cap.max(1),
+                "stopped at {stop_s} s: capacity {cap} for {len} unsubmitted jobs"
+            );
+        }
+        engine.run_until(&mut sim, StopCondition::Exhausted);
+        assert_eq!(sim.pending.capacity(), 0, "the store is freed by the end");
+    }
+
+    #[test]
+    fn unsorted_job_lists_are_admitted_by_submit_time_then_list_index() {
+        // Ids deliberately disagree with list positions, and three jobs
+        // tie at 10 s: an id tie-break would admit 0, 4, 5 there.
+        let at = |id: usize, submit: u64| job(id, 1, 100, submit).with_site(SiteId(0));
+        let jobs = vec![at(3, 20), at(0, 10), at(5, 10), at(1, 0), at(4, 10)];
+        let out = run_jobs(jobs);
+        // Each job starts at admission on an idle site and runs 100 s, so
+        // completions (record order) follow admission order.
+        let order: Vec<usize> = out.db.jobs.iter().map(|r| r.job.index()).collect();
+        assert_eq!(order, [1, 0, 5, 4, 3]);
     }
 
     #[test]

@@ -47,6 +47,11 @@ pub struct GeneratorConfig {
 }
 
 impl GeneratorConfig {
+    /// The longest `horizon` a scenario may ask for, in days (100 years).
+    /// Microsecond time overflows `u64` past ~213 million days; a window
+    /// anywhere near that would never finish generating anyway.
+    pub const MAX_HORIZON_DAYS: u64 = 36_525;
+
     /// A ready-to-run baseline: `users` users over `days` days on `sites`
     /// sites (the last site hosting RC fabric), default profiles.
     pub fn baseline(users: usize, days: u64, sites: usize) -> Self {
@@ -130,6 +135,16 @@ pub struct WorkloadGenerator {
     /// Shared dataset-popularity distribution; `Some` only when a
     /// non-trivial dataset assignment is configured. Draw-free to construct.
     data_zipf: Option<Zipf>,
+    /// Each profile's `pick_weighted` slices, built once, in
+    /// [`Modality::ALL`] order.
+    weights: Vec<ProfileWeights>,
+}
+
+/// The weight columns of one profile's `(value, weight)` tables.
+#[derive(Debug, Clone)]
+struct ProfileWeights {
+    cores: Vec<f64>,
+    dag_shapes: Vec<f64>,
 }
 
 impl WorkloadGenerator {
@@ -168,7 +183,19 @@ impl WorkloadGenerator {
             .as_ref()
             .filter(|d| !d.is_trivial())
             .map(|d| Zipf::new(d.count as u64, d.zipf_s));
-        WorkloadGenerator { config, data_zipf }
+        let weights = config
+            .profiles
+            .iter()
+            .map(|p| ProfileWeights {
+                cores: p.cores_weights.iter().map(|&(_, w)| w).collect(),
+                dag_shapes: p.dag_shapes.iter().map(|&(_, w)| w).collect(),
+            })
+            .collect();
+        WorkloadGenerator {
+            config,
+            data_zipf,
+            weights,
+        }
     }
 
     /// The configuration.
@@ -266,8 +293,8 @@ impl WorkloadGenerator {
         home: SiteId,
         rng: &mut SimRng,
     ) -> Job {
-        let weights: Vec<f64> = profile.cores_weights.iter().map(|&(_, w)| w).collect();
-        let cores = profile.cores_weights[rng.pick_weighted(&weights)].0;
+        let weights = &self.weights[profile.modality.index()].cores;
+        let cores = profile.cores_weights[rng.pick_weighted(weights)].0;
         let runtime = SimDuration::from_secs_f64(profile.runtime.sample(rng).max(1.0));
         let factor = profile.estimate_factor.sample(rng).max(1.0);
         let input = profile.input_mb.sample(rng).max(0.0);
@@ -308,8 +335,8 @@ impl WorkloadGenerator {
         jobs: &mut Vec<Job>,
         rng: &mut SimRng,
     ) {
-        let weights: Vec<f64> = profile.dag_shapes.iter().map(|&(_, w)| w).collect();
-        let shape: DagShape = profile.dag_shapes[rng.pick_weighted(&weights)].0;
+        let weights = &self.weights[profile.modality.index()].dag_shapes;
+        let shape: DagShape = profile.dag_shapes[rng.pick_weighted(weights)].0;
         let skeleton = shape.generate(rng);
         let base = *next_job;
         for t in 0..skeleton.tasks {

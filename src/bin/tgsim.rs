@@ -107,8 +107,13 @@ fn emit_baseline(rest: &[String]) -> ExitCode {
             return usage();
         }
     };
+    let max_days = GeneratorConfig::MAX_HORIZON_DAYS;
     let days = match rest.get(1).map_or(Ok(14u64), |s| s.parse()) {
-        Ok(v) => v,
+        Ok(v) if (1..=max_days).contains(&v) => v,
+        Ok(v) => {
+            eprintln!("tgsim: bad DAYS: {v} is outside 1..={max_days}");
+            return usage();
+        }
         Err(e) => {
             eprintln!("tgsim: bad DAYS: {e}");
             return usage();

@@ -35,6 +35,12 @@ fn emit_baseline_rejects_bad_arguments() {
         (&["abc", "2"][..], "bad USERS"),
         (&["-3", "2"][..], "bad USERS"),
         (&["40", "2.5"][..], "bad DAYS"),
+        // A zero or out-of-range window would write a config `run` rejects
+        // (before `workload.horizon` was validated, u64::MAX days wrapped
+        // the microsecond clock and `run` never finished).
+        (&["40", "0"][..], "bad DAYS"),
+        (&["40", "36526"][..], "bad DAYS"),
+        (&["5", "18446744073709551615"][..], "bad DAYS"),
         (&["40", "2", "extra"][..], "unexpected argument \"extra\""),
     ] {
         let out = tgsim()
@@ -831,6 +837,16 @@ fn invalid_configs_exit_1_naming_the_field() {
             "data-cache",
             |c| c.sites[0].data_cache_mb = -1.0,
             "sites[0].data_cache_mb:",
+        ),
+        (
+            "horizon-zero",
+            |c| c.workload.horizon = SimDuration::ZERO,
+            "workload.horizon:",
+        ),
+        (
+            "horizon-too-long",
+            |c| c.workload.horizon = SimDuration::from_micros(18_446_743_987_309_551_616),
+            "workload.horizon:",
         ),
     ];
     for &(tag, mutate, field) in cases {
