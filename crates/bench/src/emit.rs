@@ -3,6 +3,7 @@
 use serde::Serialize;
 use std::fmt;
 use std::fs;
+use std::io;
 use std::path::PathBuf;
 
 /// A printable result table.
@@ -47,9 +48,8 @@ impl fmt::Display for Table {
             write!(f, "{h:>w$}  ", w = w)?;
         }
         writeln!(f)?;
-        for (h, w) in self.headers.iter().zip(&widths) {
-            let _ = h;
-            write!(f, "{:->w$}  ", "", w = w)?;
+        for w in &widths {
+            write!(f, "{:->w$}  ", "")?;
         }
         writeln!(f)?;
         for row in &self.rows {
@@ -69,34 +69,16 @@ pub fn results_dir() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("results"))
 }
 
-/// Write `value` as pretty JSON to `results/<name>.json`.
-pub fn save_json<T: Serialize>(name: &str, value: &T) {
+/// Write `value` as pretty JSON to `results/<name>.json` and return the
+/// path written, or the error naming the path that could not be.
+pub fn save_json<T: Serialize>(name: &str, value: &T) -> io::Result<PathBuf> {
     let dir = results_dir();
-    if let Err(e) = fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
     let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(e) = fs::write(&path, json) {
-                eprintln!("warning: cannot write {}: {e}", path.display());
-            } else {
-                eprintln!("[saved {}]", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: cannot serialize {name}: {e}"),
-    }
-}
-
-/// Format a float with `digits` decimals (table-cell helper).
-pub fn fx(v: f64, digits: usize) -> String {
-    format!("{v:.digits$}")
-}
-
-/// Format a `(mean, ci)` pair as `mean ± ci`.
-pub fn mean_ci(mean: f64, ci: f64, digits: usize) -> String {
-    format!("{mean:.digits$} ± {ci:.digits$}")
+    let json = serde_json::to_string_pretty(value).expect("results serialize");
+    fs::create_dir_all(&dir)
+        .and_then(|()| fs::write(&path, json))
+        .map_err(|e| io::Error::new(e.kind(), format!("cannot write {}: {e}", path.display())))?;
+    Ok(path)
 }
 
 #[cfg(test)]
@@ -120,20 +102,19 @@ mod tests {
         Table::new("x", &["a", "b"]).row(vec!["1".into()]);
     }
 
+    // One test, so no other test of this binary sees `TG_RESULTS_DIR` change.
     #[test]
-    fn formatting_helpers() {
-        assert_eq!(fx(1.23456, 2), "1.23");
-        assert_eq!(mean_ci(10.0, 0.5, 1), "10.0 ± 0.5");
-    }
-
-    #[test]
-    fn save_json_respects_env_dir() {
+    fn save_json_respects_env_dir_and_reports_failure() {
         let dir = std::env::temp_dir().join(format!("tgbench-{}", std::process::id()));
         std::env::set_var("TG_RESULTS_DIR", &dir);
-        save_json("unit-test", &serde_json::json!({"k": 1}));
-        let path = dir.join("unit-test.json");
+        let path = save_json("unit-test", &serde_json::json!({"k": 1})).unwrap();
+        assert_eq!(path, dir.join("unit-test.json"));
         let content = std::fs::read_to_string(&path).unwrap();
         assert!(content.contains("\"k\""));
+        // A results dir below a regular file cannot be created.
+        std::env::set_var("TG_RESULTS_DIR", path.join("sub"));
+        let err = save_json("unit-test", &serde_json::json!({})).unwrap_err();
+        assert!(err.to_string().contains("cannot write"), "{err}");
         std::env::remove_var("TG_RESULTS_DIR");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -7,8 +7,10 @@
 //! Expected shape: filling recovers most of the pre-drain idle time —
 //! several utilization points per armed week — with identical hero service.
 
+use super::{mean, mean_by, Check, Outcome, Scale};
+use crate::emit::Table;
+use crate::setup::{calibrated_users, single_site_config};
 use serde::Serialize;
-use tg_bench::{calibrated_users, save_json, single_site_config, Table};
 use tg_core::{replicate_with, Modality, RunOptions};
 use tg_sched::SchedulerKind;
 use tg_workload::ModalityProfile;
@@ -24,7 +26,8 @@ struct A2Result {
     drains: u64,
 }
 
-fn main() {
+/// Run A2.
+pub fn run(_scale: Scale) -> Outcome {
     let nodes = 256;
     let cores = nodes * 8;
     let days = 28;
@@ -32,18 +35,10 @@ fn main() {
     let users = calibrated_users(&profile, cores, 0.75);
     let hero_threshold = (cores as f64 * 0.9) as usize;
 
+    let population = [(Modality::BatchComputing, users)];
     let mut results = Vec::new();
     for kind in [SchedulerKind::WeeklyDrain, SchedulerKind::NaiveDrain] {
-        let cfg = single_site_config(
-            "a2",
-            nodes,
-            8,
-            0,
-            0,
-            days,
-            &[(Modality::BatchComputing, users)],
-            kind,
-        );
+        let cfg = single_site_config("a2", nodes, days, &population, kind);
         let reps = replicate_with(&cfg.build(), 15_000, 3, 0, &RunOptions::with_metrics());
         let mut utils = Vec::new();
         let mut normal_waits = Vec::new();
@@ -56,62 +51,33 @@ fn main() {
                 .jobs
                 .iter()
                 .partition(|j| j.cores >= hero_threshold);
-            normal_waits.push(
-                normal.iter().map(|j| j.wait().as_secs_f64()).sum::<f64>()
-                    / normal.len().max(1) as f64,
-            );
+            normal_waits.push(mean_by(&normal, |j| j.wait().as_secs_f64()));
             if !heroes.is_empty() {
-                hero_waits.push(
-                    heroes.iter().map(|j| j.wait().as_hours_f64()).sum::<f64>()
-                        / heroes.len() as f64,
-                );
+                hero_waits.push(mean_by(&heroes, |j| j.wait().as_hours_f64()));
             }
         }
         let (util, ci) = tg_des::stats::ci_student_t(&utils);
-        let mean = |v: &[f64]| {
-            if v.is_empty() {
-                0.0
-            } else {
-                v.iter().sum::<f64>() / v.len() as f64
-            }
-        };
         // Scheduler-internal counters surface through the metrics snapshot:
         // the weekly-drain policy both backfills under the wall and completes
         // drains; naive draining does neither.
-        let backfills = mean(
-            &reps
+        let counter = |prefix: &str| {
+            let per_rep: Vec<f64> = reps
                 .iter()
                 .map(|r| {
-                    r.output
-                        .metrics
-                        .as_ref()
-                        .expect("metrics requested")
-                        .counter_sum("sched.backfills.") as f64
+                    let snap = r.output.metrics.as_ref().expect("metrics requested");
+                    snap.counter_sum(prefix) as f64
                 })
-                .collect::<Vec<_>>(),
-        )
-        .round() as u64;
-        let drains = mean(
-            &reps
-                .iter()
-                .map(|r| {
-                    r.output
-                        .metrics
-                        .as_ref()
-                        .expect("metrics requested")
-                        .counter_sum("sched.drains.") as f64
-                })
-                .collect::<Vec<_>>(),
-        )
-        .round() as u64;
+                .collect();
+            mean(&per_rep).round() as u64
+        };
         results.push(A2Result {
             scheduler: kind.name().to_string(),
             utilization: util,
             ci,
             normal_mean_wait_s: mean(&normal_waits),
             hero_mean_wait_h: mean(&hero_waits),
-            backfills,
-            drains,
+            backfills: counter("sched.backfills."),
+            drains: counter("sched.drains."),
         });
     }
 
@@ -136,12 +102,18 @@ fn main() {
             r.drains.to_string(),
         ]);
     }
-    println!("{table}");
-
-    println!(
-        "filling recovers {:+.1} utilization points over naive draining",
-        100.0 * (results[0].utilization - results[1].utilization)
+    // Today: filling lifts mean utilization 0.366 → 0.457
+    // (+9.0 points, inside the ± 0.15–0.19 CIs, so not checked) and cuts
+    // the normal-job wait 100× (958,879 s → 9,621 s); the check asks for
+    // 10×. Both variants complete the same 4 drains.
+    let (weekly, naive) = (&results[0], &results[1]);
+    let check = Check::new(
+        "a2.filling_cuts_normal_wait_10x",
+        weekly.normal_mean_wait_s * 10.0 < naive.normal_mean_wait_s,
+        format!(
+            "normal wait weekly {:.0}s vs naive {:.0}s",
+            weekly.normal_mean_wait_s, naive.normal_mean_wait_s
+        ),
     );
-
-    save_json("exp_a2_drain_backfill", &results);
+    Outcome::new("exp_a2_drain_backfill", &results, vec![table], vec![check])
 }

@@ -9,9 +9,11 @@
 //! heavy-project jobs wait more; overall utilization is unchanged (ordering
 //! doesn't create or destroy capacity).
 
+use super::{mean, mean_by, Check, Outcome, Scale};
+use crate::emit::Table;
+use crate::setup::{calibrated_users, single_site_config};
 use serde::Serialize;
 use std::collections::HashMap;
-use tg_bench::{calibrated_users, save_json, single_site_config, Table};
 use tg_core::{replicate, Modality};
 use tg_sched::SchedulerKind;
 use tg_workload::{ModalityProfile, ProjectId};
@@ -25,25 +27,17 @@ struct A3Result {
     heavy_to_light_ratio: f64,
 }
 
-fn main() {
+/// Run A3.
+pub fn run(_scale: Scale) -> Outcome {
     let nodes = 256;
     let cores = nodes * 8;
-    let days = 21;
     let profile = ModalityProfile::default_for(Modality::BatchComputing);
     let users = calibrated_users(&profile, cores, 0.85);
 
+    let population = [(Modality::BatchComputing, users)];
     let mut results = Vec::new();
     for kind in [SchedulerKind::Easy, SchedulerKind::FairshareEasy] {
-        let mut cfg = single_site_config(
-            "a3",
-            nodes,
-            8,
-            0,
-            0,
-            days,
-            &[(Modality::BatchComputing, users)],
-            kind,
-        );
+        let mut cfg = single_site_config("a3", nodes, 21, &population, kind);
         // Strong activity skew → strongly unequal project consumption.
         cfg.workload.mix.activity_zipf_s = 1.2;
         cfg.workload.mix.projects = 24;
@@ -61,25 +55,19 @@ fn main() {
             let mut ranked: Vec<(ProjectId, f64)> = usage.into_iter().collect();
             ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
             let cut = (ranked.len() / 4).max(1);
-            let heavy: Vec<ProjectId> = ranked[..cut].iter().map(|&(p, _)| p).collect();
-            let light: Vec<ProjectId> = ranked[ranked.len() - cut..]
-                .iter()
-                .map(|&(p, _)| p)
-                .collect();
-            let mean_wait = |set: &[ProjectId]| {
+            let mean_wait = |set: &[(ProjectId, f64)]| {
                 let jobs: Vec<_> = r
                     .output
                     .db
                     .jobs
                     .iter()
-                    .filter(|j| set.contains(&j.project))
+                    .filter(|j| set.iter().any(|&(p, _)| p == j.project))
                     .collect();
-                jobs.iter().map(|j| j.wait().as_secs_f64()).sum::<f64>() / jobs.len().max(1) as f64
+                mean_by(&jobs, |j| j.wait().as_secs_f64())
             };
-            heavy_waits.push(mean_wait(&heavy));
-            light_waits.push(mean_wait(&light));
+            heavy_waits.push(mean_wait(&ranked[..cut]));
+            light_waits.push(mean_wait(&ranked[ranked.len() - cut..]));
         }
-        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
         let heavy = mean(&heavy_waits);
         let light = mean(&light_waits);
         results.push(A3Result {
@@ -110,19 +98,17 @@ fn main() {
             format!("{:.2}", r.heavy_to_light_ratio),
         ]);
     }
-    println!("{table}");
-
-    let easy = &results[0];
-    let fs = &results[1];
-    println!(
-        "light-project wait: {:.0}s (easy) → {:.0}s (fairshare), {:.1}× better; \
-         heavy/light ratio {:.2} → {:.2}",
-        easy.light_mean_wait_s,
-        fs.light_mean_wait_s,
-        easy.light_mean_wait_s / fs.light_mean_wait_s.max(1.0),
-        easy.heavy_to_light_ratio,
-        fs.heavy_to_light_ratio,
+    // Today: utilization 0.533 (easy) vs 0.532 (fair share).
+    // The light-project gain (5,072 s → 4,245 s, 1.2×) is too small a
+    // margin to gate on, so only the capacity claim is checked.
+    let (easy, fs) = (&results[0], &results[1]);
+    let check = Check::new(
+        "a3.utilization_unchanged",
+        (easy.utilization - fs.utilization).abs() < 0.02,
+        format!(
+            "easy {:.3} vs fairshare {:.3}",
+            easy.utilization, fs.utilization
+        ),
     );
-
-    save_json("exp_a3_fairshare", &results);
+    Outcome::new("exp_a3_fairshare", &results, vec![table], vec![check])
 }

@@ -8,8 +8,9 @@
 //! runs) exists only in batch; ensemble members are narrow but arrive in
 //! bulk.
 
+use super::{Check, Outcome, Scale};
+use crate::emit::Table;
 use serde::Serialize;
-use tg_bench::{save_json, Table};
 use tg_core::Modality;
 use tg_des::stats::exact_quantile;
 use tg_des::RngFactory;
@@ -22,9 +23,11 @@ struct F2Output {
     cdf_points: Vec<Vec<(f64, f64)>>,  // [modality][(cores, F)]
 }
 
-fn main() {
-    let cfg = GeneratorConfig::baseline(600, 30, 3);
-    let workload = WorkloadGenerator::new(cfg).generate(&RngFactory::new(4000));
+/// Run F2.
+pub fn run(scale: Scale) -> Outcome {
+    let (users, days) = scale.pick((600, 30), (200, 7));
+    let cfg = GeneratorConfig::baseline(users, days, 3);
+    let workload = WorkloadGenerator::new(cfg).generate(&RngFactory::new(scale.seed(4000)));
 
     let qs = [0.10, 0.25, 0.50, 0.75, 0.90, 0.99, 1.0];
     let mut table = Table::new(
@@ -46,37 +49,35 @@ fn main() {
         row.extend(row_q.iter().map(|v| format!("{v:.0}")));
         table.row(row);
         // Compact CDF: distinct core values with cumulative fraction.
-        let mut cdf = Vec::new();
         let n = cores.len().max(1) as f64;
-        let mut i = 0;
-        while i < cores.len() {
-            let v = cores[i];
-            let mut k = i;
-            while k < cores.len() && cores[k] == v {
-                k += 1;
+        let mut cdf: Vec<(f64, f64)> = Vec::new();
+        for (k, &v) in cores.iter().enumerate() {
+            match cdf.last_mut() {
+                Some(last) if last.0 == v => last.1 = (k + 1) as f64 / n,
+                _ => cdf.push((v, (k + 1) as f64 / n)),
             }
-            cdf.push((v, k as f64 / n));
-            i = k;
         }
         per_modality.push(row_q);
         cdfs.push(cdf);
     }
-    println!("{table}");
 
-    let p99 = |m: Modality| per_modality[m.index()][5];
-    println!(
-        "tail check: batch P99 = {:.0} cores vs gateway P99 = {:.0}, interactive P99 = {:.0}",
-        p99(Modality::BatchComputing),
-        p99(Modality::ScienceGateway),
-        p99(Modality::Interactive)
+    // Today (full scale): batch's P99 is 4096 cores; no other modality's
+    // largest job exceeds 64 (workflow).
+    let batch_p99 = per_modality[Modality::BatchComputing.index()][5];
+    let widest_other = Modality::ALL
+        .iter()
+        .filter(|&&m| m != Modality::BatchComputing)
+        .map(|m| per_modality[m.index()][6])
+        .fold(0.0, f64::max);
+    let check = Check::new(
+        "f2.hero_tail_only_in_batch",
+        batch_p99 > widest_other,
+        format!("batch P99 {batch_p99:.0} cores vs {widest_other:.0} for any other job"),
     );
-
-    save_json(
-        "exp_f2_jobsize_cdf",
-        &F2Output {
-            quantiles: qs.to_vec(),
-            per_modality_cores: per_modality,
-            cdf_points: cdfs,
-        },
-    );
+    let artifact = F2Output {
+        quantiles: qs.to_vec(),
+        per_modality_cores: per_modality,
+        cdf_points: cdfs,
+    };
+    Outcome::new("exp_f2_jobsize_cdf", &artifact, vec![table], vec![check])
 }

@@ -7,8 +7,9 @@
 //! accounts stay constant (the gateways), which is exactly why per-account
 //! accounting under-counted gateway reach before end-user attributes.
 
+use super::{Check, Outcome, Scale};
+use crate::emit::Table;
 use serde::Serialize;
-use tg_bench::{save_json, Table};
 use tg_core::report::ModalityShares;
 use tg_core::{run_sweep, Modality, ScenarioConfig};
 
@@ -23,47 +24,42 @@ struct F4Point {
     gateway_mean_wait_s: f64,
 }
 
-fn main() {
-    let total = 400usize;
+/// Run F4.
+pub fn run(_scale: Scale) -> Outcome {
+    let (total, days) = (400usize, 28);
     // Sweep cells are independent runs; `run_sweep` fills the machine's
     // cores while keeping each cell's seed stream untouched.
     let grid = [5usize, 10, 20, 40, 60, 80];
     let points: Vec<F4Point> = run_sweep(&grid, 0, |_, &adoption_pct| {
         let gw_users = total * adoption_pct / 100;
-        let mut cfg = ScenarioConfig::baseline(total, 28);
+        let mut cfg = ScenarioConfig::baseline(total, days);
         // Rebalance: gateway takes `adoption`, the remainder splits between
         // batch and interactive proportionally to the baseline.
         let rest = total - gw_users;
         let mix = &mut cfg.workload.mix;
+        mix.users_per_modality = [0; Modality::ALL.len()];
         mix.users_per_modality[Modality::ScienceGateway.index()] = gw_users;
         mix.users_per_modality[Modality::BatchComputing.index()] = rest * 55 / 100;
         mix.users_per_modality[Modality::Interactive.index()] = rest * 45 / 100;
-        for m in [
-            Modality::Workflow,
-            Modality::Ensemble,
-            Modality::DataMovement,
-            Modality::RcAccelerated,
-        ] {
-            mix.users_per_modality[m.index()] = 0;
-        }
         cfg.workload.rc_sites.clear();
         cfg.workload.rc_config_count = 0;
         cfg.name = format!("f4-{adoption_pct}pct");
         let out = cfg.build().run(6000 + adoption_pct as u64);
         let shares = ModalityShares::compute(&out.db, &out.truth, &out.charge_policy);
+        let gw = Modality::ScienceGateway;
         F4Point {
             adoption_pct,
             gateway_users: gw_users,
             total_users: total,
-            job_share: shares.job_share(Modality::ScienceGateway),
-            nu_share: shares.nu_share(Modality::ScienceGateway),
-            visible_accounts: shares.accounts[Modality::ScienceGateway.index()],
-            gateway_mean_wait_s: shares.mean_wait_s[Modality::ScienceGateway.index()],
+            job_share: shares.job_share(gw),
+            nu_share: shares.nu_share(gw),
+            visible_accounts: shares.accounts[gw.index()],
+            gateway_mean_wait_s: shares.mean_wait_s[gw.index()],
         }
     });
 
     let mut table = Table::new(
-        "F4: gateway adoption sweep (400 users total, 28 days)",
+        format!("F4: gateway adoption sweep ({total} users total, {days} days)"),
         &[
             "adoption",
             "gw users",
@@ -83,23 +79,30 @@ fn main() {
             format!("{:.0}s", p.gateway_mean_wait_s),
         ]);
     }
-    println!("{table}");
-
-    let first = &points[0];
+    // Today: at 80% adoption gateways submit 82.7% of jobs but
+    // use 6.0% of NUs; every point shows 6 visible accounts (the gateways).
     let last = &points[points.len() - 1];
-    println!(
-        "user share 5% → 80% drives job share {:.1}% → {:.1}% but NU share only {:.1}% → {:.1}%",
-        100.0 * first.job_share,
-        100.0 * last.job_share,
-        100.0 * first.nu_share,
-        100.0 * last.nu_share
-    );
-    println!(
-        "visible accounts stay ≈ constant ({} → {}) while real users grow {}×",
-        first.visible_accounts,
-        last.visible_accounts,
-        last.gateway_users / first.gateway_users.max(1)
-    );
-
-    save_json("exp_f4_gateway_sweep", &points);
+    let checks = vec![
+        Check::new(
+            "f4.nu_share_lags_job_share",
+            points.iter().all(|p| p.nu_share * 5.0 < p.job_share),
+            format!(
+                "at {}%: job share {:.1}%, NU share {:.1}%",
+                last.adoption_pct,
+                100.0 * last.job_share,
+                100.0 * last.nu_share
+            ),
+        ),
+        Check::new(
+            "f4.visible_accounts_constant",
+            points
+                .iter()
+                .all(|p| p.visible_accounts == points[0].visible_accounts),
+            format!(
+                "{} accounts for {} → {} gateway users",
+                last.visible_accounts, points[0].gateway_users, last.gateway_users
+            ),
+        ),
+    ];
+    Outcome::new("exp_f4_gateway_sweep", &points, vec![table], checks)
 }

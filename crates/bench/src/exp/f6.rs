@@ -8,12 +8,14 @@
 //! trade the opposite way.
 //!
 //! Expected shape: busy fraction scales with load for every policy;
-//! reuse-first's reconfigurations per task fall toward zero as load grows
-//! (hotter regions, more hits) while the packing policies stay high; its
-//! wait times are lowest throughout.
+//! reuse-first's reconfigurations per task stay lowest wherever churn
+//! exists while the packing policies stay high; its wait times are lowest
+//! throughout.
 
+use super::{mean, mean_by, Check, Outcome, Scale};
+use crate::emit::Table;
+use crate::setup::{rc_only_config, rc_tasks_per_day_for_load, synthetic_library};
 use serde::Serialize;
-use tg_bench::{rc_only_config, rc_tasks_per_day_for_load, save_json, synthetic_library, Table};
 use tg_core::replicate;
 use tg_des::SimDuration;
 use tg_sched::reconf::Packing;
@@ -29,25 +31,17 @@ struct F6Point {
     mean_wait_s: f64,
 }
 
-fn main() {
-    let policies: [(&str, RcPolicy); 3] = [
+/// Run F6.
+pub fn run(_scale: Scale) -> Outcome {
+    let packing = |packing| RcPolicy {
+        seek_reuse: false,
+        packing,
+        cost_aware: false,
+    };
+    let policies = [
         ("reuse-first", RcPolicy::AWARE),
-        (
-            "best-fit",
-            RcPolicy {
-                seek_reuse: false,
-                packing: Packing::BestFit,
-                cost_aware: false,
-            },
-        ),
-        (
-            "first-fit",
-            RcPolicy {
-                seek_reuse: false,
-                packing: Packing::FirstFit,
-                cost_aware: false,
-            },
-        ),
+        ("best-fit", packing(Packing::BestFit)),
+        ("first-fit", packing(Packing::FirstFit)),
     ];
     let nodes = 16;
     let days = 2;
@@ -66,19 +60,13 @@ fn main() {
             let mut waits = Vec::new();
             for r in &reps {
                 let s = &r.output.site_stats[1];
-                let dur = r.output.end.as_secs_f64();
-                let capacity = (nodes as f64) * 8.0 * dur;
+                let capacity = (nodes as f64) * 8.0 * r.output.end.as_secs_f64();
                 wasted.push(s.rc_wasted_area_seconds / capacity);
                 busy.push(s.rc_busy_area_seconds / capacity);
                 let done = s.rc_stats.completed.max(1);
                 reconf_per_task.push(s.rc_stats.reconfigs as f64 / done as f64);
-                let jobs = &r.output.db.jobs;
-                waits.push(
-                    jobs.iter().map(|j| j.wait().as_secs_f64()).sum::<f64>()
-                        / jobs.len().max(1) as f64,
-                );
+                waits.push(mean_by(&r.output.db.jobs, |j| j.wait().as_secs_f64()));
             }
-            let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
             points.push(F6Point {
                 load,
                 policy: name.to_string(),
@@ -111,27 +99,37 @@ fn main() {
             format!("{:.1}s", p.mean_wait_s),
         ]);
     }
-    println!("{table}");
-
+    // At trivial loads every policy reconfigures only on first touch, so
+    // compare where churn exists. Today reuse-first is below
+    // both packing policies at every load ≥ 0.5, by 1.4% at 0.7 (0.290 vs
+    // best-fit's 0.294), inside the 5% tolerance; at 0.9 its wait is 14.9 s
+    // against first-fit's 64.9 s.
     let get = |load: f64, name: &str| {
         points
             .iter()
             .find(|p| p.load == load && p.policy == name)
             .expect("present")
     };
-    // At trivial loads every policy reconfigures only on first touch, so
-    // compare where churn exists.
     let fewest = [0.5, 0.7, 0.9].iter().all(|&l| {
-        get(l, "reuse-first").reconfigs_per_task <= get(l, "best-fit").reconfigs_per_task * 1.05
-            && get(l, "reuse-first").reconfigs_per_task
-                <= get(l, "first-fit").reconfigs_per_task * 1.05
+        let reuse = get(l, "reuse-first").reconfigs_per_task;
+        reuse <= get(l, "best-fit").reconfigs_per_task * 1.05
+            && reuse <= get(l, "first-fit").reconfigs_per_task * 1.05
     });
-    println!("reuse-first has fewest reconfigs/task at loads ≥ 0.5: {fewest}");
-    println!(
-        "at load 0.9: reuse-first wait {:.1}s vs first-fit {:.1}s (setup churn costs capacity)",
+    let (reuse_wait, ff_wait) = (
         get(0.9, "reuse-first").mean_wait_s,
         get(0.9, "first-fit").mean_wait_s,
     );
-
-    save_json("exp_f6_wasted_area", &points);
+    let checks = vec![
+        Check::new(
+            "f6.reuse_first_fewest_reconfigs",
+            fewest,
+            "reconfigs/task at loads 0.5, 0.7, 0.9 within 5% of the lowest",
+        ),
+        Check::new(
+            "f6.reuse_first_waits_less_at_0.9",
+            reuse_wait * 2.0 < ff_wait,
+            format!("reuse-first {reuse_wait:.1}s vs first-fit {ff_wait:.1}s"),
+        ),
+    ];
+    Outcome::new("exp_f6_wasted_area", &points, vec![table], checks)
 }

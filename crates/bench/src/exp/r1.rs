@@ -11,21 +11,21 @@
 //! loss rate, so the same records die in the same order as `loss` grows:
 //! each sweep point's database is a superset of the next, and *coverage*
 //! accuracy (correct inferences over all of ground truth) is monotonically
-//! non-increasing by construction. The binary asserts that. Per-covered-job
+//! non-increasing by construction, which a check confirms. Per-covered-job
 //! accuracy and the share tables show the subtler story: the classifier
 //! stays sharp on the records it still sees, while the measured share table
 //! drifts from the healthy baseline as losses mount.
 
+use super::{Check, Outcome, Scale};
+use crate::emit::Table;
 use serde::Serialize;
-use std::collections::HashMap;
-use tg_bench::{save_json, Table};
+use tg_core::report::ModalityShares;
 use tg_core::{
     classify_all, Accuracy, ClassifierMode, ConfusionMatrix, FaultSpec, IngestFaults, Modality,
     ScenarioConfig, SimOutput,
 };
 
 const LOSS_RATES: [f64; 5] = [0.0, 0.05, 0.10, 0.15, 0.20];
-const SEED: u64 = 1000;
 
 #[derive(Serialize)]
 struct ModeResult {
@@ -61,58 +61,43 @@ struct R1Output {
     points: Vec<SweepPoint>,
 }
 
-fn run_at(loss: f64) -> SimOutput {
-    let mut cfg = ScenarioConfig::baseline(300, 14);
-    if loss > 0.0 {
-        cfg.faults = Some(FaultSpec {
-            ingest: Some(IngestFaults {
-                loss,
-                duplication: 0.0,
-            }),
-            ..FaultSpec::default()
-        });
-    }
-    cfg.build().run(SEED)
-}
-
-/// Measured shares from the records alone: classify every job record, then
-/// tally job counts and charged NUs per inferred modality.
+/// Measured job and NU shares per modality, from the records alone as the
+/// classifier labels them.
 fn measured_shares(out: &SimOutput) -> (Vec<f64>, Vec<f64>) {
     let inferred = classify_all(&out.db, ClassifierMode::WithAttributes);
-    let mut jobs = vec![0u64; Modality::ALL.len()];
-    let mut nus = vec![0f64; Modality::ALL.len()];
-    for rec in &out.db.jobs {
-        let m = inferred
-            .get(&rec.job)
-            .copied()
-            .unwrap_or(Modality::BatchComputing);
-        jobs[m.index()] += 1;
-        nus[m.index()] += out.charge_policy.nu(rec);
-    }
-    let jt: f64 = jobs.iter().sum::<u64>() as f64;
-    let nt: f64 = nus.iter().sum::<f64>();
+    let s = ModalityShares::compute(&out.db, &inferred, &out.charge_policy);
+    let share = |f: fn(&ModalityShares, Modality) -> f64| Modality::ALL.map(|m| f(&s, m)).to_vec();
     (
-        jobs.iter().map(|&j| j as f64 / jt.max(1.0)).collect(),
-        nus.iter().map(|&n| n / nt.max(1e-9)).collect(),
+        share(ModalityShares::job_share),
+        share(ModalityShares::nu_share),
     )
 }
 
-fn main() {
-    let mut points = Vec::new();
-    let mut healthy_job_share: Vec<f64> = Vec::new();
-    let mut scenario_name = String::new();
-
-    for &loss in &LOSS_RATES {
-        let out = run_at(loss);
-        scenario_name = out.scenario.clone();
+/// Run R1.
+pub fn run(scale: Scale) -> Outcome {
+    let seed = scale.seed(1000);
+    let (users, days) = scale.pick((300, 14), (120, 7));
+    let mut points: Vec<SweepPoint> = Vec::new();
+    let mut scenario = String::new();
+    for loss in LOSS_RATES {
+        let mut cfg = ScenarioConfig::baseline(users, days);
+        if loss > 0.0 {
+            let ingest = Some(IngestFaults {
+                loss,
+                duplication: 0.0,
+            });
+            cfg.faults = Some(FaultSpec {
+                ingest,
+                ..FaultSpec::default()
+            });
+        }
+        let out = cfg.build().run(seed);
+        scenario = out.scenario.clone();
         let truth_jobs = out.truth.len();
-        let seen: HashMap<_, _> = out.db.jobs.iter().map(|j| (j.job, j)).collect();
-
         let modes = [ClassifierMode::WithAttributes, ClassifierMode::RecordsOnly]
             .iter()
             .map(|&mode| {
-                let inferred = classify_all(&out.db, mode);
-                let matrix = ConfusionMatrix::from_maps(&out.truth, &inferred);
+                let matrix = ConfusionMatrix::from_maps(&out.truth, &classify_all(&out.db, mode));
                 let covered = Accuracy::from_matrix(matrix.clone());
                 ModeResult {
                     mode: mode.name().to_string(),
@@ -120,26 +105,18 @@ fn main() {
                     coverage_accuracy: matrix.correct() as f64 / truth_jobs.max(1) as f64,
                 }
             })
-            .collect::<Vec<_>>();
-
+            .collect();
         let (job_share, nu_share) = measured_shares(&out);
-        if healthy_job_share.is_empty() {
-            healthy_job_share = job_share.clone();
-        }
+        let healthy = points.first().map_or(&job_share, |p| &p.job_share);
         let drift: f64 = job_share
             .iter()
-            .zip(&healthy_job_share)
+            .zip(healthy)
             .map(|(a, b)| (a - b).abs())
             .sum();
-
         points.push(SweepPoint {
             loss,
-            records_lost: out
-                .fault_report
-                .as_ref()
-                .map(|r| r.records_lost)
-                .unwrap_or(0),
-            records_kept: seen.len(),
+            records_lost: out.fault_report.as_ref().map_or(0, |r| r.records_lost),
+            records_kept: out.db.jobs.len(),
             truth_jobs,
             modes,
             job_share,
@@ -171,34 +148,35 @@ fn main() {
             format!("{:.4}", p.job_share_l1_drift),
         ]);
     }
-    println!("{table}");
 
-    // Monotone coupling must hold: coverage accuracy never improves as the
-    // loss rate grows, in either classifier mode.
-    for mode_idx in 0..2 {
-        for w in points.windows(2) {
-            let (a, b) = (
-                w[0].modes[mode_idx].coverage_accuracy,
-                w[1].modes[mode_idx].coverage_accuracy,
-            );
-            assert!(
-                b <= a + 1e-9,
-                "coverage accuracy must degrade monotonically: {a:.4} -> {b:.4} \
-                 at loss {:.2} ({})",
-                w[1].loss,
-                points[0].modes[mode_idx].mode,
-            );
-        }
-    }
-    println!("monotone degradation check: OK (both modes, {LOSS_RATES:?})");
-
-    save_json(
+    // Monotone coupling: coverage accuracy never improves as the loss rate
+    // grows, in either classifier mode.
+    let checks = (0..2)
+        .map(|mode| {
+            let cov: Vec<f64> = points
+                .iter()
+                .map(|p| p.modes[mode].coverage_accuracy)
+                .collect();
+            Check::new(
+                format!(
+                    "r1.coverage_degrades_monotonically.{}",
+                    points[0].modes[mode].mode
+                ),
+                cov.windows(2).all(|w| w[1] <= w[0] + 1e-9),
+                format!("coverage accuracy {cov:.4?} at loss {LOSS_RATES:?}"),
+            )
+        })
+        .collect();
+    let artifact = R1Output {
+        scenario,
+        seed,
+        loss_rates: LOSS_RATES.to_vec(),
+        points,
+    };
+    Outcome::new(
         "exp_r1_classifier_under_loss",
-        &R1Output {
-            scenario: scenario_name,
-            seed: SEED,
-            loss_rates: LOSS_RATES.to_vec(),
-            points,
-        },
-    );
+        &artifact,
+        vec![table],
+        checks,
+    )
 }

@@ -10,10 +10,14 @@
 //!
 //! Expected shape: slack is zero for single-site requests by definition,
 //! grows with the number of participating sites, and grows sharply with
-//! background load (free windows become short and misaligned).
+//! background load (free windows become short and misaligned). Beyond ~0.8
+//! sustained load, hour-long multi-site holes effectively stop existing —
+//! co-allocation there needs advance reservations, not opportunistic
+//! planning.
 
+use super::{mean, Check, Outcome, Scale};
+use crate::emit::Table;
 use serde::Serialize;
-use tg_bench::{save_json, Table};
 use tg_des::dist::{Dist, Exponential};
 use tg_des::{RngFactory, SimDuration, SimRng, SimTime, StreamId};
 use tg_model::SiteId;
@@ -21,6 +25,7 @@ use tg_sched::{plan_coallocation, CoallocRequest, Profile};
 
 const SITES: usize = 4;
 const CORES: usize = 256;
+const LOADS: [f64; 4] = [0.3, 0.5, 0.65, 0.8];
 
 /// A site profile fragmented far into the future: the machine is modeled
 /// as 32-core blocks, each alternating busy/free with exponential periods
@@ -64,11 +69,12 @@ struct T6Point {
     p95_slack_s: f64,
 }
 
-fn main() {
-    let factory = RngFactory::new(19_000);
-    let requests_per_point = 300;
+/// Run T6.
+pub fn run(scale: Scale) -> Outcome {
+    let factory = RngFactory::new(scale.seed(19_000));
+    let requests_per_point = scale.pick(300, 20);
     let mut points = Vec::new();
-    for &load in &[0.3, 0.5, 0.65, 0.8] {
+    for load in LOADS {
         for k in 1..=SITES {
             let mut slacks = Vec::with_capacity(requests_per_point);
             let mut starts = Vec::with_capacity(requests_per_point);
@@ -88,7 +94,6 @@ fn main() {
                 starts.push(plan.start.as_secs_f64());
             }
             slacks.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
             points.push(T6Point {
                 load,
                 sites: k,
@@ -112,35 +117,30 @@ fn main() {
             format!("{:.0}s", p.mean_start_s),
         ]);
     }
-    println!("{table}");
-
-    let get = |load: f64, k: usize| {
-        points
-            .iter()
-            .find(|p| p.load == load && p.sites == k)
-            .expect("present")
-    };
-    println!(
-        "single-site slack is zero by construction: {}",
-        [0.3, 0.5, 0.65, 0.8]
-            .iter()
-            .all(|&l| get(l, 1).mean_slack_s == 0.0)
-    );
-    println!(
-        "slack grows with sites at load 0.65: {:.0}s (2 sites) → {:.0}s (4 sites)",
-        get(0.65, 2).mean_slack_s,
-        get(0.65, 4).mean_slack_s
-    );
-    println!(
-        "slack grows with load at 4 sites: {:.0}s (0.3) → {:.0}s (0.8)",
-        get(0.3, 4).mean_slack_s,
-        get(0.8, 4).mean_slack_s
-    );
-    println!(
-        "beyond ~0.8 sustained load, hour-long multi-site holes effectively \
-         stop existing — co-allocation there needs advance reservations, \
-         not opportunistic planning."
-    );
-
-    save_json("exp_t6_coalloc", &points);
+    // Single-site slack is zero by construction. Today (full scale), at 4
+    // sites slack grows with load 0 s (0.3) → 353 s (0.5) → 14,258 s
+    // (0.65) → 553,335 s (0.8), and at load 0.65 with sites 0 → 2,208 →
+    // 6,135 → 14,258 s.
+    let slack = |li: usize, k: usize| points[li * SITES + k - 1].mean_slack_s;
+    let by_load: Vec<f64> = (0..LOADS.len()).map(|li| slack(li, SITES)).collect();
+    let by_sites: Vec<f64> = (1..=SITES).map(|k| slack(2, k)).collect();
+    let grows = |v: &[f64]| v.windows(2).all(|w| w[0] <= w[1]) && v[0] < v[v.len() - 1];
+    let checks = vec![
+        Check::new(
+            "t6.single_site_slack_is_zero",
+            (0..LOADS.len()).all(|li| slack(li, 1) == 0.0),
+            "mean slack at one site, every load",
+        ),
+        Check::new(
+            "t6.slack_grows_with_load",
+            grows(&by_load),
+            format!("{SITES} sites, loads {LOADS:?}: {by_load:.0?} s"),
+        ),
+        Check::new(
+            "t6.slack_grows_with_sites",
+            grows(&by_sites),
+            format!("load {}, 1..={SITES} sites: {by_sites:.0?} s", LOADS[2]),
+        ),
+    ];
+    Outcome::new("exp_t6_coalloc", &points, vec![table], checks)
 }

@@ -2,7 +2,7 @@
 
 use tg_core::ScenarioConfig;
 use tg_model::SiteConfig;
-use tg_sched::{MetaPolicy, RcPolicy, SchedulerKind};
+use tg_sched::SchedulerKind;
 use tg_workload::{GeneratorConfig, Modality, ModalityProfile, PopulationMix};
 
 /// Expected core-seconds of demand one user of `profile` generates per day
@@ -50,27 +50,24 @@ pub fn calibrated_users(profile: &ModalityProfile, total_cores: usize, target_lo
     ((target_load * capacity_per_day / per_user).round() as usize).max(1)
 }
 
-/// A single-site scenario carrying only the given modality populations.
+/// A single-site scenario carrying only the given modality populations,
+/// with the baseline's metascheduling and RC policies.
 ///
 /// `populations` maps modality → user count; all other modalities get zero
-/// users. The site has `nodes × cores_per_node` cores and no RC fabric
-/// unless `rc_nodes > 0`.
-#[allow(clippy::too_many_arguments)] // experiment knobs, called with literals
+/// users. The site has `nodes × 8` cores and no RC fabric, so the
+/// populations must not include RC users.
 pub fn single_site_config(
     name: &str,
     nodes: usize,
-    cores_per_node: usize,
-    rc_nodes: usize,
-    rc_area: u32,
     days: u64,
     populations: &[(Modality, usize)],
     scheduler: SchedulerKind,
 ) -> ScenarioConfig {
     let site = SiteConfig {
         batch_nodes: nodes,
-        cores_per_node,
-        rc_nodes,
-        rc_area_per_node: rc_area,
+        cores_per_node: 8,
+        rc_nodes: 0,
+        rc_area_per_node: 0,
         ..SiteConfig::medium(name)
     };
     let mut mix = PopulationMix {
@@ -82,32 +79,21 @@ pub fn single_site_config(
     for &(m, n) in populations {
         mix.users_per_modality[m.index()] = n;
     }
-    let rc_users = mix.users_per_modality[Modality::RcAccelerated.index()];
     let workload = GeneratorConfig {
         horizon: tg_des::SimDuration::from_days(days),
         mix,
         profiles: ModalityProfile::all_defaults(),
         sites: 1,
-        rc_sites: if rc_users > 0 {
-            vec![tg_model::SiteId(0)]
-        } else {
-            Vec::new()
-        },
-        rc_config_count: if rc_users > 0 { 12 } else { 0 },
+        rc_sites: Vec::new(),
+        rc_config_count: 0,
         data: None,
     };
     ScenarioConfig {
         name: format!("{name}-{days}d"),
         sites: vec![site],
-        data_home: 0,
         scheduler,
-        meta: MetaPolicy::ShortestEta,
-        rc_policy: RcPolicy::AWARE,
         workload,
-        library: None,
-        sample_interval: None,
-        faults: None,
-        data: None,
+        ..ScenarioConfig::baseline(0, days)
     }
 }
 
@@ -118,7 +104,7 @@ pub fn single_site_config(
 /// uplink is deliberately thin); site 1 carries the RC partition
 /// (`rc_nodes × rc_area`) plus a software-fallback batch pool. The workload
 /// is purely RC users offering `tasks_per_day` hardware-accelerable tasks in
-/// total.
+/// total, scheduled as in the baseline (EASY, shortest ETA, RC-aware).
 pub fn rc_only_config(
     rc_nodes: usize,
     rc_area: u32,
@@ -162,15 +148,8 @@ pub fn rc_only_config(
     ScenarioConfig {
         name: format!("rc-{rc_nodes}n-{tasks_per_day}tpd-{days}d"),
         sites: vec![repo_site, rc_site],
-        data_home: 0,
-        scheduler: SchedulerKind::Easy,
-        meta: MetaPolicy::ShortestEta,
-        rc_policy: RcPolicy::AWARE,
         workload,
-        library: None,
-        sample_interval: None,
-        faults: None,
-        data: None,
+        ..ScenarioConfig::baseline(0, days)
     }
 }
 
@@ -243,16 +222,8 @@ mod tests {
         let profile = ModalityProfile::default_for(Modality::BatchComputing);
         let cores = 2048;
         let users = calibrated_users(&profile, cores, 0.7);
-        let cfg = single_site_config(
-            "cal",
-            cores / 8,
-            8,
-            0,
-            0,
-            14,
-            &[(Modality::BatchComputing, users)],
-            SchedulerKind::Easy,
-        );
+        let population = [(Modality::BatchComputing, users)];
+        let cfg = single_site_config("cal", cores / 8, 14, &population, SchedulerKind::Easy);
         let w = WorkloadGenerator::new(cfg.workload.clone()).generate(&RngFactory::new(1));
         let load = w.offered_load(cores, cfg.workload.horizon);
         assert!(
@@ -263,16 +234,8 @@ mod tests {
 
     #[test]
     fn single_site_config_is_buildable_and_runnable() {
-        let cfg = single_site_config(
-            "t",
-            16,
-            4,
-            0,
-            0,
-            2,
-            &[(Modality::Interactive, 10)],
-            SchedulerKind::Fcfs,
-        );
+        let population = [(Modality::Interactive, 10)];
+        let cfg = single_site_config("t", 16, 2, &population, SchedulerKind::Fcfs);
         let out = cfg.build().run(1);
         assert!(!out.db.jobs.is_empty());
         assert!(out.truth.values().all(|&m| m == Modality::Interactive));

@@ -7,9 +7,8 @@
 //! records), so agreement is a real end-to-end check of the span schema.
 
 use serde::Serialize;
-use std::io::BufRead;
-use std::path::Path;
-use tg_core::SimOutput;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use tg_core::{replicate_with, Replication, RunOptions, Scenario};
 use tg_des::TraceAnalyzer;
 
 /// Outcome of comparing analyzer-derived mean wait against the accounting
@@ -36,35 +35,44 @@ impl WaitCrossCheck {
     }
 }
 
-/// Analyze the trace at `path` and compare its reconstructed mean wait
-/// against `rep0` (the replication that wrote the trace).
+/// Run `count` replications of `scenario` at seeds `base_seed..`, with
+/// replication 0 writing its trace to a file of its own under the system
+/// temp directory, and compare the analyzer's reading of that trace against
+/// replication 0's accounting. The trace file is removed afterwards, so
+/// concurrent callers never share one.
 ///
-/// Panics if the trace file cannot be read — a bench that asked for a trace
-/// and lost it should fail loudly, not skip the check.
-pub fn wait_crosscheck(path: &Path, rep0: &SimOutput) -> WaitCrossCheck {
-    let file = std::fs::File::open(path)
-        .unwrap_or_else(|e| panic!("cannot open trace {}: {e}", path.display()));
+/// Panics if the trace cannot be read back: an experiment that asked for a
+/// trace and lost it should fail loudly, not skip the check.
+pub fn replicate_crosschecked(
+    scenario: &Scenario,
+    base_seed: u64,
+    count: usize,
+) -> (Vec<Replication>, WaitCrossCheck) {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "tg-bench-{}-{}.trace.jsonl",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let opts = RunOptions {
+        trace_path: Some(path.clone()),
+        ..RunOptions::default()
+    };
+    let reps = replicate_with(scenario, base_seed, count, 0, &opts);
+    let trace = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read trace {}: {e}", path.display()));
+    let _ = std::fs::remove_file(&path);
     let mut analyzer = TraceAnalyzer::new();
-    for line in std::io::BufReader::new(file).lines() {
-        let line = line.unwrap_or_else(|e| panic!("read error in {}: {e}", path.display()));
-        analyzer.add_line(&line);
-    }
+    trace.lines().for_each(|line| analyzer.add_line(line));
     let analysis = analyzer.finish();
+    let rep0 = &reps[0].output;
     let db_mean = rep0.mean_wait_secs();
-    let rel_err = (analysis.mean_wait_s - db_mean).abs() / db_mean.max(1e-9);
-    WaitCrossCheck {
+    let xcheck = WaitCrossCheck {
         analyzer_mean_wait_s: analysis.mean_wait_s,
         db_mean_wait_s: db_mean,
-        rel_err,
+        rel_err: (analysis.mean_wait_s - db_mean).abs() / db_mean.max(1e-9),
         analyzer_jobs: analysis.jobs,
         db_jobs: rep0.db.jobs.len() as u64,
-    }
-}
-
-/// A scratch path for a trace file, under the results dir so it lands
-/// somewhere writable and inspectable (`results/<name>.trace.jsonl`).
-pub fn trace_scratch_path(name: &str) -> std::path::PathBuf {
-    let dir = crate::emit::results_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    dir.join(format!("{name}.trace.jsonl"))
+    };
+    (reps, xcheck)
 }

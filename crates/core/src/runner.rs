@@ -7,7 +7,8 @@
 //! streaming generator's per-user prepass, which assembles its result in
 //! population order; see `tg_workload::stream`.) Threads are scoped (no
 //! detached state) and fan results back through a crossbeam channel;
-//! outputs are re-ordered by replication index before returning.
+//! outputs are re-ordered by replication index before returning. A batch
+//! with one worker runs on the calling thread.
 
 use crate::scenario::{RunOptions, Scenario, SimOutput};
 use crossbeam::channel;
@@ -40,6 +41,7 @@ pub fn replicate(
 /// [`replicate`] with observability options. Metrics are collected on every
 /// replication; the JSONL trace (if requested) is written by replication 0
 /// only — one representative trace rather than `count` interleaved files.
+/// The replications are [`run_sweep`] points, so they share its pool.
 pub fn replicate_with(
     scenario: &Scenario,
     base_seed: u64,
@@ -48,58 +50,25 @@ pub fn replicate_with(
     opts: &RunOptions,
 ) -> Vec<Replication> {
     assert!(count > 0, "need at least one replication");
-    let workers = if threads == 0 {
-        thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(count)
-    } else {
-        threads.min(count)
-    };
-    let (task_tx, task_rx) = channel::unbounded::<usize>();
-    let (result_tx, result_rx) = channel::unbounded::<Replication>();
-    for i in 0..count {
-        task_tx.send(i).expect("channel open");
-    }
-    drop(task_tx);
-
-    thread::scope(|scope| {
-        for _ in 0..workers {
-            let task_rx = task_rx.clone();
-            let result_tx = result_tx.clone();
-            scope.spawn(move || {
-                while let Ok(index) = task_rx.recv() {
-                    let seed = base_seed + index as u64;
-                    let rep_opts = RunOptions {
-                        trace_path: if index == 0 {
-                            opts.trace_path.clone()
-                        } else {
-                            None
-                        },
-                        ..opts.clone()
-                    };
-                    let output = scenario.run_with(seed, &rep_opts);
-                    result_tx
-                        .send(Replication {
-                            index,
-                            seed,
-                            output,
-                        })
-                        .expect("main thread alive");
-                }
-            });
+    let indices: Vec<usize> = (0..count).collect();
+    run_sweep(&indices, threads, |_, &index| {
+        let seed = base_seed + index as u64;
+        let rep_opts = RunOptions {
+            trace_path: opts.trace_path.clone().filter(|_| index == 0),
+            ..opts.clone()
+        };
+        Replication {
+            index,
+            seed,
+            output: scenario.run_with(seed, &rep_opts),
         }
-        drop(result_tx);
-        let mut results: Vec<Replication> = result_rx.iter().collect();
-        results.sort_by_key(|r| r.index);
-        results
     })
 }
 
 /// Run one closure per sweep point in parallel, returning results in point
 /// order whatever the thread count or completion order.
 ///
-/// This is the sweep-level complement to [`replicate`]: experiment binaries
+/// This is the sweep-level complement to [`replicate`]: experiments
 /// iterate a config grid where each cell is itself a (sequential or
 /// parallel) replication batch. Running the *cells* in parallel keeps each
 /// cell's seed stream untouched — bit-identical to the serial loop — while
@@ -254,6 +223,28 @@ mod tests {
             reps.iter().map(|r| r.output.events_delivered).sum::<u64>()
         );
         assert!(agg.peak_queue_len > 0);
+    }
+
+    #[test]
+    fn only_replication_zero_writes_the_trace() {
+        let s = tiny();
+        let dir = std::env::temp_dir();
+        let path = |tag: &str| dir.join(format!("runner-{tag}-{}.jsonl", std::process::id()));
+        let (batch, single) = (path("batch"), path("single"));
+        let traced = |p: &std::path::PathBuf| RunOptions {
+            trace_path: Some(p.clone()),
+            ..RunOptions::default()
+        };
+        let reps = replicate_with(&s, 11, 3, 2, &traced(&batch));
+        assert!(reps
+            .iter()
+            .all(|r| r.output.trace_health.is_some() == (r.index == 0)));
+        s.run_with(11, &traced(&single));
+        let (a, b) = (std::fs::read(&batch), std::fs::read(&single));
+        let _ = (std::fs::remove_file(&batch), std::fs::remove_file(&single));
+        let (a, b) = (a.expect("batch trace"), b.expect("single trace"));
+        assert!(!a.is_empty());
+        assert!(a == b, "the batch trace is replication 0's alone");
     }
 
     #[test]

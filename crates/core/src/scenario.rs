@@ -213,6 +213,35 @@ impl ScenarioConfig {
                 self.workload.sites
             ));
         }
+        let mix = &self.workload.mix;
+        if !(mix.activity_zipf_s.is_finite() && mix.activity_zipf_s >= 0.0) {
+            return Err(format!(
+                "workload.mix.activity_zipf_s: must be finite and ≥ 0 (0 = uniform \
+                 activity), got {}",
+                mix.activity_zipf_s
+            ));
+        }
+        if let Some(i) = self
+            .workload
+            .rc_sites
+            .iter()
+            .position(|s| s.index() >= nsites)
+        {
+            return Err(format!(
+                "workload.rc_sites[{i}]: site {} is out of range (federation has {nsites} sites)",
+                self.workload.rc_sites[i].index()
+            ));
+        }
+        if mix.users_per_modality[Modality::RcAccelerated.index()] > 0 {
+            if self.workload.rc_sites.is_empty() {
+                return Err("workload.rc_sites: RC users need at least one RC site".into());
+            }
+            if self.workload.rc_config_count == 0 {
+                return Err(
+                    "workload.rc_config_count: RC users need at least one configuration".into(),
+                );
+            }
+        }
         if self.data_home >= nsites {
             return Err(format!(
                 "data_home: site {} is out of range (federation has {nsites} sites)",

@@ -848,6 +848,29 @@ fn invalid_configs_exit_1_naming_the_field() {
             |c| c.workload.horizon = SimDuration::from_micros(18_446_743_987_309_551_616),
             "workload.horizon:",
         ),
+        // The RC library and the activity skew. Before these were
+        // validated, the first three panicked in the generator or the
+        // machine clamp (exit 101) and the last ran silently (exit 0).
+        (
+            "rc-sites-empty",
+            |c| c.workload.rc_sites.clear(),
+            "workload.rc_sites:",
+        ),
+        (
+            "rc-site-range",
+            |c| c.workload.rc_sites = vec![tg_model::SiteId(9)],
+            "workload.rc_sites[0]: site 9",
+        ),
+        (
+            "rc-config-count",
+            |c| c.workload.rc_config_count = 0,
+            "workload.rc_config_count:",
+        ),
+        (
+            "activity-zipf",
+            |c| c.workload.mix.activity_zipf_s = -50.0,
+            "workload.mix.activity_zipf_s:",
+        ),
     ];
     for &(tag, mutate, field) in cases {
         let mut cfg = ScenarioConfig::baseline(20, 1);

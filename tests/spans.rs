@@ -41,16 +41,8 @@ fn run_traced(cfg: &ScenarioConfig, seed: u64, tag: &str) -> (SimOutput, Vec<Spa
 /// An F3-shaped scenario (one overloaded site, batch + interactive mix)
 /// under the given scheduler, small enough for the test suite.
 fn f3_shaped(kind: SchedulerKind) -> ScenarioConfig {
-    tg_bench::single_site_config(
-        "spans-f3",
-        64,
-        8,
-        0,
-        0,
-        7,
-        &[(Modality::BatchComputing, 40), (Modality::Interactive, 10)],
-        kind,
-    )
+    let population = [(Modality::BatchComputing, 40), (Modality::Interactive, 10)];
+    tg_bench::single_site_config("spans-f3", 64, 7, &population, kind)
 }
 
 #[test]
