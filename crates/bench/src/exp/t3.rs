@@ -24,7 +24,14 @@ struct T3Result {
 /// Run T3.
 pub fn run(_scale: Scale) -> Outcome {
     let mut results = Vec::new();
-    for policy in MetaPolicy::ALL {
+    // `data-locality` routes on a dataset catalog, which this scenario does
+    // not have: it would repeat `data-aware` to the last bit. Locality is
+    // measured where datasets exist — `crates/core/tests/data.rs` and
+    // `configs/datagrid-300u-14d.json`.
+    for policy in MetaPolicy::ALL
+        .into_iter()
+        .filter(|&p| p != MetaPolicy::DataLocality)
+    {
         let mut cfg = ScenarioConfig::baseline(260, 21);
         // Shrink the machines so queueing (and thus placement) matters.
         // The *biggest, fastest* machine sits behind a thin WAN pipe — the

@@ -486,13 +486,18 @@ mod tests {
 
     #[test]
     fn metrics_report_renders_all_sections() {
-        use tg_des::metrics::{EngineProfile, MetricsRegistry};
+        use tg_des::metrics::{EngineProfile, GaugeSnapshot, MetricsRegistry};
         let mut m = MetricsRegistry::enabled();
         let c = m.counter("jobs.enqueued");
         m.add(c, 9);
-        let g = m.gauge("busy_cores.alpha", SimTime::ZERO, 0.0);
-        m.gauge_set(g, SimTime::from_secs(10), 4.0);
         let mut snap = m.snapshot(SimTime::from_secs(20)).unwrap();
+        snap.gauges.push(GaugeSnapshot {
+            name: "busy_cores.alpha".into(),
+            current: 4.0,
+            average: 2.0,
+            peak: 4.0,
+            integral: 40.0,
+        });
         snap.engine = Some(EngineProfile::new(100, 0.01, 7));
         let text = MetricsReport(&snap).to_string();
         assert!(text.contains("jobs.enqueued"));

@@ -35,7 +35,7 @@ use tg_accounting::{
     RecordSink, SessionRecord, TransferRecord,
 };
 use tg_data::{DataLayer, DataReport, Locate};
-use tg_des::metrics::{CounterId, GaugeId, MetricsRegistry, MetricsSnapshot};
+use tg_des::metrics::{CounterId, MetricsRegistry, MetricsSnapshot};
 use tg_des::series::{SeriesSnapshot, WindowedSeries};
 use tg_des::sketch::{SpanSketchbook, SpanStatsSnapshot};
 use tg_des::span::{SpanKind, WaitCause, SPAN_CATEGORY, SPAN_SCHEMA_VERSION};
@@ -126,8 +126,6 @@ pub enum Event {
     Requeue {
         /// The job being resubmitted.
         job: Box<Job>,
-        /// When the fault killed it (the requeue span's start).
-        killed_at: SimTime,
     },
 }
 
@@ -166,8 +164,8 @@ impl Record {
 }
 
 /// Where a job currently is in its lifecycle, for span emission. Tracked
-/// only while the tracer is enabled; spans are pure observers and never
-/// influence simulation behavior.
+/// only while the tracer or the live stats are enabled; spans are pure
+/// observers and never influence simulation behavior.
 #[derive(Debug, Clone, Copy)]
 struct SpanTrack {
     /// When the current lifecycle phase began.
@@ -179,7 +177,9 @@ struct SpanTrack {
 /// The online observability layer (`--live-stats`): span-duration sketches
 /// plus the windowed operational series, with an optional JSONL sink that
 /// receives one row per closed series bucket. Disabled by default; see
-/// [`GridSim::with_live_stats`]. Like the tracer and metrics, everything
+/// [`GridSim::with_live_stats`]. Metrics turn the series on too: its
+/// per-site tracks are where the metrics snapshot's gauges come from
+/// ([`GridSim::with_metrics`]). Like the tracer and metrics, everything
 /// here is a pure observer — it never draws randomness, schedules events,
 /// or feeds back into a decision, so observed and unobserved runs stay
 /// byte-identical.
@@ -298,9 +298,6 @@ struct Instruments {
     /// schedulers at end of run.
     site_backfills: Vec<CounterId>,
     site_drains: Vec<CounterId>,
-    /// Time-weighted busy-core and queue-length gauges per site.
-    busy_cores: Vec<GaugeId>,
-    queue_len: Vec<GaugeId>,
 }
 
 impl Instruments {
@@ -327,14 +324,6 @@ impl Instruments {
             site_drains: site_names
                 .iter()
                 .map(|n| m.counter(format!("sched.drains.{n}")))
-                .collect(),
-            busy_cores: site_names
-                .iter()
-                .map(|n| m.gauge(format!("busy_cores.{n}"), SimTime::ZERO, 0.0))
-                .collect(),
-            queue_len: site_names
-                .iter()
-                .map(|n| m.gauge(format!("queue_len.{n}"), SimTime::ZERO, 0.0))
                 .collect(),
         }
     }
@@ -604,23 +593,40 @@ impl GridSim {
         self
     }
 
-    /// Emit one lifecycle span (`cat == "span"`) covering `[t0, t1]` for
-    /// `job`. See `tg_des::span` for the schema; `t1` may lie in the future
-    /// relative to `now` (stage-out), which is why both bounds are explicit
-    /// fields rather than derived from the entry timestamp.
+    /// Close `job`'s current lifecycle phase as a `kind` span over
+    /// `[phase_start, until]` and open the next phase at `until`. The span
+    /// goes to the online sketches and, as a `cat == "span"` entry stamped
+    /// `now`, to the tracer (see `tg_des::span` for the schema) — unless it
+    /// is empty and `keep_empty` is false. `cause` names the wait from the
+    /// closing phase's track. `until` may lie after `now` (reconfiguration,
+    /// stage-out), which is why both bounds are explicit span fields. A job
+    /// without a track (tracer and live stats off) is skipped.
     #[allow(clippy::too_many_arguments)] // a span's fields arrive together
-    fn emit_span(
+    fn close_phase(
         &mut self,
         now: SimTime,
         job: &Job,
         kind: SpanKind,
-        t0: SimTime,
-        t1: SimTime,
+        until: SimTime,
         site: Option<SiteId>,
-        cause: Option<WaitCause>,
+        cause: impl FnOnce(SpanTrack) -> Option<WaitCause>,
+        keep_empty: bool,
     ) {
-        // Online stats see every span close the tracer would, without
-        // requiring a retained trace.
+        let Some(track) = self.span_track.get_mut(&job.id) else {
+            return;
+        };
+        let closed = std::mem::replace(
+            track,
+            SpanTrack {
+                phase_start: until,
+                deferred: false,
+            },
+        );
+        let (t0, t1) = (closed.phase_start, until);
+        if t1 <= t0 && !keep_empty {
+            return;
+        }
+        let cause = cause(closed);
         self.obs.sketches.record(
             kind,
             cause,
@@ -647,12 +653,29 @@ impl GridSim {
         });
     }
 
-    /// Enable run-level metrics collection. Metrics are pure observers —
-    /// they never draw randomness or schedule events — so enabling them
-    /// cannot change any simulation result.
+    /// Enable run-level metrics collection: the registry's counters, plus
+    /// the windowed series' per-site tracks that the snapshot's busy-core
+    /// and queue-length gauges are read from (one bucket for the whole run
+    /// unless [`GridSim::with_live_stats`] sets a width). Metrics are pure
+    /// observers — they never draw randomness or schedule events — so
+    /// enabling them cannot change any simulation result.
     pub fn with_metrics(mut self) -> Self {
         self.metrics.set_enabled(true);
+        if !self.obs.series.is_enabled() {
+            self.obs.series = self.site_series(SimDuration::MAX);
+        }
         self
+    }
+
+    /// An enabled windowed series over this federation's sites (their core
+    /// counts are its utilization denominator).
+    fn site_series(&self, bucket: SimDuration) -> WindowedSeries {
+        let cores: Vec<f64> = self
+            .federation
+            .sites()
+            .map(|s| s.cluster.total_cores() as f64)
+            .collect();
+        WindowedSeries::enabled(bucket, &cores)
     }
 
     /// Attach a JSONL tracer (see [`Tracer::new`]). The tracer observes the
@@ -680,12 +703,7 @@ impl GridSim {
     pub fn with_live_stats(mut self, bucket: tg_des::SimDuration) -> Self {
         let modalities = Modality::ALL.iter().map(|m| m.name().to_string()).collect();
         self.obs.sketches = SpanSketchbook::enabled(self.federation.len(), modalities);
-        let cores: Vec<f64> = self
-            .federation
-            .sites()
-            .map(|s| s.cluster.total_cores() as f64)
-            .collect();
-        self.obs.series = WindowedSeries::enabled(bucket, &cores);
+        self.obs.series = self.site_series(bucket);
         self
     }
 
@@ -828,7 +846,15 @@ impl GridSim {
             self.metrics.add(self.ins.site_backfills[i], s.backfills());
             self.metrics.add(self.ins.site_drains[i], s.drains());
         }
-        let metrics = self.metrics.snapshot(engine.now());
+        let mut metrics = self.metrics.snapshot(engine.now());
+        if let Some(m) = metrics.as_mut() {
+            let names: Vec<String> = self
+                .federation
+                .sites()
+                .map(|s| s.name().to_string())
+                .collect();
+            m.gauges = self.obs.series.site_gauges(engine.now(), &names);
+        }
         let trace_health = self.tracer.close();
         debug_assert!(self.running.is_empty(), "registry drained with the jobs");
         let fault_report = self.faults.take().map(|f| f.report);
@@ -869,26 +895,8 @@ impl GridSim {
         job.submit_time = job.submit_time.max(ctx.now());
         // Span: time between original submission and routing was spent held
         // on workflow dependencies.
-        if let Some(track) = self.span_track.get(&job.id).copied() {
-            if ctx.now() > track.phase_start {
-                self.emit_span(
-                    ctx.now(),
-                    &job,
-                    SpanKind::Held,
-                    track.phase_start,
-                    ctx.now(),
-                    None,
-                    None,
-                );
-            }
-            self.span_track.insert(
-                job.id,
-                SpanTrack {
-                    phase_start: ctx.now(),
-                    deferred: false,
-                },
-            );
-        }
+        let now = ctx.now();
+        self.close_phase(now, &job, SpanKind::Held, now, None, |_| None, false);
         if job.rc.is_some() {
             let site = self.rc_site_for(&job);
             self.route_rc(ctx, site, job);
@@ -1078,26 +1086,17 @@ impl GridSim {
         // Dataset jobs always close a stage-in span — a cache hit closes a
         // zero-length one — so the hit/miss cause is observable; jobs
         // without a dataset keep the pre-data-grid emission rule.
-        if let Some(track) = self.span_track.get(&job.id).copied() {
-            if ctx.now() > track.phase_start || cause.is_some() {
-                self.emit_span(
-                    ctx.now(),
-                    &job,
-                    SpanKind::StageIn,
-                    track.phase_start,
-                    ctx.now(),
-                    Some(site),
-                    cause,
-                );
-                self.span_track.insert(
-                    job.id,
-                    SpanTrack {
-                        phase_start: ctx.now(),
-                        ..track
-                    },
-                );
-            }
-        }
+        let now = ctx.now();
+        let keep_empty = cause.is_some();
+        self.close_phase(
+            now,
+            &job,
+            SpanKind::StageIn,
+            now,
+            Some(site),
+            |_| cause,
+            keep_empty,
+        );
         self.tracer.emit_event(ctx.now(), "queue", || {
             vec![
                 ("job", job.id.index().into()),
@@ -1109,92 +1108,71 @@ impl GridSim {
         self.dispatch(ctx, site);
     }
 
+    /// Start what the site's scheduler picks, then refresh the site's
+    /// busy-core and queued-job tracks in the windowed series. Every change
+    /// to a site's cores or queue ends in a dispatch of that site — a dark
+    /// one included — so the tracks see each change at the instant it
+    /// happens.
     fn dispatch(&mut self, ctx: &mut Ctx<Event>, site: SiteId) {
+        let now = ctx.now();
         // A site in a whole-site outage is frozen: its queue keeps accepting
         // work but nothing starts until recovery (which dispatches again).
-        if self.site_is_down(site) {
-            return;
-        }
-        let speed = self.federation.site(site).core_speed();
-        let cluster = &mut self.federation.site_mut(site).cluster;
-        let mut started = std::mem::take(&mut self.started);
-        self.schedulers[site.index()].make_decisions(ctx.now(), cluster, speed, &mut started);
-        for s in started.drain(..) {
-            let actual = s.job.runtime_on(speed, false);
-            self.obs.series.on_start(ctx.now());
-            // Span: queued phase closes at start. The scheduler attributes the
-            // wait from the job's routed submit time; jobs whose queued phase
-            // began this instant (e.g. after staging) started immediately.
-            if let Some(track) = self.span_track.get(&s.job.id).copied() {
-                let cause = if track.phase_start >= ctx.now() {
-                    WaitCause::Immediate
-                } else {
-                    s.cause
+        if !self.site_is_down(site) {
+            let speed = self.federation.site(site).core_speed();
+            let cluster = &mut self.federation.site_mut(site).cluster;
+            let mut started = std::mem::take(&mut self.started);
+            self.schedulers[site.index()].make_decisions(now, cluster, speed, &mut started);
+            for s in started.drain(..) {
+                let actual = s.job.runtime_on(speed, false);
+                self.obs.series.on_start(now);
+                // Span: queued phase closes at start. The scheduler attributes
+                // the wait from the job's routed submit time; jobs whose queued
+                // phase began this instant (e.g. after staging) started
+                // immediately.
+                let cause = |t: SpanTrack| {
+                    Some(if t.phase_start >= now {
+                        WaitCause::Immediate
+                    } else {
+                        s.cause
+                    })
                 };
-                self.emit_span(
-                    ctx.now(),
-                    &s.job,
-                    SpanKind::Queued,
-                    track.phase_start,
-                    ctx.now(),
-                    Some(site),
-                    Some(cause),
-                );
-                self.span_track.insert(
+                self.close_phase(now, &s.job, SpanKind::Queued, now, Some(site), cause, true);
+                self.tracer.emit_event(now, "sched", || {
+                    vec![
+                        ("job", s.job.id.index().into()),
+                        ("site", site.index().into()),
+                        ("cores", s.job.cores.into()),
+                    ]
+                });
+                // The registry takes ownership of the job (no clone); the
+                // completion event carries only the id, and the stored event
+                // key lets a crash/outage cancel the attempt and requeue the
+                // job.
+                let key = ctx.schedule_after(actual, Event::Complete { id: s.job.id });
+                self.running.insert(
                     s.job.id,
-                    SpanTrack {
-                        phase_start: ctx.now(),
-                        ..track
+                    RunningRec {
+                        site,
+                        cores: s.job.cores,
+                        key,
+                        started: now,
+                        job: s.job,
                     },
                 );
             }
-            self.tracer.emit_event(ctx.now(), "sched", || {
-                vec![
-                    ("job", s.job.id.index().into()),
-                    ("site", site.index().into()),
-                    ("cores", s.job.cores.into()),
-                ]
-            });
-            // The registry takes ownership of the job (no clone); the
-            // completion event carries only the id, and the stored event key
-            // lets a crash/outage cancel the attempt and requeue the job.
-            let key = ctx.schedule_after(actual, Event::Complete { id: s.job.id });
-            self.running.insert(
-                s.job.id,
-                RunningRec {
-                    site,
-                    cores: s.job.cores,
-                    key,
-                    started: ctx.now(),
-                    job: s.job,
-                },
-            );
-        }
-        self.started = started;
-        // Arm a wakeup if the policy wants one (weekly drain).
-        if let Some(at) = self.schedulers[site.index()].next_wakeup(ctx.now()) {
-            let armed = &mut self.armed_wakeups[site.index()];
-            if *armed != Some(at) {
-                *armed = Some(at);
-                ctx.schedule_at(at, Event::SchedWakeup { site });
+            self.started = started;
+            // Arm a wakeup if the policy wants one (weekly drain).
+            if let Some(at) = self.schedulers[site.index()].next_wakeup(now) {
+                let armed = &mut self.armed_wakeups[site.index()];
+                if *armed != Some(at) {
+                    *armed = Some(at);
+                    ctx.schedule_at(at, Event::SchedWakeup { site });
+                }
             }
         }
-        self.observe_site(ctx.now(), site);
-    }
-
-    /// Refresh a site's time-weighted gauges after its state changed.
-    fn observe_site(&mut self, now: SimTime, site: SiteId) {
-        let series_on = self.obs.series.is_enabled();
-        if !self.metrics.is_enabled() && !series_on {
-            return;
-        }
-        let busy = self.federation.site(site).cluster.busy_cores();
-        let queued = self.schedulers[site.index()].queue_len();
-        self.metrics
-            .gauge_set(self.ins.busy_cores[site.index()], now, busy as f64);
-        self.metrics
-            .gauge_set(self.ins.queue_len[site.index()], now, queued as f64);
-        if series_on {
+        if self.obs.series.is_enabled() {
+            let busy = self.federation.site(site).cluster.busy_cores();
+            let queued = self.schedulers[site.index()].queue_len();
             self.obs
                 .series
                 .set_site(site.index(), now, busy as f64, queued as f64);
@@ -1218,17 +1196,8 @@ impl GridSim {
             .release(ctx.now(), job.cores);
         self.obs.series.on_stop(ctx.now());
         self.schedulers[site.index()].on_complete(ctx.now(), job.id);
-        if self.span_track.contains_key(&job.id) {
-            self.emit_span(
-                ctx.now(),
-                &job,
-                SpanKind::Run,
-                started,
-                ctx.now(),
-                Some(site),
-                None,
-            );
-        }
+        let now = ctx.now();
+        self.close_phase(now, &job, SpanKind::Run, now, Some(site), |_| None, true);
         self.tracer.emit_event(ctx.now(), "done", || {
             vec![
                 ("job", job.id.index().into()),
@@ -1276,41 +1245,28 @@ impl GridSim {
                 let (s, library) = self.federation.site_mut_with_library(site);
                 let speed = s.core_speed();
                 let region = s.rc.node_mut(node).commit(plan, rc_cfg, library, ctx.now());
-                let exec_start = ctx.now() + setup.total();
+                let now = ctx.now();
+                let exec_start = now + setup.total();
                 // Spans: queued-for-fabric (zero-length unless the job sat in
                 // the deferral backlog), then bitstream transfer + reconfig.
-                if let Some(track) = self.span_track.get(&job.id).copied() {
-                    let cause = if track.deferred {
+                let cause = |t: SpanTrack| {
+                    Some(if t.deferred {
                         WaitCause::FabricBusy
                     } else {
                         WaitCause::Immediate
-                    };
-                    self.emit_span(
-                        ctx.now(),
-                        &job,
-                        SpanKind::Queued,
-                        track.phase_start,
-                        ctx.now(),
-                        Some(site),
-                        Some(cause),
-                    );
-                    self.emit_span(
-                        ctx.now(),
-                        &job,
-                        SpanKind::Reconfig,
-                        ctx.now(),
-                        exec_start,
-                        Some(site),
-                        Some(WaitCause::ReconfigLatency),
-                    );
-                    self.span_track.insert(
-                        job.id,
-                        SpanTrack {
-                            phase_start: exec_start,
-                            ..track
-                        },
-                    );
-                }
+                    })
+                };
+                self.close_phase(now, &job, SpanKind::Queued, now, Some(site), cause, true);
+                let cause = |_| Some(WaitCause::ReconfigLatency);
+                self.close_phase(
+                    now,
+                    &job,
+                    SpanKind::Reconfig,
+                    exec_start,
+                    Some(site),
+                    cause,
+                    true,
+                );
                 let hw_runtime = job.runtime_on(speed, true);
                 let end = exec_start + hw_runtime;
                 let deadline_met = job
@@ -1343,26 +1299,9 @@ impl GridSim {
             RcDecision::RunSw => {
                 // A deferred job falling back to software spent its backlog
                 // time waiting on the fabric, not staging input.
-                if let Some(track) = self.span_track.get(&job.id).copied() {
-                    if ctx.now() > track.phase_start {
-                        self.emit_span(
-                            ctx.now(),
-                            &job,
-                            SpanKind::Queued,
-                            track.phase_start,
-                            ctx.now(),
-                            Some(site),
-                            Some(WaitCause::FabricBusy),
-                        );
-                        self.span_track.insert(
-                            job.id,
-                            SpanTrack {
-                                phase_start: ctx.now(),
-                                ..track
-                            },
-                        );
-                    }
-                }
+                let now = ctx.now();
+                let cause = |_| Some(WaitCause::FabricBusy);
+                self.close_phase(now, &job, SpanKind::Queued, now, Some(site), cause, false);
                 self.enqueue(ctx, site, job, None);
             }
             RcDecision::Defer => {
@@ -1395,17 +1334,8 @@ impl GridSim {
             .node_mut(node)
             .finish(region, ctx.now());
         self.obs.series.on_stop(ctx.now());
-        if self.span_track.contains_key(&job.id) {
-            self.emit_span(
-                ctx.now(),
-                &job,
-                SpanKind::Run,
-                started,
-                ctx.now(),
-                Some(site),
-                None,
-            );
-        }
+        let now = ctx.now();
+        self.close_phase(now, &job, SpanKind::Run, now, Some(site), |_| None, true);
         self.tracer.emit_event(ctx.now(), "rc", || {
             vec![
                 ("job", job.id.index().into()),
@@ -1564,6 +1494,8 @@ impl GridSim {
                 .take_offline(ctx.now(), free);
             self.faults.as_mut().expect("fault layer").outage_offline[site.index()] += free;
         }
+        // Nothing starts on a dark site; the dispatch refreshes its tracks.
+        self.dispatch(ctx, site);
     }
 
     fn fault_site_recovery(&mut self, ctx: &mut Ctx<Event>, site: SiteId) {
@@ -1627,24 +1559,16 @@ impl GridSim {
             .expect("fault layer")
             .report
             .jobs_killed += 1;
-        if let Some(track) = self.span_track.get(&id).copied() {
-            self.emit_span(
-                ctx.now(),
-                &rec.job,
-                SpanKind::Fault,
-                track.phase_start,
-                ctx.now(),
-                Some(rec.site),
-                Some(cause),
-            );
-            self.span_track.insert(
-                id,
-                SpanTrack {
-                    phase_start: ctx.now(),
-                    ..track
-                },
-            );
-        }
+        let now = ctx.now();
+        self.close_phase(
+            now,
+            &rec.job,
+            SpanKind::Fault,
+            now,
+            Some(rec.site),
+            |_| Some(cause),
+            true,
+        );
         self.tracer.emit_event(ctx.now(), "fault", || {
             vec![
                 ("job", id.index().into()),
@@ -1665,13 +1589,7 @@ impl GridSim {
             f.report.checkpoint_restarts += 1;
             f.report.jobs_requeued += 1;
             let backoff = f.retry.backoff(1);
-            ctx.schedule_after(
-                backoff,
-                Event::Requeue {
-                    job: Box::new(job),
-                    killed_at: ctx.now(),
-                },
-            );
+            ctx.schedule_after(backoff, Event::Requeue { job: Box::new(job) });
             return;
         }
         let f = self.faults.as_mut().expect("fault layer");
@@ -1691,40 +1609,17 @@ impl GridSim {
         } else {
             f.report.jobs_requeued += 1;
             let backoff = f.retry.backoff(attempts);
-            ctx.schedule_after(
-                backoff,
-                Event::Requeue {
-                    job: Box::new(job),
-                    killed_at: ctx.now(),
-                },
-            );
+            ctx.schedule_after(backoff, Event::Requeue { job: Box::new(job) });
         }
     }
 
     /// A killed job returns from backoff: emit the `requeue` span covering
-    /// the backoff wait, then route it as a fresh submission (`route` bumps
-    /// `submit_time`, so accounting sees the final attempt's resubmission).
-    fn requeue(&mut self, ctx: &mut Ctx<Event>, job: Job, killed_at: SimTime) {
-        if self.span_track.contains_key(&job.id) {
-            if ctx.now() > killed_at {
-                self.emit_span(
-                    ctx.now(),
-                    &job,
-                    SpanKind::Requeue,
-                    killed_at,
-                    ctx.now(),
-                    None,
-                    None,
-                );
-            }
-            self.span_track.insert(
-                job.id,
-                SpanTrack {
-                    phase_start: ctx.now(),
-                    deferred: false,
-                },
-            );
-        }
+    /// the backoff wait (its phase opened at the kill), then route it as a
+    /// fresh submission (`route` bumps `submit_time`, so accounting sees the
+    /// final attempt's resubmission).
+    fn requeue(&mut self, ctx: &mut Ctx<Event>, job: Job) {
+        let now = ctx.now();
+        self.close_phase(now, &job, SpanKind::Requeue, now, None, |_| None, false);
         self.tracer.emit_event(ctx.now(), "requeue", || {
             vec![("job", job.id.index().into())]
         });
@@ -1862,17 +1757,16 @@ impl GridSim {
             self.metrics
                 .add(self.ins.staging_bytes, (job.output_mb * 1e6) as u64);
             self.metrics.inc(self.ins.staging_transfers);
-            if self.span_track.contains_key(&job.id) {
-                self.emit_span(
-                    ctx.now(),
-                    job,
-                    SpanKind::StageOut,
-                    ctx.now(),
-                    ctx.now() + dur,
-                    Some(site),
-                    None,
-                );
-            }
+            let now = ctx.now();
+            self.close_phase(
+                now,
+                job,
+                SpanKind::StageOut,
+                now + dur,
+                Some(site),
+                |_| None,
+                true,
+            );
             self.tracer.emit_event(ctx.now(), "xfer", || {
                 vec![
                     ("job", job.id.index().into()),
@@ -1997,7 +1891,7 @@ impl Simulation for GridSim {
             }
             Event::Sample => self.take_sample(ctx),
             Event::Fault(index) => self.handle_fault(ctx, index),
-            Event::Requeue { job, killed_at } => self.requeue(ctx, *job, killed_at),
+            Event::Requeue { job } => self.requeue(ctx, *job),
         }
     }
 }

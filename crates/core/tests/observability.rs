@@ -260,3 +260,57 @@ fn live_sink_rows_match_the_final_snapshot() {
     );
     assert!(rows.len() > 24, "a 5-day run closes >24 hourly buckets");
 }
+
+/// Whole-site outages reach the per-site tracks: each site's
+/// `busy_cores.<site>` gauge integrates to that cluster's own core-seconds,
+/// and the series' federation busy area to their sum. While a dark site's
+/// tracks were not refreshed, they kept the killed jobs' cores busy through
+/// the outage: here bravo (12 h outage) read +6.80% and alpha (6 h) +0.49%.
+#[test]
+fn busy_tracks_integrate_to_core_seconds_through_outages() {
+    let mut cfg = ScenarioConfig::baseline(300, 14);
+    let demo = std::fs::read_to_string(format!(
+        "{}/../../configs/faults-demo.json",
+        env!("CARGO_MANIFEST_DIR")
+    ))
+    .expect("read faults-demo");
+    cfg.faults = Some(serde_json::from_str(&demo).expect("parse faults-demo"));
+    let opts = RunOptions {
+        metrics: true,
+        live_stats: true,
+        ..RunOptions::default()
+    };
+    let total_cores: usize = cfg.sites.iter().map(|s| s.total_cores()).sum();
+    let out = cfg.build().run_with(9000, &opts);
+    assert_eq!(
+        out.fault_report.as_ref().expect("faults ran").site_outages,
+        2
+    );
+    let close = |got: f64, want: f64| (got - want).abs() <= 1e-9 * want.abs();
+
+    let metrics = out.metrics.as_ref().expect("metrics collected");
+    for s in &out.site_stats {
+        let gauge = metrics
+            .gauge(&format!("busy_cores.{}", s.name))
+            .expect("one busy gauge per site");
+        assert!(
+            close(gauge.integral, s.core_seconds),
+            "{}: busy gauge integral {} vs core-seconds {}",
+            s.name,
+            gauge.integral,
+            s.core_seconds
+        );
+    }
+
+    let mut t0 = 0.0;
+    let mut area = 0.0;
+    for row in &out.stats.as_ref().expect("stats collected").series.rows {
+        area += row.utilization * total_cores as f64 * (row.t_end_s - t0);
+        t0 = row.t_end_s;
+    }
+    let want: f64 = out.site_stats.iter().map(|s| s.core_seconds).sum();
+    assert!(
+        close(area, want),
+        "series busy area {area} vs core-seconds {want}"
+    );
+}

@@ -34,10 +34,11 @@
 //!   streaming quantile estimator: constant memory, exactly mergeable
 //!   (element-wise counts), so pooled tables are independent of slot order.
 //! * [`series`] — time-bucketed windowed operational series (submit /
-//!   start / complete rates, active jobs, utilization, queue depth) with
-//!   per-site gauge columns.
-//! * [`metrics`] — a run-level metrics registry (counters and time-weighted
-//!   gauges) and serializable snapshots, plus wall-clock engine
+//!   start / complete rates, active jobs, utilization, queue depth) over
+//!   per-site busy-core and queued-job tracks, which also close out as
+//!   time-weighted gauges.
+//! * [`metrics`] — a run-level metrics registry (counters) and
+//!   serializable snapshots, plus wall-clock engine
 //!   profiling ([`metrics::EngineProfile`]). Observers only: when disabled
 //!   every operation is a single branch, and nothing here ever perturbs
 //!   simulation state or RNG draws.
@@ -113,7 +114,7 @@ pub use memory::{
     alloc_snapshot, current_in_use_bytes, peak_in_use_bytes, peak_rss_bytes, AllocDelta,
     AllocSnapshot, CountingAlloc,
 };
-pub use metrics::{CounterId, EngineProfile, GaugeId, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{CounterId, EngineProfile, MetricsRegistry, MetricsSnapshot};
 pub use rng::{RngFactory, SimRng, StreamId};
 pub use series::{SeriesDigest, SeriesRow, SeriesSnapshot, WindowedSeries};
 pub use sketch::{QuantileSketch, SketchSummary, SpanSketchbook, SpanStatsSnapshot};

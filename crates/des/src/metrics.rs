@@ -1,28 +1,23 @@
-//! Run-level metrics: a small registry of named counters and time-weighted
-//! gauges, plus a serializable end-of-run snapshot.
+//! Run-level metrics: a small registry of named counters, plus a
+//! serializable end-of-run snapshot.
 //!
-//! The registry is the observability companion to the engine: simulation
-//! drivers register instruments up front (cheap, once) and feed them from
-//! event handlers. Every mutating operation is a single branch when the
-//! registry is disabled, so instrumentation can stay on hot paths
-//! unconditionally — and because the registry only *observes* (it never
-//! draws randomness or schedules events), enabling it cannot perturb a
-//! simulation's results.
+//! The registry is the observability companion to the engine:
+//! simulations register counters up front (cheap, once) and bump them from
+//! event handlers. Every increment is a single branch when the registry is
+//! disabled, so instrumentation can stay on hot paths unconditionally —
+//! and because the registry only *observes* (it never draws randomness or
+//! schedules events), enabling it cannot perturb a simulation's results.
 //!
-//! * **Counters** — monotone `u64` totals (jobs completed, bytes staged).
-//! * **Gauges** — piecewise-constant signals tracked by [`TimeWeighted`]
-//!   (busy cores, queue length); the snapshot reports current / average /
-//!   peak / integral.
-//!
-//! Sampled time series are not kept here: a simulation that samples keeps
-//! its own rows (the grid simulator's `SampleRow`s, its windowed series),
-//! so each sample is stored once.
+//! Time-weighted signals are not kept here: a simulation that tracks one
+//! (the grid simulator's per-site busy cores and queued jobs live in its
+//! [`WindowedSeries`](crate::series::WindowedSeries)) fills the snapshot's
+//! [`GaugeSnapshot`]s from its own store, so each signal is integrated
+//! once. Sampled time series are likewise the simulation's own.
 //!
 //! [`MetricsSnapshot`] is plain serializable data for JSON export;
 //! [`EngineProfile`] carries the wall-clock engine figures that ride along
 //! with a snapshot but are *not* part of the deterministic run output.
 
-use crate::stats::TimeWeighted;
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -30,20 +25,10 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterId(usize);
 
-/// Handle to a registered time-weighted gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeId(usize);
-
 #[derive(Debug, Clone)]
 struct Counter {
     name: String,
     value: u64,
-}
-
-#[derive(Debug, Clone)]
-struct Gauge {
-    name: String,
-    tw: TimeWeighted,
 }
 
 /// The metrics registry. See the module docs for the model.
@@ -51,7 +36,6 @@ struct Gauge {
 pub struct MetricsRegistry {
     enabled: bool,
     counters: Vec<Counter>,
-    gauges: Vec<Gauge>,
 }
 
 impl Default for MetricsRegistry {
@@ -68,7 +52,6 @@ impl MetricsRegistry {
         MetricsRegistry {
             enabled: false,
             counters: Vec::new(),
-            gauges: Vec::new(),
         }
     }
 
@@ -85,9 +68,9 @@ impl MetricsRegistry {
         self.enabled
     }
 
-    /// Turn recording on or off. Instruments registered while disabled stay
-    /// valid, so a driver can lay out its instruments once and flip this
-    /// from configuration.
+    /// Turn recording on or off. Counters registered while disabled stay
+    /// valid, so a simulation can lay out its counters once and flip this from
+    /// configuration.
     pub fn set_enabled(&mut self, on: bool) {
         self.enabled = on;
     }
@@ -100,15 +83,6 @@ impl MetricsRegistry {
             value: 0,
         });
         CounterId(self.counters.len() - 1)
-    }
-
-    /// Register a time-weighted gauge starting at `start` with `initial`.
-    pub fn gauge(&mut self, name: impl Into<String>, start: SimTime, initial: f64) -> GaugeId {
-        self.gauges.push(Gauge {
-            name: name.into(),
-            tw: TimeWeighted::new(start, initial),
-        });
-        GaugeId(self.gauges.len() - 1)
     }
 
     /// Increment a counter by 1.
@@ -126,31 +100,14 @@ impl MetricsRegistry {
         self.counters[id.0].value += n;
     }
 
-    /// Set a gauge's value at `now`.
-    #[inline]
-    pub fn gauge_set(&mut self, id: GaugeId, now: SimTime, value: f64) {
-        if !self.enabled {
-            return;
-        }
-        self.gauges[id.0].tw.set(now, value);
-    }
-
-    /// Add `delta` to a gauge at `now`.
-    #[inline]
-    pub fn gauge_add(&mut self, id: GaugeId, now: SimTime, delta: f64) {
-        if !self.enabled {
-            return;
-        }
-        self.gauges[id.0].tw.add(now, delta);
-    }
-
     /// Current value of a counter (0 when disabled).
     pub fn counter_value(&self, id: CounterId) -> u64 {
         self.counters[id.0].value
     }
 
-    /// Freeze everything into a serializable snapshot closed out at `now`.
-    /// Returns `None` when the registry is disabled.
+    /// Freeze the counters into a serializable snapshot taken at `now`, with
+    /// no gauges (the caller adds its own). Returns `None` when the registry
+    /// is disabled.
     pub fn snapshot(&self, now: SimTime) -> Option<MetricsSnapshot> {
         if !self.enabled {
             return None;
@@ -165,17 +122,7 @@ impl MetricsRegistry {
                     value: c.value,
                 })
                 .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .map(|g| GaugeSnapshot {
-                    name: g.name.clone(),
-                    current: g.tw.current(),
-                    average: g.tw.average(now),
-                    peak: g.tw.peak(),
-                    integral: g.tw.integral(now),
-                })
-                .collect(),
+            gauges: Vec::new(),
             engine: None,
         })
     }
@@ -190,7 +137,7 @@ pub struct CounterSnapshot {
     pub value: u64,
 }
 
-/// One gauge's closing statistics.
+/// One time-weighted signal's closing statistics.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GaugeSnapshot {
     /// Instrument name.
@@ -274,7 +221,7 @@ pub struct MetricsSnapshot {
     pub at_secs: f64,
     /// All counters, registration order.
     pub counters: Vec<CounterSnapshot>,
-    /// All gauges, registration order.
+    /// Time-weighted signals, in the order the simulation reports them.
     pub gauges: Vec<GaugeSnapshot>,
     /// Engine profile, attached by the harness after the run (wall-clock
     /// data lives outside the deterministic simulation).
@@ -310,38 +257,27 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
     #[test]
     fn disabled_registry_is_inert() {
         let mut m = MetricsRegistry::disabled();
         let c = m.counter("jobs");
-        let g = m.gauge("busy", SimTime::ZERO, 0.0);
         m.inc(c);
-        m.gauge_set(g, SimTime::from_secs(10), 5.0);
         assert_eq!(m.counter_value(c), 0);
         assert!(m.snapshot(SimTime::from_secs(10)).is_none());
         assert!(!m.is_enabled());
     }
 
     #[test]
-    fn counters_gauges_snapshot() {
+    fn counters_snapshot() {
         let mut m = MetricsRegistry::enabled();
         let c = m.counter("jobs_completed");
-        let g = m.gauge("busy_cores", SimTime::ZERO, 0.0);
         m.inc(c);
         m.add(c, 2);
-        m.gauge_set(g, SimTime::from_secs(10), 4.0); // 0 for 10 s
-        m.gauge_add(g, SimTime::from_secs(20), -2.0); // 4 for 10 s, then 2
         let snap = m.snapshot(SimTime::from_secs(30)).expect("enabled");
         assert_eq!(snap.counter("jobs_completed"), Some(3));
         assert_eq!(snap.counter("missing"), None);
-        let busy = snap.gauge("busy_cores").expect("registered");
-        assert_eq!(busy.current, 2.0);
-        assert_eq!(busy.peak, 4.0);
-        // 0·10 + 4·10 + 2·10 = 60 over 30 s.
-        assert!((busy.average - 2.0).abs() < 1e-12);
-        assert!((busy.integral - 60.0).abs() < 1e-9);
+        assert!(snap.gauges.is_empty());
         assert_eq!(snap.at_secs, 30.0);
     }
 
@@ -372,9 +308,14 @@ mod tests {
         let mut m = MetricsRegistry::enabled();
         let c = m.counter("n");
         m.inc(c);
-        let g = m.gauge("g", SimTime::ZERO, 1.0);
-        m.gauge_set(g, SimTime::ZERO + SimDuration::from_secs(1), 2.0);
         let mut snap = m.snapshot(SimTime::from_secs(2)).unwrap();
+        snap.gauges.push(GaugeSnapshot {
+            name: "g".into(),
+            current: 2.0,
+            average: 1.5,
+            peak: 2.0,
+            integral: 3.0,
+        });
         snap.engine = Some(EngineProfile::new(5, 0.001, 3));
         let json = serde_json::to_string(&snap).unwrap();
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();

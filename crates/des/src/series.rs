@@ -9,17 +9,26 @@
 //! depth are exact time-weighted means computed by trapezoid-free area
 //! integration of piecewise-constant gauges (the gauges only change at
 //! events, so rectangles are exact).
+//!
+//! The per-site tracks are also the run's one time-weighted store of each
+//! site's busy cores and queued jobs: [`WindowedSeries::site_gauges`]
+//! closes them out as the metrics snapshot's gauges. A series enabled with
+//! a bucket of [`SimDuration::MAX`] keeps one bucket for the whole run, so
+//! each track's integral is a single running sum.
 
 use serde::{Deserialize, Serialize};
 
+use crate::metrics::GaugeSnapshot;
 use crate::time::{SimDuration, SimTime, MICROS_PER_SEC};
 
-/// Per-site gauge track: current gauge values plus per-bucket accumulated
-/// areas (core·seconds and job·seconds).
+/// Per-site gauge track: current gauge values, their running peaks, and
+/// per-bucket accumulated areas (core·seconds and job·seconds).
 #[derive(Debug, Clone, PartialEq)]
 struct SiteTrack {
     busy: f64,
     queued: f64,
+    busy_peak: f64,
+    queued_peak: f64,
     last_us: u64,
     busy_area: Vec<f64>,
     queue_area: Vec<f64>,
@@ -30,6 +39,8 @@ impl SiteTrack {
         SiteTrack {
             busy: 0.0,
             queued: 0.0,
+            busy_peak: 0.0,
+            queued_peak: 0.0,
             last_us: 0,
             busy_area: Vec::new(),
             queue_area: Vec::new(),
@@ -192,6 +203,8 @@ impl WindowedSeries {
         track.integrate(self.bucket_us, now.as_micros());
         track.busy = busy;
         track.queued = queued;
+        track.busy_peak = track.busy_peak.max(busy);
+        track.queued_peak = track.queued_peak.max(queued);
     }
 
     /// Integrate every site's gauges forward to `now` without changing them.
@@ -203,6 +216,37 @@ impl WindowedSeries {
         for track in &mut self.sites {
             track.integrate(self.bucket_us, us);
         }
+    }
+
+    /// Close every site's tracks out over `[0, end]` as gauges, in the
+    /// order `--metrics-out` reports them: `busy_cores.<name>` for each
+    /// site in `names` order, then `queue_len.<name>`. Empty when disabled.
+    pub fn site_gauges(&mut self, end: SimTime, names: &[String]) -> Vec<GaugeSnapshot> {
+        self.advance_to(end);
+        let end_s = end.as_secs_f64();
+        let gauge = |name: String, current: f64, peak: f64, area: &[f64]| {
+            // Folded from +0.0: an empty float `sum()` is -0.0.
+            let integral = area.iter().fold(0.0, |sum, a| sum + a);
+            GaugeSnapshot {
+                name,
+                current,
+                average: if end_s > 0.0 { integral / end_s } else { 0.0 },
+                peak,
+                integral,
+            }
+        };
+        let tracks = || self.sites.iter().zip(names);
+        let busy = tracks()
+            .map(|(t, n)| gauge(format!("busy_cores.{n}"), t.busy, t.busy_peak, &t.busy_area));
+        let queued = tracks().map(|(t, n)| {
+            gauge(
+                format!("queue_len.{n}"),
+                t.queued,
+                t.queued_peak,
+                &t.queue_area,
+            )
+        });
+        busy.chain(queued).collect()
     }
 
     fn row(&self, b: usize, active: i64, end_us: u64) -> SeriesRow {
@@ -441,6 +485,38 @@ mod tests {
         assert_eq!(snap.rows.len(), 1);
         assert!((snap.rows[0].utilization - 1.0).abs() < 1e-12);
         assert!((snap.rows[0].t_end_s - 1800.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn site_gauges_close_out_each_track() {
+        let names = ["alpha".to_string(), "bravo".to_string()];
+        for bucket in [SimDuration::from_secs(7), SimDuration::MAX] {
+            let mut s = WindowedSeries::enabled(bucket, &[8.0, 8.0]);
+            s.set_site(0, SimTime::from_secs(10), 4.0, 3.0); // 0 for 10 s
+            s.set_site(0, SimTime::from_secs(20), 2.0, 0.0); // 4 for 10 s, then 2
+            let g = s.site_gauges(SimTime::from_secs(30), &names);
+            let got: Vec<&str> = g.iter().map(|g| g.name.as_str()).collect();
+            assert_eq!(
+                got,
+                [
+                    "busy_cores.alpha",
+                    "busy_cores.bravo",
+                    "queue_len.alpha",
+                    "queue_len.bravo"
+                ]
+            );
+            let busy = &g[0];
+            assert_eq!((busy.current, busy.peak), (2.0, 4.0));
+            // 0·10 + 4·10 + 2·10 = 60 over 30 s.
+            assert!((busy.integral - 60.0).abs() < 1e-9);
+            assert!((busy.average - 2.0).abs() < 1e-12);
+            assert_eq!((g[2].current, g[2].peak, g[2].integral), (0.0, 3.0, 30.0));
+            // A site that never changed reads +0.0, not -0.0.
+            assert!(g[1].integral.is_sign_positive() && g[1].average == 0.0);
+        }
+        assert!(WindowedSeries::disabled()
+            .site_gauges(SimTime::from_secs(30), &names)
+            .is_empty());
     }
 
     #[test]

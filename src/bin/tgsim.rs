@@ -15,8 +15,9 @@
 //! `--classify`, the classifier accuracy in both instrumentation modes;
 //! `--out` writes a JSON summary. `--metrics-out` writes the first
 //! replication's run-level metrics snapshot (per-site busy/queue gauges,
-//! per-modality completion counters, engine profile) as JSON; it only
-//! observes, so a run with it is the same run as without it.
+//! closed out from the windowed series' per-site tracks, which see
+//! outages; per-modality completion counters; engine profile) as JSON; it
+//! only observes, so a run with it is the same run as without it.
 //! `--trace-out` streams the first replication's JSONL event trace; the
 //! summary's `trace` object (null without it) reports that file's
 //! `sink_errors`, `flush_ok` and `complete`, and an incomplete trace fails
@@ -182,6 +183,37 @@ fn run_flag_conflict(f: &RunFlags) -> Option<&'static str> {
     None
 }
 
+/// Read the scenario config at `path` (the built-in `baseline(300, 14)`
+/// when `None`), replace its fault section with the `--faults` file when
+/// one is given, and validate the result. A failure is printed naming the
+/// file (and, for a config that parses but breaks an invariant, the
+/// field); the caller then exits 1.
+fn load_scenario(path: Option<&str>, faults_path: Option<&str>) -> Option<ScenarioConfig> {
+    let read = |p: &str| {
+        std::fs::read_to_string(p)
+            .map_err(|e| eprintln!("tgsim: cannot read {p}: {e}"))
+            .ok()
+    };
+    let mut cfg = match path {
+        Some(p) => serde_json::from_str::<ScenarioConfig>(&read(p)?)
+            .map_err(|e| eprintln!("tgsim: invalid scenario config: {p}: {e}"))
+            .ok()?,
+        None => ScenarioConfig::baseline(300, 14),
+    };
+    if let Some(fp) = faults_path {
+        let spec = serde_json::from_str::<FaultSpec>(&read(fp)?)
+            .map_err(|e| eprintln!("tgsim: invalid fault spec {fp}: {e}"))
+            .ok()?;
+        cfg.faults = Some(spec);
+    }
+    if let Err(e) = cfg.validate() {
+        let source = path.unwrap_or("built-in baseline");
+        eprintln!("tgsim: invalid scenario config: {source}: {e}");
+        return None;
+    }
+    Some(cfg)
+}
+
 fn run(rest: &[String]) -> ExitCode {
     let Some(path) = rest.first() else {
         return usage();
@@ -323,40 +355,9 @@ fn run(rest: &[String]) -> ExitCode {
         }
     }
 
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("tgsim: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut cfg: ScenarioConfig = match serde_json::from_str(&text) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("tgsim: invalid scenario config: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(fp) = &faults_path {
-        let text = match std::fs::read_to_string(fp) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("tgsim: cannot read {fp}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match serde_json::from_str::<FaultSpec>(&text) {
-            Ok(spec) => cfg.faults = Some(spec),
-            Err(e) => {
-                eprintln!("tgsim: invalid fault spec {fp}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Err(e) = cfg.validate() {
-        eprintln!("tgsim: invalid scenario config: {path}: {e}");
+    let Some(mut cfg) = load_scenario(Some(path), faults_path.as_deref()) else {
         return ExitCode::FAILURE;
-    }
+    };
     cfg.sample_interval = sample_interval.or(cfg.sample_interval);
     let threads_requested = threads;
     let threads = resolve_threads(
@@ -830,46 +831,9 @@ fn replay(rest: &[String]) -> ExitCode {
 
     // The federation, policies, and fault schedule come from a scenario
     // config; only the workload section is ignored (the trace replaces it).
-    let mut cfg = match &scenario_path {
-        Some(p) => {
-            let text = match std::fs::read_to_string(p) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("tgsim: cannot read {p}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match serde_json::from_str::<ScenarioConfig>(&text) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("tgsim: invalid scenario config {p}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => ScenarioConfig::baseline(300, 14),
-    };
-    if let Some(fp) = &faults_path {
-        let text = match std::fs::read_to_string(fp) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("tgsim: cannot read {fp}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match serde_json::from_str::<FaultSpec>(&text) {
-            Ok(spec) => cfg.faults = Some(spec),
-            Err(e) => {
-                eprintln!("tgsim: invalid fault spec {fp}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Err(e) = cfg.validate() {
-        let source = scenario_path.as_deref().unwrap_or("built-in baseline");
-        eprintln!("tgsim: invalid scenario config: {source}: {e}");
+    let Some(cfg) = load_scenario(scenario_path.as_deref(), faults_path.as_deref()) else {
         return ExitCode::FAILURE;
-    }
+    };
 
     // Archive traces come from bigger iron than this federation may model:
     // drop site hints pointing past this federation; the run then clamps
