@@ -7,7 +7,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use tg_core::{classify_all, ClassifierMode, ScenarioConfig};
-use tg_des::dist::{Dist, Exponential, LogNormal, Zipf};
+use tg_des::dist::{DistKind, Zipf};
 use tg_des::{Ctx, Engine, RngFactory, SimDuration, SimRng, SimTime, Simulation};
 use tg_model::config::ConfigLibrary;
 use tg_model::reconf::RcPartition;
@@ -162,8 +162,11 @@ fn bench_rc_planning(c: &mut Criterion) {
 fn bench_distributions(c: &mut Criterion) {
     let mut group = c.benchmark_group("distributions");
     group.throughput(Throughput::Elements(1));
-    let expo = Exponential::with_mean(10.0);
-    let logn = LogNormal::from_mean_cv(3600.0, 1.5);
+    let expo = DistKind::Exponential { mean: 10.0 };
+    let logn = DistKind::LogNormal {
+        mean: 3600.0,
+        cv: 1.5,
+    };
     let zipf = Zipf::new(10_000, 1.1);
     let mut rng = SimRng::seeded(42);
     group.bench_function("exponential", |b| {

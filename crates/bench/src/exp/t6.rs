@@ -18,8 +18,7 @@
 use super::{mean, Check, Outcome, Scale};
 use crate::emit::Table;
 use serde::Serialize;
-use tg_des::dist::{Dist, Exponential};
-use tg_des::{RngFactory, SimDuration, SimRng, SimTime, StreamId};
+use tg_des::{DistKind, RngFactory, SimDuration, SimRng, SimTime, StreamId};
 use tg_model::SiteId;
 use tg_sched::{plan_coallocation, CoallocRequest, Profile};
 
@@ -35,9 +34,11 @@ const LOADS: [f64; 4] = [0.3, 0.5, 0.65, 0.8];
 /// co-allocation has to negotiate.
 fn synthetic_profile(load: f64, rng: &mut SimRng) -> Profile {
     let mut p = Profile::new(SimTime::ZERO, CORES);
-    let busy_dist = Exponential::with_mean(7200.0); // 2 h busy stretches
+    let busy_dist = DistKind::Exponential { mean: 7200.0 }; // 2 h busy stretches
     let gap_mean = 7200.0 * (1.0 - load) / load.max(0.05);
-    let gap_dist = Exponential::with_mean(gap_mean.max(60.0));
+    let gap_dist = DistKind::Exponential {
+        mean: gap_mean.max(60.0),
+    };
     let horizon = 168.0 * 3600.0; // one week of fragmentation
     let block = 32usize;
     for _ in 0..(CORES / block) {

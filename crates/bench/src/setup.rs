@@ -1,6 +1,7 @@
 //! Scenario construction and load calibration shared by the experiments.
 
 use tg_core::ScenarioConfig;
+use tg_des::DistKind;
 use tg_model::SiteConfig;
 use tg_sched::SchedulerKind;
 use tg_workload::{GeneratorConfig, Modality, ModalityProfile, PopulationMix};
@@ -11,7 +12,6 @@ use tg_workload::{GeneratorConfig, Modality, ModalityProfile, PopulationMix};
 pub fn expected_core_seconds_per_user_day(profile: &ModalityProfile) -> f64 {
     let mean_runtime = profile
         .runtime
-        .build()
         .mean()
         .expect("runtime distributions have finite means");
     let wsum: f64 = profile.cores_weights.iter().map(|&(_, w)| w).sum();
@@ -25,7 +25,7 @@ pub fn expected_core_seconds_per_user_day(profile: &ModalityProfile) -> f64 {
         Modality::Ensemble => profile
             .ensemble_width
             .as_ref()
-            .and_then(|d| d.build().mean())
+            .and_then(DistKind::mean)
             .unwrap_or(1.0),
         Modality::Workflow => {
             let wsum: f64 = profile.dag_shapes.iter().map(|&(_, w)| w).sum();
@@ -208,8 +208,7 @@ mod tests {
         // A batch user submits 1.5 large jobs/day of ~4 h — big demand; an
         // ensemble instance expands ~60× over its per-instance rate.
         let ens_profile = ModalityProfile::default_for(Modality::Ensemble);
-        let per_instance =
-            ens_profile.per_user_per_day * ens_profile.runtime.build().mean().unwrap() * 2.0; // mean cores ≈ 2
+        let per_instance = ens_profile.per_user_per_day * ens_profile.runtime.mean().unwrap() * 2.0; // mean cores ≈ 2
         let ens = expected_core_seconds_per_user_day(&ens_profile);
         assert!(ens > 10.0 * per_instance, "width multiplies demand");
         assert!(batch > 0.0);

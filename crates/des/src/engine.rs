@@ -137,17 +137,6 @@ pub enum StopCondition {
     /// Run until the clock would pass the given instant; events at exactly
     /// the horizon still fire.
     AtTime(SimTime),
-    /// Run until the given number of events has been delivered.
-    EventCount(u64),
-}
-
-/// Why a call to [`Engine::run_until`] returned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunOutcome {
-    /// The event queue drained completely.
-    QueueExhausted,
-    /// The stop condition triggered with events still pending.
-    StoppedEarly,
 }
 
 /// Scheduling context handed to [`Simulation::handle`].
@@ -162,7 +151,6 @@ pub struct Ctx<'a, E> {
     peak_queue_len: &'a mut usize,
     next_seq: &'a mut u64,
     delivered: u64,
-    stop_requested: &'a mut bool,
 }
 
 impl<'a, E> Ctx<'a, E> {
@@ -228,12 +216,6 @@ impl<'a, E> Ctx<'a, E> {
         } else {
             false
         }
-    }
-
-    /// Ask the engine to stop after this handler returns, regardless of the
-    /// active stop condition.
-    pub fn request_stop(&mut self) {
-        *self.stop_requested = true;
     }
 }
 
@@ -356,12 +338,6 @@ impl<E> Engine<E> {
     /// True if no live events remain.
     pub fn is_empty(&self) -> bool {
         self.pending() == 0
-    }
-
-    /// Timestamp of the next live event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.skip_cancelled();
-        self.peek_key().map(|(at, _)| at)
     }
 
     /// The `(at, seq)` of the stream's buffered head, if any.
@@ -487,34 +463,8 @@ impl<E> Engine<E> {
         }
     }
 
-    /// Deliver the single next event to `sim`. Returns `false` if the queue
-    /// was empty.
-    pub fn step<S: Simulation<Event = E>>(&mut self, sim: &mut S) -> bool {
-        self.skip_cancelled();
-        let Some(Scheduled { at, seq, event }) = self.pop_next() else {
-            return false;
-        };
-        debug_assert!(at >= self.now, "event queue yielded a past event");
-        self.live.remove(seq);
-        self.now = at;
-        self.delivered += 1;
-        let mut stop = false;
-        let mut ctx = Ctx {
-            now: at,
-            queue: &mut self.queue,
-            cancelled: &mut self.cancelled,
-            live: &mut self.live,
-            peak_queue_len: &mut self.peak_queue_len,
-            next_seq: &mut self.next_seq,
-            delivered: self.delivered,
-            stop_requested: &mut stop,
-        };
-        sim.handle(&mut ctx, event);
-        true
-    }
-
     /// Run until the queue drains.
-    pub fn run<S: Simulation<Event = E>>(&mut self, sim: &mut S) -> RunOutcome {
+    pub fn run<S: Simulation<Event = E>>(&mut self, sim: &mut S) {
         self.run_until(sim, StopCondition::Exhausted)
     }
 
@@ -522,39 +472,25 @@ impl<E> Engine<E> {
     ///
     /// With [`StopCondition::AtTime`], the clock is advanced to the horizon on
     /// early stop so that time-weighted statistics close out correctly.
-    pub fn run_until<S: Simulation<Event = E>>(
-        &mut self,
-        sim: &mut S,
-        stop: StopCondition,
-    ) -> RunOutcome {
-        let start_delivered = self.delivered;
+    pub fn run_until<S: Simulation<Event = E>>(&mut self, sim: &mut S, stop: StopCondition) {
         loop {
             self.skip_cancelled();
             let Some((head_at, _)) = self.peek_key() else {
                 if let StopCondition::AtTime(horizon) = stop {
                     self.now = self.now.max(horizon);
                 }
-                return RunOutcome::QueueExhausted;
+                return;
             };
-            match stop {
-                StopCondition::Exhausted => {}
-                StopCondition::AtTime(horizon) => {
-                    if head_at > horizon {
-                        self.now = horizon;
-                        return RunOutcome::StoppedEarly;
-                    }
-                }
-                StopCondition::EventCount(n) => {
-                    if self.delivered - start_delivered >= n {
-                        return RunOutcome::StoppedEarly;
-                    }
+            if let StopCondition::AtTime(horizon) = stop {
+                if head_at > horizon {
+                    self.now = horizon;
+                    return;
                 }
             }
             let Scheduled { at, seq, event } = self.pop_next().expect("peeked");
             self.live.remove(seq);
             self.now = at;
             self.delivered += 1;
-            let mut stop_req = false;
             let mut ctx = Ctx {
                 now: at,
                 queue: &mut self.queue,
@@ -563,12 +499,8 @@ impl<E> Engine<E> {
                 peak_queue_len: &mut self.peak_queue_len,
                 next_seq: &mut self.next_seq,
                 delivered: self.delivered,
-                stop_requested: &mut stop_req,
             };
             sim.handle(&mut ctx, event);
-            if stop_req {
-                return RunOutcome::StoppedEarly;
-            }
         }
     }
 }
@@ -587,7 +519,6 @@ mod tests {
     struct Recorder {
         log: Vec<(SimTime, Ev)>,
         cancel_target: Option<EventKey>,
-        stop_at_tag: Option<&'static str>,
     }
 
     impl Simulation for Recorder {
@@ -598,12 +529,9 @@ mod tests {
                 Ev::Chain(n) if n > 0 => {
                     ctx.schedule_after(SimDuration::from_secs(1), Ev::Chain(n - 1));
                 }
-                Ev::Tag(t) => {
+                Ev::Tag(_) => {
                     if let Some(k) = self.cancel_target.take() {
                         assert!(ctx.cancel(k));
-                    }
-                    if self.stop_at_tag == Some(t) {
-                        ctx.request_stop();
                     }
                 }
                 _ => {}
@@ -618,7 +546,8 @@ mod tests {
         eng.schedule_at(SimTime::from_secs(1), Ev::Tag("a"));
         eng.schedule_at(SimTime::from_secs(2), Ev::Tag("b"));
         let mut sim = Recorder::default();
-        assert_eq!(eng.run(&mut sim), RunOutcome::QueueExhausted);
+        eng.run(&mut sim);
+        assert_eq!(eng.pending(), 0);
         let tags: Vec<_> = sim.log.iter().map(|(_, e)| e.clone()).collect();
         assert_eq!(tags, vec![Ev::Tag("a"), Ev::Tag("b"), Ev::Tag("c")]);
         assert_eq!(eng.now(), SimTime::from_secs(3));
@@ -721,7 +650,9 @@ mod tests {
         assert!(eng.cancel(keys[4]));
         assert_eq!(eng.pending(), 4);
         let mut sim = Recorder::default();
-        assert!(eng.step(&mut sim)); // delivers keys[0]
+        // Delivers keys[0] only: the next live event is keys[2] at 3 s.
+        eng.run_until(&mut sim, StopCondition::AtTime(SimTime::from_secs(1)));
+        assert_eq!(sim.log.len(), 1);
         assert_eq!(eng.pending(), 3);
         assert!(!eng.cancel(keys[0]), "delivered key");
         assert!(!eng.cancel(keys[1]), "already-cancelled key");
@@ -789,8 +720,7 @@ mod tests {
         eng.schedule_at(SimTime::from_secs(1), Ev::Tag("in"));
         eng.schedule_at(SimTime::from_secs(10), Ev::Tag("out"));
         let mut sim = Recorder::default();
-        let outcome = eng.run_until(&mut sim, StopCondition::AtTime(SimTime::from_secs(5)));
-        assert_eq!(outcome, RunOutcome::StoppedEarly);
+        eng.run_until(&mut sim, StopCondition::AtTime(SimTime::from_secs(5)));
         assert_eq!(sim.log.len(), 1);
         assert_eq!(eng.now(), SimTime::from_secs(5));
         assert_eq!(eng.pending(), 1);
@@ -810,34 +740,9 @@ mod tests {
         let mut eng = Engine::new();
         eng.schedule_at(SimTime::from_secs(1), Ev::Tag("only"));
         let mut sim = Recorder::default();
-        let outcome = eng.run_until(&mut sim, StopCondition::AtTime(SimTime::from_secs(30)));
-        assert_eq!(outcome, RunOutcome::QueueExhausted);
+        eng.run_until(&mut sim, StopCondition::AtTime(SimTime::from_secs(30)));
+        assert_eq!(eng.pending(), 0);
         assert_eq!(eng.now(), SimTime::from_secs(30));
-    }
-
-    #[test]
-    fn stop_after_event_count() {
-        let mut eng = Engine::new();
-        eng.schedule_at(SimTime::ZERO, Ev::Chain(100));
-        let mut sim = Recorder::default();
-        let outcome = eng.run_until(&mut sim, StopCondition::EventCount(10));
-        assert_eq!(outcome, RunOutcome::StoppedEarly);
-        assert_eq!(sim.log.len(), 10);
-    }
-
-    #[test]
-    fn handler_requested_stop() {
-        let mut eng = Engine::new();
-        eng.schedule_at(SimTime::from_secs(1), Ev::Tag("go"));
-        eng.schedule_at(SimTime::from_secs(2), Ev::Tag("stop-here"));
-        eng.schedule_at(SimTime::from_secs(3), Ev::Tag("never"));
-        let mut sim = Recorder {
-            stop_at_tag: Some("stop-here"),
-            ..Default::default()
-        };
-        let outcome = eng.run(&mut sim);
-        assert_eq!(outcome, RunOutcome::StoppedEarly);
-        assert_eq!(sim.log.len(), 2);
     }
 
     #[test]
@@ -850,15 +755,6 @@ mod tests {
         eng.run(&mut sim);
         assert_eq!(sim.log.len(), 2);
         assert_eq!(eng.now(), SimTime::from_secs(10));
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled_head() {
-        let mut eng = Engine::new();
-        let head = eng.schedule_at(SimTime::from_secs(1), Ev::Tag("head"));
-        eng.schedule_at(SimTime::from_secs(2), Ev::Tag("next"));
-        eng.cancel(head);
-        assert_eq!(eng.peek_time(), Some(SimTime::from_secs(2)));
     }
 
     #[test]
@@ -882,8 +778,8 @@ mod tests {
         eng.schedule_at(SimTime::from_secs(10), Ev::Tag("tick"));
         eng.schedule_at(SimTime::from_secs(35), Ev::Tag("work"));
         let mut sim = Sampler { ticks: 0 };
-        let outcome = eng.run(&mut sim);
-        assert_eq!(outcome, RunOutcome::QueueExhausted);
+        eng.run(&mut sim);
+        assert_eq!(eng.pending(), 0);
         // Ticks at 10, 20, 30 re-arm (work pending); the tick at 40 sees an
         // empty queue and stops — the run drains instead of looping forever.
         assert_eq!(sim.ticks, 4);
@@ -927,7 +823,8 @@ mod tests {
         );
         assert_eq!(eng.pending(), 5);
         let mut sim = Recorder::default();
-        assert!(eng.step(&mut sim));
+        eng.run_until(&mut sim, StopCondition::AtTime(SimTime::from_secs(1)));
+        assert_eq!(sim.log.len(), 1);
         assert_eq!(eng.pending(), 4);
         eng.run(&mut sim);
         assert_eq!(eng.pending(), 0);

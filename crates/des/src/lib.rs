@@ -12,10 +12,11 @@
 //! * [`rng`] — deterministic random-number streams. Every component derives
 //!   its own independent stream from a single master seed, so adding or
 //!   removing a component never perturbs the draws seen by the others.
-//! * [`dist`] — the probability distributions used by workload models
-//!   (exponential, log-normal, Weibull, Pareto, gamma, Zipf, hyperexponential,
-//!   empirical/alias sampling, ...). Implemented here rather than pulling in
-//!   `rand_distr` so sampling stays deterministic and auditable.
+//! * [`dist`] — the probability distributions used by workload models: one
+//!   enum, [`DistKind`] (exponential, log-normal, Weibull, Pareto, gamma,
+//!   hyperexponential, ...), that configs store and that samples itself, plus
+//!   Zipf ranks. Implemented here rather than pulling in `rand_distr` so
+//!   sampling stays deterministic and auditable.
 //! * [`stats`] — time-weighted averages (utilization), windowed sums, and
 //!   Student-t confidence intervals across replications.
 //! * [`trace`] — a lightweight structured event trace streamed to a JSONL
@@ -97,7 +98,7 @@ pub mod trace;
 
 /// Convenience re-exports of the items virtually every simulation needs.
 pub mod prelude {
-    pub use crate::dist::{Dist, DistKind};
+    pub use crate::dist::DistKind;
     pub use crate::engine::{Ctx, Engine, EventKey, Simulation, StopCondition};
     pub use crate::metrics::{EngineProfile, MetricsRegistry, MetricsSnapshot};
     pub use crate::rng::{RngFactory, SimRng, StreamId};
@@ -108,7 +109,7 @@ pub mod prelude {
 }
 
 pub use analyze::{TraceAnalysis, TraceAnalyzer};
-pub use dist::{Dist, DistKind};
+pub use dist::DistKind;
 pub use engine::{Ctx, Engine, EventKey, Simulation, StopCondition};
 pub use memory::{
     alloc_snapshot, current_in_use_bytes, peak_in_use_bytes, peak_rss_bytes, AllocDelta,

@@ -202,6 +202,13 @@ impl SimRng {
         }
     }
 
+    /// Standard exponential draw (mean 1) by inverse CDF; `1 - U` avoids
+    /// `ln(0)`. Divide by a rate or multiply by a mean to scale it.
+    #[inline]
+    pub fn standard_exponential(&mut self) -> f64 {
+        -(1.0 - self.uniform()).ln()
+    }
+
     /// Standard normal draw (Box–Muller, polar-free single-value variant).
     pub fn standard_normal(&mut self) -> f64 {
         // Marsaglia polar method; rejects ~21.5% of pairs, branch-light.

@@ -27,7 +27,7 @@
 
 use serde::{Deserialize, Serialize};
 use tg_des::param::Rule;
-use tg_des::{RngFactory, SimRng, SimTime, StreamId};
+use tg_des::{RngFactory, SimTime, StreamId};
 use tg_model::SiteId;
 use tg_sched::RetryPolicy;
 
@@ -235,11 +235,6 @@ fn hours(h: f64) -> SimTime {
     SimTime::ZERO + tg_des::SimDuration::from_secs_f64(h.max(0.0) * 3600.0)
 }
 
-/// Exponential draw with the given mean (hours → hours).
-fn exp_hours(rng: &mut SimRng, mean: f64) -> f64 {
-    -mean * (1.0 - rng.uniform()).ln()
-}
-
 impl FaultSpec {
     /// True when the spec would inject nothing at all.
     pub fn is_trivial(&self) -> bool {
@@ -322,11 +317,11 @@ impl FaultSpec {
                 let mut rng = factory.stream(StreamId::new("fault.crash", i as u64));
                 let mut t = 0.0;
                 loop {
-                    t += exp_hours(&mut rng, nc.mtbf_hours);
+                    t += nc.mtbf_hours * rng.standard_exponential();
                     if t >= nc.horizon_days * 24.0 {
                         break;
                     }
-                    let repair = exp_hours(&mut rng, nc.repair_hours).max(1.0 / 3600.0);
+                    let repair = (nc.repair_hours * rng.standard_exponential()).max(1.0 / 3600.0);
                     events.push(FaultEvent {
                         at: hours(t),
                         kind: FaultEventKind::NodeCrash {

@@ -87,16 +87,9 @@ pub struct FederationBuilder {
     site_configs: Vec<SiteConfig>,
     library: ConfigLibrary,
     repository: Option<usize>,
-    start: SimTime,
 }
 
 impl FederationBuilder {
-    /// Set the simulation start time state tracking begins at (default zero).
-    pub fn start_at(mut self, start: SimTime) -> Self {
-        self.start = start;
-        self
-    }
-
     /// Add a site; returns the builder for chaining. Site ids are assigned
     /// in insertion order.
     pub fn site(mut self, config: SiteConfig) -> Self {
@@ -124,7 +117,7 @@ impl FederationBuilder {
         let mut sites = Vec::with_capacity(self.site_configs.len());
         for (i, cfg) in self.site_configs.into_iter().enumerate() {
             network.add_uplink(Uplink::new(cfg.wan_bandwidth_mbps, cfg.wan_latency_ms));
-            sites.push(Site::from_config(SiteId(i), cfg, self.start));
+            sites.push(Site::from_config(SiteId(i), cfg));
         }
         if let Some(repo) = self.repository {
             network.set_repository(SiteId(repo));

@@ -18,11 +18,11 @@ pub struct Site {
 }
 
 impl Site {
-    /// Instantiate a site from its static description at time `start`.
-    pub fn from_config(id: SiteId, config: SiteConfig, start: SimTime) -> Self {
-        let cluster = Cluster::new(start, config.total_cores());
+    /// Instantiate a site from its static description, idle at time zero.
+    pub fn from_config(id: SiteId, config: SiteConfig) -> Self {
+        let cluster = Cluster::new(SimTime::ZERO, config.total_cores());
         let rc = RcPartition::new(
-            start,
+            SimTime::ZERO,
             config.rc_nodes,
             config.rc_area_per_node.max(1),
             config.rc_bitstream_cache,
@@ -75,7 +75,7 @@ mod tests {
     #[test]
     fn site_from_config() {
         let cfg = SiteConfig::rc_site("gamma", 4, 8);
-        let s = Site::from_config(SiteId(2), cfg.clone(), SimTime::ZERO);
+        let s = Site::from_config(SiteId(2), cfg.clone());
         assert_eq!(s.id(), SiteId(2));
         assert_eq!(s.name(), "gamma");
         assert_eq!(s.cluster.total_cores(), cfg.total_cores());
@@ -86,7 +86,7 @@ mod tests {
 
     #[test]
     fn site_without_rc() {
-        let s = Site::from_config(SiteId(0), SiteConfig::medium("m"), SimTime::ZERO);
+        let s = Site::from_config(SiteId(0), SiteConfig::medium("m"));
         assert!(!s.has_rc());
         assert_eq!(s.rc.len(), 0);
     }

@@ -396,7 +396,7 @@ impl BatchScheduler for NaiveConservative {
     }
 }
 
-/// Naive weekly-drain policy over [`easy_pass_naive`].
+/// Naive weekly-drain policy over `easy_pass_naive`.
 #[derive(Debug)]
 pub struct NaiveWeeklyDrain {
     normal: VecDeque<Job>,

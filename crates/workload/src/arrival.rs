@@ -62,7 +62,7 @@ impl Poisson {
 
 impl ArrivalProcess for Poisson {
     fn next_after(&mut self, after: SimTime, rng: &mut SimRng) -> Option<SimTime> {
-        let gap = -(1.0 - rng.uniform()).ln() / self.rate_per_sec;
+        let gap = rng.standard_exponential() / self.rate_per_sec;
         Some(after + at_least_one_tick(gap))
     }
 
@@ -141,7 +141,7 @@ impl ArrivalProcess for DiurnalPoisson {
         let bound = self.rate_bound();
         let mut t = after;
         loop {
-            let gap = -(1.0 - rng.uniform()).ln() / bound;
+            let gap = rng.standard_exponential() / bound;
             t += at_least_one_tick(gap);
             let rate = self.base_rate_per_sec * self.modulation(t);
             if rng.uniform() < rate / bound {
@@ -193,7 +193,7 @@ impl Mmpp2 {
                 self.mean_quiet
             };
             // On first use state_until is 0: initialize rather than flip.
-            let hold = -(1.0 - rng.uniform()).ln() * mean;
+            let hold = rng.standard_exponential() * mean;
             if self.state_until > SimTime::ZERO {
                 self.in_burst = !self.in_burst;
             }
@@ -217,7 +217,7 @@ impl ArrivalProcess for Mmpp2 {
                 t = self.state_until;
                 continue;
             }
-            let gap = -(1.0 - rng.uniform()).ln() / rate;
+            let gap = rng.standard_exponential() / rate;
             let cand = t + at_least_one_tick(gap);
             if cand <= self.state_until {
                 return Some(cand);

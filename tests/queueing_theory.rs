@@ -9,7 +9,6 @@
 
 use teragrid_repro::prelude::*;
 use tg_core::sim::{Event, GridSim};
-use tg_des::dist::{Dist, Exponential};
 use tg_des::{Engine, SimRng, StreamId};
 use tg_model::{ConfigLibrary, Federation};
 use tg_sched::BatchScheduler;
@@ -60,13 +59,11 @@ fn simulate_mmc(c: usize, lambda: f64, mu: f64, n_jobs: usize, seed: u64) -> f64
     let factory = RngFactory::new(seed);
     let mut arr_rng: SimRng = factory.stream(StreamId::global("mmc-arrivals"));
     let mut svc_rng: SimRng = factory.stream(StreamId::global("mmc-service"));
-    let inter = Exponential::new(lambda);
-    let service = Exponential::new(mu);
     let mut jobs = Vec::with_capacity(n_jobs);
     let mut t = SimTime::ZERO;
     for i in 0..n_jobs {
-        t += SimDuration::from_secs_f64(inter.sample(&mut arr_rng));
-        let runtime = SimDuration::from_secs_f64(service.sample(&mut svc_rng).max(1e-6));
+        t += SimDuration::from_secs_f64(arr_rng.standard_exponential() / lambda);
+        let runtime = SimDuration::from_secs_f64((svc_rng.standard_exponential() / mu).max(1e-6));
         jobs.push(
             Job::batch(JobId(i), UserId(0), ProjectId(0), t, 1, runtime)
                 .with_site(tg_model::SiteId(0)),
