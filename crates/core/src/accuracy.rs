@@ -1,9 +1,8 @@
 //! Scoring inferred modalities against ground truth.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
-use tg_workload::{JobId, Modality};
+use tg_workload::{Labels, Modality};
 
 const N: usize = Modality::ALL.len();
 
@@ -49,10 +48,7 @@ impl ConfusionMatrix {
 
     /// Build from a truth map and an inferred map (jobs missing from
     /// `inferred` are skipped — they never completed).
-    pub fn from_maps(
-        truth: &HashMap<JobId, Modality>,
-        inferred: &HashMap<JobId, Modality>,
-    ) -> Self {
+    pub fn from_maps(truth: &Labels, inferred: &Labels) -> Self {
         let mut m = ConfusionMatrix::new();
         for (job, &t) in truth {
             if let Some(&i) = inferred.get(job) {
@@ -147,7 +143,7 @@ impl Accuracy {
     }
 
     /// Convenience: score inferred labels against truth.
-    pub fn score(truth: &HashMap<JobId, Modality>, inferred: &HashMap<JobId, Modality>) -> Self {
+    pub fn score(truth: &Labels, inferred: &Labels) -> Self {
         Accuracy::from_matrix(ConfusionMatrix::from_maps(truth, inferred))
     }
 
@@ -160,10 +156,9 @@ impl Accuracy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tg_workload::JobId;
 
-    fn maps(
-        pairs: &[(usize, Modality, Modality)],
-    ) -> (HashMap<JobId, Modality>, HashMap<JobId, Modality>) {
+    fn maps(pairs: &[(usize, Modality, Modality)]) -> (Labels, Labels) {
         let truth = pairs.iter().map(|&(i, t, _)| (JobId(i), t)).collect();
         let inferred = pairs.iter().map(|&(i, _, p)| (JobId(i), p)).collect();
         (truth, inferred)
@@ -204,13 +199,13 @@ mod tests {
 
     #[test]
     fn missing_inferred_jobs_are_skipped() {
-        let truth: HashMap<_, _> = [
+        let truth: Labels = [
             (JobId(0), Modality::BatchComputing),
             (JobId(1), Modality::Ensemble),
         ]
         .into_iter()
         .collect();
-        let inferred: HashMap<_, _> = [(JobId(0), Modality::BatchComputing)].into_iter().collect();
+        let inferred: Labels = [(JobId(0), Modality::BatchComputing)].into_iter().collect();
         let m = ConfusionMatrix::from_maps(&truth, &inferred);
         assert_eq!(m.total(), 1);
         assert_eq!(m.correct(), 1);

@@ -20,7 +20,7 @@ use std::collections::{HashMap, HashSet};
 use tg_accounting::query::{user_summaries, UserSummary};
 use tg_accounting::{AccountingDb, JobRecord};
 use tg_des::SimDuration;
-use tg_workload::{JobId, Modality, SubmitInterface, UserId};
+use tg_workload::{JobId, Labels, Modality, SubmitInterface, UserId};
 
 /// Which record streams the classifier may consult.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -74,7 +74,7 @@ impl Default for RuleThresholds {
 
 /// Classify every job in the database. Returns `(job id → inferred
 /// modality)`, deterministically.
-pub fn classify_all(db: &AccountingDb, mode: ClassifierMode) -> HashMap<JobId, Modality> {
+pub fn classify_all(db: &AccountingDb, mode: ClassifierMode) -> Labels {
     classify_with(db, mode, &RuleThresholds::default())
 }
 
@@ -88,11 +88,7 @@ struct Attributes {
 
 /// [`classify_all`] with explicit thresholds. Linear in the record count:
 /// per-user summaries, batches and attributes are each built in one pass.
-pub fn classify_with(
-    db: &AccountingDb,
-    mode: ClassifierMode,
-    t: &RuleThresholds,
-) -> HashMap<JobId, Modality> {
+pub fn classify_with(db: &AccountingDb, mode: ClassifierMode, t: &RuleThresholds) -> Labels {
     let attrs = match mode {
         ClassifierMode::WithAttributes => Attributes {
             gateway: db.gateway_job_ids(),
@@ -116,7 +112,7 @@ pub fn classify_with(
         }
     }
 
-    let mut out = HashMap::with_capacity(db.jobs.len());
+    let mut out = Labels::with_capacity_and_hasher(db.jobs.len(), Default::default());
     for j in &db.jobs {
         let summary = summaries.get(&j.user).expect("summary for every account");
         let (batch_n, _, batch_uniform) = batches[&(j.user, j.submit)];

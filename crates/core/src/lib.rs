@@ -68,4 +68,4 @@ pub use tg_fault::{
 
 // The taxonomy lives with the workload generator (ground truth labels);
 // re-export it as part of this crate's public face.
-pub use tg_workload::Modality;
+pub use tg_workload::{Labels, Modality};

@@ -5,13 +5,13 @@
 //! to show what the deployed measurement would report).
 
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use tg_accounting::{AccountingDb, ChargePolicy};
 use tg_des::metrics::MetricsSnapshot;
 use tg_des::stats::TimeBuckets;
 use tg_des::SimDuration;
-use tg_workload::{JobId, Modality};
+use tg_workload::{Labels, Modality};
 
 /// Per-modality usage totals.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -28,11 +28,7 @@ pub struct ModalityShares {
 
 impl ModalityShares {
     /// Compute shares from the database under `labels`.
-    pub fn compute(
-        db: &AccountingDb,
-        labels: &HashMap<JobId, Modality>,
-        charges: &ChargePolicy,
-    ) -> Self {
+    pub fn compute(db: &AccountingDb, labels: &Labels, charges: &ChargePolicy) -> Self {
         let n = Modality::ALL.len();
         let mut accounts: Vec<HashSet<_>> = vec![HashSet::new(); n];
         let mut jobs = vec![0u64; n];
@@ -135,7 +131,7 @@ impl ModalityTrend {
     /// Compute the trend under `labels`.
     pub fn compute(
         db: &AccountingDb,
-        labels: &HashMap<JobId, Modality>,
+        labels: &Labels,
         charges: &ChargePolicy,
         bucket: SimDuration,
     ) -> Self {
@@ -296,11 +292,7 @@ pub struct UsageReport {
 
 impl UsageReport {
     /// Build the report.
-    pub fn compute(
-        db: &AccountingDb,
-        labels: &HashMap<JobId, Modality>,
-        charges: &ChargePolicy,
-    ) -> Self {
+    pub fn compute(db: &AccountingDb, labels: &Labels, charges: &ChargePolicy) -> Self {
         UsageReport {
             shares: ModalityShares::compute(db, labels, charges),
             taxonomy: Modality::ALL
@@ -358,7 +350,7 @@ mod tests {
     use tg_accounting::JobRecord;
     use tg_des::SimTime;
     use tg_model::SiteId;
-    use tg_workload::{ProjectId, SubmitInterface, UserId};
+    use tg_workload::{JobId, ProjectId, SubmitInterface, UserId};
 
     fn rec(id: usize, user: usize, end_h: u64, cores: usize) -> JobRecord {
         JobRecord {
@@ -377,12 +369,12 @@ mod tests {
         }
     }
 
-    fn setup() -> (AccountingDb, HashMap<JobId, Modality>, ChargePolicy) {
+    fn setup() -> (AccountingDb, Labels, ChargePolicy) {
         let mut db = AccountingDb::new();
         db.add_job(rec(0, 1, 10, 100)); // batch, ~1000 core-hours
         db.add_job(rec(1, 2, 1, 1)); // gateway, ~1 core-hour
         db.add_job(rec(2, 2, 1, 1)); // gateway
-        let labels: HashMap<_, _> = [
+        let labels: Labels = [
             (JobId(0), Modality::BatchComputing),
             (JobId(1), Modality::ScienceGateway),
             (JobId(2), Modality::ScienceGateway),
@@ -508,7 +500,7 @@ mod tests {
     #[test]
     fn empty_db_is_all_zero() {
         let db = AccountingDb::new();
-        let labels = HashMap::new();
+        let labels = Labels::default();
         let s = ModalityShares::compute(&db, &labels, &ChargePolicy::new(vec![1.0]));
         assert_eq!(s.total_jobs(), 0);
         assert_eq!(s.nu_share(Modality::BatchComputing), 0.0);

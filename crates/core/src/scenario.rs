@@ -6,7 +6,6 @@
 
 use crate::sim::{Event, FinishedSim, GridSim};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::path::PathBuf;
 use tg_accounting::{AccountingDb, ChargePolicy};
 use tg_data::{DataGridSpec, DataLayer, DataReport, DatasetSpec};
@@ -17,7 +16,7 @@ use tg_fault::{FaultReport, FaultSpec};
 use tg_model::reconf::RcNodeStats;
 use tg_model::{ConfigLibrary, Federation, SiteConfig, SiteId};
 use tg_sched::{BatchScheduler, MetaPolicy, RcPolicy, SchedulerKind};
-use tg_workload::{GeneratorConfig, JobId, Modality, WorkloadGenerator};
+use tg_workload::{GeneratorConfig, JobId, Labels, Modality, WorkloadGenerator};
 
 /// Everything that defines an experiment run (minus the seed).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -220,6 +219,12 @@ impl ScenarioConfig {
                  activity), got {}",
                 mix.activity_zipf_s
             ));
+        }
+        if mix.projects == 0 && mix.total_users() > 0 {
+            return Err("workload.mix.projects: users need at least one project to charge".into());
+        }
+        if mix.gateways == 0 && mix.users_per_modality[Modality::ScienceGateway.index()] > 0 {
+            return Err("workload.mix.gateways: gateway users need at least one gateway".into());
         }
         if let Some(i) = self
             .workload
@@ -690,7 +695,7 @@ pub struct SimOutput {
     /// The accounting database.
     pub db: AccountingDb,
     /// Ground-truth labels (scoring only).
-    pub truth: HashMap<JobId, Modality>,
+    pub truth: Labels,
     /// Final virtual time.
     pub end: SimTime,
     /// The federation's charging policy.
@@ -776,6 +781,21 @@ mod tests {
         cfg.sites[1].batch_nodes = 128;
         cfg.sites[2].batch_nodes = 32;
         cfg
+    }
+
+    #[test]
+    fn zero_gateways_or_projects_are_rejected_only_with_users_to_serve() {
+        let mut cfg = small();
+        cfg.workload.mix.gateways = 0;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.starts_with("workload.mix.gateways:"), "{err}");
+        cfg.workload.mix = cfg.workload.mix.with_users(Modality::ScienceGateway, 0);
+        cfg.validate().expect("no gateway users, no gateway needed");
+        cfg.workload.mix.projects = 0;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.starts_with("workload.mix.projects:"), "{err}");
+        cfg.workload.mix.users_per_modality = [0; Modality::ALL.len()];
+        cfg.validate().expect("no users, no project needed");
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //!   dependencies finished and the engine handed it to the queue), because
 //!   that is when the queue first saw it.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use tg_accounting::{
     AccountingDb, GatewayAttribute, IngestTally, JobRecord, RcPlacementRecord, RecordRef,
     RecordSink, SessionRecord, TransferRecord,
@@ -51,7 +51,7 @@ use tg_sched::{
     BatchScheduler, DataContext, MetaPolicy, RcDecision, RcPolicy, RetryBook, RetryPolicy,
     SiteView, Started,
 };
-use tg_workload::{IdMap, Job, JobId, Modality, UserId};
+use tg_workload::{IdMap, Job, JobId, Labels, Modality, UserId};
 
 /// Base offset for synthetic gateway community accounts in job records.
 pub const COMMUNITY_ACCOUNT_BASE: usize = 10_000_000;
@@ -427,7 +427,7 @@ pub struct GridSim {
     /// streaming mode.
     pending: Vec<Job>,
     /// Ground-truth labels by job id (kept OUT of the record stream).
-    truth: HashMap<JobId, Modality>,
+    truth: Labels,
     /// Jobs waiting on workflow dependencies. Each held job is registered
     /// under exactly *one* of its unmet deps; when that dep completes the
     /// job is re-examined and either routed or re-registered under another
@@ -504,8 +504,7 @@ impl GridSim {
         // Drop the generator's growth slack (up to half the list) before
         // the truth map is built, so the two are never live together.
         jobs.shrink_to_fit();
-        let truth: HashMap<JobId, Modality> =
-            jobs.iter().map(|j| (j.id, j.true_modality)).collect();
+        let truth: Labels = jobs.iter().map(|j| (j.id, j.true_modality)).collect();
         let jobs_total = jobs.len();
         let sites = federation.len();
         let mut metrics = MetricsRegistry::disabled();
@@ -1903,7 +1902,7 @@ pub struct FinishedSim {
     /// The accounting database.
     pub db: AccountingDb,
     /// Ground truth, for scoring only.
-    pub truth: HashMap<JobId, Modality>,
+    pub truth: Labels,
     /// Final virtual time.
     pub end: SimTime,
     /// Periodic metric snapshots (empty unless sampling was enabled).

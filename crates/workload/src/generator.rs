@@ -6,15 +6,44 @@
 //! user's — changing the population mix never reshuffles surviving users'
 //! workloads (the common-random-numbers property policy comparisons rely
 //! on).
+//!
+//! Job, workflow and ensemble ids are global counters threaded through the
+//! users in population order, but ids feed no draw, so [`WorkloadGenerator::generate`]
+//! runs on every core without changing a byte:
+//!
+//! 1. **Chunk-relative emission.** The population is cut into chunks of 64
+//!    users that worker threads take from a shared queue. A worker emits
+//!    its chunk's users with ids counted from zero at the chunk's first
+//!    user, and moves the jobs in small batches onto one shared vector
+//!    (no per-chunk vectors, so no concatenation copy). Gateway identities
+//!    are a draw-free round-robin counter, so each chunk's starting count
+//!    is taken before the fan-out.
+//! 2. **Rebase.** A prefix sum of each chunk's id use, in population
+//!    order, gives its base in each id space; a parallel pass adds the
+//!    base of a job's chunk (found from its user) to its id, its `deps`,
+//!    and its workflow or ensemble id. Every id now equals what the
+//!    serial per-user loop would have assigned.
+//! 3. **Parallel sort.** `select_nth_unstable` cuts the vector into one
+//!    range per thread, each holding only `(submit_time, id)` keys below
+//!    the next range's, and the threads sort the ranges side by side. Ids
+//!    are unique, so the order is total and the result does not depend on
+//!    the split.
+//!
+//! Helper threads come from one budget of `available_parallelism − 1`
+//! shared by the whole process (see `fanout`), so a sweep that generates
+//! on every core at once does not start a fan-out per cell.
 
 use crate::arrival::{arrivals_in, ArrivalProcess, DiurnalPoisson, Mmpp2, Poisson};
 use crate::dag::DagShape;
+use crate::fanout::{available_workers, Crew, CHUNK};
 use crate::ids::{EnsembleId, GatewayId, JobId, ProjectId, UserId, WorkflowId};
 use crate::job::{Job, RcRequirement};
 use crate::modality::Modality;
 use crate::profiles::{ArrivalKind, ModalityProfile, PopulationMix};
 use crate::user::{Population, Project, User};
 use serde::{Deserialize, Serialize};
+use std::ops::Add;
+use std::sync::Mutex;
 use tg_data::{DatasetAssignment, DatasetId};
 use tg_des::dist::Zipf;
 use tg_des::{RngFactory, SimDuration, SimRng, SimTime, StreamId};
@@ -203,24 +232,83 @@ impl WorkloadGenerator {
         &self.config
     }
 
-    /// Generate the population and job stream.
+    /// Generate the population and job stream, sorted by
+    /// `(submit_time, id)`, on up to [`std::thread::available_parallelism`]
+    /// threads, the caller's included. Each chunk of users is emitted with
+    /// ids counted from the chunk's start, the chunks are rebased onto
+    /// their global id bases once every chunk's id use is known, and the
+    /// jobs are sorted in ranges side by side (see the module docs).
     pub fn generate(&self, factory: &RngFactory) -> Workload {
+        self.generate_on(factory, available_workers())
+    }
+
+    /// [`WorkloadGenerator::generate`] on at most `workers` threads (at
+    /// least one: the caller's). The output does not depend on `workers`.
+    pub(crate) fn generate_on(&self, factory: &RngFactory, workers: usize) -> Workload {
         let population = self.build_population();
-        let mut jobs = Vec::new();
+        let users = &population.users;
         let rc_zipf = self.rc_zipf();
-        let mut ids = IdCursor::default();
-        let mut gw_counter = 0usize;
+        let crew = Crew::hire(workers);
+        // Each user's slot ends up holding where the ids of its chunk stand
+        // after it, counted from zero at the chunk's first user.
+        let mut chunk_ids = vec![IdCursor::default(); users.len()];
+        let shared = Mutex::new(Vec::new());
+        crew.run_chunks(
+            self,
+            users,
+            &mut chunk_ids,
+            Vec::new,
+            |batch: &mut Vec<Job>, chunk, chunk_ids| {
+                let mut ids = IdCursor::default();
+                let mut gw_counter = chunk.gateways_before;
+                for (slot, user) in chunk_ids.iter_mut().zip(chunk.users) {
+                    let gateway = self.gateway_for(user, &mut gw_counter);
+                    let mut cursor = UserGen::new(self, user, factory, ids, gateway);
+                    while cursor.emit_next(self, rc_zipf.as_ref(), batch) {
+                        if batch.len() >= BATCH {
+                            append(&shared, batch);
+                        }
+                    }
+                    ids = cursor.ids();
+                    *slot = ids;
+                }
+                append(&shared, batch);
+            },
+        );
+        let mut jobs = shared
+            .into_inner()
+            .expect("emission workers never panic while holding the jobs");
 
-        for user in &population.users {
-            let gateway = self.gateway_for(user, &mut gw_counter);
-            let mut cursor = UserGen::new(self, user, factory, ids, gateway);
-            while cursor.emit_next(self, rc_zipf.as_ref(), &mut jobs) {}
-            ids = cursor.ids();
-        }
+        // Each chunk's ids start where the chunks before it, in population
+        // order, end: the global counters' positions at the chunk's start.
+        let mut next = IdCursor::default();
+        let bases: Vec<IdCursor> = chunk_ids
+            .chunks(CHUNK)
+            .map(|chunk| {
+                let base = next;
+                next = next + chunk[chunk.len() - 1];
+                base
+            })
+            .collect();
+        crew.run(
+            jobs.chunks_mut(REBASE),
+            || (),
+            |(), part| {
+                for job in part {
+                    rebase(job, bases[job.user.index() / CHUNK]);
+                }
+            },
+        );
 
-        // Job ids are unique, so the unstable sort yields the same order
-        // without the stable sort's scratch copy of half the jobs.
-        jobs.sort_unstable_by_key(|j| (j.submit_time, j.id));
+        let mut ranges = Vec::with_capacity(crew.size());
+        split_sorted(&mut jobs, crew.size(), &mut ranges);
+        crew.run(
+            ranges.into_iter(),
+            || (),
+            |(), range| {
+                range.sort_unstable_by_key(submission_order);
+            },
+        );
         Workload { population, jobs }
     }
 
@@ -272,11 +360,10 @@ impl WorkloadGenerator {
             let s = mix.activity_zipf_s;
             let weights: Vec<f64> = (0..count).map(|i| ((i + 1) as f64).powf(-s)).collect();
             let mean = weights.iter().sum::<f64>() / count.max(1) as f64;
-            for (i, w) in weights.into_iter().enumerate() {
+            for w in weights {
                 let project = ProjectId(uid % projects.len());
                 users.push(User::new(UserId(uid), project, m).with_activity((w / mean).max(1e-3)));
                 uid += 1;
-                let _ = i;
             }
         }
         Population { projects, users }
@@ -386,14 +473,90 @@ impl WorkloadGenerator {
     }
 }
 
-/// Absolute positions of the global id counters threaded across users in
-/// population order: each user's jobs (and workflows, ensembles) occupy a
-/// contiguous id block starting where the previous user's ended.
+/// Jobs a worker emits before it moves them onto the shared job vector:
+/// few enough that the workers' batches add nothing to the peak, enough
+/// that the lock is taken once per hundreds of jobs.
+const BATCH: usize = 256;
+
+/// Jobs per unit of the parallel rebase pass.
+const REBASE: usize = 4096;
+
+/// Move `batch` onto the end of the shared job vector, emptying it. The
+/// vector grows to the next power of two, just as pushing the jobs one at
+/// a time would have grown it, so its capacity depends on the job count
+/// alone, however the workers' batches interleave.
+fn append(shared: &Mutex<Vec<Job>>, batch: &mut Vec<Job>) {
+    let mut jobs = shared
+        .lock()
+        .expect("emission workers never panic while holding the jobs");
+    let (len, want) = (jobs.len(), jobs.len() + batch.len());
+    if want > jobs.capacity() {
+        jobs.reserve_exact(want.next_power_of_two() - len);
+    }
+    jobs.append(batch);
+}
+
+/// Move a job emitted at a zero id base onto `base`: its id, its
+/// dependencies (ids of the same user's jobs) and its workflow or
+/// ensemble.
+fn rebase(job: &mut Job, base: IdCursor) {
+    job.id.0 += base.next_job;
+    for dep in &mut job.deps {
+        dep.0 += base.next_job;
+    }
+    if let Some(wf) = &mut job.workflow {
+        wf.0 += base.next_wf;
+    }
+    if let Some(ens) = &mut job.ensemble {
+        ens.0 += base.next_ens;
+    }
+}
+
+/// The order the job list is delivered in. Job ids are unique, so the
+/// order is total: any sort yields the same list, and the unstable sort
+/// needs no scratch copy of the jobs.
+fn submission_order(job: &Job) -> (SimTime, JobId) {
+    (job.submit_time, job.id)
+}
+
+/// Cut `jobs` into `parts` ranges (fewer when there are fewer jobs) in
+/// [`submission_order`]: every job of a range precedes every job of the
+/// ranges after it, so sorting each range sorts the whole.
+fn split_sorted<'a>(jobs: &'a mut [Job], parts: usize, out: &mut Vec<&'a mut [Job]>) {
+    if parts <= 1 || jobs.len() < 2 {
+        out.push(jobs);
+        return;
+    }
+    let left = parts / 2;
+    let mid = jobs.len() * left / parts;
+    jobs.select_nth_unstable_by_key(mid, submission_order);
+    let (head, tail) = jobs.split_at_mut(mid);
+    split_sorted(head, left, out);
+    split_sorted(tail, parts - left, out);
+}
+
+/// Positions of the id counters threaded across users in population order:
+/// each user's jobs (and workflows, ensembles) occupy a contiguous id block
+/// starting where the previous user's ended. Counted from zero at some
+/// origin (the whole population, a chunk of it, or one user), so adding
+/// the origin's own position gives the global one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct IdCursor {
     pub next_job: usize,
     pub next_wf: usize,
     pub next_ens: usize,
+}
+
+impl Add for IdCursor {
+    type Output = IdCursor;
+
+    fn add(self, used: IdCursor) -> IdCursor {
+        IdCursor {
+            next_job: self.next_job + used.next_job,
+            next_wf: self.next_wf + used.next_wf,
+            next_ens: self.next_ens + used.next_ens,
+        }
+    }
 }
 
 /// One user's deterministic generation state.
@@ -483,12 +646,7 @@ impl UserGen {
     /// they end (the next user's base). The cursor then emits exactly what
     /// `UserGen::new` at `base` would.
     pub(crate) fn rebase(&mut self, base: IdCursor) -> IdCursor {
-        let used = std::mem::replace(&mut self.ids, base);
-        IdCursor {
-            next_job: base.next_job + used.next_job,
-            next_wf: base.next_wf + used.next_wf,
-            next_ens: base.next_ens + used.next_ens,
-        }
+        base + std::mem::replace(&mut self.ids, base)
     }
 
     /// Submit time of the next undelivered arrival, if any remain.
@@ -634,6 +792,95 @@ mod tests {
 
     fn generate(seed: u64) -> Workload {
         WorkloadGenerator::new(small_config()).generate(&RngFactory::new(seed))
+    }
+
+    /// The serial generator the fan-out replaced, kept as its oracle: one
+    /// set of global id counters threaded through the users in population
+    /// order, then one sort.
+    fn generate_serial(gen: &WorkloadGenerator, factory: &RngFactory) -> Workload {
+        let population = gen.build_population();
+        let mut jobs = Vec::new();
+        let rc_zipf = gen.rc_zipf();
+        let mut ids = IdCursor::default();
+        let mut gw_counter = 0usize;
+        for user in &population.users {
+            let gateway = gen.gateway_for(user, &mut gw_counter);
+            let mut cursor = UserGen::new(gen, user, factory, ids, gateway);
+            while cursor.emit_next(gen, rc_zipf.as_ref(), &mut jobs) {}
+            ids = cursor.ids();
+        }
+        jobs.sort_unstable_by_key(|j| (j.submit_time, j.id));
+        Workload { population, jobs }
+    }
+
+    /// Chunks are emitted with chunk-relative ids in whatever order the
+    /// threads take them, rebased, and sorted in ranges split per thread;
+    /// none of that may change a byte. The large population puts every
+    /// modality boundary inside a chunk and spreads the gateway, workflow
+    /// and ensemble users over several chunks each, so the gateway
+    /// round-robin, workflow ids and `deps`, and ensemble ids all cross
+    /// chunk bases. Also covered: a population smaller than one chunk, and
+    /// an empty one.
+    #[test]
+    fn worker_count_does_not_change_the_workload() {
+        let factory = RngFactory::new(29);
+        for (users, chunks) in [(1000, 16), (CHUNK / 2, 1), (0, 0)] {
+            let mut cfg = GeneratorConfig::baseline(users, 3, 3);
+            cfg.mix.activity_zipf_s = 0.8;
+            let gen = WorkloadGenerator::new(cfg);
+            let want = generate_serial(&gen, &factory);
+            let built = &want.population.users;
+            assert_eq!(built.len().div_ceil(CHUNK), chunks, "{users} users");
+            if users > CHUNK {
+                let first_chunk = |m: Modality| built.iter().position(|u| u.modality == m);
+                let last_chunk = |m: Modality| built.iter().rposition(|u| u.modality == m);
+                for m in [
+                    Modality::ScienceGateway,
+                    Modality::Workflow,
+                    Modality::Ensemble,
+                ] {
+                    let (first, last) = (first_chunk(m).unwrap(), last_chunk(m).unwrap());
+                    assert!(first / CHUNK < last / CHUNK, "{m} users in one chunk");
+                    assert!(
+                        want.jobs.iter().any(|j| j.user.index() / CHUNK > first / CHUNK
+                            && j.true_modality == m),
+                        "{m} emitted no job past its first chunk"
+                    );
+                }
+                assert!(want.jobs.iter().any(|j| !j.deps.is_empty()));
+            }
+            let want = format!("{want:?}");
+            for workers in [1, 2, 3, 5] {
+                let got = format!("{:?}", gen.generate_on(&factory, workers));
+                assert!(got == want, "{users} users, {workers} workers");
+            }
+        }
+    }
+
+    /// The range split hands the sort disjoint, ordered ranges for any
+    /// thread count, including more threads than jobs.
+    #[test]
+    fn split_ranges_are_ordered_and_cover_the_jobs() {
+        let mut jobs = generate(11).jobs;
+        jobs.reverse();
+        let n = jobs.len();
+        for parts in [1, 2, 3, 7, n + 5] {
+            let mut ranges = Vec::new();
+            split_sorted(&mut jobs, parts, &mut ranges);
+            if parts <= n {
+                assert_eq!(ranges.len(), parts);
+            }
+            assert_eq!(ranges.iter().map(|r| r.len()).sum::<usize>(), n);
+            let bounds: Vec<_> = ranges
+                .iter()
+                .filter(|r| !r.is_empty())
+                .map(|r| {
+                    let keys = r.iter().map(submission_order);
+                    (keys.clone().min().unwrap(), keys.max().unwrap())
+                })
+                .collect();
+            assert!(bounds.windows(2).all(|w| w[0].1 < w[1].0), "{parts} parts");
+        }
     }
 
     #[test]

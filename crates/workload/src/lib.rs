@@ -43,6 +43,7 @@
 
 pub mod arrival;
 pub mod dag;
+mod fanout;
 pub mod generator;
 pub mod ids;
 pub mod job;
@@ -56,7 +57,7 @@ pub use arrival::{ArrivalProcess, DiurnalPoisson, Mmpp2, Poisson};
 pub use generator::{GeneratorConfig, WorkloadGenerator};
 pub use ids::{EnsembleId, GatewayId, IdMap, JobId, ProjectId, UserId, WorkflowId};
 pub use job::{Job, RcRequirement, SubmitInterface};
-pub use modality::Modality;
+pub use modality::{Labels, Modality};
 pub use profiles::{ModalityProfile, PopulationMix};
 pub use stream::{StreamedWorkload, WorkloadStream};
 pub use user::{Project, User};

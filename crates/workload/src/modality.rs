@@ -10,8 +10,14 @@
 //! observable footprint it leaves in accounting records — which is exactly
 //! what the measurement pipeline in `tg-core` keys on.
 
+use crate::ids::{IdMap, JobId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+
+/// Modality labels by job id: the generator's ground truth, or what a
+/// classifier inferred from the records. Hashed by id, not SipHash; only
+/// integer tallies iterate one, so its order reaches no output.
+pub type Labels = IdMap<JobId, Modality>;
 
 /// How a user (or their agent) uses the cyberinfrastructure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]

@@ -17,10 +17,11 @@
 //!    make later, and the arrival process is walked once per user. Each
 //!    user draws from its own RNG stream and ids feed no draw, so this
 //!    per-user work is independent: it runs on every core, each cursor
-//!    built at a zero id base. Workers take chunks of 64 users from a
-//!    shared queue (population order keeps the costly workflow users
-//!    together, so fixed splits would be unbalanced) and write each cursor
-//!    into its slot of one population-ordered vector.
+//!    built at a zero id base, on the same fan-out as the materialized
+//!    generator. Workers take chunks of 64 users from a shared queue
+//!    (population order keeps the costly workflow users together, so fixed
+//!    splits would be unbalanced) and write each cursor into its slot of
+//!    one population-ordered vector.
 //! 3. **Id assembly.** One sequential pass in population order prefix-sums
 //!    the counts and rebases each cursor, so each user owns the contiguous
 //!    block of each id space the global counters of the materialized path
@@ -36,18 +37,17 @@
 //!
 //! The cost is one extra pass over each user's per-arrival job fields (the
 //! prepass; arrival instants are drawn once) and the resident cursors;
-//! what it buys is that pending jobs never exist all at once. Only the
-//! prepass is parallel: the merge, and the run that pulls from it, stay on
-//! the calling thread.
+//! what it buys is that pending jobs never exist all at once. Of this
+//! path, only the prepass is parallel (the materialized generator fans out
+//! its emission, rebase and sort too): the merge, and the run that pulls
+//! from it, stay on the calling thread.
 
+use crate::fanout::{available_workers, Crew};
 use crate::generator::{IdCursor, UserGen, WorkloadGenerator};
 use crate::job::Job;
 use crate::user::Population;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::num::NonZeroUsize;
-use std::sync::Mutex;
-use std::thread;
 use tg_des::dist::Zipf;
 use tg_des::{RngFactory, SimTime};
 
@@ -80,26 +80,20 @@ pub struct WorkloadStream {
     emitted: usize,
 }
 
-/// Users per unit of prepass work: small enough that the costly workflow
-/// users, which sit together in population order, spread over the
-/// workers; large enough that taking a chunk costs nothing next to
-/// building its cursors.
-const CHUNK: usize = 64;
-
 impl WorkloadGenerator {
     /// Generate the population and a lazy job stream. The stream yields a
     /// job sequence bit-identical to [`WorkloadGenerator::generate`] at the
     /// same seed (see the module docs for why), without ever materializing
-    /// the whole workload. The counting prepass runs on
-    /// [`thread::available_parallelism`] threads, the caller's included.
+    /// the whole workload. The counting prepass runs on up to
+    /// [`std::thread::available_parallelism`] threads, the caller's
+    /// included.
     pub fn generate_streaming(&self, factory: &RngFactory) -> StreamedWorkload {
-        let workers = thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        self.generate_streaming_on(factory, workers)
+        self.generate_streaming_on(factory, available_workers())
     }
 
-    /// [`WorkloadGenerator::generate_streaming`] with the prepass on
-    /// `workers` threads (at least one: the caller's). The output does not
-    /// depend on `workers`.
+    /// [`WorkloadGenerator::generate_streaming`] with the prepass on at
+    /// most `workers` threads (at least one: the caller's). The output does
+    /// not depend on `workers`.
     pub(crate) fn generate_streaming_on(
         &self,
         factory: &RngFactory,
@@ -108,35 +102,16 @@ impl WorkloadGenerator {
         let population = self.population();
         let users = &population.users;
         let rc_zipf = self.rc_zipf();
-        // `gateway_for` is a draw-free counter in population order, so each
-        // chunk's starting count (one entry per chunk) is known up front.
-        let mut gw_counter = 0usize;
-        let gw_starts: Vec<usize> = users
-            .chunks(CHUNK)
-            .map(|chunk| {
-                let start = gw_counter;
-                for user in chunk {
-                    self.gateway_for(user, &mut gw_counter);
-                }
-                start
-            })
-            .collect();
-
         let mut slots: Vec<Option<UserGen>> = Vec::new();
         slots.resize_with(users.len(), || None);
-        let queue = Mutex::new(slots.chunks_mut(CHUNK).enumerate());
-        let work = || {
-            let mut scratch: Vec<Job> = Vec::new();
-            loop {
-                let next = queue
-                    .lock()
-                    .expect("prepass workers never panic while holding the queue")
-                    .next();
-                let Some((c, chunk)) = next else {
-                    return;
-                };
-                let mut gw_counter = gw_starts[c];
-                for (slot, user) in chunk.iter_mut().zip(&users[c * CHUNK..]) {
+        Crew::hire(workers).run_chunks(
+            self,
+            users,
+            &mut slots,
+            Vec::new,
+            |scratch: &mut Vec<Job>, chunk, slots| {
+                let mut gw_counter = chunk.gateways_before;
+                for (slot, user) in slots.iter_mut().zip(chunk.users) {
                     let gateway = self.gateway_for(user, &mut gw_counter);
                     *slot = Some(UserGen::counted(
                         self,
@@ -144,17 +119,11 @@ impl WorkloadGenerator {
                         factory,
                         gateway,
                         rc_zipf.as_ref(),
-                        &mut scratch,
+                        scratch,
                     ));
                 }
-            }
-        };
-        thread::scope(|s| {
-            for _ in 1..workers.min(gw_starts.len()) {
-                s.spawn(work);
-            }
-            work();
-        });
+            },
+        );
 
         // Assembly in population order. Mapping the slot vector in place
         // makes the cursor vector reuse its allocation.
@@ -238,6 +207,7 @@ pub fn drain_sorted(jobs: Vec<Job>) -> impl Iterator<Item = Job> + Send {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fanout::CHUNK;
     use crate::generator::GeneratorConfig;
     use crate::modality::Modality;
 

@@ -22,7 +22,7 @@ pub mod prelude {
     };
     pub use tg_core::{
         aggregate_profiles, classify_all, replicate, replicate_with, run_sweep, Accuracy,
-        ClassifierMode, DegradeWindow, EngineProfile, FaultReport, FaultSpec, IngestFaults,
+        ClassifierMode, DegradeWindow, EngineProfile, FaultReport, FaultSpec, IngestFaults, Labels,
         MetricsSnapshot, Modality, NodeCrashSpec, OutagePolicy, OutageWindow, RecordStreaming,
         RunOptions, Scenario, ScenarioConfig, SimOutput,
     };

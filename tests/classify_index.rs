@@ -146,7 +146,7 @@ fn ref_classify(
     summaries: &[UserSummary],
     mode: ClassifierMode,
     t: &RuleThresholds,
-) -> HashMap<JobId, Modality> {
+) -> Labels {
     let summaries: HashMap<_, _> = summaries.iter().map(|s| (s.user, s)).collect();
     let mut batches: HashMap<(tg_workload::UserId, SimTime), (u64, usize, bool)> = HashMap::new();
     for j in &db.jobs {
@@ -158,7 +158,7 @@ fn ref_classify(
             e.2 = false;
         }
     }
-    let mut out = HashMap::with_capacity(db.jobs.len());
+    let mut out = Labels::default();
     for j in &db.jobs {
         let summary = summaries[&j.user];
         let (batch_n, _, batch_uniform) = batches[&(j.user, j.submit)];

@@ -848,9 +848,10 @@ fn invalid_configs_exit_1_naming_the_field() {
             |c| c.workload.horizon = SimDuration::from_micros(18_446_743_987_309_551_616),
             "workload.horizon:",
         ),
-        // The RC library and the activity skew. Before these were
-        // validated, the first three panicked in the generator or the
-        // machine clamp (exit 101) and the last ran silently (exit 0).
+        // The RC library, the activity skew and the population's
+        // accounts. Before these were validated, the first three panicked
+        // in the generator or the machine clamp (exit 101); the others ran
+        // silently (exit 0), zero gateways or projects folded into one.
         (
             "rc-sites-empty",
             |c| c.workload.rc_sites.clear(),
@@ -870,6 +871,16 @@ fn invalid_configs_exit_1_naming_the_field() {
             "activity-zipf",
             |c| c.workload.mix.activity_zipf_s = -50.0,
             "workload.mix.activity_zipf_s:",
+        ),
+        (
+            "zero-gateways",
+            |c| c.workload.mix.gateways = 0,
+            "workload.mix.gateways:",
+        ),
+        (
+            "zero-projects",
+            |c| c.workload.mix.projects = 0,
+            "workload.mix.projects:",
         ),
     ];
     for &(tag, mutate, field) in cases {

@@ -65,7 +65,7 @@ fn assert_identical(a: &SimOutput, b: &SimOutput, what: &str) {
         "{what}: event count diverged"
     );
     assert_eq!(a.site_stats, b.site_stats, "{what}: site stats diverged");
-    let sorted = |m: &std::collections::HashMap<JobId, Modality>| {
+    let sorted = |m: &Labels| {
         m.iter()
             .map(|(k, v)| (*k, *v))
             .collect::<BTreeMap<JobId, Modality>>()

@@ -186,8 +186,8 @@ fn span_emission_never_perturbs_results() {
     assert_eq!(plain.end, traced.end);
     assert_eq!(plain.events_delivered, traced.events_delivered);
     assert_eq!(plain.site_stats, traced.site_stats);
-    // HashMap iteration order is instance-dependent; compare sorted.
-    let sorted = |m: &std::collections::HashMap<JobId, Modality>| {
+    // Hash-map iteration order is instance-dependent; compare sorted.
+    let sorted = |m: &Labels| {
         m.iter()
             .map(|(k, v)| (*k, *v))
             .collect::<BTreeMap<JobId, Modality>>()
