@@ -33,7 +33,8 @@ pub(crate) fn available_workers() -> usize {
     thread::available_parallelism().map_or(1, NonZeroUsize::get)
 }
 
-/// Helper threads not currently lent to a fan-out, process-wide.
+/// Helper threads not currently lent to a fan-out, process-wide. The
+/// count publishes no other data, so its read-modify-writes are `Relaxed`.
 fn budget() -> &'static AtomicUsize {
     static FREE: OnceLock<AtomicUsize> = OnceLock::new();
     FREE.get_or_init(|| AtomicUsize::new(available_workers() - 1))
@@ -51,7 +52,7 @@ impl Crew {
     pub(crate) fn hire(workers: usize) -> Self {
         let want = workers.saturating_sub(1);
         let free = budget()
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
                 Some(n - n.min(want))
             })
             .expect("the update closure never declines");
@@ -138,7 +139,7 @@ impl Crew {
 
 impl Drop for Crew {
     fn drop(&mut self) {
-        budget().fetch_add(self.helpers, Ordering::AcqRel);
+        budget().fetch_add(self.helpers, Ordering::Relaxed);
     }
 }
 
