@@ -9,11 +9,12 @@
 //! id bases, gateway round-robin — is settled outside the fan-out, where
 //! population order is known.
 //!
-//! Helper threads come from one process-wide budget of
-//! `available_parallelism − 1`, and the calling thread always works, so
-//! fan-outs started from many threads at once (a sweep's worker pool,
-//! say) never run more threads than the machine has cores, and a fan-out
-//! that finds the budget spent simply runs on its caller.
+//! A default fan-out's helper threads come from one process-wide budget
+//! of `available_parallelism − 1`, and the calling thread always works.
+//! The budget caps helpers on top of the callers' own threads: fan-outs
+//! started at once from a P-thread sweep pool peak at 2P − 1 threads, not
+//! P², and a fan-out that finds the budget spent simply runs on its
+//! caller.
 
 use crate::generator::WorkloadGenerator;
 use crate::user::User;
@@ -29,7 +30,7 @@ use std::thread;
 pub(crate) const CHUNK: usize = 64;
 
 /// The machine's parallelism: the default worker count of a fan-out.
-pub(crate) fn available_workers() -> usize {
+fn available_workers() -> usize {
     thread::available_parallelism().map_or(1, NonZeroUsize::get)
 }
 
@@ -40,24 +41,40 @@ fn budget() -> &'static AtomicUsize {
     FREE.get_or_init(|| AtomicUsize::new(available_workers() - 1))
 }
 
-/// The threads one fan-out runs on: the caller's plus the helpers it took
-/// from the process-wide budget, which go back when the crew is dropped.
+/// The threads one fan-out runs on: the caller's plus its helpers. Helpers
+/// taken from the process-wide budget go back when the crew is dropped.
 pub(crate) struct Crew {
+    /// Helper threads the crew spawns.
     helpers: usize,
+    /// Of those, the ones taken from the budget.
+    borrowed: usize,
 }
 
 impl Crew {
-    /// A crew of at most `workers` threads (at least one: the caller's).
-    /// Never waits: it takes whatever helpers the budget has left.
-    pub(crate) fn hire(workers: usize) -> Self {
-        let want = workers.saturating_sub(1);
+    /// The default crew: the caller plus whatever helpers the budget has
+    /// left, up to `available_parallelism − 1`. Never waits.
+    pub(crate) fn from_budget() -> Self {
+        let want = available_workers() - 1;
         let free = budget()
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
                 Some(n - n.min(want))
             })
             .expect("the update closure never declines");
+        let helpers = free.min(want);
         Crew {
-            helpers: free.min(want),
+            helpers,
+            borrowed: helpers,
+        }
+    }
+
+    /// A crew of exactly `workers` threads (at least one: the caller's),
+    /// whatever the budget holds and without touching it, so a test runs
+    /// the thread count it names on any machine.
+    #[cfg(test)]
+    pub(crate) fn exactly(workers: usize) -> Self {
+        Crew {
+            helpers: workers.saturating_sub(1),
+            borrowed: 0,
         }
     }
 
@@ -139,7 +156,7 @@ impl Crew {
 
 impl Drop for Crew {
     fn drop(&mut self) {
-        budget().fetch_add(self.helpers, Ordering::Relaxed);
+        budget().fetch_add(self.borrowed, Ordering::Relaxed);
     }
 }
 
@@ -158,16 +175,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn crew_is_bounded_by_request_and_budget() {
-        assert_eq!(Crew::hire(1).size(), 1, "one worker means no helpers");
-        assert_eq!(Crew::hire(0).size(), 1, "the caller always works");
-        let crew = Crew::hire(usize::MAX);
+    fn crew_sizes() {
+        assert_eq!(Crew::exactly(1).size(), 1, "one worker means no helpers");
+        assert_eq!(Crew::exactly(0).size(), 1, "the caller always works");
+        assert_eq!(Crew::exactly(5).size(), 5, "an exact crew ignores the budget");
+        let crew = Crew::from_budget();
         assert!(crew.size() <= available_workers());
     }
 
     #[test]
     fn every_item_is_worked_exactly_once() {
-        let crew = Crew::hire(4);
+        let crew = Crew::exactly(4);
         let mut hits = vec![0u32; 1000];
         crew.run(
             hits.chunks_mut(7),

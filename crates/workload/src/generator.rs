@@ -35,7 +35,7 @@
 
 use crate::arrival::{arrivals_in, ArrivalProcess, DiurnalPoisson, Mmpp2, Poisson};
 use crate::dag::DagShape;
-use crate::fanout::{available_workers, Crew, CHUNK};
+use crate::fanout::{Crew, CHUNK};
 use crate::ids::{EnsembleId, GatewayId, JobId, ProjectId, UserId, WorkflowId};
 use crate::job::{Job, RcRequirement};
 use crate::modality::Modality;
@@ -233,22 +233,22 @@ impl WorkloadGenerator {
     }
 
     /// Generate the population and job stream, sorted by
-    /// `(submit_time, id)`, on up to [`std::thread::available_parallelism`]
-    /// threads, the caller's included. Each chunk of users is emitted with
+    /// `(submit_time, id)`, on the caller's thread plus whatever helpers
+    /// the process-wide budget of [`std::thread::available_parallelism`]
+    /// − 1 has free. Each chunk of users is emitted with
     /// ids counted from the chunk's start, the chunks are rebased onto
     /// their global id bases once every chunk's id use is known, and the
     /// jobs are sorted in ranges side by side (see the module docs).
     pub fn generate(&self, factory: &RngFactory) -> Workload {
-        self.generate_on(factory, available_workers())
+        self.generate_on(factory, Crew::from_budget())
     }
 
-    /// [`WorkloadGenerator::generate`] on at most `workers` threads (at
-    /// least one: the caller's). The output does not depend on `workers`.
-    pub(crate) fn generate_on(&self, factory: &RngFactory, workers: usize) -> Workload {
+    /// [`WorkloadGenerator::generate`] on `crew`'s threads. The output does
+    /// not depend on the crew's size.
+    pub(crate) fn generate_on(&self, factory: &RngFactory, crew: Crew) -> Workload {
         let population = self.build_population();
         let users = &population.users;
         let rc_zipf = self.rc_zipf();
-        let crew = Crew::hire(workers);
         // Each user's slot ends up holding where the ids of its chunk stand
         // after it, counted from zero at the chunk's first user.
         let mut chunk_ids = vec![IdCursor::default(); users.len()];
@@ -851,7 +851,7 @@ mod tests {
             }
             let want = format!("{want:?}");
             for workers in [1, 2, 3, 5] {
-                let got = format!("{:?}", gen.generate_on(&factory, workers));
+                let got = format!("{:?}", gen.generate_on(&factory, Crew::exactly(workers)));
                 assert!(got == want, "{users} users, {workers} workers");
             }
         }

@@ -42,7 +42,7 @@
 //! its emission, rebase and sort too): the merge, and the run that pulls
 //! from it, stay on the calling thread.
 
-use crate::fanout::{available_workers, Crew};
+use crate::fanout::Crew;
 use crate::generator::{IdCursor, UserGen, WorkloadGenerator};
 use crate::job::Job;
 use crate::user::Population;
@@ -84,27 +84,26 @@ impl WorkloadGenerator {
     /// Generate the population and a lazy job stream. The stream yields a
     /// job sequence bit-identical to [`WorkloadGenerator::generate`] at the
     /// same seed (see the module docs for why), without ever materializing
-    /// the whole workload. The counting prepass runs on up to
-    /// [`std::thread::available_parallelism`] threads, the caller's
-    /// included.
+    /// the whole workload. The counting prepass runs on the caller's
+    /// thread plus whatever helpers the process-wide budget of
+    /// [`std::thread::available_parallelism`] − 1 has free.
     pub fn generate_streaming(&self, factory: &RngFactory) -> StreamedWorkload {
-        self.generate_streaming_on(factory, available_workers())
+        self.generate_streaming_on(factory, Crew::from_budget())
     }
 
-    /// [`WorkloadGenerator::generate_streaming`] with the prepass on at
-    /// most `workers` threads (at least one: the caller's). The output does
-    /// not depend on `workers`.
+    /// [`WorkloadGenerator::generate_streaming`] with the prepass on
+    /// `crew`'s threads. The output does not depend on the crew's size.
     pub(crate) fn generate_streaming_on(
         &self,
         factory: &RngFactory,
-        workers: usize,
+        crew: Crew,
     ) -> StreamedWorkload {
         let population = self.population();
         let users = &population.users;
         let rc_zipf = self.rc_zipf();
         let mut slots: Vec<Option<UserGen>> = Vec::new();
         slots.resize_with(users.len(), || None);
-        Crew::hire(workers).run_chunks(
+        crew.run_chunks(
             self,
             users,
             &mut slots,
@@ -340,7 +339,7 @@ mod tests {
                 assert!(materialized.jobs.iter().any(|j| j.dataset.is_some()));
             }
             for workers in [1, 2, 3, 5] {
-                let streamed = gen.generate_streaming_on(&factory, workers);
+                let streamed = gen.generate_streaming_on(&factory, Crew::exactly(workers));
                 assert_eq!(streamed.population.users, materialized.population.users);
                 assert_eq!(streamed.total_jobs, materialized.jobs.len());
                 let jobs: Vec<Job> = streamed.stream.collect();
