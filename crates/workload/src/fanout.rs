@@ -178,7 +178,11 @@ mod tests {
     fn crew_sizes() {
         assert_eq!(Crew::exactly(1).size(), 1, "one worker means no helpers");
         assert_eq!(Crew::exactly(0).size(), 1, "the caller always works");
-        assert_eq!(Crew::exactly(5).size(), 5, "an exact crew ignores the budget");
+        assert_eq!(
+            Crew::exactly(5).size(),
+            5,
+            "an exact crew ignores the budget"
+        );
         let crew = Crew::from_budget();
         assert!(crew.size() <= available_workers());
     }

@@ -30,8 +30,8 @@
 //!    the split.
 //!
 //! Helper threads come from one budget of `available_parallelism − 1`
-//! shared by the whole process (see `fanout`), so a sweep that generates
-//! on every core at once does not start a fan-out per cell.
+//! shared by the whole process (see `fanout`), so the fan-outs of a
+//! sweep's cells together never add more helpers than that.
 
 use crate::arrival::{arrivals_in, ArrivalProcess, DiurnalPoisson, Mmpp2, Poisson};
 use crate::dag::DagShape;
