@@ -12,7 +12,7 @@ use tg_des::{Ctx, Engine, RngFactory, SimDuration, SimRng, SimTime, Simulation};
 use tg_model::config::ConfigLibrary;
 use tg_model::reconf::RcPartition;
 use tg_model::Cluster;
-use tg_sched::{RcPolicy, SchedulerKind};
+use tg_sched::{QueuedJob, RcPolicy, SchedulerKind};
 use tg_workload::{
     GeneratorConfig, Job, JobId, ProjectId, RcRequirement, UserId, WorkloadGenerator,
 };
@@ -66,28 +66,28 @@ fn bench_scheduler_round(c: &mut Criterion) {
                     // A wide running job blocks the head; 100 queued jobs.
                     sched.submit(
                         SimTime::ZERO,
-                        Job::batch(
+                        QueuedJob::from(&Job::batch(
                             JobId(0),
                             UserId(0),
                             ProjectId(0),
                             SimTime::ZERO,
                             1000,
                             SimDuration::from_hours(10),
-                        ),
+                        )),
                     );
                     sched.make_decisions(SimTime::ZERO, &mut cluster, 1.0, &mut Vec::new());
                     for i in 1..=100 {
                         let cores = 1 + (i * 37) % 512;
                         sched.submit(
                             SimTime::ZERO,
-                            Job::batch(
+                            QueuedJob::from(&Job::batch(
                                 JobId(i),
                                 UserId(i),
                                 ProjectId(0),
                                 SimTime::ZERO,
                                 cores,
                                 SimDuration::from_mins(10 + (i as u64 * 13) % 600),
-                            ),
+                            )),
                         );
                     }
                     (sched, cluster)

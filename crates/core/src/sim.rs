@@ -29,7 +29,8 @@
 //!   dependencies finished and the engine handed it to the queue), because
 //!   that is when the queue first saw it.
 
-use std::collections::VecDeque;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
 use tg_accounting::{
     AccountingDb, GatewayAttribute, IngestTally, JobRecord, RcPlacementRecord, RecordRef,
     RecordSink, SessionRecord, TransferRecord,
@@ -48,8 +49,8 @@ use tg_fault::{FaultEventKind, FaultReport, FaultSchedule, FaultSpec, OutagePoli
 use tg_model::reconf::HostPlan;
 use tg_model::{Federation, SiteId};
 use tg_sched::{
-    BatchScheduler, DataContext, MetaPolicy, RcDecision, RcPolicy, RetryBook, RetryPolicy,
-    SiteView, Started,
+    BatchScheduler, DataContext, MetaPolicy, QueuedJob, RcDecision, RcPolicy, RetryBook,
+    RetryPolicy, SiteView, Started,
 };
 use tg_workload::{IdMap, Job, JobId, Labels, Modality, UserId};
 
@@ -68,7 +69,10 @@ pub const STAGING_THRESHOLD_MB: f64 = 500.0;
 /// bytes in total. A larger divisor frees sooner and shrinks more often.
 const PENDING_SHRINK_DIVISOR: usize = 16;
 
-/// Simulation events.
+/// Simulation events. Every variant after admission names its job by its
+/// [`Slot`] in [`GridSim`]'s in-flight store, where the job itself lives,
+/// so an event is at most 24 bytes and the engine's heap sifts small
+/// entries.
 #[derive(Debug)]
 pub enum Event {
     /// A job arrives from the materialized workload. It carries the job's
@@ -83,34 +87,23 @@ pub enum Event {
         /// Target site.
         site: SiteId,
         /// The job.
-        job: Box<Job>,
+        slot: Slot,
         /// How the job's dataset was satisfied (`CacheHit`/`CacheMiss`),
         /// carried from the routing decision so the stage-in span emitted
         /// at enqueue time names the cause. `None` for jobs without a
         /// dataset (the pre-data-grid event, byte-identical behaviour).
         cause: Option<WaitCause>,
     },
-    /// A batch job completes. The job itself (plus its site and start time)
-    /// lives in the simulation's running registry — the event carries only
-    /// the id, so dispatching never clones the job.
+    /// A batch job completes. Its site and start time are in the store.
     Complete {
         /// The finished job.
-        id: JobId,
+        slot: Slot,
     },
-    /// An RC (hardware) task completes on a fabric region.
+    /// An RC (hardware) task completes on a fabric region. Its site, node,
+    /// region, start and setup cost are in the store.
     RcComplete {
-        /// Site of the RC partition.
-        site: SiteId,
-        /// Node within the partition.
-        node: tg_model::NodeId,
-        /// Region to release.
-        region: tg_model::reconf::RegionId,
         /// The finished job.
-        job: Box<Job>,
-        /// When its *execution* began (after setup).
-        started: SimTime,
-        /// The placement record to emit.
-        placement: RcPlacementRecord,
+        slot: Slot,
     },
     /// Timer for time-triggered scheduler policies (weekly drain).
     SchedWakeup {
@@ -125,7 +118,7 @@ pub enum Event {
     /// A fault-killed job returns from its retry backoff and resubmits.
     Requeue {
         /// The job being resubmitted.
-        job: Box<Job>,
+        slot: Slot,
     },
 }
 
@@ -329,17 +322,130 @@ impl Instruments {
     }
 }
 
-/// A batch job currently executing. The registry owns each dispatched job
-/// exactly once — completion moves it back out, and fault injection can kill
-/// it by cancelling its completion event (which carries only the id) and
-/// requeueing or abandoning the job taken from here. No clone on either
-/// path.
-struct RunningRec {
-    site: SiteId,
-    cores: usize,
-    key: EventKey,
-    started: SimTime,
+/// An admitted job, owned by [`GridSim`]'s in-flight store from admission
+/// until it completes or is abandoned. Events, dependency waiters and RC
+/// backlogs hold its [`Slot`], the schedulers' queues its id; the job never
+/// moves between them.
+struct InFlight {
     job: Job,
+    run: Run,
+}
+
+/// What an in-flight job is executing, if anything.
+enum Run {
+    /// Staging input, queued at a site, in an RC backlog or in retry
+    /// backoff.
+    Waiting,
+    /// Held on a workflow dependency. `next` is the job held on the same
+    /// dependency after this one, in the order they were held.
+    Held { next: Option<Slot> },
+    /// On a site's batch partition. `key` is its completion event, which a
+    /// crash or outage cancels before requeueing the job.
+    Batch {
+        site: SiteId,
+        key: EventKey,
+        started: SimTime,
+    },
+    /// On a region of a node of a site's RC fabric, executing since
+    /// `started`, after `setup`; `reused` says whether the region already
+    /// held the configuration. The placement record is built from these at
+    /// completion.
+    Rc {
+        site: SiteId,
+        node: tg_model::NodeId,
+        region: tg_model::reconf::RegionId,
+        started: SimTime,
+        setup: tg_model::reconf::ReconfCost,
+        reused: bool,
+    },
+}
+
+/// A job's place in [`GridSim`]'s in-flight store, held from the job's
+/// admission until it completes or is abandoned; the slot then goes to the
+/// next admission.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot(u32);
+
+/// The in-flight job store: a slab of [`InFlight`] entries with a free
+/// list. Slots live in fixed-size pages, so the store grows a page at a time
+/// instead of doubling, and its size follows the most jobs ever in flight
+/// at once, never the largest job id.
+#[derive(Default)]
+struct JobStore {
+    pages: Vec<Vec<Option<InFlight>>>,
+    /// Vacant slots, most recently vacated last.
+    free: Vec<Slot>,
+    len: usize,
+}
+
+impl JobStore {
+    /// Slots per page (~0.3 MB of jobs).
+    const PAGE: usize = 1024;
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Admit `job`, waiting, into a vacant slot.
+    fn insert(&mut self, job: Job) -> Slot {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            if self.pages.last().is_none_or(|p| p.len() == Self::PAGE) {
+                self.pages.push(Vec::with_capacity(Self::PAGE));
+            }
+            let last = self.pages.len() - 1;
+            let page = &mut self.pages[last];
+            page.push(None);
+            Slot((last * Self::PAGE + page.len() - 1) as u32)
+        });
+        self.len += 1;
+        *self.entry(slot) = Some(InFlight {
+            job,
+            run: Run::Waiting,
+        });
+        slot
+    }
+
+    fn entry(&mut self, slot: Slot) -> &mut Option<InFlight> {
+        let i = slot.0 as usize;
+        &mut self.pages[i / Self::PAGE][i % Self::PAGE]
+    }
+
+    fn get_mut(&mut self, slot: Slot) -> &mut InFlight {
+        self.entry(slot).as_mut().expect("slot holds a job")
+    }
+
+    /// Take the job out of `slot`, vacating it.
+    fn remove(&mut self, slot: Slot) -> InFlight {
+        let entry = self.entry(slot).take().expect("slot holds a job");
+        self.free.push(slot);
+        self.len -= 1;
+        entry
+    }
+}
+
+impl std::ops::Index<Slot> for JobStore {
+    type Output = InFlight;
+
+    fn index(&self, slot: Slot) -> &InFlight {
+        let i = slot.0 as usize;
+        self.pages[i / Self::PAGE][i % Self::PAGE]
+            .as_ref()
+            .expect("slot holds a job")
+    }
+}
+
+/// The account a job is recorded under: the gateway community account for
+/// gateway traffic, the personal account otherwise.
+fn account_of(job: &Job) -> UserId {
+    match job.gateway {
+        Some(gw) => UserId(COMMUNITY_ACCOUNT_BASE + gw.index()),
+        None => job.user,
+    }
+}
+
+/// A job's key into the span layer: its id and true modality.
+fn span_of(job: &Job) -> (JobId, Modality) {
+    (job.id, job.true_modality)
 }
 
 /// Ids of finished jobs, as a bitset in pages of [`JobBitset::PAGE`] ids.
@@ -369,6 +475,11 @@ impl JobBitset {
         self.pages
             .get(&(i / Self::PAGE))
             .is_some_and(|page| page[i % Self::PAGE / 64] & (1 << (i % 64)) != 0)
+    }
+
+    /// The first of `ids` not in the set.
+    fn first_missing(&self, ids: &[JobId]) -> Option<JobId> {
+        ids.iter().copied().find(|&id| !self.contains(id))
     }
 }
 
@@ -407,6 +518,9 @@ struct FaultLayer {
     down_since: Vec<Option<SimTime>>,
     /// Degradation-window start per site (`Some` while the uplink is slow).
     degraded_since: Vec<Option<SimTime>>,
+    /// Batch jobs running per site, by `(start, id)`: the kill order, whose
+    /// last entry is the next victim.
+    running: Vec<BTreeMap<(SimTime, JobId), Slot>>,
     report: FaultReport,
 }
 
@@ -428,19 +542,23 @@ pub struct GridSim {
     pending: Vec<Job>,
     /// Ground-truth labels by job id (kept OUT of the record stream).
     truth: Labels,
-    /// Jobs waiting on workflow dependencies. Each held job is registered
-    /// under exactly *one* of its unmet deps; when that dep completes the
-    /// job is re-examined and either routed or re-registered under another
-    /// still-unmet dep. (A per-job unmet counter would go stale: deps the
-    /// job is not registered under can complete in the meantime.)
-    dep_waiters: IdMap<JobId, Vec<Job>>,
+    /// Every admitted job not yet completed or abandoned, with what it is
+    /// executing — the one owner of each job after admission.
+    jobs: JobStore,
+    /// The slots of jobs in the schedulers' queues, by id: a scheduler
+    /// names the jobs it starts by id.
+    queued: IdMap<JobId, Slot>,
+    /// Jobs waiting on workflow dependencies, as the first and last of the
+    /// jobs held on each dep (the rest are linked through [`Run::Held`]).
+    /// Each held job is registered under exactly *one* of its unmet deps;
+    /// when that dep completes the job is re-examined and either routed or
+    /// re-registered under another still-unmet dep. (A per-job unmet counter
+    /// would go stale: deps the job is not registered under can complete in
+    /// the meantime.)
+    dep_waiters: IdMap<JobId, (Slot, Slot)>,
     completed: JobBitset,
     /// Deferred RC tasks, by site index (fabric was full).
-    rc_backlog: Vec<VecDeque<Job>>,
-    /// Running batch jobs by id — the single owner of every dispatched job
-    /// until its completion event delivers (RC fabric tasks are tracked by
-    /// their own events). Also the fault layer's kill index.
-    running: IdMap<JobId, RunningRec>,
+    rc_backlog: Vec<VecDeque<Slot>>,
     /// Armed scheduler wakeups by site index (dedupe).
     armed_wakeups: Vec<Option<SimTime>>,
     /// Reused buffer for one scheduler decision pass (empty between
@@ -518,10 +636,11 @@ impl GridSim {
             data: None,
             pending: jobs,
             truth,
+            jobs: JobStore::default(),
+            queued: IdMap::default(),
             dep_waiters: IdMap::default(),
             completed: JobBitset::default(),
             rc_backlog: vec![VecDeque::new(); sites],
-            running: IdMap::default(),
             armed_wakeups: vec![None; sites],
             started: Vec::new(),
             site_views: Vec::with_capacity(sites),
@@ -604,14 +723,14 @@ impl GridSim {
     fn close_phase(
         &mut self,
         now: SimTime,
-        job: &Job,
+        (id, modality): (JobId, Modality),
         kind: SpanKind,
         until: SimTime,
         site: Option<SiteId>,
         cause: impl FnOnce(SpanTrack) -> Option<WaitCause>,
         keep_empty: bool,
     ) {
-        let Some(track) = self.span_track.get_mut(&job.id) else {
+        let Some(track) = self.span_track.get_mut(&id) else {
             return;
         };
         let closed = std::mem::replace(
@@ -630,17 +749,17 @@ impl GridSim {
             kind,
             cause,
             site.map(|s| s.index()),
-            Some(job.true_modality.index()),
+            Some(modality.index()),
             t1.saturating_since(t0).as_secs_f64(),
         );
         self.tracer.emit_event(now, SPAN_CATEGORY, || {
             let mut fields: Vec<(&'static str, TraceValue)> = vec![
                 ("v", SPAN_SCHEMA_VERSION.into()),
-                ("job", job.id.index().into()),
+                ("job", id.index().into()),
                 ("kind", kind.name().into()),
                 ("t0", t0.as_secs_f64().into()),
                 ("t1", t1.as_secs_f64().into()),
-                ("modality", job.true_modality.name().into()),
+                ("modality", modality.name().into()),
             ];
             if let Some(s) = site {
                 fields.push(("site", s.index().into()));
@@ -746,6 +865,7 @@ impl GridSim {
             outage_offline: vec![0; sites],
             down_since: vec![None; sites],
             degraded_since: vec![None; sites],
+            running: vec![BTreeMap::new(); sites],
             report: FaultReport::new(sites),
         });
         self
@@ -855,7 +975,7 @@ impl GridSim {
             m.gauges = self.obs.series.site_gauges(engine.now(), &names);
         }
         let trace_health = self.tracer.close();
-        debug_assert!(self.running.is_empty(), "registry drained with the jobs");
+        debug_assert!(self.jobs.is_empty(), "the store drained with the jobs");
         let fault_report = self.faults.take().map(|f| f.report);
         let ingest_tally = self.record_sink.as_mut().map(|s| s.close());
         let stats = self.obs.finish(engine.now());
@@ -889,21 +1009,25 @@ impl GridSim {
     // Routing
     // ------------------------------------------------------------------
 
-    fn route(&mut self, ctx: &mut Ctx<Event>, mut job: Job) {
+    fn route(&mut self, ctx: &mut Ctx<Event>, slot: Slot) {
+        let now = ctx.now();
+        let job = &mut self.jobs.get_mut(slot).job;
         // Workflow release semantics: the queue sees the task now.
-        job.submit_time = job.submit_time.max(ctx.now());
+        job.submit_time = job.submit_time.max(now);
+        let span @ (id, _) = span_of(job);
+        let (is_rc, site_hint, dataset) = (job.rc.is_some(), job.site_hint, job.dataset);
+        let (account, project, input_mb) = (account_of(job), job.project, job.input_mb);
         // Span: time between original submission and routing was spent held
         // on workflow dependencies.
-        let now = ctx.now();
-        self.close_phase(now, &job, SpanKind::Held, now, None, |_| None, false);
-        if job.rc.is_some() {
-            let site = self.rc_site_for(&job);
-            self.route_rc(ctx, site, job);
+        self.close_phase(now, span, SpanKind::Held, now, None, |_| None, false);
+        if is_rc {
+            let site = self.rc_site_for(site_hint);
+            self.route_rc(ctx, site, slot);
             return;
         }
-        let site = match job.site_hint {
+        let site = match site_hint {
             Some(s) => s,
-            None => self.select_site(&job),
+            None => self.select_site(slot),
         };
         // Data-grid path: a named dataset replaces the flat input-staging
         // charge with replica-catalog / cache mechanics. A hit at the
@@ -911,7 +1035,7 @@ impl GridSim {
         // nearest replica holder and admits the dataset into the site's
         // cache. Either way the resolution cause rides the event so the
         // stage-in span names it.
-        if let (Some(ds), true) = (job.dataset, self.data.is_some()) {
+        if let (Some(ds), true) = (dataset, self.data.is_some()) {
             match self.data.as_mut().expect("checked above").access(
                 ds,
                 site,
@@ -920,7 +1044,7 @@ impl GridSim {
                 Locate::Hit => {
                     ctx.schedule_now(Event::Enqueue {
                         site,
-                        job: Box::new(job),
+                        slot,
                         cause: Some(WaitCause::CacheHit),
                     });
                 }
@@ -929,9 +1053,9 @@ impl GridSim {
                     let dur = self.federation.network.transfer_time(source, site, mb);
                     self.metrics.add(self.ins.staging_bytes, (mb * 1e6) as u64);
                     self.metrics.inc(self.ins.staging_transfers);
-                    self.tracer.emit_event(ctx.now(), "xfer", || {
+                    self.tracer.emit_event(now, "xfer", || {
                         vec![
-                            ("job", job.id.index().into()),
+                            ("job", id.index().into()),
                             ("dir", "in".into()),
                             ("src", source.index().into()),
                             ("dst", site.index().into()),
@@ -939,20 +1063,20 @@ impl GridSim {
                         ]
                     });
                     let rec = TransferRecord {
-                        user: self.account_of(&job),
-                        project: job.project,
+                        user: account,
+                        project,
                         src: source,
                         dst: site,
                         mb,
-                        start: ctx.now(),
-                        end: ctx.now() + dur,
+                        start: now,
+                        end: now + dur,
                     };
                     self.ingest(Record::Transfer(rec));
                     ctx.schedule_after(
                         dur,
                         Event::Enqueue {
                             site,
-                            job: Box::new(job),
+                            slot,
                             cause: Some(WaitCause::CacheMiss),
                         },
                     );
@@ -961,50 +1085,51 @@ impl GridSim {
             return;
         }
         // Input staging for large inputs: pay the WAN before queueing.
-        if job.input_mb >= STAGING_THRESHOLD_MB && site != self.data_home {
+        if input_mb >= STAGING_THRESHOLD_MB && site != self.data_home {
             let dur = self
                 .federation
                 .network
-                .transfer_time(self.data_home, site, job.input_mb);
+                .transfer_time(self.data_home, site, input_mb);
             self.metrics
-                .add(self.ins.staging_bytes, (job.input_mb * 1e6) as u64);
+                .add(self.ins.staging_bytes, (input_mb * 1e6) as u64);
             self.metrics.inc(self.ins.staging_transfers);
-            self.tracer.emit_event(ctx.now(), "xfer", || {
+            self.tracer.emit_event(now, "xfer", || {
                 vec![
-                    ("job", job.id.index().into()),
+                    ("job", id.index().into()),
                     ("dir", "in".into()),
                     ("dst", site.index().into()),
-                    ("mb", job.input_mb.into()),
+                    ("mb", input_mb.into()),
                 ]
             });
             let rec = TransferRecord {
-                user: self.account_of(&job),
-                project: job.project,
+                user: account,
+                project,
                 src: self.data_home,
                 dst: site,
-                mb: job.input_mb,
-                start: ctx.now(),
-                end: ctx.now() + dur,
+                mb: input_mb,
+                start: now,
+                end: now + dur,
             };
             self.ingest(Record::Transfer(rec));
             ctx.schedule_after(
                 dur,
                 Event::Enqueue {
                     site,
-                    job: Box::new(job),
+                    slot,
                     cause: None,
                 },
             );
         } else {
             ctx.schedule_now(Event::Enqueue {
                 site,
-                job: Box::new(job),
+                slot,
                 cause: None,
             });
         }
     }
 
-    fn select_site(&mut self, job: &Job) -> SiteId {
+    fn select_site(&mut self, slot: Slot) -> SiteId {
+        let job = &self.jobs[slot].job;
         // Queue depth by scheduler queue length × job-average shape is a
         // coarse stand-in; use queue length × estimate of this job.
         let mut views = std::mem::take(&mut self.site_views);
@@ -1044,9 +1169,9 @@ impl GridSim {
             resident: sites,
             size_mb: *mb,
         });
-        let mut rng = self
-            .rng
-            .stream(StreamId::new("meta", job.id.index() as u64));
+        // Per-job streams are independent, so deriving this one only when
+        // the policy draws from it changes no draw.
+        let rng = &self.rng;
         let site = self
             .meta_policy
             .select(
@@ -1055,15 +1180,15 @@ impl GridSim {
                 self.data_home,
                 &self.federation.network,
                 dctx.as_ref(),
-                &mut rng,
+                || rng.stream(StreamId::new("meta", job.id.index() as u64)),
             )
             .expect("at least one site fits any generated job");
         self.site_views = views;
         site
     }
 
-    fn rc_site_for(&self, job: &Job) -> SiteId {
-        if let Some(s) = job.site_hint {
+    fn rc_site_for(&self, site_hint: Option<SiteId>) -> SiteId {
+        if let Some(s) = site_hint {
             if self.federation.site(s).has_rc() {
                 return s;
             }
@@ -1072,15 +1197,23 @@ impl GridSim {
             .sites()
             .find(|s| s.has_rc())
             .map(|s| s.id())
-            .unwrap_or_else(|| job.site_hint.unwrap_or(SiteId(0)))
+            .unwrap_or_else(|| site_hint.unwrap_or(SiteId(0)))
     }
 
     // ------------------------------------------------------------------
     // Batch path
     // ------------------------------------------------------------------
 
-    fn enqueue(&mut self, ctx: &mut Ctx<Event>, site: SiteId, job: Job, cause: Option<WaitCause>) {
+    fn enqueue(
+        &mut self,
+        ctx: &mut Ctx<Event>,
+        site: SiteId,
+        slot: Slot,
+        cause: Option<WaitCause>,
+    ) {
         self.metrics.inc(self.ins.enqueues);
+        let job = &self.jobs[slot].job;
+        let (view, span @ (id, _)) = (QueuedJob::from(job), span_of(job));
         // Span: any gap since routing was input staging over the WAN.
         // Dataset jobs always close a stage-in span — a cache hit closes a
         // zero-length one — so the hit/miss cause is observable; jobs
@@ -1089,30 +1222,32 @@ impl GridSim {
         let keep_empty = cause.is_some();
         self.close_phase(
             now,
-            &job,
+            span,
             SpanKind::StageIn,
             now,
             Some(site),
             |_| cause,
             keep_empty,
         );
-        self.tracer.emit_event(ctx.now(), "queue", || {
+        self.tracer.emit_event(now, "queue", || {
             vec![
-                ("job", job.id.index().into()),
+                ("job", id.index().into()),
                 ("site", site.index().into()),
-                ("cores", job.cores.into()),
+                ("cores", view.cores.into()),
             ]
         });
-        self.schedulers[site.index()].submit(ctx.now(), job);
-        self.dispatch(ctx, site);
+        self.schedulers[site.index()].submit(now, view);
+        self.dispatch(ctx, site, Some((id, slot)));
     }
 
     /// Start what the site's scheduler picks, then refresh the site's
     /// busy-core and queued-job tracks in the windowed series. Every change
     /// to a site's cores or queue ends in a dispatch of that site — a dark
     /// one included — so the tracks see each change at the instant it
-    /// happens.
-    fn dispatch(&mut self, ctx: &mut Ctx<Event>, site: SiteId) {
+    /// happens. `fresh` is a job just submitted to the site and not yet in
+    /// `queued`: it enters `queued` only if this pass leaves it waiting,
+    /// which spares the map for the many jobs that start on arrival.
+    fn dispatch(&mut self, ctx: &mut Ctx<Event>, site: SiteId, mut fresh: Option<(JobId, Slot)>) {
         let now = ctx.now();
         // A site in a whole-site outage is frozen: its queue keeps accepting
         // work but nothing starts until recovery (which dispatches again).
@@ -1122,7 +1257,29 @@ impl GridSim {
             let mut started = std::mem::take(&mut self.started);
             self.schedulers[site.index()].make_decisions(now, cluster, speed, &mut started);
             for s in started.drain(..) {
-                let actual = s.job.runtime_on(speed, false);
+                let id = s.job.id;
+                let slot = match fresh {
+                    Some((fresh_id, slot)) if fresh_id == id => {
+                        fresh = None;
+                        slot
+                    }
+                    _ => self.queued.remove(&id).expect("a started job was queued"),
+                };
+                // The completion event carries only the slot; its key, kept
+                // with the job, lets a crash or outage cancel the attempt
+                // and requeue the job.
+                let entry = self.jobs.get_mut(slot);
+                let actual = entry.job.runtime_on(speed, false);
+                let key = ctx.schedule_after(actual, Event::Complete { slot });
+                entry.run = Run::Batch {
+                    site,
+                    key,
+                    started: now,
+                };
+                let span = span_of(&entry.job);
+                if let Some(f) = self.faults.as_mut() {
+                    f.running[site.index()].insert((now, id), slot);
+                }
                 self.obs.series.on_start(now);
                 // Span: queued phase closes at start. The scheduler attributes
                 // the wait from the job's routed submit time; jobs whose queued
@@ -1135,29 +1292,14 @@ impl GridSim {
                         s.cause
                     })
                 };
-                self.close_phase(now, &s.job, SpanKind::Queued, now, Some(site), cause, true);
+                self.close_phase(now, span, SpanKind::Queued, now, Some(site), cause, true);
                 self.tracer.emit_event(now, "sched", || {
                     vec![
-                        ("job", s.job.id.index().into()),
+                        ("job", id.index().into()),
                         ("site", site.index().into()),
                         ("cores", s.job.cores.into()),
                     ]
                 });
-                // The registry takes ownership of the job (no clone); the
-                // completion event carries only the id, and the stored event
-                // key lets a crash/outage cancel the attempt and requeue the
-                // job.
-                let key = ctx.schedule_after(actual, Event::Complete { id: s.job.id });
-                self.running.insert(
-                    s.job.id,
-                    RunningRec {
-                        site,
-                        cores: s.job.cores,
-                        key,
-                        started: now,
-                        job: s.job,
-                    },
-                );
             }
             self.started = started;
             // Arm a wakeup if the policy wants one (weekly drain).
@@ -1169,6 +1311,9 @@ impl GridSim {
                 }
             }
         }
+        if let Some((id, slot)) = fresh {
+            self.queued.insert(id, slot);
+        }
         if self.obs.series.is_enabled() {
             let busy = self.federation.site(site).cluster.busy_cores();
             let queued = self.schedulers[site.index()].queue_len();
@@ -1178,28 +1323,35 @@ impl GridSim {
         }
     }
 
-    fn complete_batch(&mut self, ctx: &mut Ctx<Event>, id: JobId) {
-        let rec = self
-            .running
-            .remove(&id)
-            .expect("completion delivered for a registered running job");
-        let RunningRec {
-            site, started, job, ..
-        } = rec;
+    fn complete_batch(&mut self, ctx: &mut Ctx<Event>, slot: Slot) {
+        let InFlight { job, run } = self.jobs.remove(slot);
+        let id = job.id;
+        let Run::Batch { site, started, .. } = run else {
+            unreachable!("batch completion of a job not running on a batch partition");
+        };
         if let Some(f) = self.faults.as_mut() {
-            f.book.forget(job.id);
+            f.book.forget(id);
+            f.running[site.index()].remove(&(started, id));
         }
+        let now = ctx.now();
         self.federation
             .site_mut(site)
             .cluster
-            .release(ctx.now(), job.cores);
-        self.obs.series.on_stop(ctx.now());
-        self.schedulers[site.index()].on_complete(ctx.now(), job.id);
-        let now = ctx.now();
-        self.close_phase(now, &job, SpanKind::Run, now, Some(site), |_| None, true);
-        self.tracer.emit_event(ctx.now(), "done", || {
+            .release(now, job.cores);
+        self.obs.series.on_stop(now);
+        self.schedulers[site.index()].on_complete(now, id);
+        self.close_phase(
+            now,
+            span_of(&job),
+            SpanKind::Run,
+            now,
+            Some(site),
+            |_| None,
+            true,
+        );
+        self.tracer.emit_event(now, "done", || {
             vec![
-                ("job", job.id.index().into()),
+                ("job", id.index().into()),
                 ("site", site.index().into()),
                 (
                     "wait_s",
@@ -1211,41 +1363,54 @@ impl GridSim {
             ]
         });
         self.emit_records(ctx, site, &job, started, false, None);
-        self.finish_job(ctx, &job);
-        self.dispatch(ctx, site);
+        self.finish_job(ctx, id);
+        self.dispatch(ctx, site, None);
     }
 
     // ------------------------------------------------------------------
     // RC path
     // ------------------------------------------------------------------
 
-    fn route_rc(&mut self, ctx: &mut Ctx<Event>, site: SiteId, job: Job) {
+    fn route_rc(&mut self, ctx: &mut Ctx<Event>, site: SiteId, slot: Slot) {
         if !self.federation.site(site).has_rc() {
             // No fabric anywhere: run the software version.
-            self.enqueue(ctx, site, job, None);
+            self.enqueue(ctx, site, slot, None);
             return;
         }
+        let now = ctx.now();
+        let job = &self.jobs[slot].job;
+        let span @ (id, _) = span_of(job);
         let decision = {
             let fed = &self.federation;
             let s = fed.site(site);
             self.rc_policy.decide(
-                &job,
+                job,
                 &s.rc,
                 &fed.library,
                 |c| fed.bitstream_fetch_time(c, site),
-                ctx.now(),
+                now,
                 s.core_speed(),
             )
         };
         match decision {
             RcDecision::PlaceHw { node, plan, setup } => {
                 let reused = matches!(plan, HostPlan::Reuse(_));
+                let entry = self.jobs.get_mut(slot);
+                let job = &entry.job;
                 let rc_cfg = job.rc.expect("rc job").config;
                 let (s, library) = self.federation.site_mut_with_library(site);
                 let speed = s.core_speed();
-                let region = s.rc.node_mut(node).commit(plan, rc_cfg, library, ctx.now());
-                let now = ctx.now();
+                let region = s.rc.node_mut(node).commit(plan, rc_cfg, library, now);
                 let exec_start = now + setup.total();
+                let end = exec_start + job.runtime_on(speed, true);
+                entry.run = Run::Rc {
+                    site,
+                    node,
+                    region,
+                    started: exec_start,
+                    setup,
+                    reused,
+                };
                 // Spans: queued-for-fabric (zero-length unless the job sat in
                 // the deferral backlog), then bitstream transfer + reconfig.
                 let cause = |t: SpanTrack| {
@@ -1255,95 +1420,91 @@ impl GridSim {
                         WaitCause::Immediate
                     })
                 };
-                self.close_phase(now, &job, SpanKind::Queued, now, Some(site), cause, true);
+                self.close_phase(now, span, SpanKind::Queued, now, Some(site), cause, true);
                 let cause = |_| Some(WaitCause::ReconfigLatency);
                 self.close_phase(
                     now,
-                    &job,
+                    span,
                     SpanKind::Reconfig,
                     exec_start,
                     Some(site),
                     cause,
                     true,
                 );
-                let hw_runtime = job.runtime_on(speed, true);
-                let end = exec_start + hw_runtime;
-                let deadline_met = job
-                    .rc
-                    .and_then(|rc| rc.deadline)
-                    .map(|d| end <= job.submit_time + d);
-                let placement = RcPlacementRecord {
-                    job: job.id,
-                    site,
-                    node,
-                    config: rc_cfg,
-                    reused,
-                    transfer: setup.transfer,
-                    reconfig: setup.reconfig,
-                    deadline_met,
-                };
-                self.obs.series.on_start(ctx.now());
-                ctx.schedule_at(
-                    end,
-                    Event::RcComplete {
-                        site,
-                        node,
-                        region,
-                        job: Box::new(job),
-                        started: exec_start,
-                        placement,
-                    },
-                );
+                self.obs.series.on_start(now);
+                ctx.schedule_at(end, Event::RcComplete { slot });
             }
             RcDecision::RunSw => {
                 // A deferred job falling back to software spent its backlog
                 // time waiting on the fabric, not staging input.
-                let now = ctx.now();
                 let cause = |_| Some(WaitCause::FabricBusy);
-                self.close_phase(now, &job, SpanKind::Queued, now, Some(site), cause, false);
-                self.enqueue(ctx, site, job, None);
+                self.close_phase(now, span, SpanKind::Queued, now, Some(site), cause, false);
+                self.enqueue(ctx, site, slot, None);
             }
             RcDecision::Defer => {
                 self.metrics.inc(self.ins.rc_deferrals);
-                self.tracer.emit_event(ctx.now(), "rc", || {
-                    vec![("job", job.id.index().into()), ("deferred", true.into())]
+                self.tracer.emit_event(now, "rc", || {
+                    vec![("job", id.index().into()), ("deferred", true.into())]
                 });
-                if let Some(track) = self.span_track.get_mut(&job.id) {
+                if let Some(track) = self.span_track.get_mut(&id) {
                     track.deferred = true;
                 }
-                self.rc_backlog[site.index()].push_back(job);
+                self.rc_backlog[site.index()].push_back(slot);
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)] // event fields arrive together
-    fn complete_rc(
-        &mut self,
-        ctx: &mut Ctx<Event>,
-        site: SiteId,
-        node: tg_model::NodeId,
-        region: tg_model::reconf::RegionId,
-        job: Job,
-        started: SimTime,
-        placement: RcPlacementRecord,
-    ) {
+    fn complete_rc(&mut self, ctx: &mut Ctx<Event>, slot: Slot) {
+        let InFlight { job, run } = self.jobs.remove(slot);
+        let id = job.id;
+        let Run::Rc {
+            site,
+            node,
+            region,
+            started,
+            setup,
+            reused,
+        } = run
+        else {
+            unreachable!("RC completion of a job not running on a fabric region");
+        };
+        let now = ctx.now();
+        let rc = job.rc.expect("rc job");
+        // The task ends now, so its deadline is judged against now.
+        let placement = RcPlacementRecord {
+            job: id,
+            site,
+            node,
+            config: rc.config,
+            reused,
+            transfer: setup.transfer,
+            reconfig: setup.reconfig,
+            deadline_met: rc.deadline.map(|d| now <= job.submit_time + d),
+        };
         self.federation
             .site_mut(site)
             .rc
             .node_mut(node)
-            .finish(region, ctx.now());
-        self.obs.series.on_stop(ctx.now());
-        let now = ctx.now();
-        self.close_phase(now, &job, SpanKind::Run, now, Some(site), |_| None, true);
-        self.tracer.emit_event(ctx.now(), "rc", || {
+            .finish(region, now);
+        self.obs.series.on_stop(now);
+        self.close_phase(
+            now,
+            span_of(&job),
+            SpanKind::Run,
+            now,
+            Some(site),
+            |_| None,
+            true,
+        );
+        self.tracer.emit_event(now, "rc", || {
             vec![
-                ("job", job.id.index().into()),
+                ("job", id.index().into()),
                 ("site", site.index().into()),
-                ("reused", placement.reused.into()),
+                ("reused", reused.into()),
             ]
         });
         self.emit_records(ctx, site, &job, started, true, Some(placement));
-        self.finish_job(ctx, &job);
+        self.finish_job(ctx, id);
         // Fabric freed: retry deferred tasks (FIFO, stop at first re-defer).
         while let Some(next) = self.rc_backlog[site.index()].pop_front() {
             let before = self.rc_backlog[site.index()].len();
@@ -1382,7 +1543,7 @@ impl GridSim {
                 // would outlive the deadline; short jobs keep flowing until
                 // the lights go out.
                 self.schedulers[site.index()].drain_notice(Some(outage_at));
-                self.dispatch(ctx, site);
+                self.dispatch(ctx, site, None);
             }
             FaultEventKind::SiteOutage { site } => self.fault_site_outage(ctx, site),
             FaultEventKind::SiteRecovery { site } => self.fault_site_recovery(ctx, site),
@@ -1443,7 +1604,7 @@ impl GridSim {
             self.faults.as_mut().expect("fault layer").crashed_cores[site.index()] += take;
         }
         // Kills freed cores beyond the crashed ones; let the queue use them.
-        self.dispatch(ctx, site);
+        self.dispatch(ctx, site, None);
     }
 
     fn fault_node_repair(&mut self, ctx: &mut Ctx<Event>, site: SiteId, cores: usize) {
@@ -1463,7 +1624,7 @@ impl GridSim {
             .site_mut(site)
             .cluster
             .bring_online(ctx.now(), fixed);
-        self.dispatch(ctx, site);
+        self.dispatch(ctx, site, None);
     }
 
     /// The whole site goes dark: running work is killed (or checkpointed per
@@ -1494,7 +1655,7 @@ impl GridSim {
             self.faults.as_mut().expect("fault layer").outage_offline[site.index()] += free;
         }
         // Nothing starts on a dark site; the dispatch refreshes its tracks.
-        self.dispatch(ctx, site);
+        self.dispatch(ctx, site, None);
     }
 
     fn fault_site_recovery(&mut self, ctx: &mut Ctx<Event>, site: SiteId) {
@@ -1514,18 +1675,17 @@ impl GridSim {
                 .bring_online(ctx.now(), parked);
         }
         self.schedulers[site.index()].drain_notice(None);
-        self.dispatch(ctx, site);
+        self.dispatch(ctx, site, None);
     }
 
     /// The running job at `site` that started last (ties: highest id) — the
     /// deterministic kill order for crashes and outages. Preferring the
     /// newest attempt loses the least completed work.
-    fn pick_victim(&self, site: SiteId) -> Option<JobId> {
-        self.running
-            .values()
-            .filter(|r| r.site == site)
-            .max_by_key(|r| (r.started, r.job.id.index()))
-            .map(|r| r.job.id)
+    fn pick_victim(&self, site: SiteId) -> Option<Slot> {
+        let f = self.faults.as_ref().expect("fault layer");
+        f.running[site.index()]
+            .last_key_value()
+            .map(|(_, &slot)| slot)
     }
 
     /// Kill one running job: cancel its completion event, free its cores
@@ -1535,52 +1695,49 @@ impl GridSim {
     fn kill_running(
         &mut self,
         ctx: &mut Ctx<Event>,
-        id: JobId,
+        slot: Slot,
         cause: WaitCause,
         checkpoint: bool,
     ) {
-        let rec = self
-            .running
-            .remove(&id)
-            .expect("victim is in the running registry");
-        assert!(
-            ctx.cancel(rec.key),
-            "completion already delivered for a registered running job"
-        );
-        self.federation
-            .site_mut(rec.site)
-            .cluster
-            .preempt(ctx.now(), rec.cores);
-        self.obs.series.on_stop(ctx.now());
-        self.schedulers[rec.site.index()].on_complete(ctx.now(), id);
-        self.faults
-            .as_mut()
-            .expect("fault layer")
-            .report
-            .jobs_killed += 1;
         let now = ctx.now();
+        let entry = self.jobs.get_mut(slot);
+        let Run::Batch { site, key, started } = std::mem::replace(&mut entry.run, Run::Waiting)
+        else {
+            unreachable!("victim is running on a batch partition");
+        };
+        let (cores, span @ (id, _)) = (entry.job.cores, span_of(&entry.job));
+        assert!(
+            ctx.cancel(key),
+            "completion already delivered for a running job"
+        );
+        self.federation.site_mut(site).cluster.preempt(now, cores);
+        self.obs.series.on_stop(now);
+        self.schedulers[site.index()].on_complete(now, id);
+        let f = self.faults.as_mut().expect("fault layer");
+        f.running[site.index()].remove(&(started, id));
+        f.report.jobs_killed += 1;
         self.close_phase(
             now,
-            &rec.job,
+            span,
             SpanKind::Fault,
             now,
-            Some(rec.site),
+            Some(site),
             |_| Some(cause),
             true,
         );
-        self.tracer.emit_event(ctx.now(), "fault", || {
+        self.tracer.emit_event(now, "fault", || {
             vec![
                 ("job", id.index().into()),
-                ("site", rec.site.index().into()),
+                ("site", site.index().into()),
                 ("cause", cause.name().into()),
             ]
         });
-        let mut job = rec.job;
         if checkpoint {
             // Checkpoint at the kill instant: only the remaining work reruns
             // and the retry budget is not charged.
-            let speed = self.federation.site(rec.site).core_speed();
-            let done_ref = ctx.now().saturating_since(rec.started).as_secs_f64() * speed;
+            let speed = self.federation.site(site).core_speed();
+            let done_ref = now.saturating_since(started).as_secs_f64() * speed;
+            let job = &mut self.jobs.get_mut(slot).job;
             let remaining = (job.runtime.as_secs_f64() - done_ref).max(1.0);
             job.runtime = SimDuration::from_secs_f64(remaining);
             job.estimate = job.estimate.max(job.runtime);
@@ -1588,7 +1745,7 @@ impl GridSim {
             f.report.checkpoint_restarts += 1;
             f.report.jobs_requeued += 1;
             let backoff = f.retry.backoff(1);
-            ctx.schedule_after(backoff, Event::Requeue { job: Box::new(job) });
+            ctx.schedule_after(backoff, Event::Requeue { slot });
             return;
         }
         let f = self.faults.as_mut().expect("fault layer");
@@ -1596,7 +1753,7 @@ impl GridSim {
         if f.retry.exhausted(attempts) {
             f.report.jobs_abandoned += 1;
             f.book.forget(id);
-            self.tracer.emit_event(ctx.now(), "abandon", || {
+            self.tracer.emit_event(now, "abandon", || {
                 vec![
                     ("job", id.index().into()),
                     ("attempts", (attempts as usize).into()),
@@ -1604,11 +1761,12 @@ impl GridSim {
             });
             // The job never completes and leaves no accounting record, but
             // it still counts toward the drain and releases its dependents.
-            self.finish_job(ctx, &job);
+            self.jobs.remove(slot);
+            self.finish_job(ctx, id);
         } else {
             f.report.jobs_requeued += 1;
             let backoff = f.retry.backoff(attempts);
-            ctx.schedule_after(backoff, Event::Requeue { job: Box::new(job) });
+            ctx.schedule_after(backoff, Event::Requeue { slot });
         }
     }
 
@@ -1616,13 +1774,13 @@ impl GridSim {
     /// the backoff wait (its phase opened at the kill), then route it as a
     /// fresh submission (`route` bumps `submit_time`, so accounting sees the
     /// final attempt's resubmission).
-    fn requeue(&mut self, ctx: &mut Ctx<Event>, job: Job) {
+    fn requeue(&mut self, ctx: &mut Ctx<Event>, slot: Slot) {
         let now = ctx.now();
-        self.close_phase(now, &job, SpanKind::Requeue, now, None, |_| None, false);
-        self.tracer.emit_event(ctx.now(), "requeue", || {
-            vec![("job", job.id.index().into())]
-        });
-        self.route(ctx, job);
+        let span @ (id, _) = span_of(&self.jobs[slot].job);
+        self.close_phase(now, span, SpanKind::Requeue, now, None, |_| None, false);
+        self.tracer
+            .emit_event(now, "requeue", || vec![("job", id.index().into())]);
+        self.route(ctx, slot);
     }
 
     // ------------------------------------------------------------------
@@ -1686,15 +1844,6 @@ impl GridSim {
         }
     }
 
-    /// The account a job is recorded under: the gateway community account
-    /// for gateway traffic, the personal account otherwise.
-    fn account_of(&self, job: &Job) -> UserId {
-        match job.gateway {
-            Some(gw) => UserId(COMMUNITY_ACCOUNT_BASE + gw.index()),
-            None => job.user,
-        }
-    }
-
     fn emit_records(
         &mut self,
         ctx: &mut Ctx<Event>,
@@ -1704,7 +1853,7 @@ impl GridSim {
         used_hw: bool,
         placement: Option<RcPlacementRecord>,
     ) {
-        let account = self.account_of(job);
+        let account = account_of(job);
         self.metrics.inc(self.ins.site_completions[site.index()]);
         self.metrics
             .inc(self.ins.modality_completions[job.true_modality.index()]);
@@ -1759,7 +1908,7 @@ impl GridSim {
             let now = ctx.now();
             self.close_phase(
                 now,
-                job,
+                span_of(job),
                 SpanKind::StageOut,
                 now + dur,
                 Some(site),
@@ -1787,25 +1936,38 @@ impl GridSim {
         }
     }
 
-    fn finish_job(&mut self, ctx: &mut Ctx<Event>, job: &Job) {
-        self.span_track.remove(&job.id);
+    /// Count `id` as done — completed, or abandoned after its last retry —
+    /// and route any job whose last unmet dependency it was.
+    fn finish_job(&mut self, ctx: &mut Ctx<Event>, id: JobId) {
+        self.span_track.remove(&id);
         self.obs.series.on_complete(ctx.now());
         self.jobs_done += 1;
-        self.completed.insert(job.id);
-        // Route any jobs whose last unmet dependency this was.
-        if let Some(waiters) = self.dep_waiters.remove(&job.id) {
-            for waiter in waiters {
-                match waiter
-                    .deps
-                    .iter()
-                    .copied()
-                    .find(|&d| !self.completed.contains(d))
-                {
-                    None => self.route(ctx, waiter),
-                    Some(next_dep) => {
-                        self.dep_waiters.entry(next_dep).or_default().push(waiter);
-                    }
-                }
+        self.completed.insert(id);
+        let mut waiter = self.dep_waiters.remove(&id).map(|(first, _)| first);
+        while let Some(held) = waiter {
+            let entry = self.jobs.get_mut(held);
+            let Run::Held { next } = std::mem::replace(&mut entry.run, Run::Waiting) else {
+                unreachable!("a dependency waiter is held");
+            };
+            waiter = next;
+            match self.completed.first_missing(&entry.job.deps) {
+                None => self.route(ctx, held),
+                Some(dep) => self.hold(held, dep),
+            }
+        }
+    }
+
+    /// Hold the job in `slot` until `dep` finishes, behind any job already
+    /// held on it.
+    fn hold(&mut self, slot: Slot, dep: JobId) {
+        self.jobs.get_mut(slot).run = Run::Held { next: None };
+        match self.dep_waiters.entry(dep) {
+            Entry::Occupied(mut e) => {
+                let last = std::mem::replace(&mut e.get_mut().1, slot);
+                self.jobs.get_mut(last).run = Run::Held { next: Some(slot) };
+            }
+            Entry::Vacant(e) => {
+                e.insert((slot, slot));
             }
         }
     }
@@ -1850,16 +2012,11 @@ impl GridSim {
                 },
             );
         }
-        let first_unmet = job
-            .deps
-            .iter()
-            .copied()
-            .find(|&d| !self.completed.contains(d));
+        let first_unmet = self.completed.first_missing(&job.deps);
+        let slot = self.jobs.insert(job);
         match first_unmet {
-            None => self.route(ctx, job),
-            Some(dep) => {
-                self.dep_waiters.entry(dep).or_default().push(job);
-            }
+            None => self.route(ctx, slot),
+            Some(dep) => self.hold(slot, dep),
         }
     }
 }
@@ -1874,23 +2031,16 @@ impl Simulation for GridSim {
         match event {
             Event::Submit(ordinal) => self.submit_from_trace(ctx, ordinal),
             Event::SubmitJob(job) => self.admit(ctx, *job),
-            Event::Enqueue { site, job, cause } => self.enqueue(ctx, site, *job, cause),
-            Event::Complete { id } => self.complete_batch(ctx, id),
-            Event::RcComplete {
-                site,
-                node,
-                region,
-                job,
-                started,
-                placement,
-            } => self.complete_rc(ctx, site, node, region, *job, started, placement),
+            Event::Enqueue { site, slot, cause } => self.enqueue(ctx, site, slot, cause),
+            Event::Complete { slot } => self.complete_batch(ctx, slot),
+            Event::RcComplete { slot } => self.complete_rc(ctx, slot),
             Event::SchedWakeup { site } => {
                 self.armed_wakeups[site.index()] = None;
-                self.dispatch(ctx, site);
+                self.dispatch(ctx, site, None);
             }
             Event::Sample => self.take_sample(ctx),
             Event::Fault(index) => self.handle_fault(ctx, index),
-            Event::Requeue { job } => self.requeue(ctx, *job),
+            Event::Requeue { slot } => self.requeue(ctx, slot),
         }
     }
 }
@@ -2612,5 +2762,29 @@ mod tests {
             assert!(!set.contains(JobId(id)), "{id} was never inserted");
         }
         assert_eq!(set.pages.len(), 3, "pages follow the ids in use");
+    }
+
+    #[test]
+    fn job_store_reuses_slots_and_grows_by_the_page() {
+        let mut store = JobStore::default();
+        let n = JobStore::PAGE + 1;
+        let slots: Vec<Slot> = (0..n).map(|i| store.insert(job(i, 1, 1, 0))).collect();
+        assert_eq!(store.pages.len(), 2, "one page, then one more slot");
+        assert!(slots
+            .iter()
+            .enumerate()
+            .all(|(i, &s)| store[s].job.id == JobId(i)));
+        // Vacated slots go to the next admissions, most recent first, so
+        // the store stays at the most jobs ever in flight.
+        assert_eq!(store.remove(slots[7]).job.id, JobId(7));
+        assert_eq!(store.remove(slots[3]).job.id, JobId(3));
+        assert_eq!(store.insert(job(n, 1, 1, 0)), slots[3]);
+        assert_eq!(store.insert(job(n + 1, 1, 1, 0)), slots[7]);
+        assert_eq!(store[slots[7]].job.id, JobId(n + 1));
+        assert_eq!(store.pages.len(), 2);
+        for &s in &slots {
+            store.remove(s);
+        }
+        assert!(store.is_empty());
     }
 }

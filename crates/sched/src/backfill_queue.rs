@@ -34,13 +34,12 @@
 //! reused from pass to pass.
 //!
 //! Decisions are **bit-identical** to the naive walk; the differential
-//! suite (`tests/differential.rs`, plus the property tests in this crate)
-//! drives both against identical traffic to prove it.
+//! suites (`crates/core/tests/differential.rs`, plus the property tests in
+//! this crate) drive both against identical traffic to prove it.
 
-use crate::queue::estimated_runtime;
+use crate::queue::{estimated_runtime, QueuedJob};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
-use tg_workload::Job;
 
 /// Dead-slot sentinel in the lane segment trees. Real estimates are u64
 /// microseconds, so `u64::MAX as u128` (`ALIVE_LIMIT`) admits every live
@@ -183,9 +182,9 @@ impl WidthLane {
 /// the start of the next decision pass ([`BackfillQueue::integrate`]).
 #[derive(Debug, Default)]
 pub(crate) struct BackfillQueue {
-    jobs: BTreeMap<u64, Job>,
+    jobs: BTreeMap<u64, QueuedJob>,
     lanes: BTreeMap<usize, WidthLane>,
-    staged: VecDeque<Job>,
+    staged: VecDeque<QueuedJob>,
     next_seq: u64,
     /// Captured at first integration; the per-site speed never changes.
     core_speed: Option<f64>,
@@ -202,13 +201,36 @@ impl BackfillQueue {
     }
 
     /// Stage a newly submitted job (indexed at the next decision pass).
-    pub(crate) fn push_back(&mut self, job: Job) {
+    pub(crate) fn push_back(&mut self, job: QueuedJob) {
         self.staged.push_back(job);
     }
 
     /// Queued jobs (staged included).
     pub(crate) fn len(&self) -> usize {
         self.jobs.len() + self.staged.len()
+    }
+
+    /// Whether no job is indexed, so the staged jobs are the queue's heads.
+    pub(crate) fn is_indexed_empty(&self) -> bool {
+        self.jobs.is_empty()
+    }
+
+    /// Take the first staged job without indexing it, if it passes `take`.
+    /// Only sound while [`BackfillQueue::is_indexed_empty`]: the staged
+    /// front is then the queue head.
+    pub(crate) fn pop_staged_if(
+        &mut self,
+        take: impl FnOnce(&QueuedJob) -> bool,
+    ) -> Option<QueuedJob> {
+        debug_assert!(
+            self.jobs.is_empty(),
+            "staged jobs queue behind indexed ones"
+        );
+        if take(self.staged.front()?) {
+            self.staged.pop_front()
+        } else {
+            None
+        }
     }
 
     /// Fold staged submissions into the index. Must run before any other
@@ -228,7 +250,7 @@ impl BackfillQueue {
     }
 
     /// The queue head (after [`BackfillQueue::integrate`]).
-    pub(crate) fn front(&self) -> Option<&Job> {
+    pub(crate) fn front(&self) -> Option<&QueuedJob> {
         self.jobs.first_key_value().map(|(_, j)| j)
     }
 
@@ -238,14 +260,14 @@ impl BackfillQueue {
     }
 
     /// Pop the queue head.
-    pub(crate) fn pop_front(&mut self) -> Option<Job> {
+    pub(crate) fn pop_front(&mut self) -> Option<QueuedJob> {
         let (seq, job) = self.jobs.pop_first()?;
         self.lane_kill(job.cores, seq);
         Some(job)
     }
 
     /// Remove an arbitrary queued job by seq (a backfill pick).
-    pub(crate) fn remove(&mut self, seq: u64) -> Job {
+    pub(crate) fn remove(&mut self, seq: u64) -> QueuedJob {
         let job = self.jobs.remove(&seq).expect("picked seq is queued");
         self.lane_kill(job.cores, seq);
         job
@@ -259,7 +281,7 @@ impl BackfillQueue {
     }
 
     /// Integrated jobs in arrival order (drain/pre-drain passes, tests).
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &Job)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &QueuedJob)> {
         self.jobs.iter().map(|(&s, j)| (s, j))
     }
 
@@ -281,17 +303,17 @@ impl BackfillQueue {
 mod tests {
     use super::*;
     use tg_des::{SimDuration, SimTime};
-    use tg_workload::{JobId, ProjectId, UserId};
+    use tg_workload::{Job, JobId, ProjectId, UserId};
 
-    fn job(id: usize, cores: usize, secs: u64) -> Job {
-        Job::batch(
+    fn job(id: usize, cores: usize, secs: u64) -> QueuedJob {
+        QueuedJob::from(&Job::batch(
             JobId(id),
             UserId(0),
             ProjectId(0),
             SimTime::ZERO,
             cores,
             SimDuration::from_secs(secs),
-        )
+        ))
     }
 
     #[test]

@@ -8,12 +8,14 @@
 //! start. Rebuilding per round is O(queue × segments) — simple, and cheap at
 //! the queue lengths grid sites see.
 
-use crate::queue::{attribute, estimated_runtime, BatchScheduler, RunningJob, RunningSet, Started};
+use crate::queue::{
+    attribute, estimated_runtime, BatchScheduler, QueuedJob, RunningJob, RunningSet, Started,
+};
 use std::collections::VecDeque;
 use tg_des::span::WaitCause;
 use tg_des::{SimDuration, SimTime};
 use tg_model::Cluster;
-use tg_workload::{Job, JobId};
+use tg_workload::JobId;
 
 /// Piecewise-constant free-core profile over future time.
 ///
@@ -145,7 +147,7 @@ impl Profile {
 /// Conservative backfill scheduler.
 #[derive(Debug, Default)]
 pub struct ConservativeBackfill {
-    queue: VecDeque<Job>,
+    queue: VecDeque<QueuedJob>,
     running: RunningSet,
 }
 
@@ -161,7 +163,7 @@ impl BatchScheduler for ConservativeBackfill {
         "conservative"
     }
 
-    fn submit(&mut self, _now: SimTime, job: Job) {
+    fn submit(&mut self, _now: SimTime, job: QueuedJob) {
         self.queue.push_back(job);
     }
 
@@ -218,17 +220,17 @@ impl BatchScheduler for ConservativeBackfill {
 mod tests {
     use super::*;
     use crate::queue::decide;
-    use tg_workload::{ProjectId, UserId};
+    use tg_workload::{Job, ProjectId, UserId};
 
-    fn job(id: usize, cores: usize, secs: u64) -> Job {
-        Job::batch(
+    fn job(id: usize, cores: usize, secs: u64) -> QueuedJob {
+        QueuedJob::from(&Job::batch(
             JobId(id),
             UserId(0),
             ProjectId(0),
             SimTime::ZERO,
             cores,
             SimDuration::from_secs(secs),
-        )
+        ))
     }
 
     #[test]

@@ -20,12 +20,12 @@
 
 use crate::backfill_queue::BackfillQueue;
 use crate::easy::{drain_pass, easy_pass, start_job};
-use crate::queue::{BatchScheduler, RunningSet, Started};
+use crate::queue::{BatchScheduler, QueuedJob, RunningSet, Started};
 use std::collections::VecDeque;
 use tg_des::span::WaitCause;
 use tg_des::{SimDuration, SimTime};
 use tg_model::Cluster;
-use tg_workload::{Job, JobId};
+use tg_workload::JobId;
 
 /// Fraction of machine cores at which a job counts as a hero run.
 pub const DEFAULT_HERO_FRACTION: f64 = 0.9;
@@ -34,7 +34,7 @@ pub const DEFAULT_HERO_FRACTION: f64 = 0.9;
 #[derive(Debug)]
 pub struct WeeklyDrain {
     normal: BackfillQueue,
-    heroes: VecDeque<Job>,
+    heroes: VecDeque<QueuedJob>,
     running: RunningSet,
     period: SimDuration,
     hero_threshold: usize,
@@ -104,7 +104,7 @@ impl BatchScheduler for WeeklyDrain {
         "weekly-drain"
     }
 
-    fn submit(&mut self, now: SimTime, job: Job) {
+    fn submit(&mut self, now: SimTime, job: QueuedJob) {
         if job.cores >= self.hero_threshold {
             self.heroes.push_back(job);
             if self.active_drain.is_none() {
@@ -231,20 +231,21 @@ mod tests {
     use super::*;
     use crate::easy::EasyBackfill;
     use crate::queue::decide;
+    use tg_workload::Job;
 
     fn sched(machine: usize) -> WeeklyDrain {
         WeeklyDrain::new(EasyBackfill::new(), SimDuration::from_weeks(1), machine)
     }
 
-    fn job(id: usize, cores: usize, secs: u64) -> Job {
-        Job::batch(
+    fn job(id: usize, cores: usize, secs: u64) -> QueuedJob {
+        QueuedJob::from(&Job::batch(
             JobId(id),
             tg_workload::UserId(0),
             tg_workload::ProjectId(0),
             SimTime::ZERO,
             cores,
             SimDuration::from_secs(secs),
-        )
+        ))
     }
 
     #[test]

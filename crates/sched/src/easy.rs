@@ -12,7 +12,7 @@
 
 use crate::backfill_queue::{BackfillQueue, ALIVE_LIMIT};
 use crate::queue::{
-    attribute, earliest_fit, estimated_runtime, free_at, BatchScheduler, RunningJob, RunningSet,
+    attribute, estimated_runtime, shadow, BatchScheduler, QueuedJob, RunningJob, RunningSet,
     Started,
 };
 use std::cmp::Reverse;
@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 use tg_des::span::WaitCause;
 use tg_des::SimTime;
 use tg_model::Cluster;
-use tg_workload::{Job, JobId};
+use tg_workload::JobId;
 
 /// EASY backfill scheduler.
 #[derive(Debug, Default)]
@@ -87,7 +87,7 @@ pub(crate) fn start_job(
     now: SimTime,
     cluster: &mut Cluster,
     core_speed: f64,
-    job: Job,
+    job: QueuedJob,
     delayed: WaitCause,
     running: &mut RunningSet,
     out: &mut Vec<Started>,
@@ -103,7 +103,7 @@ pub(crate) fn start_job(
 pub(crate) fn record_start(
     now: SimTime,
     core_speed: f64,
-    job: Job,
+    job: QueuedJob,
     delayed: WaitCause,
     running: &mut RunningSet,
     out: &mut Vec<Started>,
@@ -128,7 +128,7 @@ pub(crate) fn record_start(
 /// `VecDeque::remove` produced, without its O(n) shift per start. No-op
 /// (and no reallocation) when nothing was picked.
 pub(crate) fn compact_starts(
-    queue: &mut VecDeque<Job>,
+    queue: &mut VecDeque<QueuedJob>,
     picked: &[usize],
     now: SimTime,
     core_speed: f64,
@@ -184,6 +184,22 @@ pub(crate) fn easy_pass(
     started: &mut Vec<Started>,
     backfills: &mut u64,
 ) {
+    // Idle index: the staged jobs are the queue's heads, in order. Phase 1
+    // would index each and pop it straight back out, so start them here,
+    // FCFS while they fit, and index only what is left.
+    if queue.is_indexed_empty() {
+        while let Some(job) = queue.pop_staged_if(|j| cluster.can_fit(j.cores)) {
+            start_job(
+                now,
+                cluster,
+                core_speed,
+                job,
+                WaitCause::AheadInQueue,
+                running,
+                started,
+            );
+        }
+    }
     queue.integrate(core_speed);
     // Phase 1: start queue heads FCFS-style while they fit.
     while let Some(head) = queue.front() {
@@ -212,18 +228,16 @@ pub(crate) fn easy_pass(
     if cluster.free_cores() == 0 {
         return;
     }
-    // Phase 2: reservation for the (blocked) head.
-    let shadow = earliest_fit(now, cluster.free_cores(), head.cores, running);
-    // Cores free at the shadow time beyond what the head needs: a backfilled
-    // job running past the shadow may use only these.
-    let head_cores = head.cores;
-    let free_at_shadow = free_at(now, cluster.free_cores(), shadow, running);
-    let mut extra = free_at_shadow.saturating_sub(head_cores);
+    // Phase 2: reservation for the (blocked) head. Cores free at the shadow
+    // time beyond what the head needs: a backfilled job running past the
+    // shadow may use only these.
+    let (shadow, free_at_shadow) = shadow(now, cluster.free_cores(), head.cores, running);
+    let mut extra = free_at_shadow.saturating_sub(head.cores);
 
     // Phase 3: backfill in arrival order via the width lanes. A job may
     // start if it fits the free cores and either finishes (by estimate)
     // before the reservation or uses only `extra` cores. `shadow ≥ now`
-    // always (earliest_fit clamps), so `est ≤ shadow − now` in integer
+    // always (the shadow walk clamps), so `est ≤ shadow − now` in integer
     // microseconds is exactly the naive `now + est ≤ shadow` test.
     let head_seq = queue.head_seq().expect("head exists");
     let short_limit = shadow.saturating_since(now).as_micros() as u128;
@@ -301,7 +315,7 @@ pub(crate) fn easy_pass(
 /// cannot amortize. Decisions are identical to `easy_pass` on the same
 /// queue order.
 pub(crate) fn easy_pass_unindexed(
-    queue: &mut VecDeque<Job>,
+    queue: &mut VecDeque<QueuedJob>,
     running: &mut RunningSet,
     now: SimTime,
     cluster: &mut Cluster,
@@ -332,10 +346,8 @@ pub(crate) fn easy_pass_unindexed(
         return;
     }
     // Phase 2: reservation for the (blocked) head.
-    let shadow = earliest_fit(now, cluster.free_cores(), head.cores, running);
-    let free_at_shadow = free_at(now, cluster.free_cores(), shadow, running);
-    let head_cores = head.cores;
-    let mut extra = free_at_shadow.saturating_sub(head_cores);
+    let (shadow, free_at_shadow) = shadow(now, cluster.free_cores(), head.cores, running);
+    let mut extra = free_at_shadow.saturating_sub(head.cores);
 
     // Phase 3: backfill the rest of the queue in order.
     let mut picked = Vec::new();
@@ -370,7 +382,7 @@ impl BatchScheduler for EasyBackfill {
         "easy"
     }
 
-    fn submit(&mut self, _now: SimTime, job: Job) {
+    fn submit(&mut self, _now: SimTime, job: QueuedJob) {
         self.queue.push_back(job);
     }
 
@@ -426,17 +438,17 @@ mod tests {
     use super::*;
     use crate::queue::decide;
     use tg_des::SimDuration;
-    use tg_workload::{ProjectId, UserId};
+    use tg_workload::{Job, ProjectId, UserId};
 
-    fn job(id: usize, cores: usize, secs: u64) -> Job {
-        Job::batch(
+    fn job(id: usize, cores: usize, secs: u64) -> QueuedJob {
+        QueuedJob::from(&Job::batch(
             JobId(id),
             UserId(0),
             ProjectId(0),
             SimTime::ZERO,
             cores,
             SimDuration::from_secs(secs),
-        )
+        ))
     }
 
     /// The canonical EASY scenario: a blocked wide head plus a short narrow

@@ -11,16 +11,16 @@
 
 use crate::easy::easy_pass_unindexed;
 use crate::fairshare::FairShare;
-use crate::queue::{BatchScheduler, RunningSet, Started};
+use crate::queue::{BatchScheduler, QueuedJob, RunningSet, Started};
 use std::collections::VecDeque;
 use tg_des::{SimDuration, SimTime};
 use tg_model::Cluster;
-use tg_workload::{IdMap, Job, JobId};
+use tg_workload::{IdMap, JobId};
 
 /// EASY backfill over a fair-share-ordered queue.
 #[derive(Debug)]
 pub struct FairshareEasy {
-    queue: VecDeque<Job>,
+    queue: VecDeque<QueuedJob>,
     running: RunningSet,
     /// `id → (cores, start, project)` for usage charging at completion.
     charge_info: IdMap<JobId, (usize, SimTime, tg_workload::ProjectId)>,
@@ -47,7 +47,7 @@ impl FairshareEasy {
 
     fn rerank(&mut self, now: SimTime) {
         let shares = &self.shares;
-        let mut jobs: Vec<Job> = self.queue.drain(..).collect();
+        let mut jobs: Vec<QueuedJob> = self.queue.drain(..).collect();
         // Stable sort: equal priorities keep FIFO order.
         jobs.sort_by(|a, b| {
             let pa = shares.priority(a.project, a.submit_time, now);
@@ -63,7 +63,7 @@ impl BatchScheduler for FairshareEasy {
         "fairshare-easy"
     }
 
-    fn submit(&mut self, _now: SimTime, job: Job) {
+    fn submit(&mut self, _now: SimTime, job: QueuedJob) {
         self.queue.push_back(job);
     }
 
@@ -112,17 +112,17 @@ impl BatchScheduler for FairshareEasy {
 mod tests {
     use super::*;
     use crate::queue::decide;
-    use tg_workload::{ProjectId, UserId};
+    use tg_workload::{Job, ProjectId, UserId};
 
-    fn job(id: usize, project: usize, cores: usize, secs: u64, submit: u64) -> Job {
-        Job::batch(
+    fn job(id: usize, project: usize, cores: usize, secs: u64, submit: u64) -> QueuedJob {
+        QueuedJob::from(&Job::batch(
             JobId(id),
             UserId(id),
             ProjectId(project),
             SimTime::from_secs(submit),
             cores,
             SimDuration::from_secs(secs),
-        )
+        ))
     }
 
     fn sched() -> FairshareEasy {

@@ -4,17 +4,19 @@
 //! overtake. Simple, fair, and the utilization floor every backfill variant
 //! is measured against.
 
-use crate::queue::{attribute, estimated_runtime, BatchScheduler, RunningJob, RunningSet, Started};
+use crate::queue::{
+    attribute, estimated_runtime, BatchScheduler, QueuedJob, RunningJob, RunningSet, Started,
+};
 use std::collections::VecDeque;
 use tg_des::span::WaitCause;
 use tg_des::SimTime;
 use tg_model::Cluster;
-use tg_workload::{Job, JobId};
+use tg_workload::JobId;
 
 /// FCFS scheduler.
 #[derive(Debug, Default)]
 pub struct Fcfs {
-    queue: VecDeque<Job>,
+    queue: VecDeque<QueuedJob>,
     running: RunningSet,
     /// Armed outage notice: don't start work estimated to outlive this.
     outage: Option<SimTime>,
@@ -32,7 +34,7 @@ impl BatchScheduler for Fcfs {
         "fcfs"
     }
 
-    fn submit(&mut self, _now: SimTime, job: Job) {
+    fn submit(&mut self, _now: SimTime, job: QueuedJob) {
         self.queue.push_back(job);
     }
 
@@ -91,17 +93,17 @@ mod tests {
     use super::*;
     use crate::queue::decide;
     use tg_des::SimDuration;
-    use tg_workload::{ProjectId, UserId};
+    use tg_workload::{Job, ProjectId, UserId};
 
-    fn job(id: usize, cores: usize, secs: u64) -> Job {
-        Job::batch(
+    fn job(id: usize, cores: usize, secs: u64) -> QueuedJob {
+        QueuedJob::from(&Job::batch(
             JobId(id),
             UserId(0),
             ProjectId(0),
             SimTime::ZERO,
             cores,
             SimDuration::from_secs(secs),
-        )
+        ))
     }
 
     #[test]

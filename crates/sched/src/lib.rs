@@ -24,19 +24,21 @@
 //! Schedulers are *driven*: the simulation loop in `tg-core` calls
 //! [`BatchScheduler::submit`] / [`BatchScheduler::on_complete`] and then
 //! [`BatchScheduler::make_decisions`]; schedulers never own the event queue,
-//! which keeps them unit-testable without a simulator.
+//! which keeps them unit-testable without a simulator. Nor do they own
+//! jobs: they queue a [`QueuedJob`] view of each and hand it back in
+//! [`Started`], while the job itself stays with the driver.
 //!
 //! ```
 //! use tg_des::{SimDuration, SimTime};
 //! use tg_model::Cluster;
-//! use tg_sched::{BatchScheduler, SchedulerKind};
+//! use tg_sched::{BatchScheduler, QueuedJob, SchedulerKind};
 //! use tg_workload::{Job, JobId, ProjectId, UserId};
 //!
 //! let mut sched = SchedulerKind::Easy.build(64);
 //! let mut cluster = Cluster::new(SimTime::ZERO, 64);
 //! let job = |id, cores, secs| {
-//!     Job::batch(JobId(id), UserId(0), ProjectId(0), SimTime::ZERO, cores,
-//!                SimDuration::from_secs(secs))
+//!     QueuedJob::from(&Job::batch(JobId(id), UserId(0), ProjectId(0), SimTime::ZERO,
+//!                                 cores, SimDuration::from_secs(secs)))
 //! };
 //! sched.submit(SimTime::ZERO, job(0, 48, 3_600)); // wide, long
 //! sched.submit(SimTime::ZERO, job(1, 32, 60));    // blocked head → reservation
@@ -71,6 +73,6 @@ pub use easy::EasyBackfill;
 pub use fairshare_easy::FairshareEasy;
 pub use fcfs::Fcfs;
 pub use meta::{DataContext, MetaPolicy, SiteView};
-pub use queue::{BatchScheduler, SchedulerKind, Started};
+pub use queue::{BatchScheduler, QueuedJob, SchedulerKind, Started};
 pub use reconf::{RcDecision, RcPolicy};
 pub use retry::{RetryBook, RetryPolicy};

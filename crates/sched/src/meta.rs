@@ -108,7 +108,9 @@ impl MetaPolicy {
     /// (used by [`MetaPolicy::DataAware`]); `network` prices the staging;
     /// `data` carries the job's replica locations when the scenario runs a
     /// data grid (used by [`MetaPolicy::DataLocality`], ignored by the
-    /// rest). Returns `None` if no site can ever fit the job.
+    /// rest). `rng` derives the random stream; only [`MetaPolicy::Random`]
+    /// calls it, so the others pay nothing for a stream they never draw
+    /// from. Returns `None` if no site can ever fit the job.
     pub fn select(
         self,
         job: &Job,
@@ -116,7 +118,7 @@ impl MetaPolicy {
         data_home: SiteId,
         network: &Network,
         data: Option<&DataContext>,
-        rng: &mut SimRng,
+        rng: impl FnOnce() -> SimRng,
     ) -> Option<SiteId> {
         // Walked lazily: only `Random` needs the feasible sites as a slice.
         let mut feasible = views
@@ -125,7 +127,7 @@ impl MetaPolicy {
             .peekable();
         feasible.peek()?;
         let chosen = match self {
-            MetaPolicy::Random => *rng.pick(&feasible.collect::<Vec<_>>()),
+            MetaPolicy::Random => *rng().pick(&feasible.collect::<Vec<_>>()),
             MetaPolicy::LeastLoaded => feasible
                 .max_by_key(|v| (v.free_cores, std::cmp::Reverse(v.site)))
                 .expect("non-empty"),
@@ -251,48 +253,51 @@ mod tests {
 
     #[test]
     fn least_loaded_picks_most_free() {
-        let mut rng = SimRng::seeded(1);
+        let rng = || SimRng::seeded(1);
         let s = MetaPolicy::LeastLoaded
-            .select(&job(50, 0.0), &views(), SiteId(0), &net(), None, &mut rng)
+            .select(&job(50, 0.0), &views(), SiteId(0), &net(), None, rng)
             .unwrap();
         assert_eq!(s, SiteId(1));
     }
 
     #[test]
     fn shortest_eta_prefers_free_cores_then_light_queue() {
-        let mut rng = SimRng::seeded(2);
+        let rng = || SimRng::seeded(2);
         // 50 cores: free at site1 (eta 0) → site1.
         let s = MetaPolicy::ShortestEta
-            .select(&job(50, 0.0), &views(), SiteId(0), &net(), None, &mut rng)
+            .select(&job(50, 0.0), &views(), SiteId(0), &net(), None, rng)
             .unwrap();
         assert_eq!(s, SiteId(1));
         // 90 cores: site0 eta 8e6/1000=8000 s; site1 free → 0; site2 eta
         // 0.5e6/200=2500 s. Site1 wins again.
         let s = MetaPolicy::ShortestEta
-            .select(&job(90, 0.0), &views(), SiteId(0), &net(), None, &mut rng)
+            .select(&job(90, 0.0), &views(), SiteId(0), &net(), None, rng)
             .unwrap();
         assert_eq!(s, SiteId(1));
         // 300 cores: only sites 0,1 feasible; site0 eta 8000, site1 eta 2000.
         let s = MetaPolicy::ShortestEta
-            .select(&job(300, 0.0), &views(), SiteId(0), &net(), None, &mut rng)
+            .select(&job(300, 0.0), &views(), SiteId(0), &net(), None, rng)
             .unwrap();
         assert_eq!(s, SiteId(1));
     }
 
     #[test]
     fn random_respects_feasibility() {
-        let mut rng = SimRng::seeded(3);
-        for _ in 0..100 {
+        for seed in 0..100 {
             let s = MetaPolicy::Random
-                .select(&job(600, 0.0), &views(), SiteId(0), &net(), None, &mut rng)
+                .select(&job(600, 0.0), &views(), SiteId(0), &net(), None, || {
+                    SimRng::seeded(seed)
+                })
                 .unwrap();
             assert_eq!(s, SiteId(0), "only site0 fits 600 cores");
         }
         let mut seen = std::collections::HashSet::new();
-        for _ in 0..200 {
+        for seed in 0..200 {
             seen.insert(
                 MetaPolicy::Random
-                    .select(&job(10, 0.0), &views(), SiteId(0), &net(), None, &mut rng)
+                    .select(&job(10, 0.0), &views(), SiteId(0), &net(), None, || {
+                        SimRng::seeded(seed)
+                    })
                     .unwrap(),
             );
         }
@@ -301,7 +306,7 @@ mod tests {
 
     #[test]
     fn infeasible_everywhere_is_none() {
-        let mut rng = SimRng::seeded(4);
+        let rng = || SimRng::seeded(4);
         assert_eq!(
             MetaPolicy::ShortestEta.select(
                 &job(10_000, 0.0),
@@ -309,7 +314,7 @@ mod tests {
                 SiteId(0),
                 &net(),
                 None,
-                &mut rng
+                rng
             ),
             None
         );
@@ -317,7 +322,7 @@ mod tests {
 
     #[test]
     fn data_aware_avoids_thin_pipes_for_big_inputs() {
-        let mut rng = SimRng::seeded(5);
+        let rng = || SimRng::seeded(5);
         // Big input at site0; site2 would be fastest by ETA for small jobs
         // queued there... craft: job of 50 cores: ETA site1=0 so site1 wins
         // under both; instead compare against eta policy on 90-core job with
@@ -326,21 +331,21 @@ mod tests {
         // from site0 (fat pipes, cheap); cost(site2) would include thin pipe.
         let big = job(90, 100_000.0);
         let s = MetaPolicy::DataAware
-            .select(&big, &views(), SiteId(0), &net(), None, &mut rng)
+            .select(&big, &views(), SiteId(0), &net(), None, rng)
             .unwrap();
         assert_eq!(s, SiteId(1), "fat-pipe site with zero ETA wins");
         // Data already at site2 and job fits there: transfer to site2 is
         // free; to site1 it crosses the thin pipe (10 MB/s → 10,000 s).
         let local = job(90, 100_000.0);
         let s = MetaPolicy::DataAware
-            .select(&local, &views(), SiteId(2), &net(), None, &mut rng)
+            .select(&local, &views(), SiteId(2), &net(), None, rng)
             .unwrap();
         assert_eq!(s, SiteId(2), "keeping compute near data wins");
     }
 
     #[test]
     fn data_locality_routes_to_replica_holders() {
-        let mut rng = SimRng::seeded(6);
+        let rng = || SimRng::seeded(6);
         // The dataset sits at sites 0 and 2; a 90-core job fits all three
         // sites. Holder ETAs: site0 8000 s, site2 2500 s → site2 wins even
         // though site1 has zero ETA, because site1 would pay a WAN fetch.
@@ -349,27 +354,13 @@ mod tests {
             size_mb: 5_000.0,
         };
         let s = MetaPolicy::DataLocality
-            .select(
-                &job(90, 0.0),
-                &views(),
-                SiteId(0),
-                &net(),
-                Some(&ctx),
-                &mut rng,
-            )
+            .select(&job(90, 0.0), &views(), SiteId(0), &net(), Some(&ctx), rng)
             .unwrap();
         assert_eq!(s, SiteId(2), "min-ETA replica holder wins");
         // 300 cores: site2 infeasible, so holders = {site0}. Site0 wins over
         // the empty site1 because holding the data beats fetching it.
         let s = MetaPolicy::DataLocality
-            .select(
-                &job(300, 0.0),
-                &views(),
-                SiteId(0),
-                &net(),
-                Some(&ctx),
-                &mut rng,
-            )
+            .select(&job(300, 0.0), &views(), SiteId(0), &net(), Some(&ctx), rng)
             .unwrap();
         assert_eq!(s, SiteId(0), "feasible holder preferred over non-holder");
         // Only a thin-piped holder: 600 cores fits only site0; site0 holds
@@ -385,7 +376,7 @@ mod tests {
                 SiteId(0),
                 &net(),
                 Some(&ctx2),
-                &mut rng,
+                rng,
             )
             .unwrap();
         assert_eq!(s, SiteId(0), "fallback picks the only feasible site");
@@ -394,15 +385,13 @@ mod tests {
     #[test]
     fn data_locality_without_a_dataset_matches_data_aware() {
         for (cores, mb, home) in [(90usize, 100_000.0, 2usize), (50, 0.0, 0), (300, 10.0, 1)] {
-            let mut r1 = SimRng::seeded(9);
-            let mut r2 = SimRng::seeded(9);
             let a = MetaPolicy::DataAware.select(
                 &job(cores, mb),
                 &views(),
                 SiteId(home),
                 &net(),
                 None,
-                &mut r1,
+                || SimRng::seeded(9),
             );
             let b = MetaPolicy::DataLocality.select(
                 &job(cores, mb),
@@ -410,7 +399,7 @@ mod tests {
                 SiteId(home),
                 &net(),
                 None,
-                &mut r2,
+                || SimRng::seeded(9),
             );
             assert_eq!(a, b, "cores={cores} mb={mb} home={home}");
         }

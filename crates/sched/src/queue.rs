@@ -5,13 +5,43 @@ use std::collections::BTreeMap;
 use tg_des::span::WaitCause;
 use tg_des::{SimDuration, SimTime};
 use tg_model::Cluster;
-use tg_workload::{IdMap, Job, JobId};
+use tg_workload::{IdMap, Job, JobId, ProjectId};
+
+/// What a batch scheduler sees of a queued job: the fields its policies
+/// read, copied out of the [`Job`] at submission. The job itself stays with
+/// the caller, so queues move and reorder 40-byte views instead of
+/// 208-byte jobs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct QueuedJob {
+    /// The job's id.
+    pub id: JobId,
+    /// Project charged (fair-share ordering).
+    pub project: ProjectId,
+    /// Submit time as routed to the site (wait attribution, fair-share age).
+    pub submit_time: SimTime,
+    /// Cores requested.
+    pub cores: usize,
+    /// The user's runtime estimate on reference hardware.
+    pub estimate: SimDuration,
+}
+
+impl From<&Job> for QueuedJob {
+    fn from(job: &Job) -> Self {
+        QueuedJob {
+            id: job.id,
+            project: job.project,
+            submit_time: job.submit_time,
+            cores: job.cores,
+            estimate: job.estimate,
+        }
+    }
+}
 
 /// A job the scheduler has decided to start *now*.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Started {
     /// The job (removed from the queue).
-    pub job: Job,
+    pub job: QueuedJob,
     /// What the scheduler believes the end time is (estimate-based); the
     /// driver computes the *actual* completion from the true runtime.
     pub estimated_end: SimTime,
@@ -84,7 +114,7 @@ pub trait BatchScheduler: Send {
     fn name(&self) -> &'static str;
 
     /// Enqueue a job at `now`.
-    fn submit(&mut self, now: SimTime, job: Job);
+    fn submit(&mut self, now: SimTime, job: QueuedJob);
 
     /// Notify that running job `id` completed at `now`.
     fn on_complete(&mut self, now: SimTime, id: JobId);
@@ -247,7 +277,7 @@ pub(crate) fn decide(
 /// Schedulers see the job's *routed* submit time, which is also when their
 /// first decision round over the job runs, so `submit_time >= now` exactly
 /// captures "started at the first opportunity".
-pub(crate) fn attribute(now: SimTime, job: &Job, delayed: WaitCause) -> WaitCause {
+pub(crate) fn attribute(now: SimTime, job: &QueuedJob, delayed: WaitCause) -> WaitCause {
     if job.submit_time >= now {
         WaitCause::Immediate
     } else {
@@ -258,57 +288,51 @@ pub(crate) fn attribute(now: SimTime, job: &Job, delayed: WaitCause) -> WaitCaus
 /// Scheduler-side estimate of a job's runtime on a machine with relative
 /// `core_speed` (always based on the *estimate*, never the true runtime —
 /// schedulers don't get to peek).
-pub(crate) fn estimated_runtime(job: &Job, core_speed: f64) -> SimDuration {
+pub(crate) fn estimated_runtime(job: &QueuedJob, core_speed: f64) -> SimDuration {
     job.estimate.mul_f64(1.0 / core_speed.max(1e-9))
 }
 
-/// Shared helper: earliest time at which `cores_needed` cores will be free,
-/// given current free cores and the running set (by estimates). Returns
-/// `now` if they are free already.
+/// The reservation a blocked queue head gets — the "shadow time" at the
+/// heart of every backfill variant — and the cores free at it: one walk of
+/// the running set in end order.
 ///
-/// This is the "shadow time" computation at the heart of every backfill
-/// variant.
-pub(crate) fn earliest_fit(
+/// The shadow is the earliest instant at which `cores_needed` cores will be
+/// free, given the current free pool and the running jobs' estimated ends
+/// (clamped to `now`); `now` if they are free already, [`SimTime::MAX`] if
+/// they never will be. The spare count is the free pool plus every running
+/// job estimated (clamped) to have ended by the shadow. The walk continues
+/// from the entry that crossed the threshold while ends stay at or before
+/// the shadow: the set iterates by ascending raw end, and clamping to `now`
+/// keeps that order.
+pub(crate) fn shadow(
     now: SimTime,
     free_cores: usize,
     cores_needed: usize,
     running: &RunningSet,
-) -> SimTime {
-    if cores_needed <= free_cores {
-        return now;
-    }
+) -> (SimTime, usize) {
     let mut free = free_cores;
+    let mut shadow = (cores_needed <= free).then_some(now);
     for r in running.iter_by_end() {
-        free += r.cores;
-        if free >= cores_needed {
-            return r.estimated_end.max(now);
+        let end = r.estimated_end.max(now);
+        match shadow {
+            Some(at) if end > at => break,
+            Some(_) => free += r.cores,
+            None => {
+                free += r.cores;
+                if free >= cores_needed {
+                    shadow = Some(end);
+                }
+            }
         }
     }
-    // Unreachable if the job fits the machine (total cores = free + running).
-    SimTime::MAX
-}
-
-/// Cores free at instant `at ≥ now`: the currently free pool plus every
-/// running job estimated (clamped to `now`) to have completed by then.
-///
-/// Early exit is sound because `at ≥ now` makes `end.max(now) ≤ at`
-/// equivalent to `end ≤ at`, and the set iterates by ascending raw end.
-pub(crate) fn free_at(now: SimTime, free_cores: usize, at: SimTime, running: &RunningSet) -> usize {
-    debug_assert!(at >= now, "free_at queries the future");
-    let mut free = free_cores;
-    for r in running.iter_by_end() {
-        if r.estimated_end.max(now) > at {
-            break;
-        }
-        free += r.cores;
-    }
-    free
+    // Unreachable if the job fits the machine (total = free + running).
+    (shadow.unwrap_or(SimTime::MAX), free)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tg_workload::{ProjectId, UserId};
+    use tg_workload::UserId;
 
     fn running(id: usize, cores: usize, end_s: u64) -> RunningJob {
         RunningJob {
@@ -327,54 +351,57 @@ mod tests {
     }
 
     #[test]
-    fn earliest_fit_now_when_free() {
+    fn shadow_is_now_when_free() {
         assert_eq!(
-            earliest_fit(SimTime::from_secs(5), 10, 8, &set(&[])),
-            SimTime::from_secs(5)
+            shadow(SimTime::from_secs(5), 10, 8, &set(&[])),
+            (SimTime::from_secs(5), 10)
         );
     }
 
     #[test]
-    fn earliest_fit_waits_for_enough_completions() {
+    fn shadow_waits_for_enough_completions() {
         let r = set(&[running(0, 4, 100), running(1, 4, 50), running(2, 2, 200)]);
         // free 0, need 6: at t=50 free 4; at t=100 free 8 ≥ 6.
         assert_eq!(
-            earliest_fit(SimTime::ZERO, 0, 6, &r),
-            SimTime::from_secs(100)
+            shadow(SimTime::ZERO, 0, 6, &r),
+            (SimTime::from_secs(100), 8)
         );
         // need 4: satisfied at first completion.
+        assert_eq!(shadow(SimTime::ZERO, 0, 4, &r), (SimTime::from_secs(50), 4));
+    }
+
+    #[test]
+    fn shadow_counts_every_completion_tied_with_the_crossing() {
+        // The crossing entry (id 1) is followed by two more ending at the
+        // same instant; all count as free at the shadow, the later one not.
+        let r = set(&[
+            running(0, 2, 50),
+            running(1, 4, 100),
+            running(2, 1, 100),
+            running(3, 3, 100),
+            running(4, 8, 101),
+        ]);
         assert_eq!(
-            earliest_fit(SimTime::ZERO, 0, 4, &r),
-            SimTime::from_secs(50)
+            shadow(SimTime::ZERO, 1, 7, &r),
+            (SimTime::from_secs(100), 11)
         );
     }
 
     #[test]
-    fn earliest_fit_clamps_past_estimates_to_now() {
+    fn shadow_clamps_past_estimates_to_now() {
         // A running job whose estimate already elapsed (overrun) still counts
         // as ending "now or later", never in the past.
-        let r = set(&[running(0, 8, 10)]);
-        let t = earliest_fit(SimTime::from_secs(100), 0, 8, &r);
-        assert_eq!(t, SimTime::from_secs(100));
-    }
-
-    #[test]
-    fn earliest_fit_unsatisfiable_is_max() {
-        let r = set(&[running(0, 2, 10)]);
-        assert_eq!(earliest_fit(SimTime::ZERO, 1, 10, &r), SimTime::MAX);
-    }
-
-    #[test]
-    fn free_at_counts_clamped_completions_up_to_the_instant() {
-        let r = set(&[running(0, 4, 100), running(1, 4, 50), running(2, 2, 200)]);
-        assert_eq!(free_at(SimTime::ZERO, 0, SimTime::from_secs(49), &r), 0);
-        assert_eq!(free_at(SimTime::ZERO, 0, SimTime::from_secs(50), &r), 4);
-        assert_eq!(free_at(SimTime::ZERO, 0, SimTime::from_secs(100), &r), 8);
-        assert_eq!(free_at(SimTime::ZERO, 0, SimTime::MAX, &r), 10);
-        // Overrun jobs (raw end in the past) clamp to `now` and count.
-        let late = set(&[running(0, 8, 10)]);
         let now = SimTime::from_secs(100);
-        assert_eq!(free_at(now, 1, now, &late), 9);
+        let late = set(&[running(0, 8, 10)]);
+        assert_eq!(shadow(now, 0, 8, &late), (now, 8));
+        // A head that fits already: the overrun job counts as free now.
+        assert_eq!(shadow(now, 9, 8, &late), (now, 17));
+    }
+
+    #[test]
+    fn shadow_unsatisfiable_is_max_with_everything_free() {
+        let r = set(&[running(0, 2, 10)]);
+        assert_eq!(shadow(SimTime::ZERO, 1, 10, &r), (SimTime::MAX, 3));
     }
 
     #[test]
@@ -389,7 +416,7 @@ mod tests {
 
     #[test]
     fn estimated_runtime_scales() {
-        let j = Job::batch(
+        let j = &Job::batch(
             JobId(0),
             UserId(0),
             ProjectId(0),
@@ -398,6 +425,7 @@ mod tests {
             SimDuration::from_secs(100),
         )
         .with_estimate(SimDuration::from_secs(200));
+        let j = QueuedJob::from(j);
         assert_eq!(estimated_runtime(&j, 1.0), SimDuration::from_secs(200));
         assert_eq!(estimated_runtime(&j, 2.0), SimDuration::from_secs(100));
     }

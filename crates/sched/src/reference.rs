@@ -7,9 +7,9 @@
 //! shadow-time computation, and O(n) `VecDeque::remove` per backfill start.
 //! The optimized schedulers in the sibling modules must make **bit-identical
 //! decisions** — same `Started` jobs, order, estimated ends, and wait causes
-//! — and the differential tests (`tests/differential.rs` at the workspace
-//! root, plus the property tests in this crate) prove it by driving both
-//! against identical submit/complete/decide sequences.
+//! — and the differential tests (`crates/core/tests/differential.rs`, plus
+//! the property tests in this crate) prove it by driving both against
+//! identical submit/complete/decide sequences.
 //!
 //! Nothing here is for production runs: the point of keeping the naive code
 //! is that it is *obviously* the old behavior, so any divergence indicts the
@@ -17,12 +17,12 @@
 //! optimized schedulers so full-simulation outputs compare byte-for-byte.
 
 use crate::fairshare::FairShare;
-use crate::queue::{attribute, estimated_runtime, BatchScheduler, RunningJob, Started};
+use crate::queue::{attribute, estimated_runtime, BatchScheduler, QueuedJob, RunningJob, Started};
 use std::collections::VecDeque;
 use tg_des::span::WaitCause;
 use tg_des::{SimDuration, SimTime};
 use tg_model::Cluster;
-use tg_workload::{Job, JobId};
+use tg_workload::JobId;
 
 /// The original sort-per-call shadow-time computation over a flat slice.
 fn earliest_fit_naive(
@@ -53,7 +53,7 @@ fn start_job_naive(
     now: SimTime,
     cluster: &mut Cluster,
     core_speed: f64,
-    job: Job,
+    job: QueuedJob,
     delayed: WaitCause,
     running: &mut Vec<RunningJob>,
     out: &mut Vec<Started>,
@@ -80,7 +80,7 @@ fn on_complete_naive(running: &mut Vec<RunningJob>, id: JobId) {
 }
 
 fn drain_pass_naive(
-    queue: &mut VecDeque<Job>,
+    queue: &mut VecDeque<QueuedJob>,
     running: &mut Vec<RunningJob>,
     now: SimTime,
     cluster: &mut Cluster,
@@ -110,7 +110,7 @@ fn drain_pass_naive(
 
 #[allow(clippy::too_many_arguments)]
 fn easy_pass_naive(
-    queue: &mut VecDeque<Job>,
+    queue: &mut VecDeque<QueuedJob>,
     running: &mut Vec<RunningJob>,
     now: SimTime,
     cluster: &mut Cluster,
@@ -188,7 +188,7 @@ fn easy_pass_naive(
 /// Naive EASY backfill (flat running vec, O(n) queue removal).
 #[derive(Debug, Default)]
 pub struct NaiveEasy {
-    queue: VecDeque<Job>,
+    queue: VecDeque<QueuedJob>,
     running: Vec<RunningJob>,
     backfilled: u64,
     outage: Option<SimTime>,
@@ -206,7 +206,7 @@ impl BatchScheduler for NaiveEasy {
         "easy"
     }
 
-    fn submit(&mut self, _now: SimTime, job: Job) {
+    fn submit(&mut self, _now: SimTime, job: QueuedJob) {
         self.queue.push_back(job);
     }
 
@@ -260,7 +260,7 @@ impl BatchScheduler for NaiveEasy {
 /// Naive strict FCFS (flat running vec).
 #[derive(Debug, Default)]
 pub struct NaiveFcfs {
-    queue: VecDeque<Job>,
+    queue: VecDeque<QueuedJob>,
     running: Vec<RunningJob>,
     outage: Option<SimTime>,
 }
@@ -277,7 +277,7 @@ impl BatchScheduler for NaiveFcfs {
         "fcfs"
     }
 
-    fn submit(&mut self, _now: SimTime, job: Job) {
+    fn submit(&mut self, _now: SimTime, job: QueuedJob) {
         self.queue.push_back(job);
     }
 
@@ -326,7 +326,7 @@ impl BatchScheduler for NaiveFcfs {
 /// Naive conservative backfill (profile rebuilt from a flat running vec).
 #[derive(Debug, Default)]
 pub struct NaiveConservative {
-    queue: VecDeque<Job>,
+    queue: VecDeque<QueuedJob>,
     running: Vec<RunningJob>,
 }
 
@@ -342,7 +342,7 @@ impl BatchScheduler for NaiveConservative {
         "conservative"
     }
 
-    fn submit(&mut self, _now: SimTime, job: Job) {
+    fn submit(&mut self, _now: SimTime, job: QueuedJob) {
         self.queue.push_back(job);
     }
 
@@ -399,8 +399,8 @@ impl BatchScheduler for NaiveConservative {
 /// Naive weekly-drain policy over `easy_pass_naive`.
 #[derive(Debug)]
 pub struct NaiveWeeklyDrain {
-    normal: VecDeque<Job>,
-    heroes: VecDeque<Job>,
+    normal: VecDeque<QueuedJob>,
+    heroes: VecDeque<QueuedJob>,
     running: Vec<RunningJob>,
     period: SimDuration,
     hero_threshold: usize,
@@ -449,7 +449,7 @@ impl BatchScheduler for NaiveWeeklyDrain {
         "weekly-drain"
     }
 
-    fn submit(&mut self, now: SimTime, job: Job) {
+    fn submit(&mut self, now: SimTime, job: QueuedJob) {
         if job.cores >= self.hero_threshold {
             self.heroes.push_back(job);
             if self.active_drain.is_none() {
@@ -569,7 +569,7 @@ impl BatchScheduler for NaiveWeeklyDrain {
 /// Naive fair-share EASY (flat running vec, linear charge-info scan).
 #[derive(Debug)]
 pub struct NaiveFairshareEasy {
-    queue: VecDeque<Job>,
+    queue: VecDeque<QueuedJob>,
     running: Vec<RunningJob>,
     charge_info: Vec<(JobId, usize, SimTime, tg_workload::ProjectId)>,
     shares: FairShare,
@@ -590,7 +590,7 @@ impl NaiveFairshareEasy {
 
     fn rerank(&mut self, now: SimTime) {
         let shares = &self.shares;
-        let mut jobs: Vec<Job> = self.queue.drain(..).collect();
+        let mut jobs: Vec<QueuedJob> = self.queue.drain(..).collect();
         jobs.sort_by(|a, b| {
             let pa = shares.priority(a.project, a.submit_time, now);
             let pb = shares.priority(b.project, b.submit_time, now);
@@ -605,7 +605,7 @@ impl BatchScheduler for NaiveFairshareEasy {
         "fairshare-easy"
     }
 
-    fn submit(&mut self, _now: SimTime, job: Job) {
+    fn submit(&mut self, _now: SimTime, job: QueuedJob) {
         self.queue.push_back(job);
     }
 

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use tg_des::span::WaitCause;
 use tg_des::{SimDuration, SimTime};
 use tg_model::Cluster;
-use tg_sched::{BatchScheduler, SchedulerKind};
+use tg_sched::{BatchScheduler, QueuedJob, SchedulerKind};
 use tg_workload::{Job, JobId, ProjectId, UserId};
 
 #[derive(Debug, Clone, Copy)]
@@ -48,10 +48,24 @@ struct Episode {
 /// decision. `notice_every`: arm a drain notice (one hour out) before every
 /// n-th submission and lift it before the next, exercising the drain pass.
 fn drive(
+    sched: Box<dyn BatchScheduler>,
+    specs: &[JobSpec],
+    machine: usize,
+    notice_every: Option<usize>,
+) -> Episode {
+    drive_batched(sched, specs, machine, notice_every, 1)
+}
+
+/// [`drive`] with submissions in batches of `batch` jobs: each batch
+/// arrives at one instant (its first job's gap), and the scheduler makes
+/// one decision pass after the whole batch, so up to `batch` jobs wait
+/// unindexed — as behind a site that is dark while work arrives.
+fn drive_batched(
     mut sched: Box<dyn BatchScheduler>,
     specs: &[JobSpec],
     machine: usize,
     notice_every: Option<usize>,
+    batch: usize,
 ) -> Episode {
     let mut cluster = Cluster::new(SimTime::ZERO, machine);
     let mut running: Vec<(SimTime, JobId, usize)> = Vec::new();
@@ -68,11 +82,14 @@ fn drive(
         running: &mut Vec<(SimTime, JobId, usize)>,
         episode: &mut Episode,
         now: SimTime,
+        specs: &[JobSpec],
     ) {
         let mut started = Vec::new();
         sched.make_decisions(now, cluster, 1.0, &mut started);
         for s in started {
-            running.push((now + s.job.runtime, s.job.id, s.job.cores));
+            // The view carries no runtime: the job's spec does.
+            let runtime = SimDuration::from_secs(specs[s.job.id.index()].runtime_s);
+            running.push((now + runtime, s.job.id, s.job.cores));
             episode
                 .starts
                 .push((s.job.id, now, s.estimated_end, s.cause));
@@ -80,7 +97,10 @@ fn drive(
     }
 
     for (n, spec) in specs.iter().enumerate() {
-        now += SimDuration::from_secs(spec.gap_s);
+        let first_of_batch = n % batch == 0;
+        if first_of_batch {
+            now += SimDuration::from_secs(spec.gap_s);
+        }
         if let Some(every) = notice_every {
             if n % every == every - 1 {
                 sched.drain_notice(Some(now + SimDuration::from_secs(3600)));
@@ -93,13 +113,21 @@ fn drive(
             let Some(&(end, id, cores)) = running.first() else {
                 break;
             };
-            if end > now {
+            // Jobs finish only between batches.
+            if end > now || !first_of_batch {
                 break;
             }
             running.remove(0);
             cluster.release(end, cores);
             sched.on_complete(end, id);
-            decide(&mut sched, &mut cluster, &mut running, &mut episode, end);
+            decide(
+                &mut sched,
+                &mut cluster,
+                &mut running,
+                &mut episode,
+                end,
+                specs,
+            );
         }
         let cores = spec.cores.min(machine);
         let job = Job::batch(
@@ -113,14 +141,30 @@ fn drive(
         .with_estimate(SimDuration::from_secs(
             spec.runtime_s * spec.estimate_factor_x10 / 10,
         ));
-        sched.submit(now, job);
-        decide(&mut sched, &mut cluster, &mut running, &mut episode, now);
+        sched.submit(now, QueuedJob::from(&job));
+        if n % batch == batch - 1 || n == specs.len() - 1 {
+            decide(
+                &mut sched,
+                &mut cluster,
+                &mut running,
+                &mut episode,
+                now,
+                specs,
+            );
+        }
     }
     // Drain with any armed notice lifted (notices past the horizon would
     // wedge the queue forever), re-deciding immediately as the simulation
     // driver does on recovery.
     sched.drain_notice(None);
-    decide(&mut sched, &mut cluster, &mut running, &mut episode, now);
+    decide(
+        &mut sched,
+        &mut cluster,
+        &mut running,
+        &mut episode,
+        now,
+        specs,
+    );
     let mut guard = 0;
     while sched.queue_len() > 0 || !running.is_empty() {
         guard += 1;
@@ -141,7 +185,14 @@ fn drive(
                 sched.on_complete(now, id);
             }
         }
-        decide(&mut sched, &mut cluster, &mut running, &mut episode, now);
+        decide(
+            &mut sched,
+            &mut cluster,
+            &mut running,
+            &mut episode,
+            now,
+            specs,
+        );
     }
     episode.backfills = sched.backfills();
     episode.drains = sched.drains();
@@ -204,5 +255,21 @@ proptest! {
         let optimized = drive(SchedulerKind::Fcfs.build(128), &specs, 128, Some(4));
         let naive = drive(SchedulerKind::Fcfs.build_reference(128), &specs, 128, Some(4));
         prop_assert_eq!(optimized, naive);
+    }
+
+    /// Batches of 1–8 submissions before one decision pass: the pass finds
+    /// several jobs staged at once (EASY's idle-queue start path), with and
+    /// without drain notices, for every scheduler kind.
+    #[test]
+    fn batched_submits_match_naive(specs in arb_jobs(), batch in 1usize..=8) {
+        for kind in SchedulerKind::ALL {
+            for notice_every in [None, Some(3)] {
+                let optimized =
+                    drive_batched(kind.build(128), &specs, 128, notice_every, batch);
+                let naive =
+                    drive_batched(kind.build_reference(128), &specs, 128, notice_every, batch);
+                prop_assert_eq!(optimized, naive, "{} diverged (batch {})", kind.name(), batch);
+            }
+        }
     }
 }

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use std::collections::HashSet;
 use tg_des::{SimDuration, SimTime};
 use tg_model::Cluster;
-use tg_sched::{BatchScheduler, SchedulerKind};
+use tg_sched::{BatchScheduler, QueuedJob, SchedulerKind};
 use tg_workload::{Job, JobId, ProjectId, UserId};
 
 #[derive(Debug, Clone, Copy)]
@@ -63,7 +63,8 @@ fn drive(
         );
         for s in started {
             prop_assert!(s.estimated_end >= now);
-            let actual_end = now + s.job.runtime;
+            // The view carries no runtime: the job's spec does.
+            let actual_end = now + SimDuration::from_secs(specs[s.job.id.index()].runtime_s);
             running.push((actual_end, s.job.id, s.job.cores));
             starts.push((s.job.id, now));
         }
@@ -102,7 +103,7 @@ fn drive(
         ));
         submit_times.push(now);
         submitted += 1;
-        sched.submit(now, job);
+        sched.submit(now, QueuedJob::from(&job));
         check_and_start(&mut sched, &mut cluster, &mut running, &mut starts, now)?;
     }
     // Drain: complete running jobs and honor scheduler wakeups until empty.

@@ -13,6 +13,15 @@ fn small_baseline() -> ScenarioConfig {
     cfg
 }
 
+/// Events name jobs by id; the jobs stay in the simulation's in-flight
+/// store. The engine's heap sifts each pending event next to its time and
+/// sequence number, so a job-carrying event would make every push and pop
+/// move several times the bytes.
+#[test]
+fn events_stay_within_24_bytes() {
+    assert!(std::mem::size_of::<tg_core::sim::Event>() <= 24);
+}
+
 #[test]
 fn every_generated_job_completes_exactly_once() {
     let cfg = small_baseline();
