@@ -237,7 +237,7 @@ mod tests {
         let cfg = single_site_config("t", 16, 2, &population, SchedulerKind::Fcfs);
         let out = cfg.build().run(1);
         assert!(!out.db.jobs.is_empty());
-        assert!(out.truth.values().all(|&m| m == Modality::Interactive));
+        assert!(out.truth.values().all(|m| m == Modality::Interactive));
     }
 
     #[test]

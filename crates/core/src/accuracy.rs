@@ -50,8 +50,8 @@ impl ConfusionMatrix {
     /// `inferred` are skipped — they never completed).
     pub fn from_maps(truth: &Labels, inferred: &Labels) -> Self {
         let mut m = ConfusionMatrix::new();
-        for (job, &t) in truth {
-            if let Some(&i) = inferred.get(job) {
+        for (job, t) in truth.iter() {
+            if let Some(i) = inferred.get(job) {
                 m.record(t, i);
             }
         }

@@ -112,7 +112,7 @@ pub fn classify_with(db: &AccountingDb, mode: ClassifierMode, t: &RuleThresholds
         }
     }
 
-    let mut out = Labels::with_capacity_and_hasher(db.jobs.len(), Default::default());
+    let mut out = Labels::default();
     for j in &db.jobs {
         let summary = summaries.get(&j.user).expect("summary for every account");
         let (batch_n, _, batch_uniform) = batches[&(j.user, j.submit)];
@@ -229,10 +229,10 @@ mod tests {
             end_user: 5,
         });
         let with = classify_all(&db, ClassifierMode::WithAttributes);
-        assert_eq!(with[&JobId(0)], Modality::ScienceGateway);
+        assert_eq!(with.get(JobId(0)), Some(Modality::ScienceGateway));
         let without = classify_all(&db, ClassifierMode::RecordsOnly);
         assert_ne!(
-            without[&JobId(0)],
+            without.get(JobId(0)).unwrap(),
             Modality::ScienceGateway,
             "one slow-rate job can't be recognized without the attribute"
         );
@@ -246,7 +246,7 @@ mod tests {
             db.add_job(job(i, 7, i as u64 * 800, 600, 2));
         }
         let inferred = classify_all(&db, ClassifierMode::RecordsOnly);
-        assert_eq!(inferred[&JobId(50)], Modality::ScienceGateway);
+        assert_eq!(inferred.get(JobId(50)), Some(Modality::ScienceGateway));
     }
 
     #[test]
@@ -257,7 +257,7 @@ mod tests {
             ..job(0, 2, 0, 3600, 16)
         });
         let inferred = classify_all(&db, ClassifierMode::WithAttributes);
-        assert_eq!(inferred[&JobId(0)], Modality::Workflow);
+        assert_eq!(inferred.get(JobId(0)), Some(Modality::Workflow));
     }
 
     #[test]
@@ -271,8 +271,18 @@ mod tests {
         }
         for mode in [ClassifierMode::WithAttributes, ClassifierMode::RecordsOnly] {
             let inferred = classify_all(&db, mode);
-            assert_eq!(inferred[&JobId(3)], Modality::Ensemble, "{}", mode.name());
-            assert_eq!(inferred[&JobId(12)], Modality::Workflow, "{}", mode.name());
+            assert_eq!(
+                inferred.get(JobId(3)),
+                Some(Modality::Ensemble),
+                "{}",
+                mode.name()
+            );
+            assert_eq!(
+                inferred.get(JobId(12)),
+                Some(Modality::Workflow),
+                "{}",
+                mode.name()
+            );
         }
     }
 
@@ -298,10 +308,10 @@ mod tests {
             });
         }
         let inferred = classify_all(&db, ClassifierMode::WithAttributes);
-        assert_eq!(inferred[&JobId(0)], Modality::RcAccelerated);
-        assert_eq!(inferred[&JobId(1)], Modality::RcAccelerated);
+        assert_eq!(inferred.get(JobId(0)), Some(Modality::RcAccelerated));
+        assert_eq!(inferred.get(JobId(1)), Some(Modality::RcAccelerated));
         let inferred = classify_all(&db, ClassifierMode::RecordsOnly);
-        assert_ne!(inferred[&JobId(1)], Modality::RcAccelerated);
+        assert_ne!(inferred.get(JobId(1)).unwrap(), Modality::RcAccelerated);
     }
 
     #[test]
@@ -315,11 +325,11 @@ mod tests {
             logout: SimTime::from_secs(700),
         });
         let inferred = classify_all(&db, ClassifierMode::WithAttributes);
-        assert_eq!(inferred[&JobId(0)], Modality::Interactive);
+        assert_eq!(inferred.get(JobId(0)), Some(Modality::Interactive));
         // The same user's long wide job is still batch.
         db.add_job(job(1, 6, 5000, 86_400, 256));
         let inferred = classify_all(&db, ClassifierMode::WithAttributes);
-        assert_eq!(inferred[&JobId(1)], Modality::BatchComputing);
+        assert_eq!(inferred.get(JobId(1)), Some(Modality::BatchComputing));
     }
 
     #[test]
@@ -336,7 +346,7 @@ mod tests {
             end: SimTime::from_secs(100),
         });
         let inferred = classify_all(&db, ClassifierMode::WithAttributes);
-        assert_eq!(inferred[&JobId(0)], Modality::DataMovement);
+        assert_eq!(inferred.get(JobId(0)), Some(Modality::DataMovement));
     }
 
     #[test]
@@ -345,7 +355,7 @@ mod tests {
         db.add_job(job(0, 9, 0, 4 * 3600, 64));
         for mode in [ClassifierMode::WithAttributes, ClassifierMode::RecordsOnly] {
             let inferred = classify_all(&db, mode);
-            assert_eq!(inferred[&JobId(0)], Modality::BatchComputing);
+            assert_eq!(inferred.get(JobId(0)), Some(Modality::BatchComputing));
         }
     }
 

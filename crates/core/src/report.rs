@@ -35,7 +35,7 @@ impl ModalityShares {
         let mut nus = vec![0.0f64; n];
         let mut wait_sum = vec![0.0f64; n];
         for r in &db.jobs {
-            let Some(&m) = labels.get(&r.job) else {
+            let Some(m) = labels.get(r.job) else {
                 continue;
             };
             let i = m.index();
@@ -140,7 +140,7 @@ impl ModalityTrend {
             .map(|_| TimeBuckets::new(bucket))
             .collect();
         for r in &db.jobs {
-            if let Some(&m) = labels.get(&r.job) {
+            if let Some(m) = labels.get(r.job) {
                 buckets[m.index()].add(r.end, charges.nu(r));
             }
         }
@@ -401,7 +401,7 @@ mod tests {
     #[test]
     fn unlabeled_jobs_are_skipped() {
         let (db, mut labels, charges) = setup();
-        labels.remove(&JobId(0));
+        labels.remove(JobId(0));
         let s = ModalityShares::compute(&db, &labels, &charges);
         assert_eq!(s.total_jobs(), 2);
     }

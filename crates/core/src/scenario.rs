@@ -740,7 +740,7 @@ pub struct SimOutput {
 impl SimOutput {
     /// Ground-truth modality of a recorded job.
     pub fn truth_of(&self, id: JobId) -> Option<Modality> {
-        self.truth.get(&id).copied()
+        self.truth.get(id)
     }
 
     /// Mean queue wait over all jobs, seconds.
@@ -811,7 +811,7 @@ mod tests {
         // All seven modalities appear in the truth.
         for m in Modality::ALL {
             assert!(
-                out.truth.values().any(|&t| t == m),
+                out.truth.values().any(|t| t == m),
                 "modality {m} missing from workload"
             );
         }

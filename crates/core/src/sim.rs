@@ -52,7 +52,7 @@ use tg_sched::{
     BatchScheduler, DataContext, MetaPolicy, QueuedJob, RcDecision, RcPolicy, RetryBook,
     RetryPolicy, SiteView, Started,
 };
-use tg_workload::{IdMap, Job, JobId, Labels, Modality, UserId};
+use tg_workload::{IdMap, Job, JobId, Labels, Modality, PagedArray, UserId};
 
 /// Base offset for synthetic gateway community accounts in job records.
 pub const COMMUNITY_ACCOUNT_BASE: usize = 10_000_000;
@@ -448,33 +448,23 @@ fn span_of(job: &Job) -> (JobId, Modality) {
     (job.id, job.true_modality)
 }
 
-/// Ids of finished jobs, as a bitset in pages of [`JobBitset::PAGE`] ids.
-/// A page is allocated when its first id finishes and found through an
-/// id-hashed map, so memory follows the number of jobs rather than the
-/// largest id (SWF traces may number jobs sparsely), and a lookup is one
-/// probe into a small table plus a bit test.
+/// Ids of finished jobs, as a bitset: one bit per id in 64-bit words, paged
+/// by [`PagedArray`] in pages of 4,096 ids, so memory follows the number of
+/// jobs rather than the largest id (SWF traces may number jobs sparsely).
 #[derive(Default)]
 struct JobBitset {
-    pages: IdMap<usize, Box<[u64; JobBitset::PAGE / 64]>>,
+    words: PagedArray<u64, 64>,
 }
 
 impl JobBitset {
-    const PAGE: usize = 4096;
-
     fn insert(&mut self, id: JobId) {
         let i = id.index();
-        let page = self
-            .pages
-            .entry(i / Self::PAGE)
-            .or_insert_with(|| Box::new([0; Self::PAGE / 64]));
-        page[i % Self::PAGE / 64] |= 1 << (i % 64);
+        *self.words.slot_mut(i / 64) |= 1 << (i % 64);
     }
 
     fn contains(&self, id: JobId) -> bool {
         let i = id.index();
-        self.pages
-            .get(&(i / Self::PAGE))
-            .is_some_and(|page| page[i % Self::PAGE / 64] & (1 << (i % 64)) != 0)
+        self.words.get(i / 64) & (1 << (i % 64)) != 0
     }
 
     /// The first of `ids` not in the set.
@@ -566,6 +556,8 @@ pub struct GridSim {
     started: Vec<Started>,
     /// Reused buffer of per-site snapshots for the metascheduler.
     site_views: Vec<SiteView>,
+    /// Reused buffer of the sites holding a routed job's dataset.
+    holders: Vec<SiteId>,
     rng: RngFactory,
     /// The accounting database being populated.
     pub db: AccountingDb,
@@ -620,7 +612,7 @@ impl GridSim {
         }
         jobs.reverse();
         // Drop the generator's growth slack (up to half the list) before
-        // the truth map is built, so the two are never live together.
+        // the label table is built, so the two are never live together.
         jobs.shrink_to_fit();
         let truth: Labels = jobs.iter().map(|j| (j.id, j.true_modality)).collect();
         let jobs_total = jobs.len();
@@ -644,6 +636,7 @@ impl GridSim {
             armed_wakeups: vec![None; sites],
             started: Vec::new(),
             site_views: Vec::with_capacity(sites),
+            holders: Vec::new(),
             rng,
             db: AccountingDb::new(),
             jobs_done: 0,
@@ -997,7 +990,7 @@ impl GridSim {
 
     /// Ground-truth modality of a job (for scoring only).
     pub fn truth_of(&self, id: JobId) -> Option<Modality> {
-        self.truth.get(&id).copied()
+        self.truth.get(id)
     }
 
     /// Jobs completed so far.
@@ -1162,13 +1155,17 @@ impl GridSim {
         // now (permanent replicas plus warm caches) and how big it is. Only
         // dataset-carrying jobs build one; everything else passes `None`,
         // which every policy ignores.
-        let holders = job
-            .dataset
-            .and_then(|d| self.data.as_ref().map(|l| (l.holders(d), l.size_mb(d))));
-        let dctx = holders.as_ref().map(|(sites, mb)| DataContext {
-            resident: sites,
-            size_mb: *mb,
-        });
+        let mut holders = std::mem::take(&mut self.holders);
+        let dctx = match (job.dataset, &self.data) {
+            (Some(d), Some(layer)) => {
+                layer.holders_into(d, &mut holders);
+                Some(DataContext {
+                    resident: &holders,
+                    size_mb: layer.size_mb(d),
+                })
+            }
+            _ => None,
+        };
         // Per-job streams are independent, so deriving this one only when
         // the policy draws from it changes no draw.
         let rng = &self.rng;
@@ -1184,6 +1181,7 @@ impl GridSim {
             )
             .expect("at least one site fits any generated job");
         self.site_views = views;
+        self.holders = holders;
         site
     }
 
@@ -1988,7 +1986,7 @@ impl GridSim {
 
     /// Admit a newly arrived job — the shared trunk of both submit paths.
     /// In streaming mode the ground-truth label is quarantined here (the
-    /// materialized constructor did it up front; final map contents are
+    /// materialized constructor did it up front; the final tables are
     /// identical because every job is admitted exactly once).
     fn admit(&mut self, ctx: &mut Ctx<Event>, job: Job) {
         if self.streaming {
@@ -2761,7 +2759,7 @@ mod tests {
         for id in [1, 62, 65, 4094, 4097, 8192, 999_999_999_998] {
             assert!(!set.contains(JobId(id)), "{id} was never inserted");
         }
-        assert_eq!(set.pages.len(), 3, "pages follow the ids in use");
+        assert_eq!(set.words.page_count(), 3, "pages follow the ids in use");
     }
 
     #[test]

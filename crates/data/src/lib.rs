@@ -326,17 +326,25 @@ impl DataLayer {
     }
 
     /// Every site currently holding `d`, sorted by site index — the set a
-    /// locality-aware metascheduler routes toward.
-    pub fn holders(&self, d: DatasetId) -> Vec<SiteId> {
-        let mut out = self.permanent[d.index()].clone();
-        for (i, c) in self.caches.iter().enumerate() {
-            if c.contains(d) {
-                out.push(SiteId(i));
-            }
-        }
+    /// locality-aware metascheduler routes toward — written into `out`
+    /// (cleared first), so a caller that keeps the buffer allocates nothing.
+    pub fn holders_into(&self, d: DatasetId, out: &mut Vec<SiteId>) {
+        out.clear();
+        out.extend(self.resident_sites(d));
         out.sort();
         out.dedup();
-        out
+    }
+
+    /// The permanent replicas of `d`, then the sites caching it, in site
+    /// order within each; a site can appear in both.
+    fn resident_sites(&self, d: DatasetId) -> impl Iterator<Item = SiteId> + '_ {
+        let cached = self
+            .caches
+            .iter()
+            .enumerate()
+            .filter(move |(_, c)| c.contains(d))
+            .map(|(i, _)| SiteId(i));
+        self.permanent[d.index()].iter().copied().chain(cached)
     }
 
     /// Resolve a routed job's dataset access at `dest`, updating caches and
@@ -353,8 +361,7 @@ impl DataLayer {
             return Locate::Hit;
         }
         let source = self
-            .holders(d)
-            .into_iter()
+            .resident_sites(d)
             .min_by(|&a, &b| {
                 network
                     .transfer_time(a, dest, mb)
@@ -518,9 +525,12 @@ mod tests {
         let s = spec();
         let net = network(3);
         let mut layer = DataLayer::new(&s, &[500.0, 500.0, 500.0]);
-        assert_eq!(layer.holders(DatasetId(0)), vec![SiteId(0)]);
+        let mut holders = vec![SiteId(9)];
+        layer.holders_into(DatasetId(0), &mut holders);
+        assert_eq!(holders, vec![SiteId(0)]);
         layer.access(DatasetId(0), SiteId(2), &net);
-        assert_eq!(layer.holders(DatasetId(0)), vec![SiteId(0), SiteId(2)]);
+        layer.holders_into(DatasetId(0), &mut holders);
+        assert_eq!(holders, vec![SiteId(0), SiteId(2)]);
         // Cheapest-source selection prefers the lower site id on a tie.
         assert_eq!(
             layer.access(DatasetId(0), SiteId(1), &net),

@@ -77,6 +77,76 @@ index_id!(
 /// touches on every event; iterate one only where order cannot matter.
 pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
+/// A sparse array of `T` indexed by `usize`, kept in pages of `N` slots.
+/// A page is allocated on its first write and found through an [`IdMap`]
+/// directory keyed by `index / N`, so memory follows the indices in use
+/// rather than the largest one (SWF traces may number jobs sparsely), and a
+/// read is one probe into a small table. Slots never written read as
+/// `T::default()`; [`PagedArray::take`] frees a page once every slot in it
+/// reads that way again.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PagedArray<T, const N: usize> {
+    pages: IdMap<usize, Box<[T; N]>>,
+}
+
+impl<T, const N: usize> Default for PagedArray<T, N> {
+    fn default() -> Self {
+        PagedArray {
+            pages: IdMap::default(),
+        }
+    }
+}
+
+impl<T: Copy + Default + PartialEq, const N: usize> PagedArray<T, N> {
+    /// The value at `i`: `T::default()` where nothing was written.
+    #[inline]
+    pub fn get(&self, i: usize) -> T {
+        self.pages
+            .get(&(i / N))
+            .map_or_else(T::default, |page| page[i % N])
+    }
+
+    /// The slot at `i`, allocating its page on first use.
+    #[inline]
+    pub fn slot_mut(&mut self, i: usize) -> &mut T {
+        let page = self
+            .pages
+            .entry(i / N)
+            .or_insert_with(|| Box::new([T::default(); N]));
+        &mut page[i % N]
+    }
+
+    /// Reset the slot at `i` to `T::default()` and return what it held,
+    /// freeing its page if nothing else is left in it. Allocates nothing.
+    pub fn take(&mut self, i: usize) -> T {
+        let Some(page) = self.pages.get_mut(&(i / N)) else {
+            return T::default();
+        };
+        let old = std::mem::take(&mut page[i % N]);
+        if page.iter().all(|v| *v == T::default()) {
+            self.pages.remove(&(i / N));
+        }
+        old
+    }
+
+    /// Pages allocated.
+    pub fn page_count(&self) -> usize {
+        self.pages.len()
+    }
+
+    /// Every allocated page with the index of its first slot, in index
+    /// order.
+    pub fn pages(&self) -> Vec<(usize, &[T; N])> {
+        let mut pages: Vec<_> = self
+            .pages
+            .iter()
+            .map(|(&p, page)| (p * N, &**page))
+            .collect();
+        pages.sort_unstable_by_key(|&(base, _)| base);
+        pages
+    }
+}
+
 /// Multiplicative (Fibonacci) hasher for index ids: one multiply per key.
 /// Ids are dense and not attacker-chosen, so SipHash's flooding defence
 /// buys nothing; the odd multiplier keeps consecutive ids in distinct

@@ -55,7 +55,7 @@ pub mod user;
 
 pub use arrival::{ArrivalProcess, DiurnalPoisson, Mmpp2, Poisson};
 pub use generator::{GeneratorConfig, WorkloadGenerator};
-pub use ids::{EnsembleId, GatewayId, IdMap, JobId, ProjectId, UserId, WorkflowId};
+pub use ids::{EnsembleId, GatewayId, IdMap, JobId, PagedArray, ProjectId, UserId, WorkflowId};
 pub use job::{Job, RcRequirement, SubmitInterface};
 pub use modality::{Labels, Modality};
 pub use profiles::{ModalityProfile, PopulationMix};

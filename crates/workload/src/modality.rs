@@ -10,14 +10,107 @@
 //! observable footprint it leaves in accounting records — which is exactly
 //! what the measurement pipeline in `tg-core` keys on.
 
-use crate::ids::{IdMap, JobId};
+use crate::ids::{JobId, PagedArray};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// Ids per page of a [`Labels`] table.
+const LABEL_PAGE: usize = 4096;
+
 /// Modality labels by job id: the generator's ground truth, or what a
-/// classifier inferred from the records. Hashed by id, not SipHash; only
-/// integer tallies iterate one, so its order reaches no output.
-pub type Labels = IdMap<JobId, Modality>;
+/// classifier inferred from the records.
+///
+/// One byte per id (0 for no label, `m.index() + 1` for modality `m`), in
+/// pages of 4,096 ids found through an id-hashed directory. Dense ids cost
+/// ~1 byte per job; each page a sparse id set touches costs 4 KiB whatever
+/// it holds. Iteration is in id order.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct Labels {
+    bytes: PagedArray<u8, LABEL_PAGE>,
+    len: usize,
+}
+
+impl Labels {
+    /// The label of `id`, if it has one.
+    #[inline]
+    pub fn get(&self, id: JobId) -> Option<Modality> {
+        decode(self.bytes.get(id.index()))
+    }
+
+    /// Label `id` as `m`, returning its previous label.
+    #[inline]
+    pub fn insert(&mut self, id: JobId, m: Modality) -> Option<Modality> {
+        let slot = self.bytes.slot_mut(id.index());
+        let old = decode(std::mem::replace(slot, m.index() as u8 + 1));
+        self.len += usize::from(old.is_none());
+        old
+    }
+
+    /// Drop the label of `id`, returning it.
+    pub fn remove(&mut self, id: JobId) -> Option<Modality> {
+        let old = decode(self.bytes.take(id.index()));
+        self.len -= usize::from(old.is_some());
+        old
+    }
+
+    /// Jobs labelled.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// No job is labelled.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Pages allocated: each covers 4,096 consecutive ids, at least one of
+    /// them labelled.
+    pub fn page_count(&self) -> usize {
+        self.bytes.page_count()
+    }
+
+    /// Every `(id, label)` pair, in id order.
+    pub fn iter(&self) -> impl Iterator<Item = (JobId, Modality)> + '_ {
+        self.bytes.pages().into_iter().flat_map(|(base, page)| {
+            page.iter()
+                .enumerate()
+                .filter_map(move |(k, &b)| decode(b).map(|m| (JobId(base + k), m)))
+        })
+    }
+
+    /// Every label, in id order.
+    pub fn values(&self) -> impl Iterator<Item = Modality> + '_ {
+        self.iter().map(|(_, m)| m)
+    }
+}
+
+/// The modality a label byte encodes (0 is no label).
+#[inline]
+fn decode(b: u8) -> Option<Modality> {
+    (b != 0).then(|| Modality::ALL[usize::from(b) - 1])
+}
+
+impl FromIterator<(JobId, Modality)> for Labels {
+    fn from_iter<I: IntoIterator<Item = (JobId, Modality)>>(iter: I) -> Self {
+        let mut labels = Labels::default();
+        labels.extend(iter);
+        labels
+    }
+}
+
+impl Extend<(JobId, Modality)> for Labels {
+    fn extend<I: IntoIterator<Item = (JobId, Modality)>>(&mut self, iter: I) {
+        for (id, m) in iter {
+            self.insert(id, m);
+        }
+    }
+}
+
+impl fmt::Debug for Labels {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
 
 /// How a user (or their agent) uses the cyberinfrastructure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -84,10 +177,8 @@ impl Modality {
 
     /// Canonical index in `[0, 7)`, matching [`Modality::ALL`] order.
     pub fn index(self) -> usize {
-        Modality::ALL
-            .iter()
-            .position(|&m| m == self)
-            .expect("modality present in ALL")
+        // `ALL` lists the variants in declaration order.
+        self as usize
     }
 
     /// The measurement mechanisms TeraGrid-style accounting offers for this

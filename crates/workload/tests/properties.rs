@@ -1,6 +1,9 @@
 //! Property-based tests for workload generation: structural invariants
 //! under arbitrary population mixes, arrival-process monotonicity, DAG
-//! acyclicity, and SWF-parser robustness against arbitrary input.
+//! acyclicity, SWF-parser robustness against arbitrary input, and the
+//! paged label table against an ordered-map reference.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 use tg_data::DatasetAssignment;
@@ -8,7 +11,9 @@ use tg_des::{RngFactory, SimDuration, SimRng, SimTime};
 use tg_workload::arrival::{arrivals_in, ArrivalProcess, DiurnalPoisson, Mmpp2, Poisson};
 use tg_workload::dag::DagShape;
 use tg_workload::swf;
-use tg_workload::{GeneratorConfig, Modality, ModalityProfile, PopulationMix, WorkloadGenerator};
+use tg_workload::{
+    GeneratorConfig, JobId, Labels, Modality, ModalityProfile, PopulationMix, WorkloadGenerator,
+};
 
 fn arb_mix() -> impl Strategy<Value = PopulationMix> {
     (
@@ -275,10 +280,65 @@ proptest! {
             .map(|j| (j.submit_time, j.id, j.true_modality))
             .collect();
         prop_assert_eq!(&drained, &expect);
-        let truth: std::collections::HashMap<_, _> =
-            w.jobs.iter().map(|j| (j.id, j.true_modality)).collect();
-        for (_, id, modality) in &drained {
+        let truth: Labels = w.jobs.iter().map(|j| (j.id, j.true_modality)).collect();
+        for &(_, id, modality) in &drained {
             prop_assert_eq!(truth.get(id), Some(modality), "id {:?} not in source", id);
         }
+    }
+}
+
+/// Job ids in one of three layouts: dense from 0, SWF-style numbers spread
+/// more than a label page (4,096 ids) apart, and numbers above 2^32.
+fn arb_ids() -> impl Strategy<Value = Vec<usize>> {
+    (0usize..3, prop::collection::vec(0usize..6_000, 1..64)).prop_map(|(layout, raw)| {
+        raw.into_iter()
+            .map(|r| match layout {
+                0 => r,
+                1 => r * 4_099 + 17,
+                _ => (1 << 32) + r * 7,
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// `Labels` behaves as an ordered map from job id to modality under
+    /// inserts, overwrites and removes: every result, `len` and `get`
+    /// agree with a `BTreeMap` after each step, `iter` yields id order,
+    /// pages exist only where labelled ids do, and equality does not
+    /// depend on the order the labels arrived in.
+    #[test]
+    fn labels_match_an_ordered_map_reference(
+        ids in arb_ids(),
+        ops in prop::collection::vec((0u8..4, 0usize..64, 0usize..7), 1..200),
+    ) {
+        let mut labels = Labels::default();
+        let mut reference = BTreeMap::new();
+        for (op, k, m) in ops {
+            let id = JobId(ids[k % ids.len()]);
+            if op == 0 {
+                prop_assert_eq!(labels.remove(id), reference.remove(&id));
+            } else {
+                let m = Modality::ALL[m];
+                prop_assert_eq!(labels.insert(id, m), reference.insert(id, m));
+            }
+            prop_assert_eq!(labels.len(), reference.len());
+            prop_assert_eq!(labels.is_empty(), reference.is_empty());
+            prop_assert_eq!(labels.get(id), reference.get(&id).copied());
+        }
+        for &i in &ids {
+            for id in [JobId(i), JobId(i + 1)] {
+                prop_assert_eq!(labels.get(id), reference.get(&id).copied());
+            }
+        }
+        let want: Vec<(JobId, Modality)> = reference.iter().map(|(&k, &v)| (k, v)).collect();
+        prop_assert_eq!(labels.iter().collect::<Vec<_>>(), want.clone());
+        prop_assert!(labels.values().eq(reference.values().copied()));
+        let pages: BTreeSet<usize> = reference.keys().map(|id| id.index() / 4096).collect();
+        prop_assert_eq!(labels.page_count(), pages.len());
+        let rebuilt: Labels = want.iter().rev().copied().collect();
+        prop_assert_eq!(&rebuilt, &labels);
     }
 }

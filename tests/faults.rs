@@ -3,7 +3,6 @@
 //! the span stream, and its lossy ingest degrades measurement coverage
 //! monotonically while never touching ground truth.
 
-use std::collections::BTreeMap;
 use std::io::BufRead;
 use std::path::PathBuf;
 use teragrid_repro::prelude::*;
@@ -65,12 +64,7 @@ fn assert_identical(a: &SimOutput, b: &SimOutput, what: &str) {
         "{what}: event count diverged"
     );
     assert_eq!(a.site_stats, b.site_stats, "{what}: site stats diverged");
-    let sorted = |m: &Labels| {
-        m.iter()
-            .map(|(k, v)| (*k, *v))
-            .collect::<BTreeMap<JobId, Modality>>()
-    };
-    assert_eq!(sorted(&a.truth), sorted(&b.truth), "{what}: truth diverged");
+    assert_eq!(a.truth, b.truth, "{what}: truth diverged");
 }
 
 #[test]

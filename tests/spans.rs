@@ -186,15 +186,5 @@ fn span_emission_never_perturbs_results() {
     assert_eq!(plain.end, traced.end);
     assert_eq!(plain.events_delivered, traced.events_delivered);
     assert_eq!(plain.site_stats, traced.site_stats);
-    // Hash-map iteration order is instance-dependent; compare sorted.
-    let sorted = |m: &Labels| {
-        m.iter()
-            .map(|(k, v)| (*k, *v))
-            .collect::<BTreeMap<JobId, Modality>>()
-    };
-    assert_eq!(
-        sorted(&plain.truth),
-        sorted(&traced.truth),
-        "ground truth diverged"
-    );
+    assert_eq!(plain.truth, traced.truth, "ground truth diverged");
 }
