@@ -3,6 +3,9 @@
 //! The F3 single-site testbed (high offered load, batch + interactive mix)
 //! rerun under a fault schedule: a 12-hour announced outage on day 4 (two
 //! hours of drain notice) and an unannounced 6-hour outage on day 10.
+//! Only FCFS (which holds its head) and EASY (which starts only jobs
+//! estimated to finish in time) act on the notice; conservative backfill
+//! ignores it, so its row sees two unannounced outages.
 //! Killed work requeues with exponential backoff. For FCFS, EASY, and
 //! conservative backfill the experiment reports healthy vs faulted mean/P95
 //! wait and utilization, plus the kill/requeue counts from the

@@ -80,28 +80,51 @@ fn faulted_scenario_is_identical_under_reference_schedulers() {
     assert_identical(&fast, &slow);
 }
 
+fn faults_demo() -> tg_core::FaultSpec {
+    let text = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../configs/faults-demo.json"
+    ))
+    .expect("fault spec exists");
+    serde_json::from_str(&text).expect("fault spec parses")
+}
+
+/// A small scenario whose shrunk machines queue work under every policy.
+fn congested(kind: tg_sched::SchedulerKind, days: u64) -> ScenarioConfig {
+    let mut cfg = ScenarioConfig::baseline(40, days);
+    cfg.scheduler = kind;
+    for s in &mut cfg.sites {
+        s.batch_nodes = (s.batch_nodes / 4).max(8);
+    }
+    cfg
+}
+
 #[test]
 fn every_scheduler_kind_matches_its_reference() {
     use tg_sched::SchedulerKind;
-    for kind in [
-        SchedulerKind::Fcfs,
-        SchedulerKind::Easy,
-        SchedulerKind::Conservative,
-        SchedulerKind::WeeklyDrain,
-        SchedulerKind::FairshareEasy,
-    ] {
-        let mut cfg = ScenarioConfig::baseline(40, 3);
-        cfg.scheduler = kind;
-        // Shrink the machines so queues form under every policy.
-        for s in &mut cfg.sites {
-            s.batch_nodes = (s.batch_nodes / 4).max(8);
-        }
-        let (fast, slow) = run_both(cfg, 777);
+    for kind in SchedulerKind::ALL {
+        let (fast, slow) = run_both(congested(kind, 3), 777);
         assert_eq!(
             fast.db.jobs, slow.db.jobs,
             "scheduler {kind:?} diverges from its reference"
         );
         assert_eq!(fast.end, slow.end);
         assert_eq!(fast.events_delivered, slow.events_delivered);
+    }
+}
+
+#[test]
+fn every_scheduler_kind_matches_its_reference_under_faults() {
+    // The announced outage (site 1, two hours' notice at hour 94) sends
+    // each kind a drain notice inside the arrival window; kinds that
+    // honour it and kinds that ignore it must both match their oracle.
+    use tg_sched::SchedulerKind;
+    for kind in SchedulerKind::ALL {
+        let mut cfg = congested(kind, 5);
+        cfg.faults = Some(faults_demo());
+        let (fast, slow) = run_both(cfg, 4242);
+        let fr = fast.fault_report.as_ref().expect("faults ran");
+        assert!(fr.jobs_killed > 0, "{kind:?}: outages killed work: {fr:?}");
+        assert_identical(&fast, &slow);
     }
 }

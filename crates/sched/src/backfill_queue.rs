@@ -1,4 +1,12 @@
-//! An indexed FIFO queue for EASY-style backfill scans.
+//! The one indexed queue every batch scheduler kind runs over.
+//!
+//! [`crate::batch::QueueScheduler`] keeps its queue here whatever its
+//! reservation depth or queue order. FCFS never indexes it and starts
+//! staged jobs off the front ([`BackfillQueue::pop_staged_if`]); the
+//! conservative and drain passes read it in order
+//! ([`BackfillQueue::iter`]); a fair-share queue is re-ranked by taking
+//! every job out and staging it back ([`BackfillQueue::take_all`]). The
+//! width-lane index itself serves the EASY backfill scan.
 //!
 //! The naive Phase-3 backfill scan walks the whole queue on every decision
 //! pass. On saturated sites that is O(queue) per completion — the dominant
@@ -15,14 +23,14 @@
 //!
 //! Job widths come from small discrete sets (the workload profiles draw
 //! from ~a dozen power-of-two core counts), so the queue is kept as one
-//! **lane per distinct width**. Each lane stores its jobs in arrival order
+//! **lane per distinct width**. Each lane stores its jobs in queue order
 //! under a segment tree of minimum *estimated runtime*, answering
 //!
 //! > "first job of this width, at or after position `i`, estimated to run
 //! >  at most `limit`"
 //!
 //! in O(log lane). A backfill pass heap-merges the per-lane candidates in
-//! global arrival order and touches only jobs that are actually startable
+//! global queue order and touches only jobs that are actually startable
 //! under the current free/extra budgets (plus one boundary probe per lane)
 //! — O((picks + distinct widths) · log) per pass instead of O(queue).
 //!
@@ -121,6 +129,13 @@ impl WidthLane {
         self.update_path(i, est_micros as u128);
     }
 
+    /// Empty the lane, keeping its buffers.
+    fn clear(&mut self) {
+        self.seqs.clear();
+        self.seg.fill(DEAD);
+        self.live = 0;
+    }
+
     /// Kill `seq` (it left the queue). Compacts when mostly dead.
     fn kill(&mut self, seq: u64) {
         let Ok(i) = self.seqs.binary_search(&seq) else {
@@ -174,8 +189,9 @@ impl WidthLane {
     }
 }
 
-/// FIFO job queue indexed for backfill: a seq-ordered job map plus one
-/// [`WidthLane`] per distinct core width.
+/// Job queue indexed for backfill: a seq-ordered job map plus one
+/// [`WidthLane`] per distinct core width. Seqs follow staging order, which
+/// is arrival order unless a re-rank restaged the queue.
 ///
 /// Estimates are indexed at the site's `core_speed`, which `submit` doesn't
 /// receive — newly submitted jobs are *staged* and folded into the index at
@@ -280,7 +296,18 @@ impl BackfillQueue {
             .kill(seq);
     }
 
-    /// Integrated jobs in arrival order (drain/pre-drain passes, tests).
+    /// Take every queued job out, in queue order (indexed, then staged),
+    /// leaving the queue empty. The lanes keep their buffers.
+    pub(crate) fn take_all(&mut self) -> impl Iterator<Item = QueuedJob> + '_ {
+        for lane in self.lanes.values_mut() {
+            lane.clear();
+        }
+        std::mem::take(&mut self.jobs)
+            .into_values()
+            .chain(self.staged.drain(..))
+    }
+
+    /// Integrated jobs in queue order (drain and conservative passes).
     pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &QueuedJob)> {
         self.jobs.iter().map(|(&s, j)| (s, j))
     }

@@ -1,4 +1,5 @@
-//! Conservative backfill (Mu'alem & Feitelson 2001).
+//! Conservative backfill (Mu'alem & Feitelson 2001): the decision pass of
+//! a [`QueueScheduler`] at unbounded reservation depth.
 //!
 //! Every queued job holds a reservation; a job may move earlier only if it
 //! delays *no* reservation. Implemented by rebuilding an availability
@@ -8,14 +9,11 @@
 //! start. Rebuilding per round is O(queue × segments) — simple, and cheap at
 //! the queue lengths grid sites see.
 
-use crate::queue::{
-    attribute, estimated_runtime, BatchScheduler, QueuedJob, RunningJob, RunningSet, Started,
-};
-use std::collections::VecDeque;
+use crate::batch::QueueScheduler;
+use crate::queue::{estimated_runtime, RunningJob, Started};
 use tg_des::span::WaitCause;
 use tg_des::{SimDuration, SimTime};
 use tg_model::Cluster;
-use tg_workload::JobId;
 
 /// Piecewise-constant free-core profile over future time.
 ///
@@ -144,83 +142,49 @@ impl Profile {
     }
 }
 
-/// Conservative backfill scheduler.
-#[derive(Debug, Default)]
-pub struct ConservativeBackfill {
-    queue: VecDeque<QueuedJob>,
-    running: RunningSet,
-}
-
-impl ConservativeBackfill {
-    /// An empty conservative scheduler.
-    pub fn new() -> Self {
-        ConservativeBackfill::default()
-    }
-}
-
-impl BatchScheduler for ConservativeBackfill {
-    fn name(&self) -> &'static str {
-        "conservative"
-    }
-
-    fn submit(&mut self, _now: SimTime, job: QueuedJob) {
-        self.queue.push_back(job);
-    }
-
-    fn on_complete(&mut self, _now: SimTime, id: JobId) {
-        self.running.remove(id);
-    }
-
-    fn make_decisions(
+impl QueueScheduler {
+    /// One conservative decision pass: rebuild the availability profile
+    /// from the running set, then place every queued job, in queue order,
+    /// at its earliest start that delays no earlier reservation. Jobs whose
+    /// start is *now* start; the rest reserve their slot. Every delay traces
+    /// back to the reservations of earlier-queued jobs, so a delayed start
+    /// cites [`WaitCause::AheadInQueue`] and none counts as a backfill.
+    pub(crate) fn conservative_pass(
         &mut self,
         now: SimTime,
         cluster: &mut Cluster,
         core_speed: f64,
         started: &mut Vec<Started>,
     ) {
+        self.queue.integrate(core_speed);
         let mut profile =
             Profile::from_running(now, cluster.free_cores(), self.running.iter_by_end());
-        let mut remaining = VecDeque::with_capacity(self.queue.len());
-        for job in self.queue.drain(..) {
-            let dur = estimated_runtime(&job, core_speed);
+        let mut picked = std::mem::take(&mut self.queue.picked);
+        for (seq, job) in self.queue.iter() {
+            let dur = estimated_runtime(job, core_speed);
             let slot = profile.find_slot(now, job.cores, dur);
             if slot == now {
                 assert!(cluster.acquire(now, job.cores), "profile said free");
-                profile.reserve(now, dur, job.cores);
-                let estimated_end = now + dur;
-                // Under conservative backfill every delay traces back to the
-                // reservations of earlier-arrived jobs.
-                let cause = attribute(now, &job, WaitCause::AheadInQueue);
-                self.running.insert(RunningJob {
-                    id: job.id,
-                    cores: job.cores,
-                    estimated_end,
-                });
-                started.push(Started {
-                    job,
-                    estimated_end,
-                    cause,
-                });
-            } else {
-                if slot != SimTime::MAX {
-                    profile.reserve(slot, dur, job.cores);
-                }
-                remaining.push_back(job);
+                picked.push(seq);
+            }
+            if slot != SimTime::MAX {
+                profile.reserve(slot, dur, job.cores);
             }
         }
-        self.queue = remaining;
-    }
-
-    fn queue_len(&self) -> usize {
-        self.queue.len()
+        for seq in picked.drain(..) {
+            let job = self.queue.remove(seq);
+            self.record_start(now, core_speed, job, WaitCause::AheadInQueue, started);
+        }
+        self.queue.picked = picked;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::decide;
-    use tg_workload::{Job, ProjectId, UserId};
+    use crate::batch::Depth;
+    use crate::queue::{decide, BatchScheduler, QueuedJob};
+    use tg_workload::{Job, JobId, ProjectId, UserId};
 
     fn job(id: usize, cores: usize, secs: u64) -> QueuedJob {
         QueuedJob::from(&Job::batch(
@@ -298,7 +262,7 @@ mod tests {
 
     #[test]
     fn short_job_backfills_but_reservation_delaying_job_does_not() {
-        let mut s = ConservativeBackfill::new();
+        let mut s = QueueScheduler::new(Depth::Unbounded);
         let mut c = Cluster::new(SimTime::ZERO, 10);
         s.submit(SimTime::ZERO, job(0, 6, 1000));
         decide(&mut s, SimTime::ZERO, &mut c, 1.0);
@@ -323,7 +287,7 @@ mod tests {
         //        B(2, est 100) reserves [200,300).
         //        C(2, est 300): must not delay B; earliest consistent slot
         //        is t=200 (alongside B: free 10-10=0 in [100,200)... wait).
-        let mut s = ConservativeBackfill::new();
+        let mut s = QueueScheduler::new(Depth::Unbounded);
         let mut c = Cluster::new(SimTime::ZERO, 10);
         s.submit(SimTime::ZERO, job(0, 10, 100));
         let st = decide(&mut s, SimTime::ZERO, &mut c, 1.0);
@@ -344,7 +308,7 @@ mod tests {
 
     #[test]
     fn starts_multiple_independent_jobs_in_one_round() {
-        let mut s = ConservativeBackfill::new();
+        let mut s = QueueScheduler::new(Depth::Unbounded);
         let mut c = Cluster::new(SimTime::ZERO, 10);
         for i in 0..5 {
             s.submit(SimTime::ZERO, job(i, 2, 100));

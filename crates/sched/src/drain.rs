@@ -16,11 +16,12 @@
 //!   (back-to-back full-machine runs).
 //! * When the hero queue empties, normal EASY scheduling resumes.
 //!
-//! With no hero jobs pending, the policy is exactly EASY.
+//! With no hero jobs pending, the policy is exactly EASY: the wrapper
+//! owns only the hero queue and the drain clock, and drives one EASY
+//! [`QueueScheduler`] for everything else.
 
-use crate::backfill_queue::BackfillQueue;
-use crate::easy::{drain_pass, easy_pass, start_job};
-use crate::queue::{BatchScheduler, QueuedJob, RunningSet, Started};
+use crate::batch::{Depth, QueueScheduler};
+use crate::queue::{BatchScheduler, QueuedJob, Started};
 use std::collections::VecDeque;
 use tg_des::span::WaitCause;
 use tg_des::{SimDuration, SimTime};
@@ -30,12 +31,13 @@ use tg_workload::JobId;
 /// Fraction of machine cores at which a job counts as a hero run.
 pub const DEFAULT_HERO_FRACTION: f64 = 0.9;
 
-/// Weekly-drain scheduler.
+/// Weekly-drain scheduler: a hero queue and a drain clock around one EASY
+/// core.
 #[derive(Debug)]
 pub struct WeeklyDrain {
-    normal: BackfillQueue,
+    /// The EASY core: queues normal jobs, and runs every job, heroes too.
+    core: QueueScheduler,
     heroes: VecDeque<QueuedJob>,
-    running: RunningSet,
     period: SimDuration,
     hero_threshold: usize,
     /// The active drain instant, set while hero jobs are pending.
@@ -44,8 +46,6 @@ pub struct WeeklyDrain {
     /// drain wall. Disabling this models a naive "stop everything" drain —
     /// the A2 ablation's baseline.
     predrain_fill: bool,
-    /// Backfill starts during normal-phase EASY passes (observability).
-    backfilled: u64,
     /// Completed drain phases — counted when the hero queue empties and the
     /// drain disarms (observability).
     drains_done: u64,
@@ -55,26 +55,19 @@ pub struct WeeklyDrain {
 }
 
 impl WeeklyDrain {
-    /// A drain scheduler over an EASY normal phase. `_inner` fixes the
-    /// normal-phase algorithm at the type level (only EASY is supported);
-    /// `period` is the drain cadence; `machine_cores` sizes the hero
-    /// threshold at [`DEFAULT_HERO_FRACTION`].
-    pub fn new(
-        _inner: crate::easy::EasyBackfill,
-        period: SimDuration,
-        machine_cores: usize,
-    ) -> Self {
+    /// A drain scheduler over an EASY normal phase. `period` is the drain
+    /// cadence; `machine_cores` sizes the hero threshold at
+    /// [`DEFAULT_HERO_FRACTION`].
+    pub fn new(period: SimDuration, machine_cores: usize) -> Self {
         assert!(!period.is_zero(), "drain period must be positive");
         assert!(machine_cores > 0, "machine must have cores");
         WeeklyDrain {
-            normal: BackfillQueue::new(),
+            core: QueueScheduler::new(Depth::One),
             heroes: VecDeque::new(),
-            running: RunningSet::new(),
             period,
             hero_threshold: ((machine_cores as f64) * DEFAULT_HERO_FRACTION).ceil() as usize,
             active_drain: None,
             predrain_fill: true,
-            backfilled: 0,
             drains_done: 0,
             last_disarm: None,
         }
@@ -100,10 +93,6 @@ impl WeeklyDrain {
 }
 
 impl BatchScheduler for WeeklyDrain {
-    fn name(&self) -> &'static str {
-        "weekly-drain"
-    }
-
     fn submit(&mut self, now: SimTime, job: QueuedJob) {
         if job.cores >= self.hero_threshold {
             self.heroes.push_back(job);
@@ -111,12 +100,12 @@ impl BatchScheduler for WeeklyDrain {
                 self.active_drain = Some(self.next_boundary(now));
             }
         } else {
-            self.normal.push_back(job);
+            self.core.submit(now, job);
         }
     }
 
-    fn on_complete(&mut self, _now: SimTime, id: JobId) {
-        self.running.remove(id);
+    fn on_complete(&mut self, now: SimTime, id: JobId) {
+        self.core.on_complete(now, id);
     }
 
     fn make_decisions(
@@ -130,15 +119,7 @@ impl BatchScheduler for WeeklyDrain {
             match self.active_drain {
                 None => {
                     let before = started.len();
-                    easy_pass(
-                        &mut self.normal,
-                        &mut self.running,
-                        now,
-                        cluster,
-                        core_speed,
-                        started,
-                        &mut self.backfilled,
-                    );
+                    self.core.easy_pass(now, cluster, core_speed, started);
                     // Normal jobs held back across the drain wall waited for
                     // the drain, not for queue position: re-attribute starts
                     // of jobs submitted before the last disarm.
@@ -152,62 +133,50 @@ impl BatchScheduler for WeeklyDrain {
                     return;
                 }
                 Some(drain) if now < drain => {
-                    if !self.predrain_fill {
-                        return; // naive drain: start nothing
-                    }
                     // Pre-drain: greedily start normal jobs that fit and
                     // finish (by estimate) before the wall. Any wait these
                     // jobs saw happened under the armed drain's
-                    // estimate-bounded fill regime.
-                    drain_pass(
-                        &mut self.normal,
-                        &mut self.running,
-                        now,
-                        cluster,
-                        core_speed,
-                        drain,
-                        started,
-                    );
+                    // estimate-bounded fill regime. The naive drain starts
+                    // nothing.
+                    if self.predrain_fill {
+                        self.core
+                            .drain_pass(now, cluster, core_speed, drain, started);
+                    }
                     return;
                 }
                 Some(_) => {
                     // Drain reached: run heroes back-to-back while the
                     // machine can hold them.
-                    let mut any = false;
                     while let Some(hero) = self.heroes.front() {
                         if !cluster.can_fit(hero.cores) {
                             break;
                         }
                         let job = self.heroes.pop_front().expect("peeked");
                         // Heroes wait for the drain boundary by design.
-                        start_job(
+                        self.core.start(
                             now,
                             cluster,
                             core_speed,
                             job,
                             WaitCause::DrainWindow,
-                            &mut self.running,
                             started,
                         );
-                        any = true;
                     }
-                    if self.heroes.is_empty() {
-                        // Hero phase over (or will be once running heroes
-                        // finish); disarm and resume normal scheduling.
-                        self.active_drain = None;
-                        self.drains_done += 1;
-                        self.last_disarm = Some(now);
-                        continue;
+                    if !self.heroes.is_empty() {
+                        return;
                     }
-                    let _ = any;
-                    return;
+                    // Hero phase over (or will be once running heroes
+                    // finish); disarm and resume normal scheduling.
+                    self.active_drain = None;
+                    self.drains_done += 1;
+                    self.last_disarm = Some(now);
                 }
             }
         }
     }
 
     fn queue_len(&self) -> usize {
-        self.normal.len() + self.heroes.len()
+        self.core.queue_len() + self.heroes.len()
     }
 
     fn next_wakeup(&self, now: SimTime) -> Option<SimTime> {
@@ -218,7 +187,7 @@ impl BatchScheduler for WeeklyDrain {
     }
 
     fn backfills(&self) -> u64 {
-        self.backfilled
+        self.core.backfills()
     }
 
     fn drains(&self) -> u64 {
@@ -229,12 +198,11 @@ impl BatchScheduler for WeeklyDrain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::easy::EasyBackfill;
     use crate::queue::decide;
     use tg_workload::Job;
 
     fn sched(machine: usize) -> WeeklyDrain {
-        WeeklyDrain::new(EasyBackfill::new(), SimDuration::from_weeks(1), machine)
+        WeeklyDrain::new(SimDuration::from_weeks(1), machine)
     }
 
     fn job(id: usize, cores: usize, secs: u64) -> QueuedJob {

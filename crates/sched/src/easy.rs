@@ -1,4 +1,5 @@
-//! EASY backfill (Lifka 1995).
+//! EASY backfill (Lifka 1995): the decision passes of a
+//! [`QueueScheduler`] at reservation depth one.
 //!
 //! The queue head gets a *reservation* at the earliest instant enough cores
 //! will be free (by running-job estimates). Any other queued job may start
@@ -10,435 +11,169 @@
 //! EASY is what most TeraGrid-era sites actually ran, and is the scheduler
 //! the F3 wait-time experiment centers on.
 
-use crate::backfill_queue::{BackfillQueue, ALIVE_LIMIT};
-use crate::queue::{
-    attribute, estimated_runtime, shadow, BatchScheduler, QueuedJob, RunningJob, RunningSet,
-    Started,
-};
+use crate::backfill_queue::ALIVE_LIMIT;
+use crate::batch::QueueScheduler;
+use crate::queue::{estimated_runtime, shadow, Started};
 use std::cmp::Reverse;
-use std::collections::VecDeque;
 use tg_des::span::WaitCause;
 use tg_des::SimTime;
 use tg_model::Cluster;
-use tg_workload::JobId;
 
-/// EASY backfill scheduler.
-#[derive(Debug, Default)]
-pub struct EasyBackfill {
-    queue: BackfillQueue,
-    running: RunningSet,
-    backfilled: u64,
-    /// Armed outage notice: don't start work estimated to outlive this.
-    outage: Option<SimTime>,
-}
-
-impl EasyBackfill {
-    /// An empty EASY scheduler.
-    pub fn new() -> Self {
-        EasyBackfill::default()
-    }
-}
-
-/// Decision pass under a drain horizon (an armed outage notice, or the
-/// weekly-drain wall): start queued jobs in order whenever they fit *and*
-/// are estimated to finish before `horizon`. No head reservation — the head
-/// may be exactly the job that cannot finish in time, and reserving cores
-/// for it would idle the machine for work the drain will stop anyway.
-pub(crate) fn drain_pass(
-    queue: &mut BackfillQueue,
-    running: &mut RunningSet,
-    now: SimTime,
-    cluster: &mut Cluster,
-    core_speed: f64,
-    horizon: SimTime,
-    started: &mut Vec<Started>,
-) {
-    queue.integrate(core_speed);
-    // Jobs need ≥1 core, so a saturated cluster can start nothing: the scan
-    // below would pick zero jobs. Skipping it changes no decision.
-    if cluster.free_cores() == 0 {
-        return;
-    }
-    let mut picked = std::mem::take(&mut queue.picked);
-    for (seq, job) in queue.iter() {
-        if cluster.can_fit(job.cores) && now + estimated_runtime(job, core_speed) <= horizon {
-            assert!(cluster.acquire(now, job.cores), "can_fit said yes");
-            picked.push(seq);
+impl QueueScheduler {
+    /// Decision pass under a drain horizon (an armed outage notice, or the
+    /// weekly-drain wall): start queued jobs in order whenever they fit
+    /// *and* are estimated to finish before `horizon`. No head reservation —
+    /// the head may be exactly the job that cannot finish in time, and
+    /// reserving cores for it would idle the machine for work the drain
+    /// will stop anyway.
+    pub(crate) fn drain_pass(
+        &mut self,
+        now: SimTime,
+        cluster: &mut Cluster,
+        core_speed: f64,
+        horizon: SimTime,
+        started: &mut Vec<Started>,
+    ) {
+        self.queue.integrate(core_speed);
+        // Jobs need ≥1 core, so a saturated cluster can start nothing: the
+        // scan below would pick zero jobs. Skipping it changes no decision.
+        if cluster.free_cores() == 0 {
+            return;
         }
-    }
-    for seq in picked.drain(..) {
-        let job = queue.remove(seq);
-        record_start(
-            now,
-            core_speed,
-            job,
-            WaitCause::DrainWindow,
-            running,
-            started,
-        );
-    }
-    queue.picked = picked;
-}
-
-/// Start `job` on `cluster`, recording it in `running` and `out`. `delayed`
-/// is the wait cause attributed when the job did not start at submission
-/// ([`attribute`] downgrades it to `Immediate` otherwise).
-pub(crate) fn start_job(
-    now: SimTime,
-    cluster: &mut Cluster,
-    core_speed: f64,
-    job: QueuedJob,
-    delayed: WaitCause,
-    running: &mut RunningSet,
-    out: &mut Vec<Started>,
-) {
-    assert!(cluster.acquire(now, job.cores), "caller checked fit");
-    record_start(now, core_speed, job, delayed, running, out);
-}
-
-/// The bookkeeping half of [`start_job`]: record `job` as running and
-/// started. The caller has already acquired its cores (scan-then-compact
-/// passes acquire during the scan so later decisions see the updated free
-/// pool, and record here during the single compaction drain).
-pub(crate) fn record_start(
-    now: SimTime,
-    core_speed: f64,
-    job: QueuedJob,
-    delayed: WaitCause,
-    running: &mut RunningSet,
-    out: &mut Vec<Started>,
-) {
-    let estimated_end = now + estimated_runtime(&job, core_speed);
-    let cause = attribute(now, &job, delayed);
-    running.insert(RunningJob {
-        id: job.id,
-        cores: job.cores,
-        estimated_end,
-    });
-    out.push(Started {
-        job,
-        estimated_end,
-        cause,
-    });
-}
-
-/// Remove the queue entries at `picked` (ascending indices whose cores the
-/// scan already acquired) in one O(queue) compaction drain, recording each
-/// as started in queue order — the same start order the old per-job
-/// `VecDeque::remove` produced, without its O(n) shift per start. No-op
-/// (and no reallocation) when nothing was picked.
-pub(crate) fn compact_starts(
-    queue: &mut VecDeque<QueuedJob>,
-    picked: &[usize],
-    now: SimTime,
-    core_speed: f64,
-    delayed: WaitCause,
-    running: &mut RunningSet,
-    out: &mut Vec<Started>,
-) {
-    if picked.is_empty() {
-        return;
-    }
-    // Few picks in a long queue: point removals (cost min(i, n-i) each, no
-    // allocation) beat rebuilding. Many picks: one drain-and-rebuild pass.
-    if picked.len() * 8 < queue.len() {
-        for (k, &i) in picked.iter().enumerate() {
-            let job = queue.remove(i - k).expect("picked index valid");
-            record_start(now, core_speed, job, delayed, running, out);
-        }
-        return;
-    }
-    let mut next = picked.iter().copied().peekable();
-    let mut rest = VecDeque::with_capacity(queue.len() - picked.len());
-    for (i, job) in queue.drain(..).enumerate() {
-        if next.peek() == Some(&i) {
-            next.next();
-            record_start(now, core_speed, job, delayed, running, out);
-        } else {
-            rest.push_back(job);
-        }
-    }
-    *queue = rest;
-}
-
-/// One EASY decision pass over an indexed queue: FCFS starts, head
-/// reservation, then reservation-respecting backfill. Shared with the
-/// weekly-drain policy's normal phase. Every Phase-3 start (a job
-/// overtaking the blocked head) bumps `backfills`.
-///
-/// Phase 3 visits candidates through the per-width lanes of
-/// [`BackfillQueue`] instead of walking the whole queue: lanes wider than
-/// the free pool are never consulted (free cores only shrink while
-/// picking), and a lane wider than the remaining `extra` yields only jobs
-/// short enough to finish before the reservation. A min-heap merges the
-/// lanes back into global arrival order, so the decisions — picks, start
-/// order, core/extra accounting — are bit-identical to the naive walk that
-/// [`crate::reference::NaiveEasy`] retains (the differential suite proves
-/// it). Cost per pass: O((picks + distinct widths) · log queue).
-pub(crate) fn easy_pass(
-    queue: &mut BackfillQueue,
-    running: &mut RunningSet,
-    now: SimTime,
-    cluster: &mut Cluster,
-    core_speed: f64,
-    started: &mut Vec<Started>,
-    backfills: &mut u64,
-) {
-    // Idle index: the staged jobs are the queue's heads, in order. Phase 1
-    // would index each and pop it straight back out, so start them here,
-    // FCFS while they fit, and index only what is left.
-    if queue.is_indexed_empty() {
-        while let Some(job) = queue.pop_staged_if(|j| cluster.can_fit(j.cores)) {
-            start_job(
-                now,
-                cluster,
-                core_speed,
-                job,
-                WaitCause::AheadInQueue,
-                running,
-                started,
-            );
-        }
-    }
-    queue.integrate(core_speed);
-    // Phase 1: start queue heads FCFS-style while they fit.
-    while let Some(head) = queue.front() {
-        if !cluster.can_fit(head.cores) {
-            break;
-        }
-        let job = queue.pop_front().expect("peeked");
-        // A head that had to wait was blocked behind earlier work.
-        start_job(
-            now,
-            cluster,
-            core_speed,
-            job,
-            WaitCause::AheadInQueue,
-            running,
-            started,
-        );
-    }
-    let Some(head) = queue.front() else {
-        return;
-    };
-    // Saturated cluster: every queued job needs ≥1 core, so neither the
-    // reservation (pure computation) nor the backfill scan can start
-    // anything — skip both. Decisions are untouched; only the walk that
-    // would have picked nothing is avoided.
-    if cluster.free_cores() == 0 {
-        return;
-    }
-    // Phase 2: reservation for the (blocked) head. Cores free at the shadow
-    // time beyond what the head needs: a backfilled job running past the
-    // shadow may use only these.
-    let (shadow, free_at_shadow) = shadow(now, cluster.free_cores(), head.cores, running);
-    let mut extra = free_at_shadow.saturating_sub(head.cores);
-
-    // Phase 3: backfill in arrival order via the width lanes. A job may
-    // start if it fits the free cores and either finishes (by estimate)
-    // before the reservation or uses only `extra` cores. `shadow ≥ now`
-    // always (the shadow walk clamps), so `est ≤ shadow − now` in integer
-    // microseconds is exactly the naive `now + est ≤ shadow` test.
-    let head_seq = queue.head_seq().expect("head exists");
-    let short_limit = shadow.saturating_since(now).as_micros() as u128;
-    // A lane no wider than `extra` may yield any live job; a wider lane
-    // only jobs that finish before the reservation.
-    let lane_limit = |w: usize, extra: usize| {
-        if w <= extra {
-            ALIVE_LIMIT
-        } else {
-            short_limit
-        }
-    };
-    // One in-flight candidate per lane, merged by (seq) = arrival order.
-    // Both buffers are the queue's, borrowed for the pass.
-    let mut heap = std::mem::take(&mut queue.merge);
-    for (w, lane) in queue.lanes_up_to(cluster.free_cores()) {
-        if let Some(i) = lane.first_le(0, lane_limit(w, extra)) {
-            heap.push(Reverse((lane.seq_at(i), w, i)));
-        }
-    }
-    let mut picked = std::mem::take(&mut queue.picked);
-    while let Some(Reverse((seq, w, i))) = heap.pop() {
-        if !cluster.can_fit(w) {
-            // Free cores only shrink during the pass: this lane is done.
-            continue;
-        }
-        let lane = queue.lane(w);
-        if seq == head_seq {
-            // The head holds the reservation; it never backfills.
-            if let Some(n) = lane.first_le(i + 1, lane_limit(w, extra)) {
-                heap.push(Reverse((lane.seq_at(n), w, n)));
+        let mut picked = std::mem::take(&mut self.queue.picked);
+        for (seq, job) in self.queue.iter() {
+            if cluster.can_fit(job.cores) && now + estimated_runtime(job, core_speed) <= horizon {
+                assert!(cluster.acquire(now, job.cores), "can_fit said yes");
+                picked.push(seq);
             }
-            continue;
         }
-        if lane.est_at(i) > short_limit {
-            // Runs past the reservation: only `extra` cores may serve it.
-            if w > extra {
-                // Candidate staled by a shrunk `extra`: from here this lane
-                // can only start reservation-safe (short) jobs.
-                if let Some(n) = lane.first_le(i + 1, short_limit) {
-                    heap.push(Reverse((lane.seq_at(n), w, n)));
-                }
-                continue;
-            }
-            extra -= w;
+        for seq in picked.drain(..) {
+            let job = self.queue.remove(seq);
+            self.record_start(now, core_speed, job, WaitCause::DrainWindow, started);
         }
-        assert!(cluster.acquire(now, w), "can_fit said yes");
-        picked.push(seq);
-        *backfills += 1;
-        if let Some(n) = lane.first_le(i + 1, lane_limit(w, extra)) {
-            heap.push(Reverse((lane.seq_at(n), w, n)));
-        }
-    }
-    // Overtaking jobs waited only until a hole opened up. Removal is
-    // deferred so lane slots stay stable during the scan; `picked` is in
-    // arrival order, preserving the naive start order.
-    for seq in picked.drain(..) {
-        let job = queue.remove(seq);
-        record_start(
-            now,
-            core_speed,
-            job,
-            WaitCause::BackfillHole,
-            running,
-            started,
-        );
-    }
-    queue.merge = heap;
-    queue.picked = picked;
-}
-
-/// The [`easy_pass`] decision logic over a plain `VecDeque` — for
-/// schedulers whose queue order is rebuilt per pass (fair-share re-ranks by
-/// decayed priority each round), where a persistent arrival-order index
-/// cannot amortize. Decisions are identical to `easy_pass` on the same
-/// queue order.
-pub(crate) fn easy_pass_unindexed(
-    queue: &mut VecDeque<QueuedJob>,
-    running: &mut RunningSet,
-    now: SimTime,
-    cluster: &mut Cluster,
-    core_speed: f64,
-    started: &mut Vec<Started>,
-    backfills: &mut u64,
-) {
-    // Phase 1: start queue heads FCFS-style while they fit.
-    while let Some(head) = queue.front() {
-        if !cluster.can_fit(head.cores) {
-            break;
-        }
-        let job = queue.pop_front().expect("peeked");
-        start_job(
-            now,
-            cluster,
-            core_speed,
-            job,
-            WaitCause::AheadInQueue,
-            running,
-            started,
-        );
-    }
-    let Some(head) = queue.front() else {
-        return;
-    };
-    if cluster.free_cores() == 0 {
-        return;
-    }
-    // Phase 2: reservation for the (blocked) head.
-    let (shadow, free_at_shadow) = shadow(now, cluster.free_cores(), head.cores, running);
-    let mut extra = free_at_shadow.saturating_sub(head.cores);
-
-    // Phase 3: backfill the rest of the queue in order.
-    let mut picked = Vec::new();
-    for (i, job) in queue.iter().enumerate().skip(1) {
-        if !cluster.can_fit(job.cores) {
-            continue;
-        }
-        let est_end = now + estimated_runtime(job, core_speed);
-        if est_end > shadow {
-            if job.cores > extra {
-                continue;
-            }
-            extra -= job.cores;
-        }
-        assert!(cluster.acquire(now, job.cores), "can_fit said yes");
-        picked.push(i);
-    }
-    *backfills += picked.len() as u64;
-    compact_starts(
-        queue,
-        &picked,
-        now,
-        core_speed,
-        WaitCause::BackfillHole,
-        running,
-        started,
-    );
-}
-
-impl BatchScheduler for EasyBackfill {
-    fn name(&self) -> &'static str {
-        "easy"
+        self.queue.picked = picked;
     }
 
-    fn submit(&mut self, _now: SimTime, job: QueuedJob) {
-        self.queue.push_back(job);
-    }
-
-    fn on_complete(&mut self, _now: SimTime, id: JobId) {
-        self.running.remove(id);
-    }
-
-    fn make_decisions(
+    /// One EASY decision pass: FCFS starts, head reservation, then
+    /// reservation-respecting backfill. Every Phase-3 start (a job
+    /// overtaking the blocked head) counts as a backfill.
+    ///
+    /// Phase 3 visits candidates through the queue's per-width lanes
+    /// instead of walking the whole queue: lanes wider than the free pool
+    /// are never consulted (free cores only shrink while picking), and a
+    /// lane wider than the remaining `extra` yields only jobs short enough
+    /// to finish before the reservation. A min-heap merges the lanes back
+    /// into queue order, so the decisions — picks, start order, core/extra
+    /// accounting — are bit-identical to the naive walk that
+    /// [`crate::reference::NaiveEasy`] retains (the differential suite
+    /// proves it). Cost per pass: O((picks + distinct widths) · log queue).
+    pub(crate) fn easy_pass(
         &mut self,
         now: SimTime,
         cluster: &mut Cluster,
         core_speed: f64,
         started: &mut Vec<Started>,
     ) {
-        if let Some(horizon) = self.outage {
-            drain_pass(
-                &mut self.queue,
-                &mut self.running,
-                now,
-                cluster,
-                core_speed,
-                horizon,
-                started,
-            );
-        } else {
-            easy_pass(
-                &mut self.queue,
-                &mut self.running,
-                now,
-                cluster,
-                core_speed,
-                started,
-                &mut self.backfilled,
-            );
+        // Phase 1: start queue heads FCFS-style while they fit.
+        self.head_pass(now, cluster, core_speed, None, started);
+        let queue = &mut self.queue;
+        let Some(head) = queue.front() else {
+            return;
+        };
+        // Saturated cluster: every queued job needs ≥1 core, so neither the
+        // reservation (pure computation) nor the backfill scan can start
+        // anything — skip both. Decisions are untouched; only the walk that
+        // would have picked nothing is avoided.
+        if cluster.free_cores() == 0 {
+            return;
         }
-    }
+        // Phase 2: reservation for the (blocked) head. Cores free at the
+        // shadow time beyond what the head needs: a backfilled job running
+        // past the shadow may use only these.
+        let (shadow, free_at_shadow) = shadow(now, cluster.free_cores(), head.cores, &self.running);
+        let mut extra = free_at_shadow.saturating_sub(head.cores);
 
-    fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
-    fn backfills(&self) -> u64 {
-        self.backfilled
-    }
-
-    fn drain_notice(&mut self, at: Option<SimTime>) {
-        self.outage = at;
+        // Phase 3: backfill in queue order via the width lanes. A job may
+        // start if it fits the free cores and either finishes (by estimate)
+        // before the reservation or uses only `extra` cores. `shadow ≥ now`
+        // always (the shadow walk clamps), so `est ≤ shadow − now` in
+        // integer microseconds is exactly the naive `now + est ≤ shadow`
+        // test.
+        let head_seq = queue.head_seq().expect("head exists");
+        let short_limit = shadow.saturating_since(now).as_micros() as u128;
+        // A lane no wider than `extra` may yield any live job; a wider lane
+        // only jobs that finish before the reservation.
+        let lane_limit = |w: usize, extra: usize| {
+            if w <= extra {
+                ALIVE_LIMIT
+            } else {
+                short_limit
+            }
+        };
+        // One in-flight candidate per lane, merged by (seq) = queue order.
+        // Both buffers are the queue's, borrowed for the pass.
+        let mut heap = std::mem::take(&mut queue.merge);
+        for (w, lane) in queue.lanes_up_to(cluster.free_cores()) {
+            if let Some(i) = lane.first_le(0, lane_limit(w, extra)) {
+                heap.push(Reverse((lane.seq_at(i), w, i)));
+            }
+        }
+        let mut picked = std::mem::take(&mut queue.picked);
+        while let Some(Reverse((seq, w, i))) = heap.pop() {
+            if !cluster.can_fit(w) {
+                // Free cores only shrink during the pass: this lane is done.
+                continue;
+            }
+            let lane = queue.lane(w);
+            if seq == head_seq {
+                // The head holds the reservation; it never backfills.
+                if let Some(n) = lane.first_le(i + 1, lane_limit(w, extra)) {
+                    heap.push(Reverse((lane.seq_at(n), w, n)));
+                }
+                continue;
+            }
+            if lane.est_at(i) > short_limit {
+                // Runs past the reservation: only `extra` cores may serve it.
+                if w > extra {
+                    // Candidate staled by a shrunk `extra`: from here this
+                    // lane can only start reservation-safe (short) jobs.
+                    if let Some(n) = lane.first_le(i + 1, short_limit) {
+                        heap.push(Reverse((lane.seq_at(n), w, n)));
+                    }
+                    continue;
+                }
+                extra -= w;
+            }
+            assert!(cluster.acquire(now, w), "can_fit said yes");
+            picked.push(seq);
+            if let Some(n) = lane.first_le(i + 1, lane_limit(w, extra)) {
+                heap.push(Reverse((lane.seq_at(n), w, n)));
+            }
+        }
+        queue.merge = heap;
+        // Overtaking jobs waited only until a hole opened up. Removal is
+        // deferred so lane slots stay stable during the scan; `picked` is in
+        // queue order, preserving the naive start order.
+        self.backfilled += picked.len() as u64;
+        for seq in picked.drain(..) {
+            let job = self.queue.remove(seq);
+            self.record_start(now, core_speed, job, WaitCause::BackfillHole, started);
+        }
+        self.queue.picked = picked;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::decide;
+    use crate::batch::Depth;
+    use crate::queue::{decide, BatchScheduler, QueuedJob};
     use tg_des::SimDuration;
-    use tg_workload::{Job, ProjectId, UserId};
+    use tg_workload::{Job, JobId, ProjectId, UserId};
+
+    fn easy() -> QueueScheduler {
+        QueueScheduler::new(Depth::One)
+    }
 
     fn job(id: usize, cores: usize, secs: u64) -> QueuedJob {
         QueuedJob::from(&Job::batch(
@@ -455,7 +190,7 @@ mod tests {
     /// job that finishes before the reservation → backfills.
     #[test]
     fn short_job_backfills_ahead_of_blocked_head() {
-        let mut s = EasyBackfill::new();
+        let mut s = easy();
         let mut c = Cluster::new(SimTime::ZERO, 10);
         s.submit(SimTime::ZERO, job(0, 6, 1000)); // starts
         decide(&mut s, SimTime::ZERO, &mut c, 1.0);
@@ -469,7 +204,7 @@ mod tests {
 
     #[test]
     fn backfill_may_not_delay_the_reservation() {
-        let mut s = EasyBackfill::new();
+        let mut s = easy();
         let mut c = Cluster::new(SimTime::ZERO, 10);
         s.submit(SimTime::ZERO, job(0, 6, 1000));
         decide(&mut s, SimTime::ZERO, &mut c, 1.0);
@@ -483,7 +218,7 @@ mod tests {
 
     #[test]
     fn long_narrow_job_backfills_into_extra_cores() {
-        let mut s = EasyBackfill::new();
+        let mut s = easy();
         let mut c = Cluster::new(SimTime::ZERO, 10);
         s.submit(SimTime::ZERO, job(0, 6, 1000));
         decide(&mut s, SimTime::ZERO, &mut c, 1.0);
@@ -496,7 +231,7 @@ mod tests {
 
     #[test]
     fn extra_cores_are_consumed_by_backfills() {
-        let mut s = EasyBackfill::new();
+        let mut s = easy();
         let mut c = Cluster::new(SimTime::ZERO, 10);
         s.submit(SimTime::ZERO, job(0, 6, 1000));
         decide(&mut s, SimTime::ZERO, &mut c, 1.0);
@@ -511,7 +246,7 @@ mod tests {
 
     #[test]
     fn reservation_honored_on_completion() {
-        let mut s = EasyBackfill::new();
+        let mut s = easy();
         let mut c = Cluster::new(SimTime::ZERO, 10);
         s.submit(SimTime::ZERO, job(0, 6, 1000));
         let st = decide(&mut s, SimTime::ZERO, &mut c, 1.0);
@@ -533,7 +268,7 @@ mod tests {
 
     #[test]
     fn fifo_among_backfill_candidates() {
-        let mut s = EasyBackfill::new();
+        let mut s = easy();
         let mut c = Cluster::new(SimTime::ZERO, 10);
         s.submit(SimTime::ZERO, job(0, 6, 1000));
         decide(&mut s, SimTime::ZERO, &mut c, 1.0);
@@ -548,7 +283,7 @@ mod tests {
     #[test]
     fn wait_causes_distinguish_immediate_from_backfill() {
         use tg_des::span::WaitCause;
-        let mut s = EasyBackfill::new();
+        let mut s = easy();
         let mut c = Cluster::new(SimTime::ZERO, 10);
         s.submit(SimTime::ZERO, job(0, 6, 1000));
         let st = decide(&mut s, SimTime::ZERO, &mut c, 1.0);
@@ -566,7 +301,7 @@ mod tests {
     #[test]
     fn drain_notice_blocks_jobs_that_would_outlive_the_outage() {
         use tg_des::span::WaitCause;
-        let mut s = EasyBackfill::new();
+        let mut s = easy();
         let mut c = Cluster::new(SimTime::ZERO, 10);
         s.drain_notice(Some(SimTime::from_secs(300)));
         s.submit(SimTime::ZERO, job(0, 4, 1000)); // would outlive the outage
@@ -585,14 +320,14 @@ mod tests {
 
     #[test]
     fn empty_queue_is_a_noop() {
-        let mut s = EasyBackfill::new();
+        let mut s = easy();
         let mut c = Cluster::new(SimTime::ZERO, 4);
         assert!(decide(&mut s, SimTime::ZERO, &mut c, 1.0).is_empty());
     }
 
     #[test]
     fn backfill_counter_counts_only_overtakes() {
-        let mut s = EasyBackfill::new();
+        let mut s = easy();
         let mut c = Cluster::new(SimTime::ZERO, 10);
         s.submit(SimTime::ZERO, job(0, 6, 1000)); // FCFS start — not a backfill
         decide(&mut s, SimTime::ZERO, &mut c, 1.0);

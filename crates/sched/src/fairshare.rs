@@ -8,8 +8,8 @@
 //!
 //! Priority combines normalized decayed usage with queue wait time. The
 //! module is self-contained so any scheduler (or the metascheduler) can
-//! consult it; the queue-ordering hook itself is exercised by the
-//! fairshare-ordering tests in `tg-core`.
+//! consult it; the fair-share queue order of
+//! [`crate::batch::QueueScheduler`] ranks its queue by it.
 
 use std::collections::HashMap;
 use tg_des::{SimDuration, SimTime};
@@ -60,14 +60,41 @@ impl FairShare {
     /// better. Wait time raises priority linearly (hours); decayed usage
     /// (normalized against the busiest project) lowers it.
     pub fn priority(&self, project: ProjectId, queued_at: SimTime, now: SimTime) -> f64 {
-        let wait_hours = now.saturating_since(queued_at).as_hours_f64();
+        self.ranking(now).priority(project, queued_at)
+    }
+
+    /// Priorities as of `now`, with the busiest project's usage folded once:
+    /// ranking a queue then costs one fold plus one lookup per job instead
+    /// of a fold per comparison, with bit-identical keys.
+    pub(crate) fn ranking(&self, now: SimTime) -> Ranking<'_> {
         let max_usage = self
             .usage
             .keys()
             .map(|&p| self.decayed(p, now))
             .fold(0.0f64, f64::max);
-        let norm = if max_usage > 0.0 {
-            self.decayed(project, now) / max_usage
+        Ranking {
+            shares: self,
+            now,
+            max_usage,
+        }
+    }
+}
+
+/// [`FairShare`] priorities frozen at one instant (see
+/// [`FairShare::ranking`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Ranking<'a> {
+    shares: &'a FairShare,
+    now: SimTime,
+    max_usage: f64,
+}
+
+impl Ranking<'_> {
+    /// [`FairShare::priority`] at the ranking's instant.
+    pub(crate) fn priority(&self, project: ProjectId, queued_at: SimTime) -> f64 {
+        let wait_hours = self.now.saturating_since(queued_at).as_hours_f64();
+        let norm = if self.max_usage > 0.0 {
+            self.shares.decayed(project, self.now) / self.max_usage
         } else {
             0.0
         };

@@ -4,12 +4,14 @@
 //! pipeline reads. Four families:
 //!
 //! * **Per-site batch schedulers** (all implementing [`BatchScheduler`]):
-//!   [`fcfs::Fcfs`] — strict first-come-first-served; [`easy::EasyBackfill`]
-//!   — aggressive backfilling with one reservation for the queue head;
-//!   [`conservative::ConservativeBackfill`] — a reservation for every queued
-//!   job; [`drain::WeeklyDrain`] — the capability policy that force-drains
+//!   one queue core, [`batch::QueueScheduler`], over an arrival- or
+//!   fair-share-ordered queue, at a reservation [`batch::Depth`] of zero
+//!   (strict first-come-first-served), one (EASY: aggressive backfilling
+//!   with one reservation for the queue head, [`easy`]) or unbounded
+//!   (conservative: a reservation for every queued job, [`conservative`]);
+//!   and [`drain::WeeklyDrain`] — the capability policy that force-drains
 //!   the machine on a weekly boundary and then runs full-machine "hero" jobs
-//!   back-to-back.
+//!   back-to-back, around one EASY core.
 //! * **Fair-share priority** ([`fairshare`]) — decayed-usage priorities that
 //!   any queue-ordering policy can consume.
 //! * **Metascheduling** ([`meta`]) — site selection for jobs that don't pin a
@@ -53,25 +55,22 @@
 #![deny(unsafe_code)]
 
 pub(crate) mod backfill_queue;
+pub mod batch;
 pub mod coalloc;
 pub mod conservative;
 pub mod drain;
 pub mod easy;
 pub mod fairshare;
-pub mod fairshare_easy;
-pub mod fcfs;
 pub mod meta;
 pub mod queue;
 pub mod reconf;
 pub mod reference;
 pub mod retry;
 
+pub use batch::{Depth, QueueScheduler};
 pub use coalloc::{plan_coallocation, CoallocPlan, CoallocRequest};
-pub use conservative::{ConservativeBackfill, Profile};
+pub use conservative::Profile;
 pub use drain::WeeklyDrain;
-pub use easy::EasyBackfill;
-pub use fairshare_easy::FairshareEasy;
-pub use fcfs::Fcfs;
 pub use meta::{DataContext, MetaPolicy, SiteView};
 pub use queue::{BatchScheduler, QueuedJob, SchedulerKind, Started};
 pub use reconf::{RcDecision, RcPolicy};

@@ -110,9 +110,6 @@ impl RunningSet {
 ///    [`make_decisions`](BatchScheduler::make_decisions), acquiring cluster
 ///    cores for every job returned.
 pub trait BatchScheduler: Send {
-    /// Scheduler name for reports.
-    fn name(&self) -> &'static str;
-
     /// Enqueue a job at `now`.
     fn submit(&mut self, now: SimTime, job: QueuedJob);
 
@@ -143,10 +140,15 @@ pub trait BatchScheduler: Send {
     }
 
     /// Advance notice of a site outage at `Some(at)`: until the notice is
-    /// lifted (`None`, on recovery) the scheduler should avoid starting work
-    /// it estimates would still be running at `at` — a graceful drain.
+    /// lifted (`None`, on recovery) the scheduler may avoid starting work it
+    /// estimates would still be running at `at` — a graceful drain.
     /// Default: ignore the notice (the fault layer will kill running work at
-    /// the outage instant regardless).
+    /// the outage instant regardless). Only two kinds act on it:
+    /// [`SchedulerKind::Fcfs`] holds its head, and [`SchedulerKind::Easy`]
+    /// starts only jobs estimated to finish in time (citing
+    /// [`WaitCause::DrainWindow`]). Conservative, fair-share EASY and both
+    /// weekly drains ignore it, so for them an announced outage is an
+    /// unannounced one.
     fn drain_notice(&mut self, _at: Option<SimTime>) {}
 
     /// Jobs started out of FIFO order by backfilling so far (observability
@@ -194,28 +196,18 @@ impl SchedulerKind {
 
     /// Instantiate the scheduler.
     pub fn build(self, machine_cores: usize) -> Box<dyn BatchScheduler> {
+        use crate::batch::{Depth, QueueScheduler};
+        use crate::drain::WeeklyDrain;
+        let week = SimDuration::from_weeks(1);
         match self {
-            SchedulerKind::Fcfs => Box::new(crate::fcfs::Fcfs::new()),
-            SchedulerKind::Easy => Box::new(crate::easy::EasyBackfill::new()),
-            SchedulerKind::Conservative => {
-                Box::new(crate::conservative::ConservativeBackfill::new())
+            SchedulerKind::Fcfs => Box::new(QueueScheduler::new(Depth::Zero)),
+            SchedulerKind::Easy => Box::new(QueueScheduler::new(Depth::One)),
+            SchedulerKind::Conservative => Box::new(QueueScheduler::new(Depth::Unbounded)),
+            SchedulerKind::WeeklyDrain => Box::new(WeeklyDrain::new(week, machine_cores)),
+            SchedulerKind::NaiveDrain => {
+                Box::new(WeeklyDrain::new(week, machine_cores).with_predrain_fill(false))
             }
-            SchedulerKind::WeeklyDrain => Box::new(crate::drain::WeeklyDrain::new(
-                crate::easy::EasyBackfill::new(),
-                SimDuration::from_weeks(1),
-                machine_cores,
-            )),
-            SchedulerKind::NaiveDrain => Box::new(
-                crate::drain::WeeklyDrain::new(
-                    crate::easy::EasyBackfill::new(),
-                    SimDuration::from_weeks(1),
-                    machine_cores,
-                )
-                .with_predrain_fill(false),
-            ),
-            SchedulerKind::FairshareEasy => Box::new(crate::fairshare_easy::FairshareEasy::new(
-                SimDuration::from_weeks(1),
-            )),
+            SchedulerKind::FairshareEasy => Box::new(QueueScheduler::fair_share(week)),
         }
     }
 
@@ -434,7 +426,7 @@ mod tests {
     fn kinds_build_and_name() {
         for k in SchedulerKind::ALL {
             let s = k.build(1024);
-            assert!(!s.name().is_empty());
+            assert!(!k.name().is_empty());
             assert_eq!(s.queue_len(), 0);
         }
         assert_eq!(SchedulerKind::Easy.name(), "easy");

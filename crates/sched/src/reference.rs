@@ -13,8 +13,7 @@
 //!
 //! Nothing here is for production runs: the point of keeping the naive code
 //! is that it is *obviously* the old behavior, so any divergence indicts the
-//! optimization, not the oracle. Name strings deliberately match the
-//! optimized schedulers so full-simulation outputs compare byte-for-byte.
+//! optimization, not the oracle.
 
 use crate::fairshare::FairShare;
 use crate::queue::{attribute, estimated_runtime, BatchScheduler, QueuedJob, RunningJob, Started};
@@ -202,10 +201,6 @@ impl NaiveEasy {
 }
 
 impl BatchScheduler for NaiveEasy {
-    fn name(&self) -> &'static str {
-        "easy"
-    }
-
     fn submit(&mut self, _now: SimTime, job: QueuedJob) {
         self.queue.push_back(job);
     }
@@ -273,10 +268,6 @@ impl NaiveFcfs {
 }
 
 impl BatchScheduler for NaiveFcfs {
-    fn name(&self) -> &'static str {
-        "fcfs"
-    }
-
     fn submit(&mut self, _now: SimTime, job: QueuedJob) {
         self.queue.push_back(job);
     }
@@ -338,10 +329,6 @@ impl NaiveConservative {
 }
 
 impl BatchScheduler for NaiveConservative {
-    fn name(&self) -> &'static str {
-        "conservative"
-    }
-
     fn submit(&mut self, _now: SimTime, job: QueuedJob) {
         self.queue.push_back(job);
     }
@@ -445,10 +432,6 @@ impl NaiveWeeklyDrain {
 }
 
 impl BatchScheduler for NaiveWeeklyDrain {
-    fn name(&self) -> &'static str {
-        "weekly-drain"
-    }
-
     fn submit(&mut self, now: SimTime, job: QueuedJob) {
         if job.cores >= self.hero_threshold {
             self.heroes.push_back(job);
@@ -601,10 +584,6 @@ impl NaiveFairshareEasy {
 }
 
 impl BatchScheduler for NaiveFairshareEasy {
-    fn name(&self) -> &'static str {
-        "fairshare-easy"
-    }
-
     fn submit(&mut self, _now: SimTime, job: QueuedJob) {
         self.queue.push_back(job);
     }
