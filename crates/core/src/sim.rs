@@ -30,7 +30,7 @@
 //!   that is when the queue first saw it.
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use tg_accounting::{
     AccountingDb, GatewayAttribute, IngestTally, JobRecord, RcPlacementRecord, RecordRef,
     RecordSink, SessionRecord, TransferRecord,
@@ -414,6 +414,25 @@ impl JobStore {
         self.entry(slot).as_mut().expect("slot holds a job")
     }
 
+    /// The job in `slot`, if the slot is occupied.
+    fn get(&self, slot: Slot) -> Option<&InFlight> {
+        let i = slot.0 as usize;
+        self.pages
+            .get(i / Self::PAGE)?
+            .get(i % Self::PAGE)?
+            .as_ref()
+    }
+
+    /// Whether `e` still names a running job: its slot holds job `e.id`
+    /// on `site`'s batch partition, started at `e.start`.
+    fn runs(&self, site: SiteId, e: &KillEntry) -> bool {
+        matches!(
+            self.get(e.slot),
+            Some(InFlight { job, run: Run::Batch { site: s, started, .. } })
+                if job.id == e.id && *s == site && *started == e.start
+        )
+    }
+
     /// Take the job out of `slot`, vacating it.
     fn remove(&mut self, slot: Slot) -> InFlight {
         let entry = self.entry(slot).take().expect("slot holds a job");
@@ -491,6 +510,75 @@ enum IngestFate {
     Duplicate,
 }
 
+/// A batch start as the kill order records it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct KillEntry {
+    start: SimTime,
+    id: JobId,
+    slot: Slot,
+}
+
+/// One site's running batch jobs in kill order: a stack sorted by
+/// `(start, id)`, whose top live entry — the highest id among the jobs of
+/// the latest start — is the next crash or outage victim.
+///
+/// Starts arrive in time order, so a push lands on top, past at most the
+/// entries of its own start with higher ids. Deletion is lazy: a
+/// completion or kill only lowers `live`, and an entry that no longer
+/// names a running job (the job completed, was killed, or its slot went to
+/// another job) is dropped when it surfaces at the top, or when more than
+/// half the entries are stale and the stack compacts. The stack therefore
+/// holds at most `2 × live + KillOrder::SLACK` entries.
+#[derive(Debug, Clone, Default)]
+struct KillOrder {
+    stack: Vec<KillEntry>,
+    /// Entries naming a running job.
+    live: usize,
+}
+
+impl KillOrder {
+    /// Stale entries tolerated beyond `live` before a compaction.
+    const SLACK: usize = 8;
+
+    fn push(&mut self, e: KillEntry) {
+        let key = |e: &KillEntry| (e.start, e.id);
+        debug_assert!(
+            self.stack.last().is_none_or(|t| t.start <= e.start),
+            "starts arrive in time order"
+        );
+        self.stack.push(e);
+        let mut i = self.stack.len() - 1;
+        while i > 0 && key(&self.stack[i - 1]) > key(&e) {
+            self.stack.swap(i - 1, i);
+            i -= 1;
+        }
+        self.live += 1;
+    }
+
+    /// A running job left (completed or killed); `runs` tells the entries
+    /// of still-running jobs from stale ones.
+    fn leave(&mut self, runs: impl Fn(&KillEntry) -> bool) {
+        self.live -= 1;
+        if self.stack.len() > 2 * self.live + Self::SLACK {
+            self.stack.retain(|e| runs(e));
+            // A job killed and restarted within one instant at one site
+            // leaves two equal, adjacent entries.
+            self.stack.dedup();
+        }
+    }
+
+    /// The next victim: pop stale entries off the top, then name the top.
+    fn victim(&mut self, runs: impl Fn(&KillEntry) -> bool) -> Option<Slot> {
+        while let Some(top) = self.stack.last() {
+            if runs(top) {
+                return Some(top.slot);
+            }
+            self.stack.pop();
+        }
+        None
+    }
+}
+
 /// Everything fault injection needs at run time, attached by
 /// [`GridSim::with_faults`]. `None` (the default) means the fault path is
 /// completely inert: no events, no RNG draws, no job clones.
@@ -508,9 +596,8 @@ struct FaultLayer {
     down_since: Vec<Option<SimTime>>,
     /// Degradation-window start per site (`Some` while the uplink is slow).
     degraded_since: Vec<Option<SimTime>>,
-    /// Batch jobs running per site, by `(start, id)`: the kill order, whose
-    /// last entry is the next victim.
-    running: Vec<BTreeMap<(SimTime, JobId), Slot>>,
+    /// Batch jobs running per site, in kill order.
+    running: Vec<KillOrder>,
     report: FaultReport,
 }
 
@@ -858,7 +945,7 @@ impl GridSim {
             outage_offline: vec![0; sites],
             down_since: vec![None; sites],
             degraded_since: vec![None; sites],
-            running: vec![BTreeMap::new(); sites],
+            running: vec![KillOrder::default(); sites],
             report: FaultReport::new(sites),
         });
         self
@@ -1276,7 +1363,11 @@ impl GridSim {
                 };
                 let span = span_of(&entry.job);
                 if let Some(f) = self.faults.as_mut() {
-                    f.running[site.index()].insert((now, id), slot);
+                    f.running[site.index()].push(KillEntry {
+                        start: now,
+                        id,
+                        slot,
+                    });
                 }
                 self.obs.series.on_start(now);
                 // Span: queued phase closes at start. The scheduler attributes
@@ -1329,7 +1420,8 @@ impl GridSim {
         };
         if let Some(f) = self.faults.as_mut() {
             f.book.forget(id);
-            f.running[site.index()].remove(&(started, id));
+            let jobs = &self.jobs;
+            f.running[site.index()].leave(|e| jobs.runs(site, e));
         }
         let now = ctx.now();
         self.federation
@@ -1679,11 +1771,10 @@ impl GridSim {
     /// The running job at `site` that started last (ties: highest id) — the
     /// deterministic kill order for crashes and outages. Preferring the
     /// newest attempt loses the least completed work.
-    fn pick_victim(&self, site: SiteId) -> Option<Slot> {
-        let f = self.faults.as_ref().expect("fault layer");
-        f.running[site.index()]
-            .last_key_value()
-            .map(|(_, &slot)| slot)
+    fn pick_victim(&mut self, site: SiteId) -> Option<Slot> {
+        let f = self.faults.as_mut().expect("fault layer");
+        let jobs = &self.jobs;
+        f.running[site.index()].victim(|e| jobs.runs(site, e))
     }
 
     /// Kill one running job: cancel its completion event, free its cores
@@ -1712,7 +1803,8 @@ impl GridSim {
         self.obs.series.on_stop(now);
         self.schedulers[site.index()].on_complete(now, id);
         let f = self.faults.as_mut().expect("fault layer");
-        f.running[site.index()].remove(&(started, id));
+        let jobs = &self.jobs;
+        f.running[site.index()].leave(|e| jobs.runs(site, e));
         f.report.jobs_killed += 1;
         self.close_phase(
             now,
@@ -2784,5 +2876,109 @@ mod tests {
             store.remove(s);
         }
         assert!(store.is_empty());
+    }
+
+    /// Drives a [`KillOrder`] beside a model of the slots (`slot → (id,
+    /// start)` of the job running in it): starts at tied and advancing
+    /// instants with ids in no order, completions, crash kills (some
+    /// restarted at once in the same slot), and slot reuse. Every victim
+    /// is the highest id among the latest start's running jobs — never a
+    /// completed, killed-and-requeued or reused slot's entry — and the
+    /// stack stays within `2 × live + SLACK`.
+    #[test]
+    fn kill_order_names_the_newest_running_job_and_stays_compact() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let mut order = KillOrder::default();
+        let mut slots: Vec<Option<(JobId, SimTime)>> = vec![None; 48];
+        let mut requeued: Vec<JobId> = Vec::new();
+        let mut next_id = 0;
+        let mut now = SimTime::ZERO;
+        let (mut kills, mut stale_pops) = (0, 0);
+        for _ in 0..20_000 {
+            if draw(4) == 0 {
+                now += SimDuration::from_secs(draw(3));
+            }
+            let running: Vec<usize> = (0..slots.len()).filter(|&s| slots[s].is_some()).collect();
+            let runs = |slots: &[Option<(JobId, SimTime)>], e: &KillEntry| {
+                slots[e.slot.0 as usize] == Some((e.id, e.start))
+            };
+            match draw(10) {
+                // Start: a requeued job or a fresh one (ids far apart, so a
+                // tie's order is not its arrival order), in the lowest
+                // free slot — slots are reused at once.
+                0..=4 => {
+                    let Some(slot) = slots.iter().position(Option::is_none) else {
+                        continue;
+                    };
+                    let id = match requeued.pop() {
+                        Some(id) if draw(2) == 0 => id,
+                        other => {
+                            requeued.extend(other);
+                            next_id += 1;
+                            JobId(draw(1 << 20) as usize * 64 + next_id % 64)
+                        }
+                    };
+                    slots[slot] = Some((id, now));
+                    order.push(KillEntry {
+                        start: now,
+                        id,
+                        slot: Slot(slot as u32),
+                    });
+                }
+                // Completion of any running job.
+                5..=7 if !running.is_empty() => {
+                    let s = running[draw(running.len() as u64) as usize];
+                    slots[s] = None;
+                    order.leave(|e| runs(&slots, e));
+                }
+                // Crash: kill the victim, sometimes restarting it at once.
+                8..=9 if !running.is_empty() => {
+                    let newest = running
+                        .iter()
+                        .map(|&s| {
+                            let (id, start) = slots[s].expect("running");
+                            ((start, id), s)
+                        })
+                        .max()
+                        .map(|(_, s)| s);
+                    let before = order.stack.len();
+                    let victim = order.victim(|e| runs(&slots, e)).map(|v| v.0 as usize);
+                    stale_pops += before - order.stack.len();
+                    assert_eq!(victim, newest, "the latest start's highest id at {now:?}");
+                    let s = victim.expect("a job runs");
+                    let (id, _) = slots[s].take().expect("victim runs");
+                    order.leave(|e| runs(&slots, e));
+                    kills += 1;
+                    if draw(3) == 0 {
+                        slots[s] = Some((id, now));
+                        order.push(KillEntry {
+                            start: now,
+                            id,
+                            slot: Slot(s as u32),
+                        });
+                    } else {
+                        requeued.push(id);
+                    }
+                }
+                _ => {}
+            }
+            let live = slots.iter().flatten().count();
+            assert_eq!(order.live, live);
+            assert!(
+                order.stack.len() <= 2 * live + KillOrder::SLACK,
+                "{} entries for {live} running jobs",
+                order.stack.len()
+            );
+        }
+        assert!(
+            kills > 1_000 && stale_pops > 0,
+            "{kills} kills, {stale_pops} stale pops"
+        );
     }
 }

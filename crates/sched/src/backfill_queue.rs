@@ -3,10 +3,10 @@
 //! [`crate::batch::QueueScheduler`] keeps its queue here whatever its
 //! reservation depth or queue order. FCFS never indexes it and starts
 //! staged jobs off the front ([`BackfillQueue::pop_staged_if`]); the
-//! conservative and drain passes read it in order
-//! ([`BackfillQueue::iter`]); a fair-share queue is re-ranked by taking
-//! every job out and staging it back ([`BackfillQueue::take_all`]). The
-//! width-lane index itself serves the EASY backfill scan.
+//! conservative pass reads it in order ([`BackfillQueue::iter`]); a
+//! fair-share queue is re-ranked by taking every job out and staging it
+//! back ([`BackfillQueue::take_all`]). The width-lane index itself serves
+//! the EASY backfill scan and the drain pass.
 //!
 //! The naive Phase-3 backfill scan walks the whole queue on every decision
 //! pass. On saturated sites that is O(queue) per completion — the dominant
@@ -23,23 +23,35 @@
 //!
 //! Job widths come from small discrete sets (the workload profiles draw
 //! from ~a dozen power-of-two core counts), so the queue is kept as one
-//! **lane per distinct width**. Each lane stores its jobs in queue order
-//! under a segment tree of minimum *estimated runtime*, answering
+//! **lane per distinct width**, and each job lives in its lane: its
+//! [`QueuedJob`], its sequence number and its leaf in a segment tree of
+//! minimum *estimated runtime* sit at one slot. A lane answers
 //!
-//! > "first job of this width, at or after position `i`, estimated to run
-//! >  at most `limit`"
+//! > "first job of this width, at or after slot `i`, estimated to run at
+//! >  most `limit`"
 //!
-//! in O(log lane). A backfill pass heap-merges the per-lane candidates in
-//! global queue order and touches only jobs that are actually startable
-//! under the current free/extra budgets (plus one boundary probe per lane)
-//! — O((picks + distinct widths) · log) per pass instead of O(queue).
+//! in O(log lane), climbing from slot `i`'s leaf. A pass heap-merges the
+//! per-lane candidates in global queue order (sequence numbers follow
+//! staging order) and touches only jobs that are actually startable under
+//! the current budgets (plus one boundary probe per lane) — O((picks +
+//! distinct widths) · log) per pass instead of O(queue). The drain pass
+//! runs the same merge with one budget: every lane's limit is the time
+//! left to the drain horizon.
 //!
-//! A lane holds no per-job map: its sequence numbers are appended in
-//! increasing order, so a leaving job's slot is a binary search away, and
-//! dead slots are dropped by an in-place compaction (amortized O(1) per
-//! push) that keeps the lane's buffers whenever its capacity stays the
-//! same. The pass's merge heap and pick list live on the queue and are
-//! reused from pass to pass.
+//! The lanes sit in a width-sorted `Vec`, and a job is named by its
+//! [`Place`], `(lane, slot)`. A leaving job's leaf is marked dead; a lane
+//! drops its dead slots only when a push finds it full (an in-place
+//! compaction, amortized O(1) per push, that keeps the lane's buffers
+//! whenever its capacity stays the same), or all at once when its last
+//! live job leaves. New lanes, too, appear only while staged jobs are
+//! folded in at the start of a pass, so a place found during a pass stays
+//! valid until the pass has taken its picks. The queue head is the lane
+//! whose first live job has the least sequence number; it is cached, and
+//! recomputed over the lanes only when the head itself leaves.
+//!
+//! The pass's merge heap and pick list live on the queue and are reused
+//! from pass to pass, so a pass allocates nothing once the lanes have
+//! reached their working size.
 //!
 //! Decisions are **bit-identical** to the naive walk; the differential
 //! suites (`crates/core/tests/differential.rs`, plus the property tests in
@@ -47,7 +59,7 @@
 
 use crate::queue::{estimated_runtime, QueuedJob};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Dead-slot sentinel in the lane segment trees. Real estimates are u64
 /// microseconds, so `u64::MAX as u128` (`ALIVE_LIMIT`) admits every live
@@ -57,24 +69,52 @@ const DEAD: u128 = u128::MAX;
 /// Query limit that matches any live entry regardless of estimate.
 pub(crate) const ALIVE_LIMIT: u128 = u64::MAX as u128;
 
-/// Jobs of one width, in arrival order, under a min-estimate segment tree.
-#[derive(Debug, Default)]
+/// Where a queued job lives: its width lane and its slot in the lane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct Place {
+    pub(crate) lane: usize,
+    pub(crate) slot: usize,
+}
+
+/// Jobs of one width, in staging order, under a min-estimate segment tree.
+#[derive(Debug)]
 pub(crate) struct WidthLane {
-    /// Arrival-ordered sequence numbers; dead entries keep their slot until
-    /// the next compaction. Seqs are appended in increasing order, so the
-    /// vector is sorted and a seq's slot is a binary search away.
+    width: usize,
+    /// Staging-ordered sequence numbers; dead entries keep their slot until
+    /// the next compaction. Seqs are appended in increasing order.
     seqs: Vec<u64>,
-    /// Segment tree over `seqs` of estimated runtime in microseconds
-    /// (`DEAD` for killed slots). `seg[cap + i]` is the leaf for `seqs[i]`.
+    /// The jobs, slot for slot beside `seqs` (dead ones stale).
+    jobs: Vec<QueuedJob>,
+    /// Segment tree over the slots of estimated runtime in microseconds
+    /// (`DEAD` for dead and unused slots). `seg[cap + i]` is slot `i`'s leaf.
     seg: Vec<u128>,
-    /// Leaf capacity (power of two ≥ `seqs.len()`).
+    /// Leaf capacity (power of two ≥ `seqs.len()`; 0 before the first push).
     cap: usize,
     /// Slots whose leaf is not `DEAD`.
     live: usize,
+    /// The first live slot (`seqs.len()` when none is live).
+    first: usize,
 }
 
 impl WidthLane {
-    /// Drop dead slots (keeping arrival order) and size the tree for
+    fn new(width: usize) -> Self {
+        WidthLane {
+            width,
+            seqs: Vec::new(),
+            jobs: Vec::new(),
+            seg: Vec::new(),
+            cap: 0,
+            live: 0,
+            first: 0,
+        }
+    }
+
+    /// Core width of every job in the lane.
+    pub(crate) fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Drop dead slots (keeping staging order) and size the tree for
     /// `live + room` entries, at least 8 leaves. The buffers are reused
     /// whenever the capacity stays the same, so a lane that keeps filling
     /// and emptying at one size stops allocating.
@@ -84,12 +124,15 @@ impl WidthLane {
             let est = self.seg[self.cap + i];
             if est != DEAD {
                 self.seqs[n] = self.seqs[i];
+                self.jobs[n] = self.jobs[i];
                 self.seg[self.cap + n] = est;
                 n += 1;
             }
         }
         debug_assert_eq!(n, self.live, "live count matches the leaves");
         self.seqs.truncate(n);
+        self.jobs.truncate(n);
+        self.first = 0;
         let cap = (n + room).next_power_of_two().max(8);
         if cap == self.cap {
             self.seg[cap + n..].fill(DEAD);
@@ -115,8 +158,8 @@ impl WidthLane {
         }
     }
 
-    /// Append a job (seqs are globally increasing, so arrival order holds).
-    fn push(&mut self, seq: u64, est_micros: u64) {
+    /// Append a job (seqs are globally increasing, so staging order holds).
+    fn push(&mut self, seq: u64, est_micros: u64, job: QueuedJob) {
         debug_assert!(self.seqs.last() < Some(&seq), "seqs arrive in order");
         if self.seqs.len() == self.cap {
             // No free slot: drop dead slots, with room for the new job.
@@ -124,7 +167,11 @@ impl WidthLane {
             self.compact(1);
         }
         let i = self.seqs.len();
+        if self.live == 0 {
+            self.first = i;
+        }
         self.seqs.push(seq);
+        self.jobs.push(job);
         self.live += 1;
         self.update_path(i, est_micros as u128);
     }
@@ -132,23 +179,32 @@ impl WidthLane {
     /// Empty the lane, keeping its buffers.
     fn clear(&mut self) {
         self.seqs.clear();
+        self.jobs.clear();
         self.seg.fill(DEAD);
         self.live = 0;
+        self.first = 0;
     }
 
-    /// Kill `seq` (it left the queue). Compacts when mostly dead.
-    fn kill(&mut self, seq: u64) {
-        let Ok(i) = self.seqs.binary_search(&seq) else {
-            return;
-        };
-        if self.est_at(i) == DEAD {
-            return;
-        }
+    /// Take the live job at slot `i` out (its leaf dies). The lane's other
+    /// slots do not move; a lane left with no live job forgets its dead
+    /// slots, whose leaves are all `DEAD` already.
+    fn kill(&mut self, i: usize) -> QueuedJob {
+        debug_assert!(self.est_at(i) != DEAD, "slot {i} is live");
         self.update_path(i, DEAD);
         self.live -= 1;
-        if self.seqs.len() >= 32 && self.live * 2 < self.seqs.len() {
-            self.compact(0);
+        if self.live == 0 {
+            self.seqs.clear();
+            self.first = 0;
+            let job = self.jobs[i];
+            self.jobs.clear();
+            return job;
         }
+        if i == self.first {
+            self.first = self
+                .first_le(i + 1, ALIVE_LIMIT)
+                .expect("a live slot follows");
+        }
+        self.jobs[i]
     }
 
     /// Estimated runtime (µs) of the live entry at slot `i`.
@@ -161,54 +217,71 @@ impl WidthLane {
         self.seqs[i]
     }
 
-    /// First slot ≥ `from` whose estimate is ≤ `limit`, if any.
+    /// The first live slot, if any.
+    pub(crate) fn first_live(&self) -> Option<usize> {
+        (self.live > 0).then_some(self.first)
+    }
+
+    /// First slot ≥ `from` whose estimate is ≤ `limit`, if any: climb from
+    /// `from`'s leaf to the first subtree on its right whose minimum
+    /// qualifies, then descend to that subtree's leftmost qualifying leaf.
+    /// Dead and unused leaves are `DEAD`, above every limit.
     pub(crate) fn first_le(&self, from: usize, limit: u128) -> Option<usize> {
         if from >= self.seqs.len() {
             return None;
         }
-        self.descend(1, 0, self.cap, from, limit)
-    }
-
-    fn descend(
-        &self,
-        node: usize,
-        lo: usize,
-        hi: usize,
-        from: usize,
-        limit: u128,
-    ) -> Option<usize> {
-        if hi <= from || self.seg[node] > limit {
-            return None;
+        let mut n = self.cap + from;
+        while self.seg[n] > limit {
+            // Past the right edge of a right child: move up until `n` is a
+            // left child (the root's parent, 0, means none is left), then
+            // step to its right sibling.
+            while n & 1 == 1 {
+                n >>= 1;
+            }
+            if n == 0 {
+                return None;
+            }
+            n += 1;
         }
-        if hi - lo == 1 {
-            return (lo < self.seqs.len()).then_some(lo);
+        while n < self.cap {
+            n = if self.seg[2 * n] <= limit {
+                2 * n
+            } else {
+                2 * n + 1
+            };
         }
-        let mid = (lo + hi) / 2;
-        self.descend(2 * node, lo, mid, from, limit)
-            .or_else(|| self.descend(2 * node + 1, mid, hi, from, limit))
+        Some(n - self.cap)
     }
 }
 
-/// Job queue indexed for backfill: a seq-ordered job map plus one
-/// [`WidthLane`] per distinct core width. Seqs follow staging order, which
-/// is arrival order unless a re-rank restaged the queue.
+/// Job queue indexed for backfill: one [`WidthLane`] per distinct core
+/// width, holding the jobs. Seqs follow staging order, which is arrival
+/// order unless a re-rank restaged the queue.
 ///
 /// Estimates are indexed at the site's `core_speed`, which `submit` doesn't
 /// receive — newly submitted jobs are *staged* and folded into the index at
 /// the start of the next decision pass ([`BackfillQueue::integrate`]).
 #[derive(Debug, Default)]
 pub(crate) struct BackfillQueue {
-    jobs: BTreeMap<u64, QueuedJob>,
-    lanes: BTreeMap<usize, WidthLane>,
+    /// Width-sorted lanes. Lanes are never removed; a new width's lane is
+    /// inserted only by [`BackfillQueue::integrate`].
+    lanes: Vec<WidthLane>,
+    /// Live jobs over all lanes.
+    indexed: usize,
+    /// The lane holding the queue head (its first live slot), if any job is
+    /// indexed.
+    head: Option<usize>,
     staged: VecDeque<QueuedJob>,
     next_seq: u64,
     /// Captured at first integration; the per-site speed never changes.
     core_speed: Option<f64>,
-    /// A pass's lane-merge heap of `(seq, width, slot)` candidates, kept
-    /// between passes so its allocation is reused (empty outside a pass).
-    pub(crate) merge: BinaryHeap<Reverse<(u64, usize, usize)>>,
-    /// A pass's picked seqs, reused like `merge`.
-    pub(crate) picked: Vec<u64>,
+    /// A pass's lane-merge heap of `(seq, place)` candidates, kept between
+    /// passes so its allocation is reused (empty outside a pass).
+    pub(crate) merge: BinaryHeap<Reverse<(u64, Place)>>,
+    /// A pass's picks in queue order, reused like `merge`.
+    pub(crate) picked: Vec<Place>,
+    /// [`BackfillQueue::take_all`]'s seq-ordered buffer, reused like `merge`.
+    drained: Vec<(u64, QueuedJob)>,
 }
 
 impl BackfillQueue {
@@ -223,12 +296,12 @@ impl BackfillQueue {
 
     /// Queued jobs (staged included).
     pub(crate) fn len(&self) -> usize {
-        self.jobs.len() + self.staged.len()
+        self.indexed + self.staged.len()
     }
 
     /// Whether no job is indexed, so the staged jobs are the queue's heads.
     pub(crate) fn is_indexed_empty(&self) -> bool {
-        self.jobs.is_empty()
+        self.indexed == 0
     }
 
     /// Take the first staged job without indexing it, if it passes `take`.
@@ -238,10 +311,7 @@ impl BackfillQueue {
         &mut self,
         take: impl FnOnce(&QueuedJob) -> bool,
     ) -> Option<QueuedJob> {
-        debug_assert!(
-            self.jobs.is_empty(),
-            "staged jobs queue behind indexed ones"
-        );
+        debug_assert!(self.indexed == 0, "staged jobs queue behind indexed ones");
         if take(self.staged.front()?) {
             self.staged.pop_front()
         } else {
@@ -260,69 +330,126 @@ impl BackfillQueue {
             let seq = self.next_seq;
             self.next_seq += 1;
             let est = estimated_runtime(&job, core_speed).as_micros();
-            self.lanes.entry(job.cores).or_default().push(seq, est);
-            self.jobs.insert(seq, job);
+            let l = match self.lanes.binary_search_by_key(&job.cores, |l| l.width) {
+                Ok(l) => l,
+                Err(l) => {
+                    self.lanes.insert(l, WidthLane::new(job.cores));
+                    if let Some(h) = self.head.as_mut().filter(|h| **h >= l) {
+                        *h += 1;
+                    }
+                    l
+                }
+            };
+            self.lanes[l].push(seq, est, job);
+            self.indexed += 1;
+            // Later seqs never precede the head; the first job into an
+            // empty index is it.
+            self.head.get_or_insert(l);
         }
+    }
+
+    /// Where the queue head lives (after [`BackfillQueue::integrate`]).
+    pub(crate) fn head(&self) -> Option<Place> {
+        let lane = self.head?;
+        Some(Place {
+            lane,
+            slot: self.lanes[lane].first,
+        })
     }
 
     /// The queue head (after [`BackfillQueue::integrate`]).
     pub(crate) fn front(&self) -> Option<&QueuedJob> {
-        self.jobs.first_key_value().map(|(_, j)| j)
+        self.head().map(|p| self.get(p))
     }
 
-    /// Seq of the queue head.
-    pub(crate) fn head_seq(&self) -> Option<u64> {
-        self.jobs.first_key_value().map(|(&s, _)| s)
+    /// The job at a live place.
+    pub(crate) fn get(&self, p: Place) -> &QueuedJob {
+        &self.lanes[p.lane].jobs[p.slot]
     }
 
     /// Pop the queue head.
     pub(crate) fn pop_front(&mut self) -> Option<QueuedJob> {
-        let (seq, job) = self.jobs.pop_first()?;
-        self.lane_kill(job.cores, seq);
-        Some(job)
+        let head = self.head()?;
+        Some(self.take(head))
     }
 
-    /// Remove an arbitrary queued job by seq (a backfill pick).
-    pub(crate) fn remove(&mut self, seq: u64) -> QueuedJob {
-        let job = self.jobs.remove(&seq).expect("picked seq is queued");
-        self.lane_kill(job.cores, seq);
+    /// Take the job at a live place out of the queue (a pick). Other
+    /// places stay valid.
+    pub(crate) fn take(&mut self, p: Place) -> QueuedJob {
+        let was_head = self.head() == Some(p);
+        let job = self.lanes[p.lane].kill(p.slot);
+        self.indexed -= 1;
+        if was_head {
+            self.head = self
+                .lanes
+                .iter()
+                .enumerate()
+                .filter_map(|(l, lane)| Some((lane.seq_at(lane.first_live()?), l)))
+                .min()
+                .map(|(_, l)| l);
+        }
         job
-    }
-
-    fn lane_kill(&mut self, cores: usize, seq: u64) {
-        self.lanes
-            .get_mut(&cores)
-            .expect("lane exists for queued width")
-            .kill(seq);
     }
 
     /// Take every queued job out, in queue order (indexed, then staged),
     /// leaving the queue empty. The lanes keep their buffers.
     pub(crate) fn take_all(&mut self) -> impl Iterator<Item = QueuedJob> + '_ {
-        for lane in self.lanes.values_mut() {
-            lane.clear();
+        let drained = &mut self.drained;
+        for lane in &mut self.lanes {
+            if lane.live > 0 {
+                for i in lane.first..lane.seqs.len() {
+                    if lane.est_at(i) != DEAD {
+                        drained.push((lane.seqs[i], lane.jobs[i]));
+                    }
+                }
+                lane.clear();
+            }
         }
-        std::mem::take(&mut self.jobs)
-            .into_values()
+        // Concatenated ascending runs, one per lane.
+        drained.sort_unstable_by_key(|&(seq, _)| seq);
+        self.indexed = 0;
+        self.head = None;
+        drained
+            .drain(..)
+            .map(|(_, job)| job)
             .chain(self.staged.drain(..))
     }
 
-    /// Integrated jobs in queue order (drain and conservative passes).
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &QueuedJob)> {
-        self.jobs.iter().map(|(&s, j)| (s, j))
+    /// Integrated jobs in queue order (the conservative pass): a merge of
+    /// the lanes' live slots by seq.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Place, &QueuedJob)> + '_ {
+        let mut heap: BinaryHeap<Reverse<(u64, Place)>> = self
+            .lanes
+            .iter()
+            .enumerate()
+            .filter_map(|(lane, l)| {
+                let slot = l.first_live()?;
+                Some(Reverse((l.seq_at(slot), Place { lane, slot })))
+            })
+            .collect();
+        std::iter::from_fn(move || {
+            let Reverse((_, p)) = heap.pop()?;
+            let lane = &self.lanes[p.lane];
+            if let Some(slot) = lane.first_le(p.slot + 1, ALIVE_LIMIT) {
+                heap.push(Reverse((lane.seq_at(slot), Place { slot, ..p })));
+            }
+            Some((p, &lane.jobs[p.slot]))
+        })
     }
 
-    /// Width lanes at or below `max_width`, for candidate seeding.
+    /// Width lanes at or below `max_width` (with their indices), for
+    /// candidate seeding.
     pub(crate) fn lanes_up_to(
         &self,
         max_width: usize,
     ) -> impl Iterator<Item = (usize, &WidthLane)> {
-        self.lanes.range(..=max_width).map(|(&w, l)| (w, l))
+        let n = self.lanes.partition_point(|l| l.width <= max_width);
+        self.lanes[..n].iter().enumerate()
     }
 
-    /// The lane for `width` (must exist).
-    pub(crate) fn lane(&self, width: usize) -> &WidthLane {
-        &self.lanes[&width]
+    /// Lane `l` (must exist).
+    pub(crate) fn lane(&self, l: usize) -> &WidthLane {
+        &self.lanes[l]
     }
 }
 
@@ -341,6 +468,16 @@ mod tests {
             cores,
             SimDuration::from_secs(secs),
         ))
+    }
+
+    /// The lane of `width` (must exist).
+    fn lane_of(q: &BackfillQueue, width: usize) -> &WidthLane {
+        let l = q
+            .lanes
+            .iter()
+            .position(|l| l.width() == width)
+            .expect("lane exists");
+        q.lane(l)
     }
 
     #[test]
@@ -374,7 +511,7 @@ mod tests {
         q.push_back(job(1, 4, 10)); // short
         q.push_back(job(2, 4, 20)); // short
         q.integrate(1.0);
-        let lane = q.lane(4);
+        let lane = lane_of(&q, 4);
         let limit = SimDuration::from_secs(100).as_micros() as u128;
         let i = lane.first_le(0, limit).expect("short job exists");
         assert_eq!(lane.seq_at(i), 1);
@@ -393,12 +530,16 @@ mod tests {
         }
         q.integrate(1.0);
         // Remove every other job; survivors stay reachable in order.
-        let seqs: Vec<u64> = q.iter().map(|(s, _)| s).collect();
-        for &s in seqs.iter().step_by(2) {
-            q.remove(s);
+        let places: Vec<Place> = q.iter().map(|(p, _)| p).collect();
+        let seqs: Vec<u64> = places
+            .iter()
+            .map(|p| q.lane(p.lane).seq_at(p.slot))
+            .collect();
+        for &p in places.iter().step_by(2) {
+            q.take(p);
         }
         assert_eq!(q.len(), 50);
-        let lane = q.lane(2);
+        let lane = lane_of(&q, 2);
         let mut seen = Vec::new();
         let mut from = 0;
         while let Some(i) = lane.first_le(from, ALIVE_LIMIT) {
@@ -426,14 +567,17 @@ mod tests {
             let want = (round + 1) * 16;
             assert_eq!(q.len(), want);
             // Lane view matches the job map exactly.
-            let lane = q.lane(4);
+            let lane = lane_of(&q, 4);
             let mut lane_seqs = Vec::new();
             let mut from = 0;
             while let Some(i) = lane.first_le(from, ALIVE_LIMIT) {
                 lane_seqs.push(lane.seq_at(i));
                 from = i + 1;
             }
-            let map_seqs: Vec<u64> = q.iter().map(|(s, _)| s).collect();
+            let map_seqs: Vec<u64> = q
+                .iter()
+                .map(|(p, _)| q.lane(p.lane).seq_at(p.slot))
+                .collect();
             assert_eq!(lane_seqs, map_seqs);
         }
     }
@@ -443,7 +587,7 @@ mod tests {
         let mut q = BackfillQueue::new();
         q.push_back(job(0, 4, 100));
         q.integrate(2.0); // twice the reference speed → 50 s estimate
-        let lane = q.lane(4);
+        let lane = lane_of(&q, 4);
         let i = lane
             .first_le(0, SimDuration::from_secs(50).as_micros() as u128)
             .expect("50 s at speed 2");

@@ -160,19 +160,19 @@ impl QueueScheduler {
         let mut profile =
             Profile::from_running(now, cluster.free_cores(), self.running.iter_by_end());
         let mut picked = std::mem::take(&mut self.queue.picked);
-        for (seq, job) in self.queue.iter() {
+        for (place, job) in self.queue.iter() {
             let dur = estimated_runtime(job, core_speed);
             let slot = profile.find_slot(now, job.cores, dur);
             if slot == now {
                 assert!(cluster.acquire(now, job.cores), "profile said free");
-                picked.push(seq);
+                picked.push(place);
             }
             if slot != SimTime::MAX {
                 profile.reserve(slot, dur, job.cores);
             }
         }
-        for seq in picked.drain(..) {
-            let job = self.queue.remove(seq);
+        for place in picked.drain(..) {
+            let job = self.queue.take(place);
             self.record_start(now, core_speed, job, WaitCause::AheadInQueue, started);
         }
         self.queue.picked = picked;

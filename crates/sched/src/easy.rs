@@ -11,10 +11,11 @@
 //! EASY is what most TeraGrid-era sites actually ran, and is the scheduler
 //! the F3 wait-time experiment centers on.
 
-use crate::backfill_queue::ALIVE_LIMIT;
+use crate::backfill_queue::{Place, ALIVE_LIMIT};
 use crate::batch::QueueScheduler;
-use crate::queue::{estimated_runtime, shadow, Started};
+use crate::queue::{shadow, Started};
 use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use tg_des::span::WaitCause;
 use tg_des::SimTime;
 use tg_model::Cluster;
@@ -22,10 +23,17 @@ use tg_model::Cluster;
 impl QueueScheduler {
     /// Decision pass under a drain horizon (an armed outage notice, or the
     /// weekly-drain wall): start queued jobs in order whenever they fit
-    /// *and* are estimated to finish before `horizon`. No head reservation —
+    /// *and* are estimated to finish by `horizon`. No head reservation —
     /// the head may be exactly the job that cannot finish in time, and
     /// reserving cores for it would idle the machine for work the drain
     /// will stop anyway.
+    ///
+    /// The pass is the backfill lane merge with every lane's limit set to
+    /// the time left, `horizon − now`, and no job exempt: it visits only
+    /// jobs that start, plus one boundary probe per lane, instead of the
+    /// whole queue on every pass of a notice window. `now + est ≤ horizon`
+    /// (saturating) holds exactly when `est ≤ horizon − now`, or always
+    /// for a horizon at [`SimTime::MAX`]; past the horizon nothing starts.
     pub(crate) fn drain_pass(
         &mut self,
         now: SimTime,
@@ -35,20 +43,22 @@ impl QueueScheduler {
         started: &mut Vec<Started>,
     ) {
         self.queue.integrate(core_speed);
-        // Jobs need ≥1 core, so a saturated cluster can start nothing: the
-        // scan below would pick zero jobs. Skipping it changes no decision.
+        // Jobs need ≥1 core, so a saturated cluster can start nothing.
+        let Some(left) = horizon.checked_since(now) else {
+            return;
+        };
         if cluster.free_cores() == 0 {
             return;
         }
+        let limit = if horizon == SimTime::MAX {
+            ALIVE_LIMIT
+        } else {
+            left.as_micros() as u128
+        };
+        self.pick_in_queue_order(now, cluster, limit, 0, None);
         let mut picked = std::mem::take(&mut self.queue.picked);
-        for (seq, job) in self.queue.iter() {
-            if cluster.can_fit(job.cores) && now + estimated_runtime(job, core_speed) <= horizon {
-                assert!(cluster.acquire(now, job.cores), "can_fit said yes");
-                picked.push(seq);
-            }
-        }
-        for seq in picked.drain(..) {
-            let job = self.queue.remove(seq);
+        for place in picked.drain(..) {
+            let job = self.queue.take(place);
             self.record_start(now, core_speed, job, WaitCause::DrainWindow, started);
         }
         self.queue.picked = picked;
@@ -59,14 +69,11 @@ impl QueueScheduler {
     /// overtaking the blocked head) counts as a backfill.
     ///
     /// Phase 3 visits candidates through the queue's per-width lanes
-    /// instead of walking the whole queue: lanes wider than the free pool
-    /// are never consulted (free cores only shrink while picking), and a
-    /// lane wider than the remaining `extra` yields only jobs short enough
-    /// to finish before the reservation. A min-heap merges the lanes back
-    /// into queue order, so the decisions — picks, start order, core/extra
-    /// accounting — are bit-identical to the naive walk that
-    /// [`crate::reference::NaiveEasy`] retains (the differential suite
-    /// proves it). Cost per pass: O((picks + distinct widths) · log queue).
+    /// instead of walking the whole queue ([`QueueScheduler::pick_in_queue_order`]),
+    /// so the decisions — picks, start order, core/extra accounting — are
+    /// bit-identical to the naive walk that [`crate::reference::NaiveEasy`]
+    /// retains (the differential suite proves it). Cost per pass:
+    /// O((picks + distinct widths) · log queue).
     pub(crate) fn easy_pass(
         &mut self,
         now: SimTime,
@@ -76,8 +83,7 @@ impl QueueScheduler {
     ) {
         // Phase 1: start queue heads FCFS-style while they fit.
         self.head_pass(now, cluster, core_speed, None, started);
-        let queue = &mut self.queue;
-        let Some(head) = queue.front() else {
+        let Some(head) = self.queue.head() else {
             return;
         };
         // Saturated cluster: every queued job needs ≥1 core, so neither the
@@ -90,19 +96,48 @@ impl QueueScheduler {
         // Phase 2: reservation for the (blocked) head. Cores free at the
         // shadow time beyond what the head needs: a backfilled job running
         // past the shadow may use only these.
-        let (shadow, free_at_shadow) = shadow(now, cluster.free_cores(), head.cores, &self.running);
-        let mut extra = free_at_shadow.saturating_sub(head.cores);
-
-        // Phase 3: backfill in queue order via the width lanes. A job may
-        // start if it fits the free cores and either finishes (by estimate)
-        // before the reservation or uses only `extra` cores. `shadow ≥ now`
-        // always (the shadow walk clamps), so `est ≤ shadow − now` in
-        // integer microseconds is exactly the naive `now + est ≤ shadow`
-        // test.
-        let head_seq = queue.head_seq().expect("head exists");
+        let head_cores = self.queue.get(head).cores;
+        let (shadow, free_at_shadow) = shadow(now, cluster.free_cores(), head_cores, &self.running);
+        let extra = free_at_shadow.saturating_sub(head_cores);
+        // Phase 3: backfill. `shadow ≥ now` always (the shadow walk
+        // clamps), so `est ≤ shadow − now` in integer microseconds is
+        // exactly the naive `now + est ≤ shadow` test.
         let short_limit = shadow.saturating_since(now).as_micros() as u128;
+        self.pick_in_queue_order(now, cluster, short_limit, extra, Some(head));
+        // Overtaking jobs waited only until a hole opened up. Removal is
+        // deferred so places stay valid during the scan; the picks are in
+        // queue order, preserving the naive start order.
+        let mut picked = std::mem::take(&mut self.queue.picked);
+        self.backfilled += picked.len() as u64;
+        for place in picked.drain(..) {
+            let job = self.queue.take(place);
+            self.record_start(now, core_speed, job, WaitCause::BackfillHole, started);
+        }
+        self.queue.picked = picked;
+    }
+
+    /// The lane merge behind both backfill and drain passes: walk the
+    /// queue in order, as the naive scan does, acquiring cores for every
+    /// job that fits the free pool and either runs at most `short_limit`
+    /// (µs) or fits in the `extra` cores that remain (which it then uses
+    /// up). `exempt` (the head holding the reservation) never starts. The
+    /// picks land in `queue.picked`, in queue order.
+    ///
+    /// Lanes wider than the free pool are never consulted (free cores only
+    /// shrink while picking), and a lane wider than the remaining `extra`
+    /// yields only jobs within `short_limit`. A min-heap over one candidate
+    /// per lane merges the lanes back into queue order.
+    fn pick_in_queue_order(
+        &mut self,
+        now: SimTime,
+        cluster: &mut Cluster,
+        short_limit: u128,
+        mut extra: usize,
+        exempt: Option<Place>,
+    ) {
+        let queue = &mut self.queue;
         // A lane no wider than `extra` may yield any live job; a wider lane
-        // only jobs that finish before the reservation.
+        // only jobs within the short limit.
         let lane_limit = |w: usize, extra: usize| {
             if w <= extra {
                 ALIVE_LIMIT
@@ -110,56 +145,50 @@ impl QueueScheduler {
                 short_limit
             }
         };
-        // One in-flight candidate per lane, merged by (seq) = queue order.
         // Both buffers are the queue's, borrowed for the pass.
         let mut heap = std::mem::take(&mut queue.merge);
-        for (w, lane) in queue.lanes_up_to(cluster.free_cores()) {
-            if let Some(i) = lane.first_le(0, lane_limit(w, extra)) {
-                heap.push(Reverse((lane.seq_at(i), w, i)));
+        let mut picked = std::mem::take(&mut queue.picked);
+        for (l, lane) in queue.lanes_up_to(cluster.free_cores()) {
+            let Some(first) = lane.first_live() else {
+                continue;
+            };
+            if let Some(slot) = lane.first_le(first, lane_limit(lane.width(), extra)) {
+                heap.push(Reverse((lane.seq_at(slot), Place { lane: l, slot })));
             }
         }
-        let mut picked = std::mem::take(&mut queue.picked);
-        while let Some(Reverse((seq, w, i))) = heap.pop() {
+        while let Some(Reverse((_, p))) = heap.pop() {
+            let lane = queue.lane(p.lane);
+            let w = lane.width();
             if !cluster.can_fit(w) {
                 // Free cores only shrink during the pass: this lane is done.
                 continue;
             }
-            let lane = queue.lane(w);
-            if seq == head_seq {
-                // The head holds the reservation; it never backfills.
-                if let Some(n) = lane.first_le(i + 1, lane_limit(w, extra)) {
-                    heap.push(Reverse((lane.seq_at(n), w, n)));
+            let next = |limit: u128, heap: &mut BinaryHeap<_>| {
+                if let Some(slot) = lane.first_le(p.slot + 1, limit) {
+                    heap.push(Reverse((lane.seq_at(slot), Place { slot, ..p })));
                 }
+            };
+            if exempt == Some(p) {
+                // The head holds the reservation; it never backfills.
+                next(lane_limit(w, extra), &mut heap);
                 continue;
             }
-            if lane.est_at(i) > short_limit {
+            if lane.est_at(p.slot) > short_limit {
                 // Runs past the reservation: only `extra` cores may serve it.
                 if w > extra {
                     // Candidate staled by a shrunk `extra`: from here this
                     // lane can only start reservation-safe (short) jobs.
-                    if let Some(n) = lane.first_le(i + 1, short_limit) {
-                        heap.push(Reverse((lane.seq_at(n), w, n)));
-                    }
+                    next(short_limit, &mut heap);
                     continue;
                 }
                 extra -= w;
             }
             assert!(cluster.acquire(now, w), "can_fit said yes");
-            picked.push(seq);
-            if let Some(n) = lane.first_le(i + 1, lane_limit(w, extra)) {
-                heap.push(Reverse((lane.seq_at(n), w, n)));
-            }
+            picked.push(p);
+            next(lane_limit(w, extra), &mut heap);
         }
         queue.merge = heap;
-        // Overtaking jobs waited only until a hole opened up. Removal is
-        // deferred so lane slots stay stable during the scan; `picked` is in
-        // queue order, preserving the naive start order.
-        self.backfilled += picked.len() as u64;
-        for seq in picked.drain(..) {
-            let job = self.queue.remove(seq);
-            self.record_start(now, core_speed, job, WaitCause::BackfillHole, started);
-        }
-        self.queue.picked = picked;
+        queue.picked = picked;
     }
 }
 

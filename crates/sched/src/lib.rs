@@ -62,6 +62,8 @@ pub mod drain;
 pub mod easy;
 pub mod fairshare;
 pub mod meta;
+#[cfg(test)]
+mod model_tests;
 pub mod queue;
 pub mod reconf;
 pub mod reference;

@@ -1,7 +1,6 @@
 //! The scheduler interface and shared queue machinery.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use tg_des::span::WaitCause;
 use tg_des::{SimDuration, SimTime};
 use tg_model::Cluster;
@@ -58,20 +57,50 @@ pub(crate) struct RunningJob {
     pub estimated_end: SimTime,
 }
 
-/// The indexed running set shared by every scheduler: an id→job map for
-/// O(1)-expected completion removal plus an `(estimated_end, id)`-ordered
-/// view so shadow-time and profile computations iterate completions in end
-/// order without re-sorting per decision pass.
+impl RunningJob {
+    fn key(&self) -> (SimTime, JobId) {
+        (self.estimated_end, self.id)
+    }
+}
+
+/// Entries per block of a [`RunningSet`] before the block splits.
+const BLOCK: usize = 32;
+
+/// A run of the running set in `(estimated_end, id)` order, with its
+/// cores summed.
+#[derive(Debug, Default)]
+struct EndBlock {
+    jobs: Vec<RunningJob>,
+    cores: usize,
+}
+
+/// The indexed running set shared by every scheduler: an id→end map for
+/// O(1)-expected completion removal plus the jobs themselves in
+/// `(estimated_end, id)` order, cut into blocks of at most [`BLOCK`]
+/// entries that each carry their core sum. [`shadow`] adds whole blocks
+/// and scans only the block where the head's need is crossed; conservative
+/// profiles iterate completions in end order without re-sorting per
+/// decision pass.
 ///
-/// The end-ordered view iterates by *raw* estimated end. Shadow-time callers
-/// clamp ends to `now`; clamping `max(now)` preserves the non-decreasing
-/// order, so cumulative-core scans over this view cross any threshold at
-/// exactly the time the sorted-per-pass implementation found (ties at equal
-/// clamped time are order-independent for a cumulative sum).
+/// A start or completion binary-searches the blocks by their last key and
+/// moves at most one block's entries. A block that outgrows [`BLOCK`]
+/// splits in half; one that empties is dropped and its buffer kept for the
+/// next split, and one that shrinks below a quarter merges into a
+/// neighbour that has room, so the block count stays near
+/// `len / (BLOCK / 2)` and nothing allocates once the set reaches its
+/// working size.
+///
+/// The order is by *raw* estimated end. Shadow-time callers clamp ends to
+/// `now`; clamping `max(now)` preserves the non-decreasing order, so
+/// cumulative-core scans over this view cross any threshold at exactly the
+/// time the sorted-per-pass implementation found (ties at equal clamped
+/// time are order-independent for a cumulative sum).
 #[derive(Debug, Default)]
 pub(crate) struct RunningSet {
-    by_id: IdMap<JobId, RunningJob>,
-    by_end: BTreeMap<(SimTime, JobId), usize>,
+    by_id: IdMap<JobId, SimTime>,
+    blocks: Vec<EndBlock>,
+    /// Buffers of dropped blocks, reused by splits.
+    spare: Vec<Vec<RunningJob>>,
 }
 
 impl RunningSet {
@@ -79,24 +108,95 @@ impl RunningSet {
         RunningSet::default()
     }
 
+    /// The block whose key range holds `key`: the first whose last key is
+    /// not below it (the last block for a key past every entry).
+    fn block_of(&self, key: (SimTime, JobId)) -> usize {
+        let b = self
+            .blocks
+            .partition_point(|blk| blk.jobs.last().expect("blocks are never empty").key() < key);
+        b.min(self.blocks.len().saturating_sub(1))
+    }
+
+    fn new_block(&mut self) -> Vec<RunningJob> {
+        self.spare
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(BLOCK + 1))
+    }
+
     pub(crate) fn insert(&mut self, r: RunningJob) {
-        self.by_end.insert((r.estimated_end, r.id), r.cores);
-        self.by_id.insert(r.id, r);
+        self.by_id.insert(r.id, r.estimated_end);
+        if self.blocks.is_empty() {
+            let mut jobs = self.new_block();
+            jobs.push(r);
+            self.blocks.push(EndBlock {
+                jobs,
+                cores: r.cores,
+            });
+            return;
+        }
+        let b = self.block_of(r.key());
+        let blk = &mut self.blocks[b];
+        let at = blk.jobs.partition_point(|x| x.key() < r.key());
+        blk.jobs.insert(at, r);
+        blk.cores += r.cores;
+        if blk.jobs.len() > BLOCK {
+            let mut upper = self.new_block();
+            let blk = &mut self.blocks[b];
+            upper.extend(blk.jobs.drain(BLOCK / 2..));
+            let moved: usize = upper.iter().map(|x| x.cores).sum();
+            blk.cores -= moved;
+            self.blocks.insert(
+                b + 1,
+                EndBlock {
+                    jobs: upper,
+                    cores: moved,
+                },
+            );
+        }
     }
 
     pub(crate) fn remove(&mut self, id: JobId) -> Option<RunningJob> {
-        let r = self.by_id.remove(&id)?;
-        self.by_end.remove(&(r.estimated_end, r.id));
+        let end = self.by_id.remove(&id)?;
+        let b = self.block_of((end, id));
+        let blk = &mut self.blocks[b];
+        let at = blk
+            .jobs
+            .binary_search_by_key(&(end, id), RunningJob::key)
+            .expect("a running job sits in its block");
+        let r = blk.jobs.remove(at);
+        blk.cores -= r.cores;
+        if blk.jobs.is_empty() {
+            let blk = self.blocks.remove(b);
+            self.spare.push(blk.jobs);
+        } else if blk.jobs.len() < BLOCK / 4 {
+            self.merge_small(b);
+        }
         Some(r)
+    }
+
+    /// Fold block `b`, fallen below a quarter full, into a neighbour when
+    /// the two fit in three quarters of a block.
+    fn merge_small(&mut self, b: usize) {
+        let len = |i: usize| self.blocks[i].jobs.len();
+        let into = if b + 1 < self.blocks.len() && len(b) + len(b + 1) <= BLOCK * 3 / 4 {
+            b
+        } else if b > 0 && len(b - 1) + len(b) <= BLOCK * 3 / 4 {
+            b - 1
+        } else {
+            return;
+        };
+        let next = self.blocks.remove(into + 1);
+        let blk = &mut self.blocks[into];
+        blk.jobs.extend_from_slice(&next.jobs);
+        blk.cores += next.cores;
+        let mut buf = next.jobs;
+        buf.clear();
+        self.spare.push(buf);
     }
 
     /// Running jobs in ascending `(estimated_end, id)` order.
     pub(crate) fn iter_by_end(&self) -> impl Iterator<Item = RunningJob> + '_ {
-        self.by_end.iter().map(|(&(end, id), &cores)| RunningJob {
-            id,
-            cores,
-            estimated_end: end,
-        })
+        self.blocks.iter().flat_map(|b| b.jobs.iter().copied())
     }
 }
 
@@ -285,40 +385,83 @@ pub(crate) fn estimated_runtime(job: &QueuedJob, core_speed: f64) -> SimDuration
 }
 
 /// The reservation a blocked queue head gets — the "shadow time" at the
-/// heart of every backfill variant — and the cores free at it: one walk of
-/// the running set in end order.
+/// heart of every backfill variant — and the cores free at it: one pass
+/// over the running set's blocks in end order.
 ///
 /// The shadow is the earliest instant at which `cores_needed` cores will be
 /// free, given the current free pool and the running jobs' estimated ends
 /// (clamped to `now`); `now` if they are free already, [`SimTime::MAX`] if
 /// they never will be. The spare count is the free pool plus every running
-/// job estimated (clamped) to have ended by the shadow. The walk continues
-/// from the entry that crossed the threshold while ends stay at or before
-/// the shadow: the set iterates by ascending raw end, and clamping to `now`
-/// keeps that order.
+/// job estimated (clamped) to have ended by the shadow.
+///
+/// Blocks whose core sum does not reach the need are added whole; only the
+/// block where the need is crossed is scanned entry by entry. From the
+/// crossing on, entries count while their ends stay at or before the
+/// shadow, again a whole block at a time while a block's last end does:
+/// the set is ordered by ascending raw end, clamping to `now` keeps that
+/// order, and a raw end is at or before a shadow `≥ now` exactly when its
+/// clamped end is.
 pub(crate) fn shadow(
     now: SimTime,
     free_cores: usize,
     cores_needed: usize,
     running: &RunningSet,
 ) -> (SimTime, usize) {
+    let blocks = &running.blocks;
     let mut free = free_cores;
-    let mut shadow = (cores_needed <= free).then_some(now);
-    for r in running.iter_by_end() {
-        let end = r.estimated_end.max(now);
-        match shadow {
-            Some(at) if end > at => break,
-            Some(_) => free += r.cores,
-            None => {
+    let mut b = 0;
+    let mut from = 0;
+    let shadow = if cores_needed <= free {
+        now
+    } else {
+        loop {
+            let Some(blk) = blocks.get(b) else {
+                // Unreachable if the job fits the machine (total = free +
+                // running).
+                return (SimTime::MAX, free);
+            };
+            if free + blk.cores < cores_needed {
+                free += blk.cores;
+                b += 1;
+                continue;
+            }
+            let mut i = 0;
+            let at = loop {
+                let r = blk.jobs[i];
                 free += r.cores;
+                i += 1;
                 if free >= cores_needed {
-                    shadow = Some(end);
+                    break r.estimated_end.max(now);
                 }
+            };
+            from = i;
+            break at;
+        }
+    };
+    // Everything else estimated to end by the shadow: the rest of the
+    // crossing block, then whole blocks, then a partial one.
+    for blk in &blocks[b..] {
+        let tail = &blk.jobs[std::mem::take(&mut from)..];
+        match tail.last() {
+            None => {}
+            Some(last) if last.estimated_end <= shadow => {
+                free += if tail.len() == blk.jobs.len() {
+                    blk.cores
+                } else {
+                    tail.iter().map(|r| r.cores).sum()
+                };
+            }
+            Some(_) => {
+                free += tail
+                    .iter()
+                    .take_while(|r| r.estimated_end <= shadow)
+                    .map(|r| r.cores)
+                    .sum::<usize>();
+                break;
             }
         }
     }
-    // Unreachable if the job fits the machine (total = free + running).
-    (shadow.unwrap_or(SimTime::MAX), free)
+    (shadow, free)
 }
 
 #[cfg(test)]

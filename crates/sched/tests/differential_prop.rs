@@ -44,16 +44,45 @@ struct Episode {
     drains: u64,
 }
 
+/// How an episode arms drain notices: before every `every`-th submission,
+/// with the horizon `lead_s` seconds from that instant (zero: the horizon
+/// is the submission instant; negative: already past), lifted before the
+/// next submission.
+#[derive(Debug, Clone, Copy)]
+struct Notices {
+    every: usize,
+    lead_s: i64,
+}
+
+impl Notices {
+    /// A notice one hour ahead before every `every`-th submission.
+    fn hour_ahead(every: usize) -> Option<Notices> {
+        Some(Notices {
+            every,
+            lead_s: 3600,
+        })
+    }
+
+    fn horizon(&self, now: SimTime) -> SimTime {
+        let lead = SimDuration::from_secs(self.lead_s.unsigned_abs());
+        if self.lead_s < 0 {
+            now - lead
+        } else {
+            now + lead
+        }
+    }
+}
+
 /// Drive `sched` through the episode `specs` describes, recording every
-/// decision. `notice_every`: arm a drain notice (one hour out) before every
-/// n-th submission and lift it before the next, exercising the drain pass.
+/// decision. `notices`: arm drain notices as [`Notices`] says, exercising
+/// the drain pass.
 fn drive(
     sched: Box<dyn BatchScheduler>,
     specs: &[JobSpec],
     machine: usize,
-    notice_every: Option<usize>,
+    notices: Option<Notices>,
 ) -> Episode {
-    drive_batched(sched, specs, machine, notice_every, 1)
+    drive_batched(sched, specs, machine, notices, 1)
 }
 
 /// [`drive`] with submissions in batches of `batch` jobs: each batch
@@ -64,7 +93,7 @@ fn drive_batched(
     mut sched: Box<dyn BatchScheduler>,
     specs: &[JobSpec],
     machine: usize,
-    notice_every: Option<usize>,
+    notices: Option<Notices>,
     batch: usize,
 ) -> Episode {
     let mut cluster = Cluster::new(SimTime::ZERO, machine);
@@ -101,9 +130,9 @@ fn drive_batched(
         if first_of_batch {
             now += SimDuration::from_secs(spec.gap_s);
         }
-        if let Some(every) = notice_every {
-            if n % every == every - 1 {
-                sched.drain_notice(Some(now + SimDuration::from_secs(3600)));
+        if let Some(notices) = notices {
+            if n % notices.every == notices.every - 1 {
+                sched.drain_notice(Some(notices.horizon(now)));
             } else {
                 sched.drain_notice(None);
             }
@@ -245,16 +274,37 @@ proptest! {
     /// `drain_pass`) also match the naive per-job-removal loop.
     #[test]
     fn easy_matches_naive_under_drain_notices(specs in arb_jobs()) {
-        let optimized = drive(SchedulerKind::Easy.build(128), &specs, 128, Some(3));
-        let naive = drive(SchedulerKind::Easy.build_reference(128), &specs, 128, Some(3));
+        let optimized = drive(SchedulerKind::Easy.build(128), &specs, 128, Notices::hour_ahead(3));
+        let naive =
+            drive(SchedulerKind::Easy.build_reference(128), &specs, 128, Notices::hour_ahead(3));
         prop_assert_eq!(optimized, naive);
     }
 
     #[test]
     fn fcfs_matches_naive_under_drain_notices(specs in arb_jobs()) {
-        let optimized = drive(SchedulerKind::Fcfs.build(128), &specs, 128, Some(4));
-        let naive = drive(SchedulerKind::Fcfs.build_reference(128), &specs, 128, Some(4));
+        let optimized = drive(SchedulerKind::Fcfs.build(128), &specs, 128, Notices::hour_ahead(4));
+        let naive =
+            drive(SchedulerKind::Fcfs.build_reference(128), &specs, 128, Notices::hour_ahead(4));
         prop_assert_eq!(optimized, naive);
+    }
+
+    /// Notices whose horizon is the deciding instant itself or already
+    /// past it: a pass at the horizon may start only zero-length
+    /// estimates, one past it nothing, and the decisions still match.
+    #[test]
+    fn drain_notices_at_or_past_the_horizon_match_naive(
+        specs in arb_jobs(),
+        every in 1usize..=4,
+        lead_s in -7200i64..=0,
+    ) {
+        for lead_s in [0, lead_s] {
+            let notices = Some(Notices { every, lead_s });
+            for kind in [SchedulerKind::Easy, SchedulerKind::Fcfs] {
+                let optimized = drive(kind.build(128), &specs, 128, notices);
+                let naive = drive(kind.build_reference(128), &specs, 128, notices);
+                prop_assert_eq!(optimized, naive, "{} diverged (lead {} s)", kind.name(), lead_s);
+            }
+        }
     }
 
     /// Batches of 1–8 submissions before one decision pass: the pass finds
@@ -263,11 +313,10 @@ proptest! {
     #[test]
     fn batched_submits_match_naive(specs in arb_jobs(), batch in 1usize..=8) {
         for kind in SchedulerKind::ALL {
-            for notice_every in [None, Some(3)] {
-                let optimized =
-                    drive_batched(kind.build(128), &specs, 128, notice_every, batch);
+            for notices in [None, Notices::hour_ahead(3)] {
+                let optimized = drive_batched(kind.build(128), &specs, 128, notices, batch);
                 let naive =
-                    drive_batched(kind.build_reference(128), &specs, 128, notice_every, batch);
+                    drive_batched(kind.build_reference(128), &specs, 128, notices, batch);
                 prop_assert_eq!(optimized, naive, "{} diverged (batch {})", kind.name(), batch);
             }
         }
