@@ -1,7 +1,7 @@
 //! Aggregation queries over the accounting database.
 //!
-//! Two consumers: usage *reports* (group-by sums and time-bucketed series)
-//! and the modality *classifier* (per-user behavioural summaries —
+//! Two consumers: usage *reports* ([`GroupSums`] tables) and the modality
+//! *classifier* (per-user behavioural summaries —
 //! [`UserSummary`] is its feature vector).
 
 use crate::db::AccountingDb;
@@ -13,35 +13,8 @@ use tg_des::SimDuration;
 use tg_des::SimTime;
 use tg_workload::{SubmitInterface, UserId};
 
-/// Generic group-by-and-sum. Returns a deterministic (ordered) map.
-pub fn sum_by<K: Ord, T>(
-    items: impl IntoIterator<Item = T>,
-    key: impl Fn(&T) -> K,
-    val: impl Fn(&T) -> f64,
-) -> BTreeMap<K, f64> {
-    let mut out = BTreeMap::new();
-    for item in items {
-        *out.entry(key(&item)).or_insert(0.0) += val(&item);
-    }
-    out
-}
-
 /// Named alias for report tables.
 pub type GroupSums<K> = BTreeMap<K, f64>;
-
-/// Sum `val` over jobs into fixed-width time buckets keyed by completion
-/// time. Returns per-bucket sums, bucket 0 first.
-pub fn bucket_job_series(
-    jobs: &[JobRecord],
-    width: SimDuration,
-    val: impl Fn(&JobRecord) -> f64,
-) -> Vec<f64> {
-    let mut buckets = tg_des::stats::TimeBuckets::new(width);
-    for j in jobs {
-        buckets.add(j.end, val(j));
-    }
-    buckets.sums().to_vec()
-}
 
 /// Per-user behavioural summary — the classifier's feature vector.
 ///
@@ -268,24 +241,6 @@ mod tests {
             input_mb: 0.0,
             output_mb: 0.0,
         }
-    }
-
-    #[test]
-    fn sum_by_groups_and_orders() {
-        let items = vec![(1, 2.0), (2, 3.0), (1, 5.0)];
-        let sums = sum_by(items, |&(k, _)| k, |&(_, v)| v);
-        assert_eq!(sums.get(&1), Some(&7.0));
-        assert_eq!(sums.get(&2), Some(&3.0));
-        assert_eq!(sums.keys().copied().collect::<Vec<_>>(), vec![1, 2]);
-    }
-
-    #[test]
-    fn bucket_series_by_completion() {
-        let jobs = vec![job(0, 0, 0, 0, 100, 2), job(1, 0, 0, 0, 100_000, 4)];
-        let series = bucket_job_series(&jobs, SimDuration::from_days(1), |j| j.cores as f64);
-        assert_eq!(series.len(), 2);
-        assert_eq!(series[0], 2.0);
-        assert_eq!(series[1], 4.0);
     }
 
     #[test]

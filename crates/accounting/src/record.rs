@@ -82,18 +82,6 @@ pub struct TransferRecord {
     pub end: SimTime,
 }
 
-impl TransferRecord {
-    /// Achieved throughput in MB/s (0 for instantaneous records).
-    pub fn throughput_mbps(&self) -> f64 {
-        let secs = self.end.saturating_since(self.start).as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.mb / secs
-        }
-    }
-}
-
 /// An interactive login session.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionRecord {
@@ -178,25 +166,6 @@ mod tests {
         let r = rec(0, 100, 101, 1); // 1-second job, 100 s wait
                                      // floor at 10 s: (100 + 10)/10 = 11
         assert!((r.bounded_slowdown() - 11.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn transfer_throughput() {
-        let t = TransferRecord {
-            user: UserId(0),
-            project: ProjectId(0),
-            src: SiteId(0),
-            dst: SiteId(1),
-            mb: 1000.0,
-            start: SimTime::ZERO,
-            end: SimTime::from_secs(10),
-        };
-        assert!((t.throughput_mbps() - 100.0).abs() < 1e-9);
-        let instant = TransferRecord {
-            end: SimTime::ZERO,
-            ..t
-        };
-        assert_eq!(instant.throughput_mbps(), 0.0);
     }
 
     #[test]

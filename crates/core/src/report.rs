@@ -160,15 +160,6 @@ impl ModalityTrend {
     pub fn of(&self, m: Modality) -> &[f64] {
         &self.series[m.index()]
     }
-
-    /// Share of a modality within one bucket.
-    pub fn share_in_bucket(&self, m: Modality, bucket: usize) -> f64 {
-        let total: f64 = self.series.iter().filter_map(|s| s.get(bucket)).sum();
-        if total <= 0.0 {
-            return 0.0;
-        }
-        self.series[m.index()].get(bucket).copied().unwrap_or(0.0) / total
-    }
 }
 
 /// Per-field-of-science usage totals — the "usage by discipline" table
@@ -414,8 +405,6 @@ mod tests {
         assert!(t.of(Modality::BatchComputing)[2] > 0.0);
         assert!(t.of(Modality::ScienceGateway)[0] > 0.0);
         assert_eq!(t.of(Modality::BatchComputing).len(), 3);
-        assert!((t.share_in_bucket(Modality::ScienceGateway, 0) - 1.0).abs() < 1e-12);
-        assert_eq!(t.share_in_bucket(Modality::Workflow, 1), 0.0);
     }
 
     #[test]

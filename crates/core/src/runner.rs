@@ -122,13 +122,6 @@ where
     })
 }
 
-/// Collect a per-replication scalar metric and summarize it as
-/// `(mean, 95% CI half-width)`.
-pub fn summarize(replications: &[Replication], metric: impl Fn(&SimOutput) -> f64) -> (f64, f64) {
-    let values: Vec<f64> = replications.iter().map(|r| metric(&r.output)).collect();
-    tg_des::stats::ci_student_t(&values)
-}
-
 /// Aggregate the wall-clock engine profiles of a replication batch: total
 /// events and wall time, overall delivery rate, the worst peak queue, and
 /// (where measured) the worst peak RSS plus summed allocation traffic.
@@ -245,14 +238,5 @@ mod tests {
         let (a, b) = (a.expect("batch trace"), b.expect("single trace"));
         assert!(!a.is_empty());
         assert!(a == b, "the batch trace is replication 0's alone");
-    }
-
-    #[test]
-    fn summarize_produces_ci() {
-        let s = tiny();
-        let reps = replicate(&s, 1, 3, 0);
-        let (mean, hw) = summarize(&reps, |o| o.db.jobs.len() as f64);
-        assert!(mean > 0.0);
-        assert!(hw >= 0.0);
     }
 }

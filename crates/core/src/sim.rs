@@ -49,10 +49,10 @@ use tg_fault::{FaultEventKind, FaultReport, FaultSchedule, FaultSpec, OutagePoli
 use tg_model::reconf::HostPlan;
 use tg_model::{Federation, SiteId};
 use tg_sched::{
-    BatchScheduler, DataContext, MetaPolicy, QueuedJob, RcDecision, RcPolicy, RetryBook,
-    RetryPolicy, SiteView, Started,
+    BatchScheduler, DataContext, MetaPolicy, QueuedJob, RcDecision, RcPolicy, RetryPolicy,
+    SiteView, Started,
 };
-use tg_workload::{IdMap, Job, JobId, Labels, Modality, PagedArray, UserId};
+use tg_workload::{IdMap, Job, JobId, Labels, Modality, PagedArray, ProjectId, UserId};
 
 /// Base offset for synthetic gateway community accounts in job records.
 pub const COMMUNITY_ACCOUNT_BASE: usize = 10_000_000;
@@ -156,15 +156,39 @@ impl Record {
     }
 }
 
-/// Where a job currently is in its lifecycle, for span emission. Tracked
-/// only while the tracer or the live stats are enabled; spans are pure
-/// observers and never influence simulation behavior.
+/// Where a job currently is in its lifecycle, for span emission. Every
+/// in-flight job carries one, but it is read and advanced only while the
+/// tracer or the live stats are enabled; spans are pure observers and never
+/// influence simulation behavior.
 #[derive(Debug, Clone, Copy)]
 struct SpanTrack {
     /// When the current lifecycle phase began.
     phase_start: SimTime,
     /// Whether the job sat in an RC backlog (fabric full) this phase.
     deferred: bool,
+}
+
+impl SpanTrack {
+    fn opened(at: SimTime) -> Self {
+        SpanTrack {
+            phase_start: at,
+            deferred: false,
+        }
+    }
+}
+
+/// Which way a WAN staging transfer moves a job's data, which fixes what
+/// its `xfer` trace event names: stage-in names its destination, and its
+/// source only when that is a replica holder; stage-out names its source.
+/// The `data_home` end of flat staging stays unnamed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Staging {
+    /// Input from `data_home`, before queueing.
+    In,
+    /// Input from a replica holder (a data-grid cache miss).
+    InFromReplica,
+    /// Output to `data_home`, after completion.
+    Out,
 }
 
 /// The online observability layer (`--live-stats`): span-duration sketches
@@ -323,12 +347,18 @@ impl Instruments {
 }
 
 /// An admitted job, owned by [`GridSim`]'s in-flight store from admission
-/// until it completes or is abandoned. Events, dependency waiters and RC
-/// backlogs hold its [`Slot`], the schedulers' queues its id; the job never
-/// moves between them.
+/// until it completes or is abandoned, with everything the driver tracks
+/// per job: what it is executing, its lifecycle phase for spans and its
+/// fault-kill count. Events, dependency waiters and RC backlogs hold its
+/// [`Slot`], the schedulers' queues its id; the job never moves between
+/// them.
 struct InFlight {
     job: Job,
     run: Run,
+    track: SpanTrack,
+    /// Fault kills charged to the retry budget so far (checkpointed kills
+    /// are not).
+    retries: u32,
 }
 
 /// What an in-flight job is executing, if anything.
@@ -339,12 +369,14 @@ enum Run {
     /// Held on a workflow dependency. `next` is the job held on the same
     /// dependency after this one, in the order they were held.
     Held { next: Option<Slot> },
-    /// On a site's batch partition. `key` is its completion event, which a
-    /// crash or outage cancels before requeueing the job.
+    /// On a site's batch partition. `started` is the record the site's
+    /// scheduler returned, handed back to it when the job completes or is
+    /// killed; `key` is the completion event, which a crash or outage
+    /// cancels before requeueing the job.
     Batch {
         site: SiteId,
         key: EventKey,
-        started: SimTime,
+        started: Started,
     },
     /// On a region of a node of a site's RC fabric, executing since
     /// `started`, after `setup`; `reused` says whether the region already
@@ -398,9 +430,12 @@ impl JobStore {
             Slot((last * Self::PAGE + page.len() - 1) as u32)
         });
         self.len += 1;
+        let track = SpanTrack::opened(job.submit_time);
         *self.entry(slot) = Some(InFlight {
             job,
             run: Run::Waiting,
+            track,
+            retries: 0,
         });
         slot
     }
@@ -428,8 +463,8 @@ impl JobStore {
     fn runs(&self, site: SiteId, e: &KillEntry) -> bool {
         matches!(
             self.get(e.slot),
-            Some(InFlight { job, run: Run::Batch { site: s, started, .. } })
-                if job.id == e.id && *s == site && *started == e.start
+            Some(InFlight { job, run: Run::Batch { site: s, started, .. }, .. })
+                if job.id == e.id && *s == site && started.start == e.start
         )
     }
 
@@ -586,7 +621,6 @@ struct FaultLayer {
     schedule: FaultSchedule,
     outage_policy: OutagePolicy,
     retry: RetryPolicy,
-    book: RetryBook,
     ingest: Option<IngestChannel>,
     /// Cores per site currently out of service from node crashes.
     crashed_cores: Vec<usize>,
@@ -658,9 +692,6 @@ pub struct GridSim {
     /// Structured JSONL event trace (off by default; see
     /// [`GridSim::with_tracer`]).
     tracer: Tracer,
-    /// Per-job lifecycle phase state for span emission (populated only while
-    /// the tracer or the online-stats layer is enabled).
-    span_track: IdMap<JobId, SpanTrack>,
     /// Online observability (disabled by default; see
     /// [`GridSim::with_live_stats`]).
     obs: Obs,
@@ -733,7 +764,6 @@ impl GridSim {
             metrics,
             ins,
             tracer: Tracer::default(),
-            span_track: IdMap::default(),
             obs: Obs::disabled(),
             faults: None,
             streaming: false,
@@ -791,35 +821,57 @@ impl GridSim {
         self
     }
 
-    /// Close `job`'s current lifecycle phase as a `kind` span over
-    /// `[phase_start, until]` and open the next phase at `until`. The span
-    /// goes to the online sketches and, as a `cat == "span"` entry stamped
-    /// `now`, to the tracer (see `tg_des::span` for the schema) — unless it
-    /// is empty and `keep_empty` is false. `cause` names the wait from the
-    /// closing phase's track. `until` may lie after `now` (reconfiguration,
-    /// stage-out), which is why both bounds are explicit span fields. A job
-    /// without a track (tracer and live stats off) is skipped.
+    /// Whether spans are emitted: the tracer or the live stats is on.
+    fn spans_on(&self) -> bool {
+        self.tracer.is_enabled() || self.obs.is_enabled()
+    }
+
+    /// [`GridSim::close_span`] for the job in `slot`, on the track its
+    /// store entry carries.
     #[allow(clippy::too_many_arguments)] // a span's fields arrive together
     fn close_phase(
         &mut self,
         now: SimTime,
-        (id, modality): (JobId, Modality),
+        slot: Slot,
         kind: SpanKind,
         until: SimTime,
         site: Option<SiteId>,
         cause: impl FnOnce(SpanTrack) -> Option<WaitCause>,
         keep_empty: bool,
     ) {
-        let Some(track) = self.span_track.get_mut(&id) else {
+        if !self.spans_on() {
             return;
-        };
-        let closed = std::mem::replace(
-            track,
-            SpanTrack {
-                phase_start: until,
-                deferred: false,
-            },
-        );
+        }
+        let entry = &self.jobs[slot];
+        let (span, mut track) = (span_of(&entry.job), entry.track);
+        self.close_span(now, span, &mut track, kind, until, site, cause, keep_empty);
+        self.jobs.get_mut(slot).track = track;
+    }
+
+    /// Close a job's current lifecycle phase, kept in `track`, as a `kind`
+    /// span over `[phase_start, until]` and open the next phase at `until`.
+    /// The span goes to the online sketches and, as a `cat == "span"` entry
+    /// stamped `now`, to the tracer (see `tg_des::span` for the schema) —
+    /// unless it is empty and `keep_empty` is false. `cause` names the wait
+    /// from the closing phase's track. `until` may lie after `now`
+    /// (reconfiguration, stage-out), which is why both bounds are explicit
+    /// span fields. Nothing happens while spans are off.
+    #[allow(clippy::too_many_arguments)] // a span's fields arrive together
+    fn close_span(
+        &mut self,
+        now: SimTime,
+        (id, modality): (JobId, Modality),
+        track: &mut SpanTrack,
+        kind: SpanKind,
+        until: SimTime,
+        site: Option<SiteId>,
+        cause: impl FnOnce(SpanTrack) -> Option<WaitCause>,
+        keep_empty: bool,
+    ) {
+        if !self.spans_on() {
+            return;
+        }
+        let closed = std::mem::replace(track, SpanTrack::opened(until));
         let (t0, t1) = (closed.phase_start, until);
         if t1 <= t0 && !keep_empty {
             return;
@@ -939,7 +991,6 @@ impl GridSim {
             schedule,
             outage_policy: spec.outage_policy,
             retry: spec.retry_policy(),
-            book: RetryBook::new(),
             ingest,
             crashed_cores: vec![0; sites],
             outage_offline: vec![0; sites],
@@ -1094,12 +1145,12 @@ impl GridSim {
         let job = &mut self.jobs.get_mut(slot).job;
         // Workflow release semantics: the queue sees the task now.
         job.submit_time = job.submit_time.max(now);
-        let span @ (id, _) = span_of(job);
         let (is_rc, site_hint, dataset) = (job.rc.is_some(), job.site_hint, job.dataset);
-        let (account, project, input_mb) = (account_of(job), job.project, job.input_mb);
+        let who = (job.id, account_of(job), job.project);
+        let input_mb = job.input_mb;
         // Span: time between original submission and routing was spent held
         // on workflow dependencies.
-        self.close_phase(now, span, SpanKind::Held, now, None, |_| None, false);
+        self.close_phase(now, slot, SpanKind::Held, now, None, |_| None, false);
         if is_rc {
             let site = self.rc_site_for(site_hint);
             self.route_rc(ctx, site, slot);
@@ -1131,27 +1182,7 @@ impl GridSim {
                 Locate::Miss { source } => {
                     let mb = self.data.as_ref().expect("checked above").size_mb(ds);
                     let dur = self.federation.network.transfer_time(source, site, mb);
-                    self.metrics.add(self.ins.staging_bytes, (mb * 1e6) as u64);
-                    self.metrics.inc(self.ins.staging_transfers);
-                    self.tracer.emit_event(now, "xfer", || {
-                        vec![
-                            ("job", id.index().into()),
-                            ("dir", "in".into()),
-                            ("src", source.index().into()),
-                            ("dst", site.index().into()),
-                            ("mb", mb.into()),
-                        ]
-                    });
-                    let rec = TransferRecord {
-                        user: account,
-                        project,
-                        src: source,
-                        dst: site,
-                        mb,
-                        start: now,
-                        end: now + dur,
-                    };
-                    self.ingest(Record::Transfer(rec));
+                    self.stage(now, who, (source, site), mb, dur, Staging::InFromReplica);
                     ctx.schedule_after(
                         dur,
                         Event::Enqueue {
@@ -1166,31 +1197,12 @@ impl GridSim {
         }
         // Input staging for large inputs: pay the WAN before queueing.
         if input_mb >= STAGING_THRESHOLD_MB && site != self.data_home {
+            let ends = (self.data_home, site);
             let dur = self
                 .federation
                 .network
-                .transfer_time(self.data_home, site, input_mb);
-            self.metrics
-                .add(self.ins.staging_bytes, (input_mb * 1e6) as u64);
-            self.metrics.inc(self.ins.staging_transfers);
-            self.tracer.emit_event(now, "xfer", || {
-                vec![
-                    ("job", id.index().into()),
-                    ("dir", "in".into()),
-                    ("dst", site.index().into()),
-                    ("mb", input_mb.into()),
-                ]
-            });
-            let rec = TransferRecord {
-                user: account,
-                project,
-                src: self.data_home,
-                dst: site,
-                mb: input_mb,
-                start: now,
-                end: now + dur,
-            };
-            self.ingest(Record::Transfer(rec));
+                .transfer_time(ends.0, ends.1, input_mb);
+            self.stage(now, who, ends, input_mb, dur, Staging::In);
             ctx.schedule_after(
                 dur,
                 Event::Enqueue {
@@ -1297,8 +1309,8 @@ impl GridSim {
         cause: Option<WaitCause>,
     ) {
         self.metrics.inc(self.ins.enqueues);
-        let job = &self.jobs[slot].job;
-        let (view, span @ (id, _)) = (QueuedJob::from(job), span_of(job));
+        let view = QueuedJob::from(&self.jobs[slot].job);
+        let id = view.id;
         // Span: any gap since routing was input staging over the WAN.
         // Dataset jobs always close a stage-in span — a cache hit closes a
         // zero-length one — so the hit/miss cause is observable; jobs
@@ -1307,7 +1319,7 @@ impl GridSim {
         let keep_empty = cause.is_some();
         self.close_phase(
             now,
-            span,
+            slot,
             SpanKind::StageIn,
             now,
             Some(site),
@@ -1359,9 +1371,8 @@ impl GridSim {
                 entry.run = Run::Batch {
                     site,
                     key,
-                    started: now,
+                    started: s,
                 };
-                let span = span_of(&entry.job);
                 if let Some(f) = self.faults.as_mut() {
                     f.running[site.index()].push(KillEntry {
                         start: now,
@@ -1381,7 +1392,7 @@ impl GridSim {
                         s.cause
                     })
                 };
-                self.close_phase(now, span, SpanKind::Queued, now, Some(site), cause, true);
+                self.close_phase(now, slot, SpanKind::Queued, now, Some(site), cause, true);
                 self.tracer.emit_event(now, "sched", || {
                     vec![
                         ("job", id.index().into()),
@@ -1413,26 +1424,24 @@ impl GridSim {
     }
 
     fn complete_batch(&mut self, ctx: &mut Ctx<Event>, slot: Slot) {
-        let InFlight { job, run } = self.jobs.remove(slot);
-        let id = job.id;
-        let Run::Batch { site, started, .. } = run else {
+        let mut done = self.jobs.remove(slot);
+        let (id, cores) = (done.job.id, done.job.cores);
+        let Run::Batch { site, started, .. } = done.run else {
             unreachable!("batch completion of a job not running on a batch partition");
         };
         if let Some(f) = self.faults.as_mut() {
-            f.book.forget(id);
             let jobs = &self.jobs;
             f.running[site.index()].leave(|e| jobs.runs(site, e));
         }
         let now = ctx.now();
-        self.federation
-            .site_mut(site)
-            .cluster
-            .release(now, job.cores);
+        self.federation.site_mut(site).cluster.release(now, cores);
         self.obs.series.on_stop(now);
-        self.schedulers[site.index()].on_complete(now, id);
-        self.close_phase(
+        self.schedulers[site.index()].on_complete(now, &started);
+        let span = span_of(&done.job);
+        self.close_span(
             now,
-            span_of(&job),
+            span,
+            &mut done.track,
             SpanKind::Run,
             now,
             Some(site),
@@ -1440,19 +1449,14 @@ impl GridSim {
             true,
         );
         self.tracer.emit_event(now, "done", || {
+            let wait = started.start.saturating_since(done.job.submit_time);
             vec![
                 ("job", id.index().into()),
                 ("site", site.index().into()),
-                (
-                    "wait_s",
-                    started
-                        .saturating_since(job.submit_time)
-                        .as_secs_f64()
-                        .into(),
-                ),
+                ("wait_s", wait.as_secs_f64().into()),
             ]
         });
-        self.emit_records(ctx, site, &job, started, false, None);
+        self.emit_records(ctx, site, &mut done, started.start, false, None);
         self.finish_job(ctx, id);
         self.dispatch(ctx, site, None);
     }
@@ -1469,7 +1473,7 @@ impl GridSim {
         }
         let now = ctx.now();
         let job = &self.jobs[slot].job;
-        let span @ (id, _) = span_of(job);
+        let id = job.id;
         let decision = {
             let fed = &self.federation;
             let s = fed.site(site);
@@ -1510,11 +1514,11 @@ impl GridSim {
                         WaitCause::Immediate
                     })
                 };
-                self.close_phase(now, span, SpanKind::Queued, now, Some(site), cause, true);
+                self.close_phase(now, slot, SpanKind::Queued, now, Some(site), cause, true);
                 let cause = |_| Some(WaitCause::ReconfigLatency);
                 self.close_phase(
                     now,
-                    span,
+                    slot,
                     SpanKind::Reconfig,
                     exec_start,
                     Some(site),
@@ -1528,7 +1532,7 @@ impl GridSim {
                 // A deferred job falling back to software spent its backlog
                 // time waiting on the fabric, not staging input.
                 let cause = |_| Some(WaitCause::FabricBusy);
-                self.close_phase(now, span, SpanKind::Queued, now, Some(site), cause, false);
+                self.close_phase(now, slot, SpanKind::Queued, now, Some(site), cause, false);
                 self.enqueue(ctx, site, slot, None);
             }
             RcDecision::Defer => {
@@ -1536,17 +1540,15 @@ impl GridSim {
                 self.tracer.emit_event(now, "rc", || {
                     vec![("job", id.index().into()), ("deferred", true.into())]
                 });
-                if let Some(track) = self.span_track.get_mut(&id) {
-                    track.deferred = true;
-                }
+                self.jobs.get_mut(slot).track.deferred = true;
                 self.rc_backlog[site.index()].push_back(slot);
             }
         }
     }
 
     fn complete_rc(&mut self, ctx: &mut Ctx<Event>, slot: Slot) {
-        let InFlight { job, run } = self.jobs.remove(slot);
-        let id = job.id;
+        let mut done = self.jobs.remove(slot);
+        let (job, id) = (&done.job, done.job.id);
         let Run::Rc {
             site,
             node,
@@ -1554,7 +1556,7 @@ impl GridSim {
             started,
             setup,
             reused,
-        } = run
+        } = done.run
         else {
             unreachable!("RC completion of a job not running on a fabric region");
         };
@@ -1577,9 +1579,11 @@ impl GridSim {
             .node_mut(node)
             .finish(region, now);
         self.obs.series.on_stop(now);
-        self.close_phase(
+        let span = span_of(&done.job);
+        self.close_span(
             now,
-            span_of(&job),
+            span,
+            &mut done.track,
             SpanKind::Run,
             now,
             Some(site),
@@ -1593,7 +1597,7 @@ impl GridSim {
                 ("reused", reused.into()),
             ]
         });
-        self.emit_records(ctx, site, &job, started, true, Some(placement));
+        self.emit_records(ctx, site, &mut done, started, true, Some(placement));
         self.finish_job(ctx, id);
         // Fabric freed: retry deferred tasks (FIFO, stop at first re-defer).
         while let Some(next) = self.rc_backlog[site.index()].pop_front() {
@@ -1794,21 +1798,21 @@ impl GridSim {
         else {
             unreachable!("victim is running on a batch partition");
         };
-        let (cores, span @ (id, _)) = (entry.job.cores, span_of(&entry.job));
+        let (cores, id) = (entry.job.cores, entry.job.id);
         assert!(
             ctx.cancel(key),
             "completion already delivered for a running job"
         );
         self.federation.site_mut(site).cluster.preempt(now, cores);
         self.obs.series.on_stop(now);
-        self.schedulers[site.index()].on_complete(now, id);
+        self.schedulers[site.index()].on_complete(now, &started);
         let f = self.faults.as_mut().expect("fault layer");
         let jobs = &self.jobs;
         f.running[site.index()].leave(|e| jobs.runs(site, e));
         f.report.jobs_killed += 1;
         self.close_phase(
             now,
-            span,
+            slot,
             SpanKind::Fault,
             now,
             Some(site),
@@ -1826,7 +1830,7 @@ impl GridSim {
             // Checkpoint at the kill instant: only the remaining work reruns
             // and the retry budget is not charged.
             let speed = self.federation.site(site).core_speed();
-            let done_ref = now.saturating_since(started).as_secs_f64() * speed;
+            let done_ref = now.saturating_since(started.start).as_secs_f64() * speed;
             let job = &mut self.jobs.get_mut(slot).job;
             let remaining = (job.runtime.as_secs_f64() - done_ref).max(1.0);
             job.runtime = SimDuration::from_secs_f64(remaining);
@@ -1838,11 +1842,12 @@ impl GridSim {
             ctx.schedule_after(backoff, Event::Requeue { slot });
             return;
         }
+        let entry = self.jobs.get_mut(slot);
+        entry.retries += 1;
+        let attempts = entry.retries;
         let f = self.faults.as_mut().expect("fault layer");
-        let attempts = f.book.record(id);
         if f.retry.exhausted(attempts) {
             f.report.jobs_abandoned += 1;
-            f.book.forget(id);
             self.tracer.emit_event(now, "abandon", || {
                 vec![
                     ("job", id.index().into()),
@@ -1866,8 +1871,8 @@ impl GridSim {
     /// final attempt's resubmission).
     fn requeue(&mut self, ctx: &mut Ctx<Event>, slot: Slot) {
         let now = ctx.now();
-        let span @ (id, _) = span_of(&self.jobs[slot].job);
-        self.close_phase(now, span, SpanKind::Requeue, now, None, |_| None, false);
+        let id = self.jobs[slot].job.id;
+        self.close_phase(now, slot, SpanKind::Requeue, now, None, |_| None, false);
         self.tracer
             .emit_event(now, "requeue", || vec![("job", id.index().into())]);
         self.route(ctx, slot);
@@ -1934,15 +1939,19 @@ impl GridSim {
         }
     }
 
+    /// Ingest the accounting records of `done`, which ran at `site` from
+    /// `started` until now, and stage its output out. `done` has just left
+    /// the store; its track opens the stage-out span.
     fn emit_records(
         &mut self,
         ctx: &mut Ctx<Event>,
         site: SiteId,
-        job: &Job,
+        done: &mut InFlight,
         started: SimTime,
         used_hw: bool,
         placement: Option<RcPlacementRecord>,
     ) {
+        let job = &done.job;
         let account = account_of(job);
         self.metrics.inc(self.ins.site_completions[site.index()]);
         self.metrics
@@ -1988,48 +1997,66 @@ impl GridSim {
         }
         // Output staging to the archive for big outputs.
         if job.output_mb >= STAGING_THRESHOLD_MB && site != self.data_home {
-            let dur = self
-                .federation
-                .network
-                .transfer_time(site, self.data_home, job.output_mb);
-            self.metrics
-                .add(self.ins.staging_bytes, (job.output_mb * 1e6) as u64);
-            self.metrics.inc(self.ins.staging_transfers);
+            let (who, span, mb) = ((job.id, account, job.project), span_of(job), job.output_mb);
+            let ends = (site, self.data_home);
+            let dur = self.federation.network.transfer_time(ends.0, ends.1, mb);
             let now = ctx.now();
-            self.close_phase(
+            self.close_span(
                 now,
-                span_of(job),
+                span,
+                &mut done.track,
                 SpanKind::StageOut,
                 now + dur,
                 Some(site),
                 |_| None,
                 true,
             );
-            self.tracer.emit_event(ctx.now(), "xfer", || {
-                vec![
-                    ("job", job.id.index().into()),
-                    ("dir", "out".into()),
-                    ("src", site.index().into()),
-                    ("mb", job.output_mb.into()),
-                ]
-            });
-            let rec = TransferRecord {
-                user: account,
-                project: job.project,
-                src: site,
-                dst: self.data_home,
-                mb: job.output_mb,
-                start: ctx.now(),
-                end: ctx.now() + dur,
-            };
-            self.ingest(Record::Transfer(rec));
+            self.stage(now, who, ends, mb, dur, Staging::Out);
         }
+    }
+
+    /// Account one WAN staging transfer of `mb` MB for a job, identified
+    /// by `(id, account, project)`, over `ends = (src, dst)` from `now`
+    /// for `dur`: the staging counters, the `xfer` trace event (naming
+    /// the ends `way` says) and the ingested transfer record.
+    fn stage(
+        &mut self,
+        now: SimTime,
+        (id, user, project): (JobId, UserId, ProjectId),
+        (src, dst): (SiteId, SiteId),
+        mb: f64,
+        dur: SimDuration,
+        way: Staging,
+    ) {
+        self.metrics.add(self.ins.staging_bytes, (mb * 1e6) as u64);
+        self.metrics.inc(self.ins.staging_transfers);
+        self.tracer.emit_event(now, "xfer", || {
+            let dir = if way == Staging::Out { "out" } else { "in" };
+            let mut fields = vec![("job", id.index().into()), ("dir", dir.into())];
+            if way != Staging::In {
+                fields.push(("src", src.index().into()));
+            }
+            if way != Staging::Out {
+                fields.push(("dst", dst.index().into()));
+            }
+            fields.push(("mb", mb.into()));
+            fields
+        });
+        let rec = TransferRecord {
+            user,
+            project,
+            src,
+            dst,
+            mb,
+            start: now,
+            end: now + dur,
+        };
+        self.ingest(Record::Transfer(rec));
     }
 
     /// Count `id` as done — completed, or abandoned after its last retry —
     /// and route any job whose last unmet dependency it was.
     fn finish_job(&mut self, ctx: &mut Ctx<Event>, id: JobId) {
-        self.span_track.remove(&id);
         self.obs.series.on_complete(ctx.now());
         self.jobs_done += 1;
         self.completed.insert(id);
@@ -2093,15 +2120,6 @@ impl GridSim {
             ]
         });
         self.obs.series.on_submit(ctx.now());
-        if self.tracer.is_enabled() || self.obs.is_enabled() {
-            self.span_track.insert(
-                job.id,
-                SpanTrack {
-                    phase_start: job.submit_time,
-                    deferred: false,
-                },
-            );
-        }
         let first_unmet = self.completed.first_missing(&job.deps);
         let slot = self.jobs.insert(job);
         match first_unmet {
@@ -2694,6 +2712,76 @@ mod tests {
         assert_eq!(report.jobs_abandoned, 1);
         assert_eq!(report.jobs_requeued, 0);
         assert!(out.db.jobs.is_empty(), "abandoned work leaves no record");
+    }
+
+    /// The retry count lives with the job across its attempts: three
+    /// outages kill one job, which is requeued twice under `max_retries:
+    /// 2` and abandoned at the third kill. Checkpointed kills leave the
+    /// budget alone: after two checkpointed outage kills, a node crash is
+    /// the job's first charged kill, so `max_retries: 1` requeues it.
+    #[test]
+    fn retry_budget_counts_charged_kills_per_job() {
+        let retry = |max_retries| {
+            Some(RetryPolicy {
+                max_retries,
+                ..RetryPolicy::default()
+            })
+        };
+        let jobs = || vec![job(0, 4, 1000, 0).with_site(SiteId(0))];
+        let spec = FaultSpec {
+            site_outages: vec![
+                outage_at(50.0, 100.0),
+                outage_at(300.0, 100.0),
+                outage_at(600.0, 100.0),
+            ],
+            retry: retry(2),
+            ..FaultSpec::default()
+        };
+        let out = run_jobs_faulted(jobs(), &spec);
+        let report = out.fault_report.expect("faults attached");
+        assert_eq!(report.jobs_killed, 3);
+        assert_eq!(report.jobs_requeued, 2);
+        assert_eq!(report.jobs_abandoned, 1);
+        assert!(out.db.jobs.is_empty(), "abandoned at the third kill");
+
+        let spec = FaultSpec {
+            site_outages: vec![outage_at(50.0, 100.0), outage_at(300.0, 100.0)],
+            outage_policy: tg_fault::OutagePolicy::Checkpoint,
+            retry: retry(1),
+            ..FaultSpec::default()
+        };
+        let fed = tiny_federation();
+        let scheds = schedulers(&fed, SchedulerKind::Easy);
+        let mut sim = GridSim::new(
+            fed,
+            scheds,
+            MetaPolicy::ShortestEta,
+            RcPolicy::AWARE,
+            SiteId(0),
+            jobs(),
+            RngFactory::new(1),
+        )
+        .with_faults(&spec);
+        // Every core of site 0 crashes at 600 s and is back at 650 s.
+        let site = SiteId(0);
+        let events = &mut sim.faults.as_mut().expect("attached").schedule.events;
+        for (at, kind) in [
+            (600, FaultEventKind::NodeCrash { site, cores: 16 }),
+            (650, FaultEventKind::NodeRepair { site, cores: 16 }),
+        ] {
+            let at = SimTime::from_secs(at);
+            events.push(tg_fault::FaultEvent { at, kind });
+        }
+        let out = sim.run(&mut Engine::new());
+        let report = out.fault_report.expect("faults attached");
+        assert_eq!(report.jobs_killed, 3);
+        assert_eq!(report.checkpoint_restarts, 2);
+        assert_eq!(report.jobs_requeued, 3);
+        assert_eq!(report.jobs_abandoned, 0);
+        // The checkpoints left 800 s to run; the crash reruns all of it
+        // from the requeue at 660 s.
+        assert_eq!(out.db.jobs.len(), 1);
+        assert_eq!(out.db.jobs[0].end, SimTime::from_secs(1460));
     }
 
     #[test]

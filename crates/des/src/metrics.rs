@@ -100,11 +100,6 @@ impl MetricsRegistry {
         self.counters[id.0].value += n;
     }
 
-    /// Current value of a counter (0 when disabled).
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0].value
-    }
-
     /// Freeze the counters into a serializable snapshot taken at `now`, with
     /// no gauges (the caller adds its own). Returns `None` when the registry
     /// is disabled.
@@ -263,7 +258,6 @@ mod tests {
         let mut m = MetricsRegistry::disabled();
         let c = m.counter("jobs");
         m.inc(c);
-        assert_eq!(m.counter_value(c), 0);
         assert!(m.snapshot(SimTime::from_secs(10)).is_none());
         assert!(!m.is_enabled());
     }

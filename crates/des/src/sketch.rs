@@ -425,12 +425,6 @@ impl SpanSketchbook {
         out
     }
 
-    /// Pooled sketch for one `(kind, cause)` pair — the granularity the
-    /// acceptance cross-check against the offline analyzer uses.
-    pub fn pooled_kind_cause(&self, kind: SpanKind, cause: Option<WaitCause>) -> QuantileSketch {
-        self.pooled(|k, c, _, _| k == kind && c == cause)
-    }
-
     /// Snapshot the analyzer-aligned tables. Empty groups are omitted, like
     /// the offline analyzer's.
     pub fn snapshot(&self) -> SpanStatsSnapshot {
@@ -617,12 +611,6 @@ mod tests {
         assert_eq!(snap.queued_by_cause["ahead-in-queue"].count, 1);
         assert_eq!(snap.queued_by_site[&0].count, 1);
         assert_eq!(snap.wait_spans_by_modality["batch"].count, 1);
-
-        assert_eq!(
-            book.pooled_kind_cause(SpanKind::Queued, Some(WaitCause::AheadInQueue))
-                .count(),
-            1
-        );
         assert_eq!(book.pooled(|k, _, _, _| k == SpanKind::Queued).count(), 2);
     }
 

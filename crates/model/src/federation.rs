@@ -53,11 +53,6 @@ impl Federation {
         self.sites.iter()
     }
 
-    /// All site ids.
-    pub fn site_ids(&self) -> impl Iterator<Item = SiteId> {
-        (0..self.sites.len()).map(SiteId)
-    }
-
     /// Total batch cores across the federation.
     pub fn total_cores(&self) -> usize {
         self.sites.iter().map(|s| s.cluster.total_cores()).sum()
@@ -155,10 +150,6 @@ mod tests {
         assert_eq!(f.site(SiteId(2)).name(), "gamma");
         assert!(f.site(SiteId(2)).has_rc());
         assert_eq!(f.network.repository(), Some(SiteId(0)));
-        assert_eq!(
-            f.site_ids().collect::<Vec<_>>(),
-            vec![SiteId(0), SiteId(1), SiteId(2)]
-        );
     }
 
     #[test]

@@ -462,11 +462,6 @@ impl RcPartition {
     pub fn busy_area_integral(&self, now: SimTime) -> f64 {
         self.nodes.iter().map(|n| n.busy_area_integral(now)).sum()
     }
-
-    /// Total fabric area across nodes.
-    pub fn total_area(&self) -> u64 {
-        self.nodes.iter().map(|n| n.area_total() as u64).sum()
-    }
 }
 
 #[cfg(test)]
@@ -646,7 +641,6 @@ mod tests {
         let (lib, a, _) = lib2();
         let mut p = RcPartition::new(SimTime::ZERO, 3, 8, 4);
         assert_eq!(p.len(), 3);
-        assert_eq!(p.total_area(), 24);
         let plan = p.node(NodeId(1)).plan(a, &lib);
         let r = p.node_mut(NodeId(1)).commit(plan, a, &lib, SimTime::ZERO);
         p.node_mut(NodeId(1)).finish(r, SimTime::from_secs(5));

@@ -16,8 +16,9 @@
 //! by [`FairShare`] priority at the start of every pass, so projects that
 //! consumed heavily in the recent past sink behind lighter ones while
 //! accumulated wait floats everyone back up. Usage is charged on completion
-//! — `cores × wall-clock` — which is what a production fair-share
-//! implementation sees from its accounting feed.
+//! — `cores × wall-clock`, read off the [`Started`] record the driver hands
+//! back — which is what a production fair-share implementation sees from
+//! its accounting feed.
 //!
 //! The weekly-drain policy ([`crate::drain::WeeklyDrain`]) drives one EASY
 //! core and adds only its hero queue and drain clock.
@@ -30,7 +31,6 @@ use crate::queue::{
 use tg_des::span::WaitCause;
 use tg_des::{SimDuration, SimTime};
 use tg_model::Cluster;
-use tg_workload::{IdMap, JobId, ProjectId};
 
 /// How many queued jobs hold a reservation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,15 +44,6 @@ pub enum Depth {
     Unbounded,
 }
 
-/// Fair-share queue order: decayed project usage, and the running jobs it
-/// will be charged for.
-#[derive(Debug)]
-struct FairShareOrder {
-    shares: FairShare,
-    /// `id → (cores, start, project)` for usage charging at completion.
-    charge_info: IdMap<JobId, (usize, SimTime, ProjectId)>,
-}
-
 /// A per-site batch scheduler: FCFS, EASY or conservative backfill over an
 /// arrival- or fair-share-ordered queue.
 #[derive(Debug)]
@@ -60,8 +51,9 @@ pub struct QueueScheduler {
     pub(crate) queue: BackfillQueue,
     pub(crate) running: RunningSet,
     depth: Depth,
-    /// `Some` for a fair-share-ordered queue, `None` for arrival order.
-    fair: Option<FairShareOrder>,
+    /// Decayed project usage for a fair-share-ordered queue; `None` for
+    /// arrival order.
+    fair: Option<FairShare>,
     /// Jobs started out of queue order by EASY backfill.
     pub(crate) backfilled: u64,
     /// Armed outage notice: don't start work estimated to outlive this.
@@ -85,10 +77,7 @@ impl QueueScheduler {
     /// usage-decay half-life.
     pub fn fair_share(half_life: SimDuration) -> Self {
         QueueScheduler {
-            fair: Some(FairShareOrder {
-                shares: FairShare::new(half_life),
-                charge_info: IdMap::default(),
-            }),
+            fair: Some(FairShare::new(half_life)),
             ..QueueScheduler::new(Depth::One)
         }
     }
@@ -101,7 +90,7 @@ impl QueueScheduler {
         let Some(fair) = &self.fair else {
             return;
         };
-        let ranking = fair.shares.ranking(now);
+        let ranking = fair.ranking(now);
         let mut jobs: Vec<(f64, QueuedJob)> = self
             .queue
             .take_all()
@@ -203,6 +192,7 @@ impl QueueScheduler {
         });
         started.push(Started {
             job,
+            start: now,
             estimated_end,
             cause,
         });
@@ -214,13 +204,13 @@ impl BatchScheduler for QueueScheduler {
         self.queue.push_back(job);
     }
 
-    fn on_complete(&mut self, now: SimTime, id: JobId) {
-        self.running.remove(id);
+    fn on_complete(&mut self, now: SimTime, done: &Started) {
+        self.running
+            .remove((done.estimated_end, done.job.id))
+            .expect("a completion names a job this scheduler started");
         if let Some(fair) = &mut self.fair {
-            if let Some((cores, start, project)) = fair.charge_info.remove(&id) {
-                let wall = now.saturating_since(start).as_secs_f64();
-                fair.shares.charge(project, now, cores as f64 * wall);
-            }
+            let wall = now.saturating_since(done.start).as_secs_f64();
+            fair.charge(done.job.project, now, done.job.cores as f64 * wall);
         }
     }
 
@@ -231,7 +221,6 @@ impl BatchScheduler for QueueScheduler {
         core_speed: f64,
         started: &mut Vec<Started>,
     ) {
-        let before = started.len();
         self.rerank(now);
         match (self.depth, self.outage) {
             (Depth::Zero, hold) => self.head_pass(now, cluster, core_speed, hold, started),
@@ -240,12 +229,6 @@ impl BatchScheduler for QueueScheduler {
             }
             (Depth::One, None) => self.easy_pass(now, cluster, core_speed, started),
             (Depth::Unbounded, _) => self.conservative_pass(now, cluster, core_speed, started),
-        }
-        if let Some(fair) = &mut self.fair {
-            for s in &started[before..] {
-                fair.charge_info
-                    .insert(s.job.id, (s.job.cores, now, s.job.project));
-            }
         }
     }
 
@@ -271,7 +254,7 @@ impl BatchScheduler for QueueScheduler {
 mod tests {
     use super::*;
     use crate::queue::decide;
-    use tg_workload::{Job, UserId};
+    use tg_workload::{Job, JobId, ProjectId, UserId};
 
     fn job(id: usize, cores: usize, secs: u64) -> QueuedJob {
         fs_job(id, 0, cores, secs, 0)
@@ -335,12 +318,28 @@ mod tests {
         s.submit(SimTime::ZERO, job(1, 6, 50));
         let t1 = SimTime::from_secs(100);
         c.release(t1, 10);
-        s.on_complete(t1, st[0].job.id);
+        s.on_complete(t1, &st[0]);
         let started = decide(&mut s, t1, &mut c, 1.0);
         assert_eq!(started.len(), 1);
         assert_eq!(started[0].job.id, JobId(1));
+        assert_eq!(started[0].start, t1);
         assert_eq!(started[0].estimated_end, SimTime::from_secs(150));
         assert_eq!(started[0].cause, WaitCause::AheadInQueue);
+    }
+
+    #[test]
+    #[should_panic(expected = "a completion names a job this scheduler started")]
+    fn completion_rejects_a_record_the_scheduler_never_emitted() {
+        let mut s = QueueScheduler::new(Depth::One);
+        let mut c = Cluster::new(SimTime::ZERO, 10);
+        s.submit(SimTime::ZERO, job(0, 4, 100));
+        let st = decide(&mut s, SimTime::ZERO, &mut c, 1.0);
+        // The job's id, but not the end estimate it was started with.
+        let forged = Started {
+            estimated_end: st[0].estimated_end + SimDuration::from_secs(1),
+            ..st[0]
+        };
+        s.on_complete(SimTime::from_secs(100), &forged);
     }
 
     #[test]
@@ -398,9 +397,9 @@ mod tests {
         assert_eq!(st.len(), 1);
         let t1 = SimTime::from_secs(50_000);
         c.release(t1, 10);
-        s.on_complete(t1, JobId(0)); // charges 500k core-seconds to project 0
-                                     // Now project 0 submits first, project 1 second; both need the
-                                     // whole machine. Fair share puts project 1 ahead.
+        s.on_complete(t1, &st[0]); // charges 500k core-seconds to project 0
+                                   // Now project 0 submits first, project 1 second; both need the
+                                   // whole machine. Fair share puts project 1 ahead.
         s.submit(t1, fs_job(1, 0, 10, 100, 50_000));
         s.submit(t1, fs_job(2, 1, 10, 100, 50_000));
         let started = decide(&mut s, t1, &mut c, 1.0);
@@ -417,7 +416,7 @@ mod tests {
         let st = decide(&mut s, SimTime::ZERO, &mut c, 1.0);
         let t1 = SimTime::from_secs(1000);
         c.release(t1, 10);
-        s.on_complete(t1, st[0].job.id);
+        s.on_complete(t1, &st[0]);
         // Project 0's next job has waited two days; project 1's arrives now.
         let t2 = SimTime::from_secs(1000 + 2 * 86_400);
         s.submit(t1, fs_job(1, 0, 10, 100, 1000));
@@ -435,13 +434,12 @@ mod tests {
         let mut s = fair();
         let mut c = Cluster::new(SimTime::ZERO, 8);
         s.submit(SimTime::ZERO, fs_job(0, 3, 4, 600, 0));
-        decide(&mut s, SimTime::ZERO, &mut c, 1.0);
-        let shares =
-            |s: &QueueScheduler, t| s.fair.as_ref().unwrap().shares.usage_of(ProjectId(3), t);
+        let st = decide(&mut s, SimTime::ZERO, &mut c, 1.0);
+        let shares = |s: &QueueScheduler, t| s.fair.as_ref().unwrap().usage_of(ProjectId(3), t);
         assert_eq!(shares(&s, SimTime::ZERO), 0.0);
         let t = SimTime::from_secs(600);
         c.release(t, 4);
-        s.on_complete(t, JobId(0));
+        s.on_complete(t, &st[0]);
         let usage = shares(&s, t);
         assert!((usage - 2400.0).abs() < 1e-6, "4 cores × 600 s = {usage}");
     }

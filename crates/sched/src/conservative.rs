@@ -300,7 +300,7 @@ mod tests {
         assert_eq!(s.queue_len(), 3);
         // At t=100, job 0 completes; job 1 starts; 2 and 3 wait.
         c.release(SimTime::from_secs(100), 10);
-        s.on_complete(SimTime::from_secs(100), JobId(0));
+        s.on_complete(SimTime::from_secs(100), &st[0]);
         let started = decide(&mut s, SimTime::from_secs(100), &mut c, 1.0);
         assert_eq!(started.len(), 1);
         assert_eq!(started[0].job.id, JobId(1));

@@ -26,7 +26,6 @@ use std::collections::VecDeque;
 use tg_des::span::WaitCause;
 use tg_des::{SimDuration, SimTime};
 use tg_model::Cluster;
-use tg_workload::JobId;
 
 /// Fraction of machine cores at which a job counts as a hero run.
 pub const DEFAULT_HERO_FRACTION: f64 = 0.9;
@@ -104,8 +103,8 @@ impl BatchScheduler for WeeklyDrain {
         }
     }
 
-    fn on_complete(&mut self, now: SimTime, id: JobId) {
-        self.core.on_complete(now, id);
+    fn on_complete(&mut self, now: SimTime, done: &Started) {
+        self.core.on_complete(now, done);
     }
 
     fn make_decisions(
@@ -199,7 +198,7 @@ impl BatchScheduler for WeeklyDrain {
 mod tests {
     use super::*;
     use crate::queue::decide;
-    use tg_workload::Job;
+    use tg_workload::{Job, JobId};
 
     fn sched(machine: usize) -> WeeklyDrain {
         WeeklyDrain::new(SimDuration::from_weeks(1), machine)
@@ -282,7 +281,7 @@ mod tests {
         // First hero completes; second starts immediately.
         let t2 = d + SimDuration::from_secs(3600);
         c.release(t2, 10);
-        s.on_complete(t2, JobId(0));
+        s.on_complete(t2, &started[0]);
         let started = decide(&mut s, t2, &mut c, 1.0);
         assert_eq!(started.len(), 1);
         assert_eq!(started[0].job.id, JobId(1));
@@ -296,10 +295,10 @@ mod tests {
         let mut c = Cluster::new(SimTime::ZERO, 10);
         s.submit(SimTime::ZERO, job(0, 10, 3600));
         let d = SimTime::from_days(7);
-        decide(&mut s, d, &mut c, 1.0);
+        let hero = decide(&mut s, d, &mut c, 1.0);
         let t2 = d + SimDuration::from_secs(3600);
         c.release(t2, 10);
-        s.on_complete(t2, JobId(0));
+        s.on_complete(t2, &hero[0]);
         decide(&mut s, t2, &mut c, 1.0);
         // Now a long normal job may start — no wall remains.
         s.submit(t2, job(1, 4, 30 * 86_400));
@@ -320,7 +319,7 @@ mod tests {
         assert_eq!(st.len(), 1, "hero runs at the wall");
         let t2 = d + SimDuration::from_secs(3600);
         c.release(t2, 10);
-        s.on_complete(t2, JobId(0));
+        s.on_complete(t2, &st[0]);
         let st = decide(&mut s, t2, &mut c, 1.0);
         assert_eq!(st.len(), 1);
         assert_eq!(st[0].job.id, JobId(1));
@@ -329,6 +328,20 @@ mod tests {
             WaitCause::DrainWindow,
             "the wait spanned the drain, so the drain gets the blame"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "a completion names a job this scheduler started")]
+    fn completion_rejects_a_record_the_scheduler_never_emitted() {
+        let mut s = sched(10);
+        s.submit(SimTime::ZERO, job(0, 10, 3600)); // hero, queued for the drain
+        let never_started = Started {
+            job: job(0, 10, 3600),
+            start: SimTime::ZERO,
+            estimated_end: SimTime::from_secs(3600),
+            cause: WaitCause::Immediate,
+        };
+        s.on_complete(SimTime::from_secs(3600), &never_started);
     }
 
     #[test]

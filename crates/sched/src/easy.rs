@@ -284,7 +284,7 @@ mod tests {
         // Head's reservation comes due.
         let t = SimTime::from_secs(1000);
         c.release(t, 6);
-        s.on_complete(t, st[0].job.id);
+        s.on_complete(t, &st[0]);
         let started = decide(&mut s, t, &mut c, 1.0);
         assert_eq!(started.len(), 1);
         assert_eq!(started[0].job.id, JobId(1));

@@ -27,8 +27,11 @@
 //! [`BatchScheduler::submit`] / [`BatchScheduler::on_complete`] and then
 //! [`BatchScheduler::make_decisions`]; schedulers never own the event queue,
 //! which keeps them unit-testable without a simulator. Nor do they own
-//! jobs: they queue a [`QueuedJob`] view of each and hand it back in
-//! [`Started`], while the job itself stays with the driver.
+//! jobs: they queue a [`QueuedJob`] view of each and hand it back in a
+//! [`Started`] record, while the job itself stays with the driver. The
+//! driver keeps that record with the running job and passes it back to
+//! `on_complete` when the job completes or a fault kills it, so a scheduler
+//! keeps no per-job table of its running work beyond its end-ordered set.
 //!
 //! ```
 //! use tg_des::{SimDuration, SimTime};
@@ -76,4 +79,4 @@ pub use drain::WeeklyDrain;
 pub use meta::{DataContext, MetaPolicy, SiteView};
 pub use queue::{BatchScheduler, QueuedJob, SchedulerKind, Started};
 pub use reconf::{RcDecision, RcPolicy};
-pub use retry::{RetryBook, RetryPolicy};
+pub use retry::RetryPolicy;

@@ -1,7 +1,7 @@
 //! Property tests of the scheduler's indexed structures against naive
-//! models: the blocked [`RunningSet`]'s [`shadow`] against a walk of a
-//! sorted `Vec`, and the lane-resident [`BackfillQueue`] against a
-//! seq-keyed `BTreeMap`.
+//! models: the blocked [`RunningSet`]'s [`shadow`] and its removal by
+//! `(estimated_end, id)` key against a sorted `Vec`, and the lane-resident
+//! [`BackfillQueue`] against a seq-keyed `BTreeMap`.
 
 use crate::backfill_queue::{BackfillQueue, Place};
 use crate::queue::{shadow, QueuedJob, RunningJob, RunningSet};
@@ -168,14 +168,19 @@ proptest! {
                 }
                 SetOp::Remove(i) if !model.is_empty() => {
                     let r = model.swap_remove(i % model.len());
-                    prop_assert_eq!(set.remove(r.id), Some(r));
-                    prop_assert_eq!(set.remove(r.id), None);
+                    let key = (r.estimated_end, r.id);
+                    // The id alone does not name the entry: another end
+                    // misses it.
+                    let later = r.estimated_end + SimDuration::from_secs(1);
+                    prop_assert_eq!(set.remove((later, r.id)), None);
+                    prop_assert_eq!(set.remove(key), Some(r));
+                    prop_assert_eq!(set.remove(key), None);
                 }
                 SetOp::RemoveRun(i, n) if !model.is_empty() => {
                     model.sort_by_key(|r| (r.estimated_end, r.id));
                     let at = i % model.len();
                     for r in model.drain(at..(at + n).min(model.len())) {
-                        prop_assert_eq!(set.remove(r.id), Some(r));
+                        prop_assert_eq!(set.remove((r.estimated_end, r.id)), Some(r));
                     }
                 }
                 SetOp::Remove(_) | SetOp::RemoveRun(..) => {}
@@ -262,4 +267,39 @@ proptest! {
             prop_assert_eq!(order(&q), model.order());
         }
     }
+}
+
+/// One end shared by 100 jobs fills several blocks, so the tie run
+/// straddles block boundaries. Each job is removed by its `(end, id)` key
+/// in an order that hops between blocks; its key then names nothing.
+#[test]
+fn running_set_removes_tied_ends_across_block_boundaries() {
+    let tie = SimTime::from_secs(7);
+    let job = |id: usize, end: SimTime| RunningJob {
+        id: JobId(id),
+        cores: 1 + id % 5,
+        estimated_end: end,
+    };
+    let mut set = RunningSet::new();
+    let mut model: Vec<RunningJob> = (0..100).map(|id| job(id, tie)).collect();
+    // Neighbours on both sides of the tie run.
+    model.push(job(100, SimTime::from_secs(3)));
+    model.push(job(101, SimTime::from_secs(9)));
+    for &r in model.iter().rev() {
+        set.insert(r);
+    }
+    for k in 0..100 {
+        let id = k * 37 % 100;
+        let at = model
+            .iter()
+            .position(|r| r.id == JobId(id))
+            .expect("running");
+        let r = model.remove(at);
+        assert_eq!(set.remove((tie, r.id)), Some(r));
+        assert_eq!(set.remove((tie, r.id)), None, "removed twice");
+        let mut sorted = model.clone();
+        sorted.sort_by_key(|r| (r.estimated_end, r.id));
+        assert_eq!(set.iter_by_end().collect::<Vec<_>>(), sorted);
+    }
+    assert_eq!(set.remove((tie, JobId(0))), None);
 }

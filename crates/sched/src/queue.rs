@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 use tg_des::span::WaitCause;
 use tg_des::{SimDuration, SimTime};
 use tg_model::Cluster;
-use tg_workload::{IdMap, Job, JobId, ProjectId};
+use tg_workload::{Job, JobId, ProjectId};
 
 /// What a batch scheduler sees of a queued job: the fields its policies
 /// read, copied out of the [`Job`] at submission. The job itself stays with
@@ -36,11 +36,16 @@ impl From<&Job> for QueuedJob {
     }
 }
 
-/// A job the scheduler has decided to start *now*.
+/// A job the scheduler has decided to start *now*. The driver keeps the
+/// record while the job runs and hands it back to
+/// [`BatchScheduler::on_complete`] when the job ends, so the scheduler
+/// needs no id-keyed table of its own to find, or charge for, the job.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Started {
     /// The job (removed from the queue).
     pub job: QueuedJob,
+    /// The start instant (the decision pass's `now`).
+    pub start: SimTime,
     /// What the scheduler believes the end time is (estimate-based); the
     /// driver computes the *actual* completion from the true runtime.
     pub estimated_end: SimTime,
@@ -74,13 +79,13 @@ struct EndBlock {
     cores: usize,
 }
 
-/// The indexed running set shared by every scheduler: an id→end map for
-/// O(1)-expected completion removal plus the jobs themselves in
+/// The indexed running set shared by every scheduler: the running jobs in
 /// `(estimated_end, id)` order, cut into blocks of at most [`BLOCK`]
-/// entries that each carry their core sum. [`shadow`] adds whole blocks
-/// and scans only the block where the head's need is crossed; conservative
-/// profiles iterate completions in end order without re-sorting per
-/// decision pass.
+/// entries that each carry their core sum. A completion names its entry by
+/// that key, read off the [`Started`] record the driver hands back.
+/// [`shadow`] adds whole blocks and scans only the block where the head's
+/// need is crossed; conservative profiles iterate completions in end order
+/// without re-sorting per decision pass.
 ///
 /// A start or completion binary-searches the blocks by their last key and
 /// moves at most one block's entries. A block that outgrows [`BLOCK`]
@@ -97,7 +102,6 @@ struct EndBlock {
 /// time are order-independent for a cumulative sum).
 #[derive(Debug, Default)]
 pub(crate) struct RunningSet {
-    by_id: IdMap<JobId, SimTime>,
     blocks: Vec<EndBlock>,
     /// Buffers of dropped blocks, reused by splits.
     spare: Vec<Vec<RunningJob>>,
@@ -124,7 +128,6 @@ impl RunningSet {
     }
 
     pub(crate) fn insert(&mut self, r: RunningJob) {
-        self.by_id.insert(r.id, r.estimated_end);
         if self.blocks.is_empty() {
             let mut jobs = self.new_block();
             jobs.push(r);
@@ -155,14 +158,14 @@ impl RunningSet {
         }
     }
 
-    pub(crate) fn remove(&mut self, id: JobId) -> Option<RunningJob> {
-        let end = self.by_id.remove(&id)?;
-        let b = self.block_of((end, id));
+    /// Remove the entry with `key` (`None` if no running job has it).
+    pub(crate) fn remove(&mut self, key: (SimTime, JobId)) -> Option<RunningJob> {
+        if self.blocks.is_empty() {
+            return None;
+        }
+        let b = self.block_of(key);
         let blk = &mut self.blocks[b];
-        let at = blk
-            .jobs
-            .binary_search_by_key(&(end, id), RunningJob::key)
-            .expect("a running job sits in its block");
+        let at = blk.jobs.binary_search_by_key(&key, RunningJob::key).ok()?;
         let r = blk.jobs.remove(at);
         blk.cores -= r.cores;
         if blk.jobs.is_empty() {
@@ -204,7 +207,9 @@ impl RunningSet {
 ///
 /// Protocol (enforced by the driver in `tg-core`):
 /// 1. [`submit`](BatchScheduler::submit) when a job arrives;
-/// 2. [`on_complete`](BatchScheduler::on_complete) when a running job ends;
+/// 2. [`on_complete`](BatchScheduler::on_complete) when a running job ends
+///    (completes or is killed by a fault), passing back the [`Started`]
+///    record this scheduler returned for it;
 /// 3. after any of the above — and at
 ///    [`next_wakeup`](BatchScheduler::next_wakeup) instants —
 ///    [`make_decisions`](BatchScheduler::make_decisions), acquiring cluster
@@ -213,8 +218,11 @@ pub trait BatchScheduler: Send {
     /// Enqueue a job at `now`.
     fn submit(&mut self, now: SimTime, job: QueuedJob);
 
-    /// Notify that running job `id` completed at `now`.
-    fn on_complete(&mut self, now: SimTime, id: JobId);
+    /// Notify that the running job `done` ended at `now`. `done` is the
+    /// record this scheduler returned from
+    /// [`make_decisions`](BatchScheduler::make_decisions) when it started
+    /// the job, unchanged.
+    fn on_complete(&mut self, now: SimTime, done: &Started);
 
     /// Start whatever should start now, appending each started job to
     /// `started` in start order. The buffer is the caller's: it is reused
@@ -540,11 +548,13 @@ mod tests {
     }
 
     #[test]
-    fn running_set_remove_keeps_both_views_consistent() {
+    fn running_set_removes_by_end_and_id() {
         let mut s = set(&[running(0, 4, 100), running(1, 2, 50)]);
-        let r = s.remove(JobId(1)).expect("present");
+        let key = (SimTime::from_secs(50), JobId(1));
+        assert!(s.remove((SimTime::from_secs(100), JobId(1))).is_none());
+        let r = s.remove(key).expect("present");
         assert_eq!(r.cores, 2);
-        assert!(s.remove(JobId(1)).is_none(), "second remove is a no-op");
+        assert!(s.remove(key).is_none(), "second remove is a no-op");
         let ends: Vec<_> = s.iter_by_end().map(|r| r.id).collect();
         assert_eq!(ends, vec![JobId(0)]);
     }

@@ -67,6 +67,7 @@ fn start_job_naive(
     });
     out.push(Started {
         job,
+        start: now,
         estimated_end,
         cause,
     });
@@ -205,8 +206,8 @@ impl BatchScheduler for NaiveEasy {
         self.queue.push_back(job);
     }
 
-    fn on_complete(&mut self, _now: SimTime, id: JobId) {
-        on_complete_naive(&mut self.running, id);
+    fn on_complete(&mut self, _now: SimTime, done: &Started) {
+        on_complete_naive(&mut self.running, done.job.id);
     }
 
     fn make_decisions(
@@ -272,8 +273,8 @@ impl BatchScheduler for NaiveFcfs {
         self.queue.push_back(job);
     }
 
-    fn on_complete(&mut self, _now: SimTime, id: JobId) {
-        on_complete_naive(&mut self.running, id);
+    fn on_complete(&mut self, _now: SimTime, done: &Started) {
+        on_complete_naive(&mut self.running, done.job.id);
     }
 
     fn make_decisions(
@@ -333,8 +334,8 @@ impl BatchScheduler for NaiveConservative {
         self.queue.push_back(job);
     }
 
-    fn on_complete(&mut self, _now: SimTime, id: JobId) {
-        on_complete_naive(&mut self.running, id);
+    fn on_complete(&mut self, _now: SimTime, done: &Started) {
+        on_complete_naive(&mut self.running, done.job.id);
     }
 
     fn make_decisions(
@@ -365,6 +366,7 @@ impl BatchScheduler for NaiveConservative {
                 });
                 started.push(Started {
                     job,
+                    start: now,
                     estimated_end,
                     cause,
                 });
@@ -443,8 +445,8 @@ impl BatchScheduler for NaiveWeeklyDrain {
         }
     }
 
-    fn on_complete(&mut self, _now: SimTime, id: JobId) {
-        on_complete_naive(&mut self.running, id);
+    fn on_complete(&mut self, _now: SimTime, done: &Started) {
+        on_complete_naive(&mut self.running, done.job.id);
     }
 
     fn make_decisions(
@@ -588,7 +590,8 @@ impl BatchScheduler for NaiveFairshareEasy {
         self.queue.push_back(job);
     }
 
-    fn on_complete(&mut self, now: SimTime, id: JobId) {
+    fn on_complete(&mut self, now: SimTime, done: &Started) {
+        let id = done.job.id;
         on_complete_naive(&mut self.running, id);
         if let Some(pos) = self.charge_info.iter().position(|&(jid, ..)| jid == id) {
             let (_, cores, start, project) = self.charge_info.swap_remove(pos);

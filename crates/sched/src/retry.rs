@@ -2,12 +2,11 @@
 //!
 //! When fault injection kills a running job (node crash, site outage), the
 //! driver consults a [`RetryPolicy`] to decide whether to resubmit it — and
-//! after how long — or abandon it. The policy is pure arithmetic; the
-//! [`RetryBook`] tracks per-job failure counts across attempts.
+//! after how long — or abandon it. The policy is pure arithmetic over the
+//! job's failure count, which the driver keeps with the job.
 
 use serde::{Deserialize, Serialize};
 use tg_des::SimDuration;
-use tg_workload::{IdMap, JobId};
 
 /// Bounded-retry policy with exponential backoff.
 ///
@@ -55,36 +54,6 @@ impl RetryPolicy {
     }
 }
 
-/// Per-job failure counts across fault-induced resubmissions.
-#[derive(Debug, Clone, Default)]
-pub struct RetryBook {
-    attempts: IdMap<JobId, u32>,
-}
-
-impl RetryBook {
-    /// An empty book.
-    pub fn new() -> Self {
-        RetryBook::default()
-    }
-
-    /// Record one more failure for `job`, returning the updated count.
-    pub fn record(&mut self, job: JobId) -> u32 {
-        let n = self.attempts.entry(job).or_insert(0);
-        *n += 1;
-        *n
-    }
-
-    /// Failures recorded so far for `job`.
-    pub fn attempts(&self, job: JobId) -> u32 {
-        self.attempts.get(&job).copied().unwrap_or(0)
-    }
-
-    /// Drop bookkeeping for `job` (completed or abandoned).
-    pub fn forget(&mut self, job: JobId) {
-        self.attempts.remove(&job);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,17 +73,6 @@ mod tests {
         let p = RetryPolicy::default();
         assert!(!p.exhausted(3));
         assert!(p.exhausted(4));
-    }
-
-    #[test]
-    fn book_counts_and_forgets() {
-        let mut b = RetryBook::new();
-        assert_eq!(b.attempts(JobId(7)), 0);
-        assert_eq!(b.record(JobId(7)), 1);
-        assert_eq!(b.record(JobId(7)), 2);
-        assert_eq!(b.attempts(JobId(7)), 2);
-        b.forget(JobId(7));
-        assert_eq!(b.attempts(JobId(7)), 0);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use tg_des::span::WaitCause;
 use tg_des::{SimDuration, SimTime};
 use tg_model::Cluster;
-use tg_sched::{BatchScheduler, QueuedJob, SchedulerKind};
+use tg_sched::{BatchScheduler, QueuedJob, SchedulerKind, Started};
 use tg_workload::{Job, JobId, ProjectId, UserId};
 
 #[derive(Debug, Clone, Copy)]
@@ -97,7 +97,7 @@ fn drive_batched(
     batch: usize,
 ) -> Episode {
     let mut cluster = Cluster::new(SimTime::ZERO, machine);
-    let mut running: Vec<(SimTime, JobId, usize)> = Vec::new();
+    let mut running: Vec<(SimTime, Started)> = Vec::new();
     let mut episode = Episode {
         starts: Vec::new(),
         backfills: 0,
@@ -108,7 +108,7 @@ fn drive_batched(
     fn decide(
         sched: &mut Box<dyn BatchScheduler>,
         cluster: &mut Cluster,
-        running: &mut Vec<(SimTime, JobId, usize)>,
+        running: &mut Vec<(SimTime, Started)>,
         episode: &mut Episode,
         now: SimTime,
         specs: &[JobSpec],
@@ -118,7 +118,7 @@ fn drive_batched(
         for s in started {
             // The view carries no runtime: the job's spec does.
             let runtime = SimDuration::from_secs(specs[s.job.id.index()].runtime_s);
-            running.push((now + runtime, s.job.id, s.job.cores));
+            running.push((now + runtime, s));
             episode
                 .starts
                 .push((s.job.id, now, s.estimated_end, s.cause));
@@ -139,7 +139,7 @@ fn drive_batched(
         }
         loop {
             running.sort_by_key(|&(end, ..)| end);
-            let Some(&(end, id, cores)) = running.first() else {
+            let Some(&(end, done)) = running.first() else {
                 break;
             };
             // Jobs finish only between batches.
@@ -147,8 +147,8 @@ fn drive_batched(
                 break;
             }
             running.remove(0);
-            cluster.release(end, cores);
-            sched.on_complete(end, id);
+            cluster.release(end, done.job.cores);
+            sched.on_complete(end, &done);
             decide(
                 &mut sched,
                 &mut cluster,
@@ -207,11 +207,11 @@ fn drive_batched(
             (None, None) => panic!("queued jobs but nothing will wake the scheduler"),
         };
         now = next.max(now);
-        if let Some(&(end, id, cores)) = running.first() {
+        if let Some(&(end, done)) = running.first() {
             if end <= now {
                 running.remove(0);
-                cluster.release(now, cores);
-                sched.on_complete(now, id);
+                cluster.release(now, done.job.cores);
+                sched.on_complete(now, &done);
             }
         }
         decide(

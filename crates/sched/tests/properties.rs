@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use std::collections::HashSet;
 use tg_des::{SimDuration, SimTime};
 use tg_model::Cluster;
-use tg_sched::{BatchScheduler, QueuedJob, SchedulerKind};
+use tg_sched::{BatchScheduler, QueuedJob, SchedulerKind, Started};
 use tg_workload::{Job, JobId, ProjectId, UserId};
 
 #[derive(Debug, Clone, Copy)]
@@ -40,8 +40,8 @@ fn drive(
 ) -> Result<Vec<(JobId, SimTime)>, TestCaseError> {
     let mut sched = kind.build(machine);
     let mut cluster = Cluster::new(SimTime::ZERO, machine);
-    // (end_time, id, cores) of running jobs.
-    let mut running: Vec<(SimTime, JobId, usize)> = Vec::new();
+    // (end_time, start record) of running jobs.
+    let mut running: Vec<(SimTime, Started)> = Vec::new();
     let mut starts: Vec<(JobId, SimTime)> = Vec::new();
     let mut submit_times: Vec<SimTime> = Vec::new();
     let mut now = SimTime::ZERO;
@@ -49,7 +49,7 @@ fn drive(
 
     let check_and_start = |sched: &mut Box<dyn BatchScheduler>,
                            cluster: &mut Cluster,
-                           running: &mut Vec<(SimTime, JobId, usize)>,
+                           running: &mut Vec<(SimTime, Started)>,
                            starts: &mut Vec<(JobId, SimTime)>,
                            now: SimTime|
      -> Result<(), TestCaseError> {
@@ -65,7 +65,7 @@ fn drive(
             prop_assert!(s.estimated_end >= now);
             // The view carries no runtime: the job's spec does.
             let actual_end = now + SimDuration::from_secs(specs[s.job.id.index()].runtime_s);
-            running.push((actual_end, s.job.id, s.job.cores));
+            running.push((actual_end, s));
             starts.push((s.job.id, now));
         }
         Ok(())
@@ -78,15 +78,15 @@ fn drive(
         // new running entries.
         loop {
             running.sort_by_key(|&(end, ..)| end);
-            let Some(&(end, id, cores)) = running.first() else {
+            let Some(&(end, done)) = running.first() else {
                 break;
             };
             if end > now {
                 break;
             }
             running.remove(0);
-            cluster.release(end, cores);
-            sched.on_complete(end, id);
+            cluster.release(end, done.job.cores);
+            sched.on_complete(end, &done);
             check_and_start(&mut sched, &mut cluster, &mut running, &mut starts, end)?;
         }
         let cores = spec.cores.min(machine);
@@ -130,11 +130,11 @@ fn drive(
         // (they happened between the last arrival and the drain phase);
         // process them *at* `now` to keep cluster timestamps chronological.
         now = next.max(now);
-        if let Some(&(end, id, cores)) = running.first() {
+        if let Some(&(end, done)) = running.first() {
             if end <= now {
                 running.remove(0);
-                cluster.release(now, cores);
-                sched.on_complete(now, id);
+                cluster.release(now, done.job.cores);
+                sched.on_complete(now, &done);
             }
         }
         check_and_start(&mut sched, &mut cluster, &mut running, &mut starts, now)?;

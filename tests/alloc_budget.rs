@@ -22,9 +22,9 @@ use tg_workload::WorkloadGenerator;
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Allocations per delivered event in the loop. This scenario measures
-/// 0.021 (260 allocations over 12,365 events), in debug and release
+/// 0.0197 (244 allocations over 12,365 events), in debug and release
 /// alike; the budget leaves 20% headroom over that.
-const BUDGET: f64 = 0.0252;
+const BUDGET: f64 = 0.0237;
 
 #[test]
 fn event_loop_allocations_per_event_stay_within_budget() {
